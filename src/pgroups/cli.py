@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .claims import all_claim_ids, run_claims
 from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
-    dagger_inv_class,
+    dagger_ideal,
     dagger_subgroup,
     enumerate_ideals,
     ring_order,
@@ -271,15 +272,15 @@ def cmd_endo(args) -> int:
     ideals = enumerate_ideals(G, max_ring=args.max_ideals)
     lines.append(f"two-sided ideals: {len(ideals)}")
     L = enumerate_fi_subgroups(G, max_ring=args.max_ring)
+    ideals_by_image = Counter(dagger_ideal(G, I) for I in ideals)
     rows = []
     for H in L.nodes:
-        cls = dagger_inv_class(G, H, ideals=ideals)
         closed = dagger_subgroup(G, H)
         rows.append(
             [
                 subgroup_name(G, H),
                 str(H.order),
-                str(len(cls)),
+                str(ideals_by_image[H]),
                 str(closed.size),
             ]
         )
@@ -309,6 +310,17 @@ def cmd_ulm(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """Argparse type for the budget flags: an integer no smaller than 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgroups",
@@ -320,19 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     budgets = argparse.ArgumentParser(add_help=False)
     budgets.add_argument(
         "--max-group",
-        type=int,
+        type=_budget,
         default=DEFAULT_MAX_GROUP_ORDER,
         help="largest group order to materialize (default %(default)s)",
     )
     budgets.add_argument(
         "--max-ring",
-        type=int,
+        type=_budget,
         default=DEFAULT_MAX_RING_ORDER,
         help="largest endomorphism ring to enumerate (default %(default)s)",
     )
     budgets.add_argument(
         "--max-ideals",
-        type=int,
+        type=_budget,
         default=DEFAULT_MAX_IDEAL_RING_ORDER,
         help="largest ring for ideal enumeration (default %(default)s)",
     )

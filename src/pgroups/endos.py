@@ -14,6 +14,22 @@ Two order-preserving maps connect ideals and subgroups:
 * an ideal ``I`` pushes forward to the subgroup generated by the images of
   its members.
 
+Both maps, full invariance and single-element orbits are computed from
+generators, never by scanning the ring against the group.  ``G.f`` is
+generated by the ``r`` rows ``e_s.f``, and End(G) is additively spanned by the
+``r^2`` single-entry matrices of ``EndoRing.basis``, so:
+
+* the pullback of ``H`` is ``{f : every row of f lies in H}``;
+* ``H`` is fully invariant iff ``H.b`` lies in ``H`` for each basis matrix ``b``;
+* the pushforward of ``I`` is the span of the rows of I's members;
+* the orbit ``{a.f : f}`` of ``a`` is the span of the ``a.b``.
+
+Spans are closed one generator at a time (:func:`_span`).  The claims that
+are exhaustive by statement, ``endo-height-exponent`` and
+``endo-indicator-monotone``, still scan every (endomorphism, element) pair
+through :meth:`EndoRing.action_chunks`; ``rank-subadditivity`` reads
+sampled action rows.
+
 Both directions, their closure behavior, and several identities about the
 power/socle ideals are checked mechanically by the ``verify_*`` helpers.
 
@@ -179,10 +195,11 @@ def endo_add(f: Endo, g: Endo) -> Endo:
 
 
 def image(f: Endo) -> Subgroup:
-    """The image subgroup ``G.f`` (a plain subgroup, not fully invariant in general)."""
+    """The image subgroup ``G.f`` (a plain subgroup, not fully invariant in general):
+    the span of f's rows."""
     ring = get_ring(f.group)
-    idx = ring.endo_index(f)
-    return ring.subgroup_from_indices(np.unique(ring.action_row(idx)))
+    rows = np.array(f.matrix, dtype=np.int64) @ ring._elem_strides
+    return ring.subgroup_from_indices(ring.element_span(rows))
 
 
 def endo_rank(f: Endo) -> int:
@@ -206,12 +223,56 @@ def endo_rank(f: Endo) -> int:
 # the enumerated ring with vectorized tables
 
 
+def _members(x: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Boolean mask: which entries of ``x`` occur in the sorted ``sorted_set``."""
+    pos = np.searchsorted(sorted_set, x)
+    return sorted_set[np.minimum(pos, sorted_set.size - 1)] == x
+
+
+def _span(seed: np.ndarray, radix: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """Sorted packed indices of the subgroup of ``(+) Z(radix_i)`` generated by
+    ``seed``, where index ``x`` has digit ``i`` equal to ``x // strides_i % radix_i``.
+
+    Each seed ``g`` outside the running subgroup ``S`` joins in one step: with
+    ``m`` the least ``k >= 1`` such that ``k.g`` lies in ``S``, the cosets
+    ``S + k.g`` for ``k < m`` are disjoint and their union is the subgroup
+    generated by ``S`` and ``g``.  So each round adds one independent
+    generator, and builds it digit by digit in arrays no larger than the new
+    ``S``.  Seeds of larger order go first, so a cyclic span takes one round.
+    """
+    span = np.zeros(1, dtype=np.int64)
+    pending = np.unique(np.asarray(seed, dtype=np.int64))
+    digits = pending[:, None] // strides % radix
+    orders = np.lcm.reduce(radix // np.gcd(digits, radix), axis=1)
+    first = np.argsort(-orders, kind="stable")
+    pending, orders = pending[first], orders[first]
+    while True:
+        keep = ~_members(pending, span)
+        pending, orders = pending[keep], orders[keep]
+        if pending.size == 0:
+            return span
+        g = pending[0] // strides % radix
+        mults = np.arange(orders[0], dtype=np.int64)[:, None] * g % radix
+        hit = np.flatnonzero(_members(mults[1:] @ strides, span))
+        m = 1 + int(hit[0]) if hit.size else int(orders[0])
+        grown = np.zeros((span.size, m), dtype=np.int64)
+        for i in range(radix.size):
+            digit = span // strides[i] % radix[i]
+            grown += (digit[:, None] + mults[None, :m, i]) % radix[i] * strides[i]
+        span = np.sort(grown, axis=None)
+
+
 class EndoRing:
     """Cached, fully enumerated endomorphism ring with numpy lookup tables.
 
     Elements and endomorphisms are addressed by dense indices in a fixed
-    enumeration order.  The action table (endo x element -> element) is
-    materialized when small enough and computed in chunks otherwise.
+    enumeration order.  ``basis`` holds the ``r^2`` single-entry matrices
+    (with the forced divisibility) that additively span the ring.
+
+    Full invariance and orbits are decided on ``basis`` alone (see the module
+    docstring).  The action table (endo x element -> element) is computed
+    only for the claims that are exhaustive by statement, in chunks by
+    :meth:`action_chunks`, or for selected rows by :meth:`action_rows`.
     """
 
     def __init__(self, G: GroupSpec, max_ring: int | None = None):
@@ -254,9 +315,7 @@ class EndoRing:
         eidx = np.arange(size, dtype=np.int64)
         digits = (eidx[:, None] // estrides[None, :]) % flat_radix[None, :]
         self.endo_matrices = (digits * self._endo_lift[None, :]).reshape(size, r, r)
-
-        self._action: np.ndarray | None = None
-        self._endo_lookup: dict[tuple[int, ...], int] | None = None
+        self.basis = np.diag(self._endo_lift).reshape(r * r, r, r)
 
     # -- element indexing ---------------------------------------------------
 
@@ -270,10 +329,8 @@ class EndoRing:
         return Element(self.group, tuple(int(c) for c in self.elem_coords[idx]))
 
     def subgroup_from_indices(self, indices) -> Subgroup:
-        coords = self.elem_coords[np.asarray(indices, dtype=np.int64)]
-        return subgroup_from_set(
-            self.group, (Element(self.group, tuple(int(x) for x in c)) for c in coords)
-        )
+        coords = self.elem_coords[np.asarray(indices, dtype=np.int64)].tolist()
+        return subgroup_from_set(self.group, (Element(self.group, tuple(c)) for c in coords))
 
     def indices_of_subgroup(self, H: Subgroup) -> np.ndarray:
         arr = np.array([e.coords for e in H.elements], dtype=np.int64)
@@ -314,26 +371,17 @@ class EndoRing:
 
     @property
     def action(self) -> np.ndarray:
-        """Full (|E|, |G|) action table; built once when affordable."""
-        if self._action is None:
-            if self.size * self.n_elements > 2**26:
-                raise RingTooLargeError(
-                    "full action table over cap; use chunked access"
-                )
-            self._action = self._act_block(self.endo_matrices)
-        return self._action
+        """Full (|E|, |G|) action table, refused above 2**26 entries."""
+        if self.size * self.n_elements > 2**26:
+            raise RingTooLargeError("full action table over cap; use chunked access")
+        return self._act_block(self.endo_matrices)
 
     def action_chunks(self, chunk: int = _CHUNK):
         """Yield ``(start, packed_block)`` covering all endomorphisms."""
-        if self._action is not None:
-            yield 0, self._action
-            return
         for start in range(0, self.size, chunk):
             yield start, self._act_block(self.endo_matrices[start : start + chunk])
 
     def action_row(self, endo_idx: int) -> np.ndarray:
-        if self._action is not None:
-            return self._action[endo_idx]
         return self._act_block(self.endo_matrices[endo_idx : endo_idx + 1])[0]
 
     def action_rows(self, endo_indices) -> np.ndarray:
@@ -342,52 +390,51 @@ class EndoRing:
         Callers with very large selections should slice them; each row costs
         ``n_elements`` int64 entries.
         """
-        idx = np.asarray(endo_indices, dtype=np.int64)
-        if self._action is not None:
-            return self._action[idx]
-        return self._act_block(self.endo_matrices[idx])
+        return self._act_block(self.endo_matrices[np.asarray(endo_indices, dtype=np.int64)])
+
+    def endo_rows(self, endo_indices=slice(None)) -> np.ndarray:
+        """Packed rows ``e_s.f`` (shape ``(k, r)``) of the selected endomorphisms."""
+        return self.endo_matrices[endo_indices] @ self._elem_strides
 
     def orbit_indices(self, elem_idx: int) -> np.ndarray:
         """Sorted unique packed indices of ``{a.f : f}`` for one element.
 
-        This set is already a subgroup (it is closed under addition because
-        endomorphisms add pointwise), hence equals the smallest fully
-        invariant subgroup containing ``a``.
+        This is the span of the ``a.b`` over the additive basis, hence the
+        smallest fully invariant subgroup containing ``a``.  Each ``a.b`` lies
+        in one coordinate, so the span splits by coordinate: coordinate ``t``
+        runs over the multiples of the gcd of ``p^e_t`` and the ``a.b`` there.
         """
-        coords = self.elem_coords[elem_idx]
-        prod = np.einsum("s,cst->ct", coords, self.endo_matrices) % self.moduli
-        return np.unique(prod @ self._elem_strides)
+        images = self.elem_coords[elem_idx] @ self.basis % self.moduli
+        steps = np.gcd(np.gcd.reduce(images, axis=0), self.moduli)
+        orbit = np.zeros(1, dtype=np.int64)
+        # first coordinate most significant, so the result comes out sorted
+        for q, step, stride in zip(self.moduli, steps, self._elem_strides):
+            orbit = (orbit[:, None] + np.arange(0, q, step) * stride).reshape(-1)
+        return orbit
 
     # -- subgroup helpers ---------------------------------------------------
 
-    def additive_closure_elements(self, seed: np.ndarray) -> np.ndarray:
+    def element_span(self, seed: np.ndarray) -> np.ndarray:
         """Smallest subgroup (as sorted packed indices) containing ``seed``."""
-        closed = np.unique(np.append(seed.astype(np.int64), np.int64(0)))
-        gens = closed[closed != 0]
-        frontier = closed
-        while True:
-            new = np.unique(self.add_element_indices(frontier[:, None], gens[None, :]))
-            merged = np.union1d(closed, new)
-            if merged.size == closed.size:
-                return closed
-            frontier = np.setdiff1d(new, closed, assume_unique=False)
-            closed = merged
+        return _span(seed, self.moduli, self._elem_strides)
 
-    def endo_images_subset_mask(self, member_indices: np.ndarray) -> np.ndarray:
-        """Boolean mask over endos: image of G lies inside the given set."""
-        target = np.sort(np.asarray(member_indices, dtype=np.int64))
-        flags = np.empty(self.size, dtype=bool)
-        for start, block in self.action_chunks():
-            inside = np.isin(block, target).all(axis=1)
-            flags[start : start + block.shape[0]] = inside
-        return flags
+    def endo_span(self, seed: np.ndarray) -> np.ndarray:
+        """Smallest additively closed endo index set containing ``seed`` (and 0)."""
+        return _span(seed, self._endo_radix, self._endo_strides)
+
+    def member_mask(self, H: Subgroup) -> np.ndarray:
+        """Boolean table over packed element indices: membership in ``H``."""
+        inside = np.zeros(self.n_elements, dtype=bool)
+        inside[self.indices_of_subgroup(H)] = True
+        return inside
 
     def is_fully_invariant(self, H: Subgroup) -> bool:
-        idx = self.indices_of_subgroup(H)
-        for start, block in self.action_chunks():
-            if not np.isin(block[:, idx], idx).all():
-                return False
-        return True
+        """``H.b`` lies in ``H`` for every basis matrix ``b``; as ``H`` is a
+        subgroup, that covers every sum of basis matrices, i.e. all of End(G)."""
+        inside = self.member_mask(H)
+        coords = self.elem_coords[inside]
+        images = coords @ self.basis % self.moduli
+        return bool(inside[images @ self._elem_strides].all())
 
 
 @lru_cache(maxsize=32)
@@ -458,40 +505,13 @@ class Ideal:
         }
 
 
-def _additive_basis(ring: EndoRing) -> np.ndarray:
-    """One single-entry matrix per position, with the forced divisibility."""
-    r = ring.rank
-    lift = ring._endo_lift.reshape(r, r)
-    mats = np.zeros((r * r, r, r), dtype=np.int64)
-    for pos, (s, t) in enumerate(itertools.product(range(r), range(r))):
-        mats[pos, s, t] = lift[s, t]
-    return mats
-
-
-def _endo_additive_closure(ring: EndoRing, seed: np.ndarray) -> np.ndarray:
-    """Smallest additively closed index set containing ``seed`` (and 0)."""
-    zero = np.int64(0)
-    closed = np.unique(np.append(seed.astype(np.int64), zero))
-    gens = closed[closed != 0]
-    if gens.size == 0:
-        return closed
-    frontier = closed
-    while True:
-        new = np.unique(ring.add_endo_indices(frontier[:, None], gens[None, :]))
-        merged = np.union1d(closed, new)
-        if merged.size == closed.size:
-            return closed
-        frontier = np.setdiff1d(new, closed)
-        closed = merged
-
-
 def _sandwich_products(ring: EndoRing, mat: np.ndarray) -> np.ndarray:
     """Packed indices of ``A f B`` over the additive basis pairs ``(A, B)``.
 
     The two-sided ideal generated by ``f`` is the additive span of these
     (bilinearity reduces arbitrary ``u f v`` to basis pairs).
     """
-    basis = _additive_basis(ring)
+    basis = ring.basis
     left = np.einsum("ast,tu->asu", basis, mat)
     prods = np.einsum("asu,buv->absv", left, basis).reshape(-1, ring.rank, ring.rank)
     prods %= ring.moduli[None, None, :]
@@ -509,8 +529,8 @@ def ideal_generated(G: GroupSpec, gens, max_ring: int | None = None) -> Ideal:
         gen_idx.append(ring.endo_index(f))
         mat = np.array(f.matrix, dtype=np.int64)
         seeds.append(_sandwich_products(ring, mat))
-    closure = _endo_additive_closure(ring, np.concatenate(seeds))
-    return Ideal(G, tuple(int(i) for i in closure), generators=tuple(gen_idx))
+    closure = ring.endo_span(np.concatenate(seeds))
+    return Ideal(G, tuple(closure.tolist()), generators=tuple(gen_idx))
 
 
 def principal_ideal(G: GroupSpec, f: Endo, max_ring: int | None = None) -> Ideal:
@@ -520,19 +540,18 @@ def principal_ideal(G: GroupSpec, f: Endo, max_ring: int | None = None) -> Ideal
 def _ideal_from_indices(ring: EndoRing, indices: np.ndarray, gens=()) -> Ideal:
     return Ideal(
         ring.group,
-        tuple(int(i) for i in np.unique(indices)),
+        tuple(np.unique(indices).tolist()),
         generators=tuple(int(i) for i in gens),
     )
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    """Elementwise sum ``I + J`` (already an ideal, no extra closure needed)."""
+    """Elementwise sum ``I + J``: the span of ``I`` and ``J`` (already an ideal,
+    no multiplicative closure needed)."""
     if I.group != J.group:
         raise MismatchedParentError("ideals of different groups")
     ring = get_ring(I.group)
-    a = np.asarray(I.indices, dtype=np.int64)
-    b = np.asarray(J.indices, dtype=np.int64)
-    total = np.unique(ring.add_endo_indices(a[:, None], b[None, :]))
+    total = ring.endo_span(np.concatenate((I.indices, J.indices)))
     return _ideal_from_indices(ring, total, gens=I.generators + J.generators)
 
 
@@ -564,12 +583,12 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
     seen_seeds: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(ring.size):
         prods = _sandwich_products(ring, ring.endo_matrices[i])
-        seed_key = tuple(int(x) for x in prods)
+        seed_key = tuple(prods.tolist())
         if seed_key in seen_seeds:
             key = seen_seeds[seed_key]
         else:
-            closure = _endo_additive_closure(ring, prods)
-            key = tuple(int(x) for x in closure)
+            closure = ring.endo_span(prods)
+            key = tuple(closure.tolist())
             seen_seeds[seed_key] = key
         if key not in principal:
             principal[key] = np.asarray(key, dtype=np.int64)
@@ -578,8 +597,8 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
         fresh: dict[tuple[int, ...], np.ndarray] = {}
         items = list(current.values())
         for a, b in itertools.combinations(items, 2):
-            total = np.unique(ring.add_endo_indices(a[:, None], b[None, :]))
-            key = tuple(int(x) for x in total)
+            total = ring.endo_span(np.concatenate((a, b)))
+            key = tuple(total.tolist())
             if key not in current and key not in fresh:
                 fresh[key] = total
         if not fresh:
@@ -610,7 +629,8 @@ def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
 
 
 def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
-    """The ideal of endomorphisms mapping all of G into ``H``.
+    """The ideal of endomorphisms mapping all of G into ``H``: those whose
+    every row lies in ``H``.
 
     ``H`` must be fully invariant, otherwise the result would not be closed
     under right multiplication.
@@ -622,23 +642,18 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not fully invariant"
         )
-    member = ring.indices_of_subgroup(H)
-    flags = ring.endo_images_subset_mask(member)
-    return _ideal_from_indices(ring, np.nonzero(flags)[0].astype(np.int64))
+    inside = ring.member_mask(H)[ring.endo_rows()].all(axis=1)
+    return _ideal_from_indices(ring, np.nonzero(inside)[0].astype(np.int64))
 
 
 def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
-    """The subgroup generated by the images of the ideal's members."""
+    """The subgroup generated by the images of the ideal's members: the span
+    of their rows."""
     if I.group != G:
         raise MismatchedParentError("ideal of a different group")
     ring = get_ring(G)
-    idx = np.asarray(I.indices, dtype=np.int64)
-    hit: list[np.ndarray] = [np.array([0], dtype=np.int64)]
-    for start in range(0, idx.size, _CHUNK):
-        hit.append(np.unique(ring.action_rows(idx[start : start + _CHUNK])))
-    seed = np.unique(np.concatenate(hit))
-    closed = ring.additive_closure_elements(seed)
-    return ring.subgroup_from_indices(closed)
+    rows = ring.endo_rows(np.asarray(I.indices, dtype=np.int64))
+    return ring.subgroup_from_indices(ring.element_span(rows.reshape(-1)))
 
 
 @dataclass(frozen=True)

@@ -178,18 +178,29 @@ class GroupSpec:
         return make_group(p, pairs)
 
 
+def _is_int(x) -> bool:
+    """A true integer: ``bool`` and ``float`` do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def make_group(p: int, pairs: Iterable[tuple[int, int]]) -> GroupSpec:
     """Validate and build a :class:`GroupSpec`.
 
     ``pairs`` lists ``(exponent, multiplicity)`` per homocyclic component,
-    exponents strictly increasing and positive, multiplicities >= 1.
+    exponents strictly increasing and positive, multiplicities >= 1.  ``p``,
+    exponents and multiplicities must be ``int`` (not ``bool`` or ``float``).
 
     >>> make_group(2, [(2, 1), (4, 1)]).order
     64
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not _is_int(p) or not _is_prime(p):
         raise NonPrimeError(f"p must be a prime integer, got {p!r}")
-    comps = tuple((int(n), int(m)) for n, m in pairs)
+    comps = tuple((n, m) for n, m in pairs)
+    for n, m in comps:
+        if not (_is_int(n) and _is_int(m)):
+            raise InvalidInputError(
+                f"exponent and multiplicity must be integers, got {n!r} and {m!r}"
+            )
     if not comps:
         raise InvalidInputError("a group needs at least one component")
     last = 0

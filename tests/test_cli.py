@@ -274,6 +274,36 @@ class TestErrorPaths:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["endo", '{"p": 2, "components": [{"exponent": "x", "multiplicity": 1}]}'],
+            ["endo", '{"p": 2, "components": [{"exponent": 1.5, "multiplicity": 1}]}'],
+            ["endo", '{"p": 2, "components": [{"exponent": 1, "multiplicity": true}]}'],
+            ["endo", G24, "--max-ring", "-5"],
+            ["endo", G24, "--max-ideals", "-1"],
+            ["analyze", G24, "--max-group", "-1"],
+        ],
+        ids=[
+            "string-exponent",
+            "float-exponent",
+            "bool-multiplicity",
+            "negative-max-ring",
+            "negative-max-ideals",
+            "negative-max-group",
+        ],
+    )
+    def test_malformed_input_exits_2_without_traceback(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pgroups", *argv],
+            capture_output=True,
+            text=True,
+            env=own_pgroups_env(),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
+
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 

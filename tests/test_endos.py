@@ -367,11 +367,10 @@ def brute_dagger_subgroup(G, H):
 
 
 def brute_dagger_ideal(G, I):
-    ring = get_ring(G)
+    endos = enumerate_endos(G)
     pts = set()
     for i in I.indices:
-        f = ring.endo_of_index(i)
-        pts |= {apply(x, f) for x in enumerate_elements(G)}
+        pts |= {apply(x, endos[i]) for x in enumerate_elements(G)}
     return subgroup_generated(G, pts)
 
 
@@ -450,6 +449,85 @@ def test_reference_collision_generators(small24):
     # generator reaches the socle
     assert subgroup_name(small24, dagger_ideal(small24, If)) == "pG"
     assert subgroup_name(small24, dagger_ideal(small24, Ig)) == "G[p]"
+
+
+# --- generator forms against whole-ring oracles -------------------------------------
+#
+# The daggers, orbits, images and full invariance are computed from generators
+# (rows of a matrix, the additive basis of the ring); these oracles apply every
+# endomorphism to every element instead.
+
+GENERATOR_FORM_GROUPS = {
+    "Z2+Z4": (2, [(1, 1), (2, 1)]),
+    "Z2+Z8": (2, [(1, 1), (3, 1)]),
+    "Z4^2": (2, [(2, 2)]),
+    "Z2^2+Z4": (2, [(1, 2), (2, 1)]),
+    "Z3+Z9": (3, [(1, 1), (2, 1)]),
+    "Z32": (2, [(5, 1)]),
+}
+
+
+@pytest.fixture(params=sorted(GENERATOR_FORM_GROUPS), scope="module")
+def form_group(request):
+    return make_group(*GENERATOR_FORM_GROUPS[request.param])
+
+
+def test_dagger_subgroup_matches_filter_on_fi_nodes(form_group):
+    from pgroups import enumerate_fi_subgroups
+
+    G = form_group
+    ring = get_ring(G)
+    for H in enumerate_fi_subgroups(G).nodes:
+        got = {ring.endo_of_index(i) for i in dagger_subgroup(G, H).indices}
+        assert got == brute_dagger_subgroup(G, H)
+
+
+def test_dagger_ideal_matches_generated_images_on_all_ideals(form_group):
+    for I in enumerate_ideals(form_group):
+        assert dagger_ideal(form_group, I) == brute_dagger_ideal(form_group, I)
+
+
+def test_orbits_are_endomorphic_images(form_group):
+    G = form_group
+    ring = get_ring(G)
+    endos = enumerate_endos(G)
+    for x in enumerate_elements(G):
+        got = {ring.element_of_index(i) for i in ring.orbit_indices(ring.element_index(x))}
+        assert got == {apply(x, f) for f in endos}
+
+
+def test_images_are_pointwise_images(form_group):
+    elements = enumerate_elements(form_group)
+    for f in enumerate_endos(form_group):
+        assert set(image(f)) == {apply(x, f) for x in elements}
+
+
+def test_full_invariance_of_cyclic_subgroups(form_group):
+    G = form_group
+    ring = get_ring(G)
+    endos = enumerate_endos(G)
+    verdicts = set()
+    for a in enumerate_elements(G):
+        H = subgroup_generated(G, [a])
+        expected = all(apply(x, f) in H for x in H for f in endos)
+        assert ring.is_fully_invariant(H) == expected, a
+        verdicts.add(expected)
+    # on a cyclic group every subgroup is fully invariant
+    assert verdicts == ({True} if G.rank == 1 else {True, False})
+
+
+def test_element_span_matches_subgroup_generated(form_group):
+    import random
+
+    G = form_group
+    ring = get_ring(G)
+    elements = enumerate_elements(G)
+    rng = random.Random(20231103)
+    for _ in range(40):
+        seed = [rng.randrange(len(elements)) for _ in range(rng.randrange(5))]
+        got = ring.element_span(np.array(seed, dtype=np.int64))
+        expected = subgroup_generated(G, [elements[i] for i in seed])
+        assert [elements[i] for i in got] == list(expected.elements)
 
 
 # --- the verification sweeps ----------------------------------------------------------
