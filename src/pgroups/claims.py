@@ -2,8 +2,8 @@
 
 Each runner produces one or more :class:`ClaimReport`s for a single group.
 Runners share a :class:`ClaimContext` that lazily materializes the expensive
-artifacts (element list, fundamental matrix, fully invariant lattice, the
-endomorphism ring and its ideal lattice) under the caller's budgets; a budget
+artifacts (admissible indicators, fundamental matrix, fully invariant lattice,
+the endomorphism ring and its ideal lattice) under the caller's budgets; a budget
 overrun downgrades every claim of that runner to ``skipped`` rather than
 failing the whole run.
 
@@ -24,12 +24,10 @@ from .errors import BudgetExceededError, GroupTooLargeError, InvalidInputError
 from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
     GroupSpec,
-    INF,
+    _table,
     block_subgroup,
     enumerate_elements,
-    exponent,
     fundamental_subgroup,
-    height,
     subgroup_leq,
 )
 from .indicators import (
@@ -71,6 +69,7 @@ from .lattice import (
 from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
+    _check_ring_budget,
     dagger_ideal,
     enumerate_ideals,
     find_dagger_collision,
@@ -113,16 +112,10 @@ class ClaimContext:
     group: GroupSpec
     max_ring: int = DEFAULT_MAX_RING_ORDER
     max_ideals: int = DEFAULT_MAX_IDEAL_RING_ORDER
-    _elements: Optional[list] = field(default=None, repr=False)
     _admissible: Optional[list] = field(default=None, repr=False)
     _matrix: Optional[object] = field(default=None, repr=False)
     _lattice: Optional[object] = field(default=None, repr=False)
     _ideals: Optional[list] = field(default=None, repr=False)
-
-    def elements(self) -> list:
-        if self._elements is None:
-            self._elements = enumerate_elements(self.group)
-        return self._elements
 
     def admissible(self) -> list[Indicator]:
         """Admissible indicators in the fixed (length, entries) order."""
@@ -147,6 +140,7 @@ class ClaimContext:
 
     def ideals(self) -> list:
         if self._ideals is None:
+            _check_ring_budget(self.group, self.max_ring)
             self._ideals = enumerate_ideals(self.group, max_ring=self.max_ideals)
         return self._ideals
 
@@ -176,8 +170,7 @@ def _run_indicator_antitone(ctx: ClaimContext) -> list[ClaimReport]:
     """Refinement of indicators reverses containment of the cut-out subgroups."""
     G = ctx.group
     adm = ctx.admissible()
-    elements = ctx.elements()
-    subs = {s: indicator_subgroup(G, s, elements=elements) for s in adm}
+    subs = {s: indicator_subgroup(G, s) for s in adm}
     wit = []
     for s, t in itertools.permutations(adm, 2):
         if precedes(s, t) and not subgroup_leq(subs[t], subs[s]):
@@ -204,7 +197,7 @@ def _run_min_admissible_bottom(ctx: ClaimContext) -> list[ClaimReport]:
     for s in ctx.admissible():
         if not precedes(bottom, s):
             wit.append({"failure": "not below", "sigma": list(s.entries)})
-    if indicator_subgroup(G, bottom, elements=ctx.elements()).order != G.order:
+    if indicator_subgroup(G, bottom).order != G.order:
         wit.append({"failure": "does not cut out G"})
     return [
         _report(
@@ -298,10 +291,9 @@ def _run_indicator_subgroups_invariant(ctx: ClaimContext) -> list[ClaimReport]:
     """Every indicator subgroup is fully invariant."""
     G = ctx.group
     ring = ctx.ring()
-    elements = ctx.elements()
     wit = []
     for s in ctx.admissible():
-        H = indicator_subgroup(G, s, elements=elements)
+        H = indicator_subgroup(G, s)
         if not ring.is_fully_invariant(H):
             wit.append({"sigma": list(s.entries), "order": H.order})
     return [
@@ -319,19 +311,19 @@ def _run_fi_closure_indicator(ctx: ClaimContext) -> list[ClaimReport]:
     subgroup cut out by a's own indicator."""
     G = ctx.group
     ring = ctx.ring()
-    elements = ctx.elements()
+    elements = enumerate_elements(G)
     cut_cache: dict[Indicator, object] = {}
     wit = []
-    for a in elements:
+    for i, a in enumerate(elements):
         sigma = ind_of(a)
         if sigma not in cut_cache:
-            cut_cache[sigma] = indicator_subgroup(G, sigma, elements=elements)
-        orbit = ring.subgroup_from_indices(ring.orbit_indices(ring.element_index(a)))
-        if orbit != cut_cache[sigma]:
+            cut_cache[sigma] = indicator_subgroup(G, sigma)
+        orbit = ring.orbit_indices(i)
+        if not np.array_equal(orbit, cut_cache[sigma].indices):
             wit.append(
                 {
                     "element": list(a.coords),
-                    "orbit_order": orbit.order,
+                    "orbit_order": orbit.size,
                     "indicator_subgroup_order": cut_cache[sigma].order,
                 }
             )
@@ -352,16 +344,14 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> list[ClaimReport]:
             )
         ]
     ring = ctx.ring()
-    elements = ctx.elements()
-    inds = {a: ind_of(a) for a in elements}
-    orbits = {
-        a: ring.subgroup_from_indices(ring.orbit_indices(ring.element_index(a)))
-        for a in elements
-    }
+    elements = enumerate_elements(G)
+    inds = [ind_of(a) for a in elements]
     wit = []
-    for a in elements:
-        for b in elements:
-            if precedes(inds[a], inds[b]) and b not in orbits[a]:
+    for i, a in enumerate(elements):
+        in_orbit = np.zeros(len(elements), dtype=bool)
+        in_orbit[ring.orbit_indices(i)] = True
+        for j, b in enumerate(elements):
+            if precedes(inds[i], inds[j]) and not in_orbit[j]:
                 wit.append({"from": list(a.coords), "to": list(b.coords)})
     return [
         _report(
@@ -402,14 +392,13 @@ def _run_fundamental_order_iff(ctx: ClaimContext) -> list[ClaimReport]:
 def _run_matrix_suite(ctx: ClaimContext) -> list[ClaimReport]:
     M = ctx.matrix()
     G = ctx.group
-    elements = ctx.elements()
     out = [check_monotone(M), check_distinct(M)]
     out.extend(check_join_meet(M))
     out.extend(check_quartering(M))
     out.append(check_alias(M))
     out.append(check_path_roundtrip(M))
-    out.append(path_chain_check(G, matrix=M, elements=elements))
-    out.extend(verify_sigma_sum(G, matrix=M, elements=elements))
+    out.append(path_chain_check(G, matrix=M))
+    out.extend(verify_sigma_sum(G, matrix=M))
     return out
 
 
@@ -482,11 +471,10 @@ def _run_reference_table_rows(ctx: ClaimContext) -> list[ClaimReport]:
                 "table is bundled for the Z(p^2)+Z(p^4) shape only",
             )
         ]
-    elements = ctx.elements()
     wit = []
     annotation_ok = True
     for row in REFERENCE_TABLE:
-        cut = indicator_subgroup(G, Indicator(row.indicator), elements=elements)
+        cut = indicator_subgroup(G, Indicator(row.indicator))
         listed = block_subgroup(G, row.listed_shifts)
         shifts = canonical_fi_form(G, cut)
         if cut != listed:
@@ -523,16 +511,9 @@ def _run_endo_height_exponent(ctx: ClaimContext) -> list[ClaimReport]:
     """Endomorphisms never decrease height and never increase exponent."""
     G = ctx.group
     ring = ctx.ring()
-    n = ring.n_elements
-    h = np.zeros(n, dtype=float)
-    ex = np.zeros(n, dtype=np.int64)
-    by_index = {}
-    for a in ctx.elements():
-        i = ring.element_index(a)
-        ht = height(a)
-        h[i] = np.inf if ht is INF else ht
-        ex[i] = exponent(a)
-        by_index[i] = a
+    n = G.order
+    table = _table(G)
+    h, ex = table.heights[0], table.exponents
     wit = []
     for start, block in ring.action_chunks():
         bad = (h[block] < h[None, :]) | (ex[block] > ex[None, :])
@@ -544,8 +525,8 @@ def _run_endo_height_exponent(ctx: ClaimContext) -> list[ClaimReport]:
                     "endomorphism": ring.endo_of_index(start + int(f_off)).to_json()[
                         "matrix"
                     ],
-                    "element": list(by_index[int(j)].coords),
-                    "image": list(by_index[int(block[f_off, j])].coords),
+                    "element": list(ring.element_of_index(int(j)).coords),
+                    "image": list(ring.element_of_index(int(block[f_off, j])).coords),
                 }
             )
             if len(wit) >= 5:
@@ -570,9 +551,7 @@ def _run_rank_subadditivity(ctx: ClaimContext) -> list[ClaimReport]:
     """
     G = ctx.group
     ring = ctx.ring()
-    ex = np.zeros(ring.n_elements, dtype=np.int64)
-    for a in ctx.elements():
-        ex[ring.element_index(a)] = exponent(a)
+    ex = _table(G).exponents
 
     def row_rank(row: np.ndarray) -> int:
         socle = int((ex[np.unique(row)] <= 1).sum())
@@ -607,7 +586,7 @@ def _run_rank_subadditivity(ctx: ClaimContext) -> list[ClaimReport]:
 
 
 def _run_fun_identities(ctx: ClaimContext) -> list[ClaimReport]:
-    ctx.ring()  # budget gate
+    _check_ring_budget(ctx.group, ctx.max_ring)
     return verify_fun_identities(ctx.group)
 
 
@@ -629,7 +608,7 @@ def _run_collision_recipe(ctx: ClaimContext) -> list[ClaimReport]:
                 f" {ctx.max_ideals} needed to certify absence",
             )
         ]
-    ctx.ring()
+    _check_ring_budget(G, ctx.max_ring)
     got = find_dagger_collision(G)
     wit = []
     if homocyclic:
@@ -732,7 +711,7 @@ def _run_fundamental_containment(ctx: ClaimContext) -> list[ClaimReport]:
 
 
 def _run_descriptor_rule(ctx: ClaimContext) -> list[ClaimReport]:
-    ctx.ring()  # budget gate: daggers need the full ring
+    _check_ring_budget(ctx.group, ctx.max_ring)  # daggers need the full ring
     return verify_descriptor_rule(ctx.group)
 
 

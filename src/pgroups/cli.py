@@ -31,9 +31,7 @@ from .errors import BudgetExceededError, InvalidInputError, PGroupError
 from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
     GroupSpec,
-    GroupTooLargeError,
     block_subgroup,
-    enumerate_elements,
     ulm_invariants,
 )
 from .indicators import Indicator, enumerate_admissible, indicator_subgroup
@@ -64,10 +62,7 @@ def _load_json_arg(arg: str) -> dict:
 
 
 def _group_from_arg(arg: str, max_group: int) -> GroupSpec:
-    G = GroupSpec.from_json(_load_json_arg(arg))
-    if G.order > max_group:
-        raise GroupTooLargeError(f"|G| = {G.order} exceeds --max-group {max_group}")
-    return G
+    return GroupSpec.from_json(_load_json_arg(arg), max_order=max_group)
 
 
 def _coordinate_shifts(G: GroupSpec, alpha) -> list[tuple[str, int, int]]:
@@ -104,7 +99,7 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _indicator_table(G: GroupSpec, elements) -> list[str]:
+def _indicator_table(G: GroupSpec) -> list[str]:
     """The three-column indicator table; on the bundled reference shape each
     listed row is compared as an explicit element set against the computed
     indicator subgroup."""
@@ -113,7 +108,7 @@ def _indicator_table(G: GroupSpec, elements) -> list[str]:
         mismatches = []
         for row in REFERENCE_TABLE:
             sigma = Indicator(row.indicator)
-            cut = indicator_subgroup(G, sigma, elements=elements)
+            cut = indicator_subgroup(G, sigma)
             listed = block_subgroup(G, row.listed_shifts)
             if cut == listed:
                 status = "exact match"
@@ -145,7 +140,7 @@ def _indicator_table(G: GroupSpec, elements) -> list[str]:
         return out
     rows = []
     for sigma in sorted(enumerate_admissible(G), key=lambda s: (s.length, s.entries)):
-        cut = indicator_subgroup(G, sigma, elements=elements)
+        cut = indicator_subgroup(G, sigma)
         rows.append(
             [
                 str(sigma),
@@ -193,7 +188,6 @@ def _matrix_json(G: GroupSpec) -> str:
 
 def cmd_analyze(args) -> int:
     G = _group_from_arg(args.group, args.max_group)
-    elements = enumerate_elements(G, max_order=args.max_group)
     lines = [f"group: {G.describe()}"]
     total = sum(n * m for n, m in G.components)
     lines.append(f"order: {G.order} = {G.p}^{total}")
@@ -206,11 +200,9 @@ def cmd_analyze(args) -> int:
     admissible = enumerate_admissible(G)
     lines.append(f"admissible indicators: {len(admissible)}")
     lines.append("")
-    lines.extend(_indicator_table(G, elements))
+    lines.extend(_indicator_table(G))
     lines.append("")
-    distinct = {
-        indicator_subgroup(G, sigma, elements=elements) for sigma in admissible
-    }
+    distinct = {indicator_subgroup(G, sigma) for sigma in admissible}
     summary = f"fully invariant subgroups (distinct indicator cuts): {len(distinct)}"
     if G.components == ((2, 1), (4, 1)):
         summary += f" (listed table rows: {REFERENCE_LISTED_FI_COUNT})"

@@ -50,14 +50,8 @@ from .errors import (
     NotFullyInvariantError,
     RingTooLargeError,
 )
-from .groups import (
-    Element,
-    GroupSpec,
-    Subgroup,
-    fundamental_subgroup,
-    subgroup_from_set,
-    subgroup_leq,
-)
+from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup, subgroup_leq
+from .groups import _grid, _members, _span, _subgroup, _table
 from .reports import ClaimReport
 
 #: Largest endomorphism ring that will be enumerated.
@@ -78,6 +72,15 @@ def ring_order(G: GroupSpec) -> int:
     """
     exps = G.coordinate_exponents
     return G.p ** sum(min(es, et) for es in exps for et in exps)
+
+
+def _check_ring_budget(G: GroupSpec, max_ring: int | None) -> int:
+    """|End(G)|, after refusing a ring over ``max_ring`` (default 2**20)."""
+    cap = DEFAULT_MAX_RING_ORDER if max_ring is None else max_ring
+    size = ring_order(G)
+    if size > cap:
+        raise RingTooLargeError(f"|End(G)| = {size} exceeds cap {cap}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -197,24 +200,19 @@ def endo_add(f: Endo, g: Endo) -> Endo:
 def image(f: Endo) -> Subgroup:
     """The image subgroup ``G.f`` (a plain subgroup, not fully invariant in general):
     the span of f's rows."""
-    ring = get_ring(f.group)
-    rows = np.array(f.matrix, dtype=np.int64) @ ring._elem_strides
-    return ring.subgroup_from_indices(ring.element_span(rows))
+    t = _table(f.group)
+    rows = np.array(f.matrix, dtype=np.int64) @ t.strides
+    return _subgroup(f.group, _span(rows, t.moduli, t.strides))
 
 
 def endo_rank(f: Endo) -> int:
     """Rank of the image subgroup: p-log of the size of its socle."""
-    img = image(f)
-    p = f.group.p
-    moduli = f.group.coordinate_moduli
-    socle = sum(
-        1
-        for e in img.elements
-        if all((c * p) % q == 0 for c, q in zip(e.coords, moduli))
-    )
+    G = f.group
+    # the socle is where p.a vanishes, i.e. where height(p.a) is INF
+    socle = int((_table(G).heights[1, image(f).indices] == G.exponent).sum())
     rank = 0
     while socle > 1:
-        socle //= p
+        socle //= G.p
         rank += 1
     return rank
 
@@ -223,51 +221,13 @@ def endo_rank(f: Endo) -> int:
 # the enumerated ring with vectorized tables
 
 
-def _members(x: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Boolean mask: which entries of ``x`` occur in the sorted ``sorted_set``."""
-    pos = np.searchsorted(sorted_set, x)
-    return sorted_set[np.minimum(pos, sorted_set.size - 1)] == x
-
-
-def _span(seed: np.ndarray, radix: np.ndarray, strides: np.ndarray) -> np.ndarray:
-    """Sorted packed indices of the subgroup of ``(+) Z(radix_i)`` generated by
-    ``seed``, where index ``x`` has digit ``i`` equal to ``x // strides_i % radix_i``.
-
-    Each seed ``g`` outside the running subgroup ``S`` joins in one step: with
-    ``m`` the least ``k >= 1`` such that ``k.g`` lies in ``S``, the cosets
-    ``S + k.g`` for ``k < m`` are disjoint and their union is the subgroup
-    generated by ``S`` and ``g``.  So each round adds one independent
-    generator, and builds it digit by digit in arrays no larger than the new
-    ``S``.  Seeds of larger order go first, so a cyclic span takes one round.
-    """
-    span = np.zeros(1, dtype=np.int64)
-    pending = np.unique(np.asarray(seed, dtype=np.int64))
-    digits = pending[:, None] // strides % radix
-    orders = np.lcm.reduce(radix // np.gcd(digits, radix), axis=1)
-    first = np.argsort(-orders, kind="stable")
-    pending, orders = pending[first], orders[first]
-    while True:
-        keep = ~_members(pending, span)
-        pending, orders = pending[keep], orders[keep]
-        if pending.size == 0:
-            return span
-        g = pending[0] // strides % radix
-        mults = np.arange(orders[0], dtype=np.int64)[:, None] * g % radix
-        hit = np.flatnonzero(_members(mults[1:] @ strides, span))
-        m = 1 + int(hit[0]) if hit.size else int(orders[0])
-        grown = np.zeros((span.size, m), dtype=np.int64)
-        for i in range(radix.size):
-            digit = span // strides[i] % radix[i]
-            grown += (digit[:, None] + mults[None, :m, i]) % radix[i] * strides[i]
-        span = np.sort(grown, axis=None)
-
-
 class EndoRing:
     """Cached, fully enumerated endomorphism ring with numpy lookup tables.
 
-    Elements and endomorphisms are addressed by dense indices in a fixed
-    enumeration order.  ``basis`` holds the ``r^2`` single-entry matrices
-    (with the forced divisibility) that additively span the ring.
+    Elements are addressed by their packed indices (see :mod:`pgroups.groups`),
+    endomorphisms by dense indices in a fixed enumeration order.  ``basis``
+    holds the ``r^2`` single-entry matrices (with the forced divisibility)
+    that additively span the ring.
 
     Full invariance and orbits are decided on ``basis`` alone (see the module
     docstring).  The action table (endo x element -> element) is computed
@@ -276,26 +236,16 @@ class EndoRing:
     """
 
     def __init__(self, G: GroupSpec, max_ring: int | None = None):
-        cap = DEFAULT_MAX_RING_ORDER if max_ring is None else max_ring
-        size = ring_order(G)
-        if size > cap:
-            raise RingTooLargeError(f"|End(G)| = {size} exceeds cap {cap}")
+        size = _check_ring_budget(G, max_ring)
         self.group = G
         self.size = size
         p = G.p
         exps = G.coordinate_exponents
         r = G.rank
         self.rank = r
-        self.moduli = np.array([p**e for e in exps], dtype=np.int64)
-
-        # element indexing: mixed radix, first coordinate most significant
-        strides = np.ones(r, dtype=np.int64)
-        for i in range(r - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.moduli[i + 1]
-        self._elem_strides = strides
-        self.n_elements = int(np.prod(self.moduli))
-        idx = np.arange(self.n_elements, dtype=np.int64)
-        self.elem_coords = (idx[:, None] // strides[None, :]) % self.moduli[None, :]
+        table = _table(G)
+        self.moduli, self._elem_strides = table.moduli, table.strides
+        self.elem_coords = table.coords
 
         # endo indexing: positions (s, t) row-major; digit radix min(e_s,e_t),
         # stored entry = digit * p^max(0, e_t - e_s)
@@ -322,19 +272,8 @@ class EndoRing:
     def element_index(self, a: Element) -> int:
         return int(np.dot(np.array(a.coords, dtype=np.int64), self._elem_strides))
 
-    def pack_elements(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self._elem_strides
-
     def element_of_index(self, idx: int) -> Element:
-        return Element(self.group, tuple(int(c) for c in self.elem_coords[idx]))
-
-    def subgroup_from_indices(self, indices) -> Subgroup:
-        coords = self.elem_coords[np.asarray(indices, dtype=np.int64)].tolist()
-        return subgroup_from_set(self.group, (Element(self.group, tuple(c)) for c in coords))
-
-    def indices_of_subgroup(self, H: Subgroup) -> np.ndarray:
-        arr = np.array([e.coords for e in H.elements], dtype=np.int64)
-        return np.sort(arr @ self._elem_strides)
+        return Element(self.group, tuple(self.elem_coords[idx].tolist()))
 
     def add_element_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized index-space addition (broadcasting allowed)."""
@@ -372,7 +311,7 @@ class EndoRing:
     @property
     def action(self) -> np.ndarray:
         """Full (|E|, |G|) action table, refused above 2**26 entries."""
-        if self.size * self.n_elements > 2**26:
+        if self.size * self.group.order > 2**26:
             raise RingTooLargeError("full action table over cap; use chunked access")
         return self._act_block(self.endo_matrices)
 
@@ -388,7 +327,7 @@ class EndoRing:
         """Packed image table for a selection of endomorphisms.
 
         Callers with very large selections should slice them; each row costs
-        ``n_elements`` int64 entries.
+        ``|G|`` int64 entries.
         """
         return self._act_block(self.endo_matrices[np.asarray(endo_indices, dtype=np.int64)])
 
@@ -405,12 +344,7 @@ class EndoRing:
         runs over the multiples of the gcd of ``p^e_t`` and the ``a.b`` there.
         """
         images = self.elem_coords[elem_idx] @ self.basis % self.moduli
-        steps = np.gcd(np.gcd.reduce(images, axis=0), self.moduli)
-        orbit = np.zeros(1, dtype=np.int64)
-        # first coordinate most significant, so the result comes out sorted
-        for q, step, stride in zip(self.moduli, steps, self._elem_strides):
-            orbit = (orbit[:, None] + np.arange(0, q, step) * stride).reshape(-1)
-        return orbit
+        return _grid(self.group, np.gcd(np.gcd.reduce(images, axis=0), self.moduli))
 
     # -- subgroup helpers ---------------------------------------------------
 
@@ -422,19 +356,11 @@ class EndoRing:
         """Smallest additively closed endo index set containing ``seed`` (and 0)."""
         return _span(seed, self._endo_radix, self._endo_strides)
 
-    def member_mask(self, H: Subgroup) -> np.ndarray:
-        """Boolean table over packed element indices: membership in ``H``."""
-        inside = np.zeros(self.n_elements, dtype=bool)
-        inside[self.indices_of_subgroup(H)] = True
-        return inside
-
     def is_fully_invariant(self, H: Subgroup) -> bool:
         """``H.b`` lies in ``H`` for every basis matrix ``b``; as ``H`` is a
         subgroup, that covers every sum of basis matrices, i.e. all of End(G)."""
-        inside = self.member_mask(H)
-        coords = self.elem_coords[inside]
-        images = coords @ self.basis % self.moduli
-        return bool(inside[images @ self._elem_strides].all())
+        images = self.elem_coords[H.indices] @ self.basis % self.moduli
+        return bool(_members(images @ self._elem_strides, H.indices).all())
 
 
 @lru_cache(maxsize=32)
@@ -642,8 +568,8 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not fully invariant"
         )
-    inside = ring.member_mask(H)[ring.endo_rows()].all(axis=1)
-    return _ideal_from_indices(ring, np.nonzero(inside)[0].astype(np.int64))
+    inside = _members(ring.endo_rows(), H.indices).all(axis=1)
+    return _ideal_from_indices(ring, np.flatnonzero(inside))
 
 
 def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
@@ -653,7 +579,7 @@ def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
         raise MismatchedParentError("ideal of a different group")
     ring = get_ring(G)
     rows = ring.endo_rows(np.asarray(I.indices, dtype=np.int64))
-    return ring.subgroup_from_indices(ring.element_span(rows.reshape(-1)))
+    return _subgroup(G, ring.element_span(rows.reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -834,8 +760,8 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
     sample = ring.endo_matrices[: min(ring.size, 64)]
     for H in node_list:
         ideal_idx = np.asarray(up[H].indices, dtype=np.int64)
-        sums = np.unique(ring.add_endo_indices(ideal_idx[:, None], ideal_idx[None, :]))
-        if not np.isin(sums, ideal_idx).all():
+        # a nonempty finite set is closed under addition iff it is its own span
+        if not np.array_equal(ring.endo_span(ideal_idx), ideal_idx):
             wd_wit.append({"subgroup_order": H.order, "failure": "additive"})
         # Two-sided multiplicative closure against a fixed sample of ring
         # members (exhaustive would be quadratic in |E| for no extra insight).

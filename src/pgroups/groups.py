@@ -11,16 +11,25 @@ functions of their arguments.
 
 The module provides element arithmetic, heights and exponents, Ulm
 invariants, the two-parameter family ``p^kappa G [p^n]`` of fundamental
-subgroups, and explicit subgroup arithmetic (sum, intersection, comparison)
-on enumerated element sets.
+subgroups, and subgroup arithmetic (sum, intersection, comparison).
+
+Elements are packed as mixed-radix integers, first coordinate most
+significant, so packed order is lexicographic coordinate order.  A
+:class:`Subgroup` is the sorted array of its packed elements.  One cached
+table per group (:func:`_table`) holds the coordinates of every element and
+the heights of their ``p^k`` multiples, which is all that sums,
+intersections, containment and indicator cuts need.  ``Element`` objects
+appear only where a caller asks for them.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     GroupTooLargeError,
@@ -169,13 +178,13 @@ class GroupSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "GroupSpec":
+    def from_json(cls, data: dict, max_order: int | None = None) -> "GroupSpec":
         try:
             p = data["p"]
             pairs = [(c["exponent"], c["multiplicity"]) for c in data["components"]]
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed group description: {exc}") from exc
-        return make_group(p, pairs)
+        return make_group(p, pairs, max_order=max_order)
 
 
 def _is_int(x) -> bool:
@@ -183,19 +192,26 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def make_group(p: int, pairs: Iterable[tuple[int, int]]) -> GroupSpec:
+def make_group(
+    p: int, pairs: Iterable[tuple[int, int]], max_order: int | None = None
+) -> GroupSpec:
     """Validate and build a :class:`GroupSpec`.
 
     ``pairs`` lists ``(exponent, multiplicity)`` per homocyclic component,
     exponents strictly increasing and positive, multiplicities >= 1.  ``p``,
     exponents and multiplicities must be ``int`` (not ``bool`` or ``float``).
 
+    ``max_order`` is the command line's ``--max-group`` budget.  It is
+    checked before ``p`` is tested for primality and without computing a
+    larger order, so a huge ``p`` or exponent fails at once with
+    :class:`GroupTooLargeError`.
+
     >>> make_group(2, [(2, 1), (4, 1)]).order
     64
     """
-    if not _is_int(p) or not _is_prime(p):
-        raise NonPrimeError(f"p must be a prime integer, got {p!r}")
     comps = tuple((n, m) for n, m in pairs)
+    if not _is_int(p) or p < 2:
+        raise NonPrimeError(f"p must be a prime integer, got {p!r}")
     for n, m in comps:
         if not (_is_int(n) and _is_int(m)):
             raise InvalidInputError(
@@ -212,6 +228,13 @@ def make_group(p: int, pairs: Iterable[tuple[int, int]]) -> GroupSpec:
         if m < 1:
             raise ZeroMultiplicityError(f"multiplicity must be >= 1, got {m}")
         last = n
+    k = sum(n * m for n, m in comps)  # |G| = p^k
+    # p^b > max_order for b = max_order.bit_length(), so no larger power is needed
+    if max_order is not None and p ** min(k, max_order.bit_length()) > max_order:
+        shown = p**k if k * p.bit_length() <= 256 else f"{p}^{k}"
+        raise GroupTooLargeError(f"|G| = {shown} exceeds --max-group {max_order}")
+    if not _is_prime(p):
+        raise NonPrimeError(f"p must be a prime integer, got {p!r}")
     return GroupSpec(p=p, components=comps)
 
 
@@ -314,9 +337,118 @@ def enumerate_elements(G: GroupSpec, max_order: int | None = None) -> list[Eleme
     return [Element(G, coords) for coords in itertools.product(*ranges)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """Packed tables over every element ``x`` of one group.
+
+    ``x`` has coordinate ``i`` equal to ``x // strides[i] % moduli[i]`` (first
+    coordinate most significant), listed in ``coords[x]``.  ``valuations[x, i]``
+    is the p-adic valuation of that coordinate, a zero coordinate counting as
+    its own exponent.  ``heights[k, x]`` is the height of ``p^k x`` for
+    ``k <= exp(G)``, with ``exp(G)`` standing for INF, and ``exponents[x]``
+    counts the finite ones.
+    """
+
+    moduli: np.ndarray
+    strides: np.ndarray
+    coords: np.ndarray
+    valuations: np.ndarray
+    heights: np.ndarray
+    exponents: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _table(G: GroupSpec) -> _Table:
+    """The packed tables of ``G``; refused over the enumeration cap."""
+    if G.order > DEFAULT_MAX_GROUP_ORDER:
+        raise GroupTooLargeError(
+            f"|G| = {G.order} exceeds enumeration cap {DEFAULT_MAX_GROUP_ORDER}"
+        )
+    p, e = G.p, G.exponent
+    moduli = np.array(G.coordinate_moduli, dtype=np.int64)
+    strides = np.ones_like(moduli)
+    strides[:-1] = np.cumprod(moduli[:0:-1])[::-1]
+    exps = np.array(G.coordinate_exponents, dtype=np.int8)
+    coords = np.arange(G.order, dtype=np.int64)[:, None] // strides % moduli
+    divides = [coords % p**k == 0 for k in range(1, e + 1)]
+    valuations = np.minimum(np.sum(divides, axis=0, dtype=np.int8), exps)
+    heights = np.empty((e + 1, G.order), dtype=np.int8)
+    for k in range(e + 1):
+        # p^k x has valuation v + k in a coordinate, or vanishes there
+        shifted = valuations + np.int8(k)
+        heights[k] = np.where(shifted < exps, shifted, np.int8(e)).min(axis=1)
+    exponents = (heights < e).sum(axis=0)
+    for arr in (moduli, strides, coords, valuations, heights, exponents):
+        arr.setflags(write=False)
+    return _Table(moduli, strides, coords, valuations, heights, exponents)
+
+
+def _members(x: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Boolean mask: which entries of ``x`` occur in the sorted ``sorted_set``."""
+    pos = np.searchsorted(sorted_set, x)
+    return sorted_set[np.minimum(pos, sorted_set.size - 1)] == x
+
+
+def _span(
+    seed: np.ndarray, radix: np.ndarray, strides: np.ndarray, span=None
+) -> np.ndarray:
+    """Sorted packed indices of the subgroup of ``(+) Z(radix_i)`` generated by
+    ``seed`` and the subgroup ``span`` (sorted indices; zero by default), where
+    index ``x`` has digit ``i`` equal to ``x // strides_i % radix_i``.
+
+    Each seed ``g`` outside the running subgroup ``S`` joins in one step: with
+    ``m`` the least ``k >= 1`` such that ``k.g`` lies in ``S``, the cosets
+    ``S + k.g`` for ``k < m`` are disjoint and their union is the subgroup
+    generated by ``S`` and ``g``.  So each round adds one independent
+    generator, and builds it digit by digit in arrays no larger than the new
+    ``S``.  Seeds of larger order go first, so a cyclic span takes one round.
+    """
+    span = np.zeros(1, dtype=np.int64) if span is None else span
+    pending = np.unique(np.asarray(seed, dtype=np.int64))
+    pending = pending[~_members(pending, span)]
+    digits = pending[:, None] // strides % radix
+    orders = np.lcm.reduce(radix // np.gcd(digits, radix), axis=1)
+    first = np.argsort(-orders, kind="stable")
+    pending, orders = pending[first], orders[first]
+    while True:
+        keep = ~_members(pending, span)
+        pending, orders = pending[keep], orders[keep]
+        if pending.size == 0:
+            return span
+        g = pending[0] // strides % radix
+        mults = np.arange(orders[0], dtype=np.int64)[:, None] * g % radix
+        hit = np.flatnonzero(_members(mults[1:] @ strides, span))
+        m = 1 + int(hit[0]) if hit.size else int(orders[0])
+        grown = np.zeros((span.size, m), dtype=np.int64)
+        for i in range(radix.size):
+            digit = span // strides[i] % radix[i]
+            grown += (digit[:, None] + mults[None, :m, i]) % radix[i] * strides[i]
+        span = np.sort(grown, axis=None)
+
+
+def _grid(G: GroupSpec, steps) -> np.ndarray:
+    """Sorted packed indices of the product of ``<steps_i>`` in each coordinate."""
+    t = _table(G)
+    out = np.zeros(1, dtype=np.int64)
+    # first coordinate most significant, so the result comes out sorted
+    for q, stride, step in zip(t.moduli, t.strides, steps):
+        out = (out[:, None] + np.arange(0, q, step) * stride).reshape(-1)
+    return out
+
+
+def _indices_of(G: GroupSpec, elems: Iterable[Element]) -> np.ndarray:
+    """Packed indices of the given elements, in the given order."""
+    t = _table(G)
+    coords = np.array([e.coords for e in elems], dtype=np.int64)
+    return coords.reshape(-1, G.rank) % t.moduli @ t.strides
+
+
 class Subgroup:
-    """A subgroup held as an explicit, canonically ordered element set.
+    """A subgroup held as the sorted packed indices of its elements.
+
+    ``Subgroup(G, elements)`` packs an ``Element`` sequence.  ``indices`` is
+    read-only; equality and hashing use the group and the index bytes.
+    ``elements`` decodes the members, in lexicographic order, on first use.
 
     ``fi_form`` optionally records a block decomposition: a tuple of
     per-component shifts ``(alpha_1, ..., alpha_k)`` meaning the subgroup is
@@ -325,20 +457,36 @@ class Subgroup:
     decomposition (e.g. the fundamental family) and by canonicalization.
     """
 
-    group: GroupSpec
-    elements: tuple[Element, ...]
-    fi_form: tuple[int, ...] | None = field(default=None, compare=False)
-    _set: frozenset[Element] = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "indices", "fi_form", "_key", "_elements")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_set", frozenset(self.elements))
+    def __init__(self, group: GroupSpec, elements: Iterable[Element], fi_form=None):
+        self._pack(group, np.unique(_indices_of(group, elements)), fi_form)
+
+    def _pack(self, group: GroupSpec, indices: np.ndarray, fi_form) -> "Subgroup":
+        """Hold sorted unique packed ``indices``."""
+        self.group, self.fi_form, self._elements = group, fi_form, None
+        self._key = np.asarray(indices, dtype=np.int64).tobytes()
+        self.indices = np.frombuffer(self._key, dtype=np.int64)
+        return self
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        if self._elements is None:
+            coords = _table(self.group).coords[self.indices].tolist()
+            self._elements = tuple(Element(self.group, tuple(c)) for c in coords)
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.indices.size
 
-    def __contains__(self, a: Element) -> bool:
-        return a in self._set
+    def __contains__(self, a) -> bool:
+        return (
+            isinstance(a, Element)
+            and a.group == self.group
+            and all(0 <= c < q for c, q in zip(a.coords, self.group.coordinate_moduli))
+            and bool(_members(_indices_of(self.group, [a]), self.indices)[0])
+        )
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
@@ -346,15 +494,30 @@ class Subgroup:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
+            and self._key == other._key
             and self.group == other.group
-            and self._set == other._set
         )
 
     def __hash__(self) -> int:
-        return hash((self.group, self._set))
+        return hash((self.group, self._key))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group.describe()})"
+
+
+def _subgroup(
+    G: GroupSpec, indices: np.ndarray, fi_form=None, max_size: int | None = None
+) -> Subgroup:
+    """A Subgroup from sorted unique packed indices, after the size cap and
+    the zero-element check.  The caller asserts closure."""
+    cap = DEFAULT_MAX_SUBGROUP_SIZE if max_size is None else max_size
+    if indices.size > cap:
+        raise GroupTooLargeError(
+            f"subgroup with {indices.size} elements exceeds cap {cap}"
+        )
+    if not indices.size or indices[0] != 0:
+        raise InvalidInputError("a subgroup must contain the zero element")
+    return Subgroup.__new__(Subgroup)._pack(G, indices, fi_form)
 
 
 def subgroup_from_set(
@@ -368,15 +531,7 @@ def subgroup_from_set(
     The caller asserts closure; this only sorts, dedupes, caps, and checks
     the zero element is present.
     """
-    cap = DEFAULT_MAX_SUBGROUP_SIZE if max_size is None else max_size
-    ordered = sorted({e.coords for e in elems})
-    if len(ordered) > cap:
-        raise GroupTooLargeError(
-            f"subgroup with {len(ordered)} elements exceeds cap {cap}"
-        )
-    if not ordered or ordered[0] != (0,) * G.rank:
-        raise InvalidInputError("a subgroup must contain the zero element")
-    return Subgroup(G, tuple(Element(G, c) for c in ordered), fi_form=fi_form)
+    return _subgroup(G, np.unique(_indices_of(G, elems)), fi_form, max_size)
 
 
 def subgroup_generated(
@@ -409,42 +564,31 @@ def subgroup_generated(
     return subgroup_from_set(G, closed, max_size=cap)
 
 
-def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
-    """Pointwise sumset H + K (a subgroup whenever H and K are)."""
+def _same_group(H: Subgroup, K: Subgroup) -> GroupSpec:
     if H.group != K.group:
         raise MismatchedParentError("subgroups of different groups")
-    moduli = H.group.coordinate_moduli
-    seen: set[tuple[int, ...]] = set()
-    for h in H.elements:
-        hc = h.coords
-        for k in K.elements:
-            seen.add(tuple((x + y) % q for x, y, q in zip(hc, k.coords, moduli)))
-    return subgroup_from_set(H.group, (Element(H.group, c) for c in seen))
+    return H.group
+
+
+def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
+    """Sum H + K: the span of the smaller one grown from the larger one."""
+    G = _same_group(H, K)
+    if H.order < K.order:
+        H, K = K, H
+    t = _table(G)
+    return _subgroup(G, _span(K.indices, t.moduli, t.strides, span=H.indices))
 
 
 def subgroup_meet(H: Subgroup, K: Subgroup) -> Subgroup:
     """Intersection."""
-    if H.group != K.group:
-        raise MismatchedParentError("subgroups of different groups")
-    smaller, larger = (H, K) if H.order <= K.order else (K, H)
-    return subgroup_from_set(
-        H.group, (e for e in smaller.elements if e in larger)
-    )
+    G = _same_group(H, K)
+    return _subgroup(G, np.intersect1d(H.indices, K.indices, assume_unique=True))
 
 
 def subgroup_leq(H: Subgroup, K: Subgroup) -> bool:
     """Containment H <= K."""
-    if H.group != K.group:
-        raise MismatchedParentError("subgroups of different groups")
-    return all(e in K for e in H.elements)
-
-
-def _coordinate_shifts(G: GroupSpec, kappa: int, n: int) -> list[int]:
-    # Per-coordinate shift of p^kappa G [p^n]: within a Z(p^e) summand the
-    # subgroup cuts out p^min(max(kappa, e-n), e) * Z(p^e).
-    return [
-        min(max(kappa, e - n), e) for e in G.coordinate_exponents
-    ]
+    _same_group(H, K)
+    return H.order <= K.order and bool(_members(H.indices, K.indices).all())
 
 
 def fundamental_subgroup(
@@ -452,7 +596,8 @@ def fundamental_subgroup(
 ) -> Subgroup:
     """The subgroup ``p^kappa G [p^n]`` = elements of height >= kappa killed by p^n.
 
-    Decomposes per block, so no full-group scan is needed.  The result
+    Within a ``Z(p^e)`` summand it cuts out ``p^min(max(kappa, e-n), e) Z(p^e)``,
+    so it is a block subgroup and no full-group scan is needed.  The result
     carries its block form in ``fi_form``.
 
     >>> G = make_group(2, [(2, 1), (4, 1)])
@@ -461,24 +606,13 @@ def fundamental_subgroup(
     """
     if kappa < 0 or n < 0:
         raise InvalidInputError("kappa and n must be nonnegative")
-    p = G.p
-    shifts = _coordinate_shifts(G, kappa, n)
-    size = 1
-    for s, e in zip(shifts, G.coordinate_exponents):
-        size *= p ** (e - s)
-    cap = DEFAULT_MAX_SUBGROUP_SIZE if max_size is None else max_size
-    if size > cap:
-        raise GroupTooLargeError(f"subgroup of order {size} exceeds cap {cap}")
-    axes = []
-    for s, q in zip(shifts, G.coordinate_moduli):
-        step = p**s
-        axes.append(range(0, q, step) if step < q else range(1))
-    elems = (Element(G, coords) for coords in itertools.product(*axes))
     alpha = tuple(min(max(kappa, ncomp - n), ncomp) for ncomp, _ in G.components)
-    return subgroup_from_set(G, elems, fi_form=alpha, max_size=cap)
+    return block_subgroup(G, alpha, max_size=max_size)
 
 
-def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
+def block_subgroup(
+    G: GroupSpec, alpha: tuple[int, ...], max_size: int | None = None
+) -> Subgroup:
     """The subgroup ``p^alpha_1 B_1 (+) ... (+) p^alpha_k B_k``.
 
     ``alpha`` gives one shift per homocyclic component, each within
@@ -489,16 +623,12 @@ def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     for a, (n, _) in zip(alpha, G.components):
         if not 0 <= a <= n:
             raise InvalidInputError(f"shift {a} outside [0, {n}]")
-    p = G.p
-    shifts: list[int] = []
-    for a, (_, m) in zip(alpha, G.components):
-        shifts.extend([a] * m)
-    axes = []
-    for s, q in zip(shifts, G.coordinate_moduli):
-        step = p**s
-        axes.append(range(0, q, step) if step < q else range(1))
-    elems = (Element(G, coords) for coords in itertools.product(*axes))
-    return subgroup_from_set(G, elems, fi_form=tuple(alpha))
+    size = G.p ** sum((n - a) * m for a, (n, m) in zip(alpha, G.components))
+    cap = DEFAULT_MAX_SUBGROUP_SIZE if max_size is None else max_size
+    if size > cap:
+        raise GroupTooLargeError(f"subgroup of order {size} exceeds cap {cap}")
+    steps = [G.p**a for a, (_, m) in zip(alpha, G.components) for _ in range(m)]
+    return _subgroup(G, _grid(G, steps), fi_form=tuple(alpha), max_size=cap)
 
 
 def full_subgroup(G: GroupSpec) -> Subgroup:

@@ -29,13 +29,8 @@ from .errors import (
     NotFullyInvariantError,
     UnknownFormatError,
 )
-from .groups import (
-    Element,
-    GroupSpec,
-    Subgroup,
-    block_subgroup,
-    subgroup_leq,
-)
+from .groups import Element, GroupSpec, Subgroup, block_subgroup, subgroup_leq
+from .groups import _subgroup, _table, subgroup_sum
 from .indicators import Indicator, enumerate_admissible, indicator_subgroup
 from .reports import ClaimReport
 
@@ -61,22 +56,10 @@ def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
 
 def _block_shifts_of(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
     """Least p-valuation seen in each homocyclic block (n_i if block unused)."""
-    p = G.p
-    shifts = []
-    start = 0
-    for n, m in G.components:
-        best = n
-        for e in H.elements:
-            for c in e.coords[start : start + m]:
-                if c != 0:
-                    v = 0
-                    while c % p == 0:
-                        c //= p
-                        v += 1
-                    best = min(best, v)
-        shifts.append(best)
-        start += m
-    return tuple(shifts)
+    # zero coordinates count as their exponent, so an unused block gives n_i
+    lowest = _table(G).valuations[H.indices].min(axis=0)
+    starts = np.cumsum([0] + [m for _, m in G.components[:-1]])
+    return tuple(int(v) for v in np.minimum.reduceat(lowest, starts))
 
 
 def canonical_fi_form(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
@@ -166,7 +149,7 @@ def fi_closure(G: GroupSpec, a: Element, max_ring: int | None = None) -> Subgrou
     if a.group != G:
         raise InvalidInputError("element belongs to a different group")
     ring = get_ring(G, max_ring=max_ring)
-    return ring.subgroup_from_indices(ring.orbit_indices(ring.element_index(a)))
+    return _subgroup(G, ring.orbit_indices(ring.element_index(a)))
 
 
 @dataclass(frozen=True)
@@ -201,28 +184,19 @@ class FILattice:
 def enumerate_fi_subgroups(G: GroupSpec, max_ring: int | None = None) -> FILattice:
     """Single-element orbits, then a pairwise-sum fixpoint, then covers."""
     from .endos import get_ring
-    from .groups import enumerate_elements
 
     ring = get_ring(G, max_ring=max_ring)
-    found: dict[tuple[int, ...], np.ndarray] = {}
-    zero_key = (0,)
-    found[zero_key] = np.array([0], dtype=np.int64)
-    for idx in range(1, ring.n_elements):
-        orbit = ring.orbit_indices(idx)
-        found.setdefault(tuple(int(i) for i in orbit), orbit)
+    found = dict.fromkeys(_subgroup(G, ring.orbit_indices(i)) for i in range(G.order))
     while True:
-        fresh: dict[tuple[int, ...], np.ndarray] = {}
-        pool = list(found.values())
-        for a, b in itertools.combinations(pool, 2):
-            total = np.unique(ring.add_element_indices(a[:, None], b[None, :]))
-            key = tuple(int(i) for i in total)
-            if key not in found and key not in fresh:
-                fresh[key] = total
+        fresh = {}
+        for H, K in itertools.combinations(found, 2):
+            total = subgroup_sum(H, K)
+            if total not in found:
+                fresh[total] = None
         if not fresh:
             break
         found.update(fresh)
-    subs = [ring.subgroup_from_indices(arr) for arr in found.values()]
-    subs.sort(key=lambda H: (H.order, tuple(e.coords for e in H.elements)))
+    subs = sorted(found, key=lambda H: (H.order, H.indices.tolist()))
     # containment matrix -> transitive reduction (distinct nodes, so <= with
     # i != j is already strict)
     n = len(subs)
@@ -236,14 +210,12 @@ def enumerate_fi_subgroups(G: GroupSpec, max_ring: int | None = None) -> FILatti
         )
         if not between:
             edges.append((i, j))
-    elements = enumerate_elements(G)
+    node_of = {H: i for i, H in enumerate(subs)}
     by_node: dict[int, list[Indicator]] = {}
     for sigma in enumerate_admissible(G):
-        cut = indicator_subgroup(G, sigma, elements=elements)
-        for i, H in enumerate(subs):
-            if H == cut:
-                by_node.setdefault(i, []).append(sigma)
-                break
+        i = node_of.get(indicator_subgroup(G, sigma))
+        if i is not None:
+            by_node.setdefault(i, []).append(sigma)
     labels = tuple(
         tuple(sorted(by_node.get(i, []), key=lambda s: (s.length, s.entries)))
         for i in range(n)
@@ -338,15 +310,10 @@ def verify_indicator_coverage(G: GroupSpec, lattice: FILattice | None = None) ->
     and distinct admissible indicators cut out distinct subgroups exactly
     when the indicator is realizable."""
     from .indicators import is_realizable
-    from .groups import enumerate_elements
 
     if lattice is None:
         lattice = enumerate_fi_subgroups(G)
-    elements = enumerate_elements(G)
-    by_sigma = {
-        sigma: indicator_subgroup(G, sigma, elements=elements)
-        for sigma in enumerate_admissible(G)
-    }
+    by_sigma = {s: indicator_subgroup(G, s) for s in enumerate_admissible(G)}
     node_set = set(lattice.nodes)
     cut_out = set(by_sigma.values())
     witnesses = []
@@ -372,16 +339,15 @@ def verify_indicator_coverage(G: GroupSpec, lattice: FILattice | None = None) ->
 def check_fundamental_containment(G: GroupSpec) -> ClaimReport:
     """Each indicator-cut subgroup sits inside the fundamental subgroup named
     by its first entry and its length."""
-    from .groups import enumerate_elements, fundamental_subgroup
+    from .groups import fundamental_subgroup
 
-    elements = enumerate_elements(G)
     witnesses = []
     count = 0
     for sigma in enumerate_admissible(G):
         if not sigma.entries:
             continue
         count += 1
-        cut = indicator_subgroup(G, sigma, elements=elements)
+        cut = indicator_subgroup(G, sigma)
         outer = fundamental_subgroup(G, sigma.entries[0], len(sigma.entries))
         if not subgroup_leq(cut, outer):
             witnesses.append({"indicator": str(sigma)})

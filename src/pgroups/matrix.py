@@ -275,20 +275,20 @@ def sigma_sum_verdicts(G: GroupSpec, matrix: FundMatrix | None = None, elements=
 
 
 def verify_sigma_sum(
-    G: GroupSpec, matrix: FundMatrix | None = None, elements=None
+    G: GroupSpec, matrix: FundMatrix | None = None
 ) -> list[ClaimReport]:
     """Two reports: exact equality of the cell sum with G(sigma) per
     indicator, and the one-sided containment of the sum in G(sigma)."""
     from .indicators import indicator_subgroup
 
     M = matrix if matrix is not None else build_matrix(G)
-    verdicts = sigma_sum_verdicts(G, matrix=M, elements=elements)
+    verdicts = sigma_sum_verdicts(G, matrix=M)
     name = G.describe()
     eq_witnesses = []
     cont_witnesses = []
     for sigma, (equal, contained) in verdicts.items():
         if not equal:
-            target = indicator_subgroup(G, sigma, elements=elements)
+            target = indicator_subgroup(G, sigma)
             total = sigma_sum(G, sigma, matrix=M)
             missing = next(e for e in target if e not in total)
             eq_witnesses.append(
@@ -499,7 +499,6 @@ def path_chain_check(
     G: GroupSpec,
     sigma: Indicator | None = None,
     matrix: FundMatrix | None = None,
-    elements=None,
 ) -> ClaimReport:
     """Test whether G(sigma) sits inside every cell on sigma's rising path.
 
@@ -520,7 +519,7 @@ def path_chain_check(
     for s in targets:
         if s.length == 0:
             continue  # no path, vacuous
-        sub = indicator_subgroup(G, s, elements=elements)
+        sub = indicator_subgroup(G, s)
         for t, v in enumerate(s.entries):
             checked += 1
             cell = M.entry(t + 1, v)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -255,6 +256,22 @@ class TestErrorPaths:
         assert code == 3
         assert "|G| = 1073741824 exceeds --max-group 1048576" in err
 
+    @pytest.mark.parametrize(
+        "group",
+        [
+            '{"p": 2305843009213693951, "components": [{"exponent": 1, "multiplicity": 1}]}',
+            '{"p": 3, "components": [{"exponent": 100000000, "multiplicity": 1}]}',
+        ],
+        ids=["huge-prime", "huge-exponent"],
+    )
+    def test_oversized_group_exits_3_before_big_arithmetic(self, capsys, group):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "analyze", group)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert err.startswith("error:") and "exceeds --max-group 1048576" in err
+        assert "Traceback" not in err
+
     def test_raising_the_cap_admits_the_group(self, capsys):
         code, out, _ = run(capsys, "endo", HUGE, "--max-group", str(2**30))
         assert code == 0
@@ -268,6 +285,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, "analyze", arg)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_ring_budget_skips_the_homocyclic_ideal_chain(self, capsys):
+        Z8 = '{"p": 2, "components": [{"exponent": 3, "multiplicity": 1}]}'
+        code, out, _ = run(
+            capsys, "verify", Z8, "--max-ring", "4", "--claims", "homocyclic-ideal-chain"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "skipped"
+        assert "exceeds cap 4" in report["checked"]
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.json")
