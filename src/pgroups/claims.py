@@ -69,7 +69,7 @@ from .lattice import (
 from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
-    _check_ring_budget,
+    _cached_ring,
     dagger_ideal,
     enumerate_ideals,
     find_dagger_collision,
@@ -131,16 +131,17 @@ class ClaimContext:
         return self._matrix
 
     def ring(self):
+        """The ring, refused over ``max_ring``: for work that walks End(G)."""
         return get_ring(self.group, max_ring=self.max_ring)
 
     def lattice(self):
         if self._lattice is None:
-            self._lattice = enumerate_fi_subgroups(self.group, max_ring=self.max_ring)
+            self._lattice = enumerate_fi_subgroups(self.group)
         return self._lattice
 
     def ideals(self) -> list:
         if self._ideals is None:
-            _check_ring_budget(self.group, self.max_ring)
+            self.ring()  # refuses a ring over max_ring
             self._ideals = enumerate_ideals(self.group, max_ring=self.max_ideals)
         return self._ideals
 
@@ -290,7 +291,7 @@ def _run_segment_realizability(ctx: ClaimContext) -> list[ClaimReport]:
 def _run_indicator_subgroups_invariant(ctx: ClaimContext) -> list[ClaimReport]:
     """Every indicator subgroup is fully invariant."""
     G = ctx.group
-    ring = ctx.ring()
+    ring = _cached_ring(G)  # the shape only: no ring budget
     wit = []
     for s in ctx.admissible():
         H = indicator_subgroup(G, s)
@@ -310,7 +311,7 @@ def _run_fi_closure_indicator(ctx: ClaimContext) -> list[ClaimReport]:
     """The smallest fully invariant subgroup containing ``a`` is exactly the
     subgroup cut out by a's own indicator."""
     G = ctx.group
-    ring = ctx.ring()
+    ring = _cached_ring(G)  # the shape only: no ring budget
     elements = enumerate_elements(G)
     cut_cache: dict[Indicator, object] = {}
     wit = []
@@ -343,7 +344,7 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> list[ClaimReport]:
                 f"|G| = {G.order} exceeds the quadratic-orbit bound {TRANSITIVITY_MAX_ORDER}",
             )
         ]
-    ring = ctx.ring()
+    ring = _cached_ring(G)  # the shape only: no ring budget
     elements = enumerate_elements(G)
     inds = [ind_of(a) for a in elements]
     wit = []
@@ -586,7 +587,7 @@ def _run_rank_subadditivity(ctx: ClaimContext) -> list[ClaimReport]:
 
 
 def _run_fun_identities(ctx: ClaimContext) -> list[ClaimReport]:
-    _check_ring_budget(ctx.group, ctx.max_ring)
+    ctx.ring()  # daggers need the full ring
     return verify_fun_identities(ctx.group)
 
 
@@ -608,7 +609,7 @@ def _run_collision_recipe(ctx: ClaimContext) -> list[ClaimReport]:
                 f" {ctx.max_ideals} needed to certify absence",
             )
         ]
-    _check_ring_budget(G, ctx.max_ring)
+    ctx.ring()
     got = find_dagger_collision(G)
     wit = []
     if homocyclic:
@@ -711,7 +712,7 @@ def _run_fundamental_containment(ctx: ClaimContext) -> list[ClaimReport]:
 
 
 def _run_descriptor_rule(ctx: ClaimContext) -> list[ClaimReport]:
-    _check_ring_budget(ctx.group, ctx.max_ring)  # daggers need the full ring
+    ctx.ring()  # daggers need the full ring
     return verify_descriptor_rule(ctx.group)
 
 

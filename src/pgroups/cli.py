@@ -240,7 +240,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lattice(args) -> int:
     G = _group_from_arg(args.group, args.max_group)
-    L = enumerate_fi_subgroups(G, max_ring=args.max_ring)
+    L = enumerate_fi_subgroups(G)
     print(hasse_export(L, format=args.format))
     return 0
 
@@ -263,7 +263,7 @@ def cmd_endo(args) -> int:
         return 0
     ideals = enumerate_ideals(G, max_ring=args.max_ideals)
     lines.append(f"two-sided ideals: {len(ideals)}")
-    L = enumerate_fi_subgroups(G, max_ring=args.max_ring)
+    L = enumerate_fi_subgroups(G)
     ideals_by_image = Counter(dagger_ideal(G, I) for I in ideals)
     rows = []
     for H in L.nodes:

@@ -33,6 +33,12 @@ sampled action rows.
 Both directions, their closure behavior, and several identities about the
 power/socle ideals are checked mechanically by the ``verify_*`` helpers.
 
+Each group has one cached :class:`EndoRing`, a shape (digit radix, strides,
+the r^2 basis matrices) that decodes members from their indices on demand.
+Orbits, full invariance and the ideal helpers need only the shape and run at
+any ring size; work that walks End(G) goes through :func:`get_ring`, which
+applies the ring budget.
+
 Enumeration order of the ring is fixed (matrix positions row-major, entries
 ascending), so every index used here is reproducible run to run.
 """
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,7 +66,8 @@ DEFAULT_MAX_RING_ORDER = 2**20
 #: Largest ring for which full ideal enumeration is attempted.
 DEFAULT_MAX_IDEAL_RING_ORDER = 2**12
 
-_CHUNK = 4096
+#: Bytes of the widest temporary in one block of :meth:`EndoRing.action_chunks`.
+_CHUNK_BYTES = 2**24
 
 
 def ring_order(G: GroupSpec) -> int:
@@ -72,15 +79,6 @@ def ring_order(G: GroupSpec) -> int:
     """
     exps = G.coordinate_exponents
     return G.p ** sum(min(es, et) for es in exps for et in exps)
-
-
-def _check_ring_budget(G: GroupSpec, max_ring: int | None) -> int:
-    """|End(G)|, after refusing a ring over ``max_ring`` (default 2**20)."""
-    cap = DEFAULT_MAX_RING_ORDER if max_ring is None else max_ring
-    size = ring_order(G)
-    if size > cap:
-        raise RingTooLargeError(f"|End(G)| = {size} exceeds cap {cap}")
-    return size
 
 
 @dataclass(frozen=True)
@@ -218,54 +216,46 @@ def endo_rank(f: Endo) -> int:
 
 
 # --------------------------------------------------------------------------
-# the enumerated ring with vectorized tables
+# the ring's shape and its vectorized tables
 
 
 class EndoRing:
-    """Cached, fully enumerated endomorphism ring with numpy lookup tables.
+    """The shape of End(G): indexing, the additive basis and lookup tables.
 
     Elements are addressed by their packed indices (see :mod:`pgroups.groups`),
     endomorphisms by dense indices in a fixed enumeration order.  ``basis``
     holds the ``r^2`` single-entry matrices (with the forced divisibility)
-    that additively span the ring.
-
-    Full invariance and orbits are decided on ``basis`` alone (see the module
-    docstring).  The action table (endo x element -> element) is computed
-    only for the claims that are exhaustive by statement, in chunks by
-    :meth:`action_chunks`, or for selected rows by :meth:`action_rows`.
+    that additively span the ring.  The shape checks no budget; member
+    matrices are decoded from indices on demand (:meth:`decode`), and the
+    whole ``endo_matrices`` table is built on first use by work that walks
+    End(G), which gets the ring through :func:`get_ring`.
     """
 
-    def __init__(self, G: GroupSpec, max_ring: int | None = None):
-        size = _check_ring_budget(G, max_ring)
+    def __init__(self, G: GroupSpec):
         self.group = G
-        self.size = size
-        p = G.p
+        self.size = ring_order(G)
         exps = G.coordinate_exponents
-        r = G.rank
-        self.rank = r
+        r = self.rank = G.rank
         table = _table(G)
         self.moduli, self._elem_strides = table.moduli, table.strides
         self.elem_coords = table.coords
 
-        # endo indexing: positions (s, t) row-major; digit radix min(e_s,e_t),
+        # positions (s, t) row-major; digit radix min(e_s,e_t),
         # stored entry = digit * p^max(0, e_t - e_s)
-        radix = np.array(
-            [[p ** min(es, et) for et in exps] for es in exps], dtype=np.int64
+        self._endo_radix = np.array(
+            [G.p ** min(es, et) for es in exps for et in exps], dtype=np.int64
         )
-        lift = np.array(
-            [[p ** max(0, et - es) for et in exps] for es in exps], dtype=np.int64
+        self._endo_lift = np.array(
+            [G.p ** max(0, et - es) for es in exps for et in exps], dtype=np.int64
         )
-        flat_radix = radix.reshape(-1)
-        estrides = np.ones(r * r, dtype=np.int64)
-        for i in range(r * r - 2, -1, -1):
-            estrides[i] = estrides[i + 1] * flat_radix[i + 1]
-        self._endo_radix = flat_radix
-        self._endo_strides = estrides
-        self._endo_lift = lift.reshape(-1)
-        eidx = np.arange(size, dtype=np.int64)
-        digits = (eidx[:, None] // estrides[None, :]) % flat_radix[None, :]
-        self.endo_matrices = (digits * self._endo_lift[None, :]).reshape(size, r, r)
+        # exact below 2**63, which covers every ring that can be indexed
+        self._endo_strides = np.append(np.cumprod(self._endo_radix[:0:-1])[::-1], 1)
         self.basis = np.diag(self._endo_lift).reshape(r * r, r, r)
+
+    @cached_property
+    def endo_matrices(self) -> np.ndarray:
+        """Every member as an ``(|End|, r, r)`` table, in enumeration order."""
+        return self.decode(np.arange(self.size, dtype=np.int64))
 
     # -- element indexing ---------------------------------------------------
 
@@ -292,9 +282,14 @@ class EndoRing:
         digits = mats.reshape(mats.shape[0], -1) // self._endo_lift[None, :]
         return digits @ self._endo_strides
 
+    def decode(self, endo_indices) -> np.ndarray:
+        """Matrices (shape ``(..., r, r)``) of the endomorphisms with these indices."""
+        idx = np.asarray(endo_indices, dtype=np.int64)
+        digits = (idx[..., None] // self._endo_strides) % self._endo_radix
+        return (digits * self._endo_lift).reshape(idx.shape + (self.rank, self.rank))
+
     def endo_of_index(self, idx: int) -> Endo:
-        m = self.endo_matrices[idx]
-        return Endo(self.group, tuple(tuple(int(x) for x in row) for row in m))
+        return Endo(self.group, tuple(map(tuple, self.decode(idx).tolist())))
 
     def add_endo_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         da = (a[..., None] // self._endo_strides) % self._endo_radix
@@ -315,13 +310,16 @@ class EndoRing:
             raise RingTooLargeError("full action table over cap; use chunked access")
         return self._act_block(self.endo_matrices)
 
-    def action_chunks(self, chunk: int = _CHUNK):
-        """Yield ``(start, packed_block)`` covering all endomorphisms."""
-        for start in range(0, self.size, chunk):
-            yield start, self._act_block(self.endo_matrices[start : start + chunk])
+    def action_chunks(self):
+        """Yield ``(start, packed_block)`` covering all endomorphisms, each
+        block's widest temporary (endos x elements x r) within ``_CHUNK_BYTES``."""
+        step = max(1, _CHUNK_BYTES // (8 * self.group.order * self.rank))
+        for start in range(0, self.size, step):
+            stop = min(start + step, self.size)
+            yield start, self._act_block(self.decode(np.arange(start, stop)))
 
     def action_row(self, endo_idx: int) -> np.ndarray:
-        return self._act_block(self.endo_matrices[endo_idx : endo_idx + 1])[0]
+        return self._act_block(self.decode([endo_idx]))[0]
 
     def action_rows(self, endo_indices) -> np.ndarray:
         """Packed image table for a selection of endomorphisms.
@@ -329,11 +327,24 @@ class EndoRing:
         Callers with very large selections should slice them; each row costs
         ``|G|`` int64 entries.
         """
-        return self._act_block(self.endo_matrices[np.asarray(endo_indices, dtype=np.int64)])
+        return self._act_block(self.decode(endo_indices))
 
-    def endo_rows(self, endo_indices=slice(None)) -> np.ndarray:
-        """Packed rows ``e_s.f`` (shape ``(k, r)``) of the selected endomorphisms."""
-        return self.endo_matrices[endo_indices] @ self._elem_strides
+    def endo_rows(self, endo_indices=None) -> np.ndarray:
+        """Packed rows ``e_s.f`` (shape ``(k, r)``) of the selected
+        endomorphisms, or of the whole ring."""
+        mats = self.endo_matrices if endo_indices is None else self.decode(endo_indices)
+        return mats @ self._elem_strides
+
+    def orbit_steps(self, elem_indices) -> np.ndarray:
+        """Per element ``a``, the step of each coordinate ``t`` of its orbit:
+        the gcd of ``p^e_t`` and the ``(a.b)_t`` over the additive basis,
+        which are the ``a_s p^max(0, e_t - e_s)``."""
+        lift = self._endo_lift.reshape(self.rank, self.rank)
+        coords = self.elem_coords[elem_indices]
+        steps = np.broadcast_to(self.moduli, coords.shape)
+        for s in range(self.rank):
+            steps = np.gcd(steps, coords[..., s, None] * lift[s])
+        return steps
 
     def orbit_indices(self, elem_idx: int) -> np.ndarray:
         """Sorted unique packed indices of ``{a.f : f}`` for one element.
@@ -341,10 +352,9 @@ class EndoRing:
         This is the span of the ``a.b`` over the additive basis, hence the
         smallest fully invariant subgroup containing ``a``.  Each ``a.b`` lies
         in one coordinate, so the span splits by coordinate: coordinate ``t``
-        runs over the multiples of the gcd of ``p^e_t`` and the ``a.b`` there.
+        runs over the multiples of its step (:meth:`orbit_steps`).
         """
-        images = self.elem_coords[elem_idx] @ self.basis % self.moduli
-        return _grid(self.group, np.gcd(np.gcd.reduce(images, axis=0), self.moduli))
+        return _grid(self.group, self.orbit_steps(elem_idx))
 
     # -- subgroup helpers ---------------------------------------------------
 
@@ -365,14 +375,18 @@ class EndoRing:
 
 @lru_cache(maxsize=32)
 def _cached_ring(G: GroupSpec) -> EndoRing:
+    """The one shape per group, at any ring size."""
     return EndoRing(G)
 
 
 def get_ring(G: GroupSpec, max_ring: int | None = None) -> EndoRing:
-    """Shared ring instance under the default budget; fresh one otherwise."""
-    if max_ring is None:
-        return _cached_ring(G)
-    return EndoRing(G, max_ring=max_ring)
+    """The shared ring of ``G``, for work that walks End(G): refused when
+    |End(G)| exceeds ``max_ring`` (default 2**20)."""
+    cap = DEFAULT_MAX_RING_ORDER if max_ring is None else max_ring
+    size = ring_order(G)
+    if size > cap:
+        raise RingTooLargeError(f"|End(G)| = {size} exceeds cap {cap}")
+    return _cached_ring(G)
 
 
 def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
@@ -382,8 +396,8 @@ def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
     >>> len(enumerate_endos(make_group(2, [(1, 1), (2, 1)])))
     32
     """
-    ring = get_ring(G, max_ring=max_ring)
-    return [ring.endo_of_index(i) for i in range(ring.size)]
+    mats = get_ring(G, max_ring=max_ring).endo_matrices.tolist()
+    return [Endo(G, tuple(map(tuple, m))) for m in mats]
 
 
 # --------------------------------------------------------------------------
@@ -407,16 +421,13 @@ class Ideal:
         return len(self.indices)
 
     def endos(self) -> list[Endo]:
-        ring = get_ring(self.group)
-        return [ring.endo_of_index(i) for i in self.indices]
+        return list(map(_cached_ring(self.group).endo_of_index, self.indices))
 
     def generator_endos(self) -> list[Endo]:
-        ring = get_ring(self.group)
-        return [ring.endo_of_index(i) for i in self.generators]
+        return list(map(_cached_ring(self.group).endo_of_index, self.generators))
 
     def __contains__(self, f: Endo) -> bool:
-        ring = get_ring(self.group)
-        i = ring.endo_index(f)
+        i = _cached_ring(self.group).endo_index(f)
         pos = np.searchsorted(np.asarray(self.indices), i)
         return pos < len(self.indices) and self.indices[pos] == i
 
@@ -424,10 +435,9 @@ class Ideal:
         return f"Ideal(size={self.size} of End({self.group.describe()}))"
 
     def to_json(self) -> dict:
-        ring = get_ring(self.group)
         return {
             "size": self.size,
-            "generators": [ring.endo_of_index(i).to_json() for i in self.generators],
+            "generators": [f.to_json() for f in self.generator_endos()],
         }
 
 
@@ -476,7 +486,7 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     no multiplicative closure needed)."""
     if I.group != J.group:
         raise MismatchedParentError("ideals of different groups")
-    ring = get_ring(I.group)
+    ring = _cached_ring(I.group)
     total = ring.endo_span(np.concatenate((I.indices, J.indices)))
     return _ideal_from_indices(ring, total, gens=I.generators + J.generators)
 
@@ -484,7 +494,7 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
     if I.group != J.group:
         raise MismatchedParentError("ideals of different groups")
-    ring = get_ring(I.group)
+    ring = _cached_ring(I.group)
     both = np.intersect1d(np.asarray(I.indices), np.asarray(J.indices))
     return _ideal_from_indices(ring, both)
 
@@ -504,7 +514,7 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
         raise RingTooLargeError(
             f"|End(G)| = {ring_order(G)} exceeds ideal-enumeration cap {cap}"
         )
-    ring = get_ring(G)
+    ring = _cached_ring(G)
     principal: dict[tuple[int, ...], np.ndarray] = {}
     seen_seeds: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(ring.size):
@@ -543,10 +553,8 @@ def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
     p = G.p
     scaled = (ring.endo_matrices * p**n) % ring.moduli[None, None, :]
     power = _ideal_from_indices(ring, ring.pack_endos(scaled))
-    killed = (ring.endo_matrices * p**n % ring.moduli[None, None, :] == 0).all(
-        axis=(1, 2)
-    )
-    torsion = _ideal_from_indices(ring, np.nonzero(killed)[0].astype(np.int64))
+    killed = (scaled == 0).all(axis=(1, 2))
+    torsion = _ideal_from_indices(ring, np.flatnonzero(killed))
     return power, torsion
 
 
@@ -577,7 +585,7 @@ def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
     of their rows."""
     if I.group != G:
         raise MismatchedParentError("ideal of a different group")
-    ring = get_ring(G)
+    ring = _cached_ring(G)
     rows = ring.endo_rows(np.asarray(I.indices, dtype=np.int64))
     return _subgroup(G, ring.element_span(rows.reshape(-1)))
 
@@ -620,14 +628,13 @@ def is_dagger_closed(x: Subgroup | Ideal) -> DaggerReport:
     if isinstance(x, Ideal):
         G = x.group
         back = dagger_subgroup(G, dagger_ideal(G, x))
-        if set(back.indices) == set(x.indices):
+        if back == x:
             return DaggerReport(subject=f"ideal of size {x.size}", status="closed")
-        ring = get_ring(G)
         extra = sorted(set(back.indices) ^ set(x.indices))
         return DaggerReport(
             subject=f"ideal of size {x.size}",
             status="not_closed",
-            witnesses=[ring.endo_of_index(i).to_json()["matrix"] for i in extra[:3]],
+            witnesses=_cached_ring(G).decode(extra[:3]).tolist(),
         )
     raise InvalidInputError(f"expected a Subgroup or Ideal, got {type(x).__name__}")
 
@@ -702,7 +709,7 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
         if dagger_ideal(G, powerE) != powerG:
             wit["power-ideal-dagger"].append({"n": n})
         got = dagger_subgroup(G, powerG)
-        if set(got.indices) != set(powerE.indices):
+        if got != powerE:
             extra = sorted(set(got.indices) - set(powerE.indices))
             wit["power-subgroup-dagger"].append(
                 {
@@ -718,8 +725,7 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
             )
         if dagger_ideal(G, torsionE) != torsionG:
             wit["socle-ideal-dagger"].append({"n": n})
-        got2 = dagger_subgroup(G, torsionG)
-        if set(got2.indices) != set(torsionE.indices):
+        if dagger_subgroup(G, torsionG) != torsionE:
             wit["socle-subgroup-dagger"].append({"n": n})
     checked = f"all n in [0, {e}]"
     return [
@@ -809,10 +815,10 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         HK_meet = subgroup_meet(H, K)
         # the FI lattice is closed under both, so the results are nodes
         lhs = up.get(HK_sum) or dagger_subgroup(G, HK_sum)
-        if set(lhs.indices) != set(ideal_sum(up[H], up[K]).indices):
+        if lhs != ideal_sum(up[H], up[K]):
             sum_wit.append({"pair": [H.order, K.order], "side": "subgroup"})
         lhs = up.get(HK_meet) or dagger_subgroup(G, HK_meet)
-        if set(lhs.indices) != set(ideal_meet(up[H], up[K]).indices):
+        if lhs != ideal_meet(up[H], up[K]):
             meet_wit.append({"pair": [H.order, K.order], "side": "subgroup"})
     down_lookup = {tuple(I.indices): down[I] for I in ideals}
     for I, J in itertools.combinations(ideals, 2):
@@ -877,11 +883,12 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         )
     )
     ideal_defl_wit, ideal_infl_wit, triple_wit = [], [], []
+    back_of = {I: dagger_subgroup(G, down[I]) for I in ideals}
+    closed_ideals = [I for I in ideals if back_of[I] == I]
     for I in ideals:
-        back = dagger_subgroup(G, down[I])
+        back = back_of[I]
         if not ideal_leq(back, I):
             sample = sorted(set(back.indices) - set(I.indices))
-            ring = get_ring(G)
             ideal_defl_wit.append(
                 {
                     "ideal_size": I.size,
@@ -896,9 +903,7 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         if dagger_ideal(G, back) != down[I]:
             triple_wit.append({"ideal_size": I.size, "side": "ideal"})
     for H in node_list:
-        if set(dagger_subgroup(G, dagger_ideal(G, up[H])).indices) != set(
-            up[H].indices
-        ):
+        if dagger_subgroup(G, dagger_ideal(G, up[H])) != up[H]:
             triple_wit.append({"subgroup_order": H.order, "side": "subgroup"})
     reports.append(
         ClaimReport(
@@ -937,8 +942,7 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
             equiv_wit.append({"subgroup_order": H.order})
     preimages = {tuple(up[H].indices) for H in node_list}
     for I in ideals:
-        closed = set(dagger_subgroup(G, down[I]).indices) == set(I.indices)
-        if closed != (tuple(I.indices) in preimages):
+        if (back_of[I] == I) != (tuple(I.indices) in preimages):
             equiv_wit.append({"ideal_size": I.size})
     reports.append(
         ClaimReport(
@@ -950,7 +954,6 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         )
     )
     iso_wit = []
-    closed_ideals = [I for I in ideals if set(dagger_subgroup(G, down[I]).indices) == set(I.indices)]
     for I, J in itertools.product(closed_ideals, repeat=2):
         if ideal_leq(I, J) != subgroup_leq(down[I], down[J]):
             iso_wit.append({"pair": [I.size, J.size]})
@@ -982,16 +985,14 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
             S = ideal_sum(I, J)
             if dagger_ideal(G, S) != H:
                 class_wit.append({"subgroup_order": H.order, "failure": "sum leaves class"})
-        closed_members = [
-            I for I in cls if set(dagger_subgroup(G, down[I]).indices) == set(I.indices)
-        ]
+        closed_members = [I for I in cls if back_of[I] == I]
         if len(closed_members) != 1:
             class_wit.append(
                 {"subgroup_order": H.order, "closed_members": len(closed_members)}
             )
         else:
             top = max(cls, key=lambda I: I.size)
-            if set(top.indices) != set(closed_members[0].indices) or not all(
+            if top != closed_members[0] or not all(
                 ideal_leq(I, closed_members[0]) for I in cls
             ):
                 class_wit.append({"subgroup_order": H.order, "failure": "not maximum"})

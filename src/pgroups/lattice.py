@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .endos import _cached_ring
 from .errors import (
     CanonicalFormMismatchError,
     InvalidInputError,
@@ -30,7 +31,7 @@ from .errors import (
     UnknownFormatError,
 )
 from .groups import Element, GroupSpec, Subgroup, block_subgroup, subgroup_leq
-from .groups import _subgroup, _table, subgroup_sum
+from .groups import _grid, _subgroup, _table, subgroup_sum
 from .indicators import Indicator, enumerate_admissible, indicator_subgroup
 from .reports import ClaimReport
 
@@ -135,7 +136,7 @@ def subgroup_name(G: GroupSpec, H: Subgroup) -> str:
     return " (+) ".join(parts)
 
 
-def fi_closure(G: GroupSpec, a: Element, max_ring: int | None = None) -> Subgroup:
+def fi_closure(G: GroupSpec, a: Element) -> Subgroup:
     """Smallest fully invariant subgroup containing ``a``: its orbit under
     every endomorphism (the orbit is additively closed, so no extra sweep).
 
@@ -144,11 +145,9 @@ def fi_closure(G: GroupSpec, a: Element, max_ring: int | None = None) -> Subgrou
     >>> fi_closure(G, G.element([0, 8])).order    # orbit of p^3 b
     2
     """
-    from .endos import get_ring
-
     if a.group != G:
         raise InvalidInputError("element belongs to a different group")
-    ring = get_ring(G, max_ring=max_ring)
+    ring = _cached_ring(G)
     return _subgroup(G, ring.orbit_indices(ring.element_index(a)))
 
 
@@ -181,12 +180,11 @@ class FILattice:
         return [subgroup_name(self.group, H) for H in self.nodes]
 
 
-def enumerate_fi_subgroups(G: GroupSpec, max_ring: int | None = None) -> FILattice:
-    """Single-element orbits, then a pairwise-sum fixpoint, then covers."""
-    from .endos import get_ring
-
-    ring = get_ring(G, max_ring=max_ring)
-    found = dict.fromkeys(_subgroup(G, ring.orbit_indices(i)) for i in range(G.order))
+def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
+    """Single-element orbits (each distinct one built once, from its steps; no
+    ring budget applies), then a pairwise-sum fixpoint, then covers."""
+    steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
+    found = dict.fromkeys(_subgroup(G, _grid(G, s)) for s in steps)
     while True:
         fresh = {}
         for H, K in itertools.combinations(found, 2):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output stability."""
 
+import io
 import json
 import os
 import re
@@ -7,10 +8,14 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pgroups
 from pgroups import all_claim_ids
@@ -132,7 +137,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", REFERENCE, "--max-ring", "16", "--max-ideals", "16")
         assert code == 0
         parsed = [json.loads(l) for l in out.strip().splitlines()]
-        assert sum(p["status"] == "skipped" for p in parsed) == 29
+        assert sum(p["status"] == "skipped" for p in parsed) == 25
+        status = {p["claim_id"]: p["status"] for p in parsed}
+        for cid in (
+            "indicator-coverage",
+            "indicator-subgroups-invariant",
+            "fi-closure-indicator",
+            "indicator-transitivity",
+        ):
+            assert status[cid] == "verified", cid
 
 
 class TestLattice:
@@ -421,3 +434,72 @@ def test_installed_console_script():
     )
     assert script.returncode == 0
     assert "i=2" in script.stdout
+
+
+# -- fuzzing the group input ---------------------------------------------------
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 3), max_size=1),
+)
+_BAD_INT = st.one_of(
+    st.integers(-2, 0), st.integers(min_value=10**6, max_value=10**40)
+)
+_BAD_P = st.one_of(
+    st.sampled_from([-3, 0, 1, 4, 9, 15, 2**61 - 1, 2**64 + 1]),
+    st.integers(min_value=10**6, max_value=10**30),
+)
+
+
+@st.composite
+def _group_args(draw):
+    """A valid group document, then up to three malformations of it."""
+    exps = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3)))
+    comps = [{"exponent": e, "multiplicity": draw(st.integers(1, 2))} for e in exps]
+    doc = {"p": draw(st.sampled_from([2, 3, 5])), "components": comps}
+    for _ in range(draw(st.integers(0, 3))):
+        holder = draw(st.sampled_from([doc] + [c for c in comps if isinstance(c, dict)]))
+        key = draw(st.sampled_from(sorted(holder)) if holder else st.just("p"))
+        kind = draw(st.sampled_from(["junk", "bad int", "bad p", "drop", "extra", "text"]))
+        if kind == "junk":
+            holder[key] = draw(_JUNK)
+        elif kind == "bad int":
+            holder[key] = draw(_BAD_INT)
+        elif kind == "bad p":
+            doc["p"] = draw(_BAD_P)
+        elif kind == "drop":
+            holder.pop(key, None)
+        elif kind == "extra":
+            holder["extra"] = draw(_JUNK)
+        else:
+            return "{" + draw(st.text(max_size=8))
+    return json.dumps(doc)
+
+
+_SUBCOMMANDS = [
+    ["analyze"],
+    ["lattice"],
+    ["matrix"],
+    ["endo"],
+    ["verify", "--claims", "indicator-antitone"],
+]
+
+
+@settings(
+    derandomize=True,
+    max_examples=80,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_group_args())
+def test_fuzzed_group_input_exits_cleanly(arg):
+    for command in _SUBCOMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command[0], arg, "--max-group", "4096", *command[1:]])
+        assert code in (0, 2, 3), (command, arg, err.getvalue())
+        assert "Traceback" not in err.getvalue()
