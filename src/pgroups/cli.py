@@ -402,9 +402,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PGroupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,12 @@ Orbits, full invariance and the ideal helpers need only the shape and run at
 any ring size; work that walks End(G) goes through :func:`get_ring`, which
 applies the ring budget.
 
+An :class:`Ideal` is a packed set like a subgroup: the sorted indices of its
+members, with the ring's digit radix.  Sums, meets and containment of ideals
+are the shared packed-set operations of :mod:`pgroups.groups`, and
+:func:`enumerate_ideals` closes the principal ideals under sums with the same
+join-closure as the fully invariant lattice.
+
 Enumeration order of the ring is fixed (matrix positions row-major, entries
 ascending), so every index used here is reproducible run to run.
 """
@@ -56,8 +62,10 @@ from .errors import (
     NotFullyInvariantError,
     RingTooLargeError,
 )
-from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup, subgroup_leq
-from .groups import _grid, _members, _span, _subgroup, _table
+from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup
+from .groups import subgroup_leq, subgroup_meet, subgroup_sum
+from .groups import _PackedSet, _grid, _join, _join_closure, _leq, _meet, _members
+from .groups import _span, _subgroup, _table
 from .reports import ClaimReport
 
 #: Largest endomorphism ring that will be enumerated.
@@ -404,21 +412,32 @@ def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
 # ideals
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """A two-sided ideal, held as sorted endomorphism indices.
+class Ideal(_PackedSet):
+    """A two-sided ideal, held as the sorted indices of its members in the
+    fixed enumeration order of End(G), packed with the ring's digit radix and
+    strides.
 
-    Indices refer to the fixed enumeration order of the parent ring;
-    ``generators`` records a generating set (also as indices).
+    ``indices`` is a read-only sorted int64 array, as for a :class:`Subgroup`.
+    ``generators`` records a generating set (also as indices); it takes no
+    part in equality.
     """
 
-    group: GroupSpec
-    indices: tuple[int, ...]
-    generators: tuple[int, ...] = field(default=(), compare=False)
+    __slots__ = ("generators",)
+
+    def __init__(self, group: GroupSpec, indices, generators: tuple[int, ...] = ()):
+        self._pack(group, indices)
+        self.generators = tuple(generators)
+
+    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
+        ring = _cached_ring(self.group)
+        return ring._endo_radix, ring._endo_strides
+
+    def _with(self, indices: np.ndarray) -> "Ideal":
+        return Ideal(self.group, indices)
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
     def endos(self) -> list[Endo]:
         return list(map(_cached_ring(self.group).endo_of_index, self.indices))
@@ -428,8 +447,7 @@ class Ideal:
 
     def __contains__(self, f: Endo) -> bool:
         i = _cached_ring(self.group).endo_index(f)
-        pos = np.searchsorted(np.asarray(self.indices), i)
-        return pos < len(self.indices) and self.indices[pos] == i
+        return bool(_members(np.array([i]), self.indices)[0])
 
     def __repr__(self) -> str:
         return f"Ideal(size={self.size} of End({self.group.describe()}))"
@@ -466,45 +484,30 @@ def ideal_generated(G: GroupSpec, gens, max_ring: int | None = None) -> Ideal:
         mat = np.array(f.matrix, dtype=np.int64)
         seeds.append(_sandwich_products(ring, mat))
     closure = ring.endo_span(np.concatenate(seeds))
-    return Ideal(G, tuple(closure.tolist()), generators=tuple(gen_idx))
+    return Ideal(G, closure, generators=tuple(gen_idx))
 
 
 def principal_ideal(G: GroupSpec, f: Endo, max_ring: int | None = None) -> Ideal:
     return ideal_generated(G, [f], max_ring=max_ring)
 
 
-def _ideal_from_indices(ring: EndoRing, indices: np.ndarray, gens=()) -> Ideal:
-    return Ideal(
-        ring.group,
-        tuple(np.unique(indices).tolist()),
-        generators=tuple(int(i) for i in gens),
-    )
-
-
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    """Elementwise sum ``I + J``: the span of ``I`` and ``J`` (already an ideal,
-    no multiplicative closure needed)."""
-    if I.group != J.group:
-        raise MismatchedParentError("ideals of different groups")
-    ring = _cached_ring(I.group)
-    total = ring.endo_span(np.concatenate((I.indices, J.indices)))
-    return _ideal_from_indices(ring, total, gens=I.generators + J.generators)
+    """Elementwise sum ``I + J``, generated by the generators of both: the
+    span of ``I`` and ``J`` (already an ideal, no multiplicative closure)."""
+    return Ideal(I.group, _join(I, J).indices, I.generators + J.generators)
 
 
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
-    if I.group != J.group:
-        raise MismatchedParentError("ideals of different groups")
-    ring = _cached_ring(I.group)
-    both = np.intersect1d(np.asarray(I.indices), np.asarray(J.indices))
-    return _ideal_from_indices(ring, both)
+    return _meet(I, J)
 
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
-    return set(I.indices) <= set(J.indices)
+    return _leq(I, J)
 
 
 def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
-    """All two-sided ideals: principal ideals, then pairwise-sum fixpoint.
+    """All two-sided ideals: principal ideals, then the pairwise-sum fixpoint,
+    sorted by (size, indices).
 
     Budgeted separately from plain ring enumeration (default cap 2**12)
     because the principal-ideal sweep touches every ring element.
@@ -515,33 +518,10 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
             f"|End(G)| = {ring_order(G)} exceeds ideal-enumeration cap {cap}"
         )
     ring = _cached_ring(G)
-    principal: dict[tuple[int, ...], np.ndarray] = {}
-    seen_seeds: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i in range(ring.size):
-        prods = _sandwich_products(ring, ring.endo_matrices[i])
-        seed_key = tuple(prods.tolist())
-        if seed_key in seen_seeds:
-            key = seen_seeds[seed_key]
-        else:
-            closure = ring.endo_span(prods)
-            key = tuple(closure.tolist())
-            seen_seeds[seed_key] = key
-        if key not in principal:
-            principal[key] = np.asarray(key, dtype=np.int64)
-    current: dict[tuple[int, ...], np.ndarray] = dict(principal)
-    while True:
-        fresh: dict[tuple[int, ...], np.ndarray] = {}
-        items = list(current.values())
-        for a, b in itertools.combinations(items, 2):
-            total = ring.endo_span(np.concatenate((a, b)))
-            key = tuple(total.tolist())
-            if key not in current and key not in fresh:
-                fresh[key] = total
-        if not fresh:
-            break
-        current.update(fresh)
-    ideals = [_ideal_from_indices(ring, arr) for arr in current.values()]
-    ideals.sort(key=lambda I: (I.size, I.indices))
+    products = (_sandwich_products(ring, mat) for mat in ring.endo_matrices)
+    seeds = {prods.tobytes(): prods for prods in products}
+    ideals = _join_closure((Ideal(G, ring.endo_span(s)) for s in seeds.values()), _join)
+    ideals.sort(key=lambda I: (I.size, I.indices.tolist()))
     return ideals
 
 
@@ -552,9 +532,9 @@ def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
     ring = get_ring(G)
     p = G.p
     scaled = (ring.endo_matrices * p**n) % ring.moduli[None, None, :]
-    power = _ideal_from_indices(ring, ring.pack_endos(scaled))
+    power = Ideal(G, np.unique(ring.pack_endos(scaled)))
     killed = (scaled == 0).all(axis=(1, 2))
-    torsion = _ideal_from_indices(ring, np.flatnonzero(killed))
+    torsion = Ideal(G, np.flatnonzero(killed))
     return power, torsion
 
 
@@ -577,7 +557,7 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
             f"subgroup of order {H.order} is not fully invariant"
         )
     inside = _members(ring.endo_rows(), H.indices).all(axis=1)
-    return _ideal_from_indices(ring, np.flatnonzero(inside))
+    return Ideal(G, np.flatnonzero(inside))
 
 
 def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
@@ -586,7 +566,7 @@ def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
     if I.group != G:
         raise MismatchedParentError("ideal of a different group")
     ring = _cached_ring(G)
-    rows = ring.endo_rows(np.asarray(I.indices, dtype=np.int64))
+    rows = ring.endo_rows(I.indices)
     return _subgroup(G, ring.element_span(rows.reshape(-1)))
 
 
@@ -617,20 +597,19 @@ def is_dagger_closed(x: Subgroup | Ideal) -> DaggerReport:
         back = dagger_ideal(G, dagger_subgroup(G, x))
         if back == x:
             return DaggerReport(subject=f"subgroup of order {x.order}", status="closed")
-        diff = [e for e in x.elements if e not in back] + [
-            e for e in back.elements if e not in x
-        ]
+        lost = np.setdiff1d(x.indices, back.indices)
+        diff = np.concatenate((lost, np.setdiff1d(back.indices, x.indices)))
         return DaggerReport(
             subject=f"subgroup of order {x.order}",
             status="not_closed",
-            witnesses=[list(e.coords) for e in diff[:3]],
+            witnesses=_table(G).coords[diff[:3]].tolist(),
         )
     if isinstance(x, Ideal):
         G = x.group
         back = dagger_subgroup(G, dagger_ideal(G, x))
         if back == x:
             return DaggerReport(subject=f"ideal of size {x.size}", status="closed")
-        extra = sorted(set(back.indices) ^ set(x.indices))
+        extra = np.setxor1d(back.indices, x.indices)
         return DaggerReport(
             subject=f"ideal of size {x.size}",
             status="not_closed",
@@ -684,6 +663,20 @@ def find_dagger_collision(G: GroupSpec):
 # mechanical verification of the correspondence
 
 
+def _reports(G: GroupSpec, verdicts) -> list[ClaimReport]:
+    """One report per ``(claim id, witnesses, what was checked)``."""
+    return [
+        ClaimReport(
+            claim_id=cid,
+            status="refuted" if ws else "verified",
+            group=G.describe(),
+            witnesses=ws,
+            checked=checked,
+        )
+        for cid, ws, checked in verdicts
+    ]
+
+
 def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     """Check, for every n up to exp(G), the four identities tying the power
     and torsion ideals to the power and torsion subgroups:
@@ -694,7 +687,6 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     * preimage of ``G[p^n]``  == ``E[p^n]``       (holds)
     """
     e = G.exponent
-    name = G.describe()
     ring = get_ring(G)
     wit: dict[str, list] = {k: [] for k in (
         "power-ideal-dagger",
@@ -710,16 +702,14 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
             wit["power-ideal-dagger"].append({"n": n})
         got = dagger_subgroup(G, powerG)
         if got != powerE:
-            extra = sorted(set(got.indices) - set(powerE.indices))
+            extra = np.setdiff1d(got.indices, powerE.indices)
             wit["power-subgroup-dagger"].append(
                 {
                     "n": n,
                     "preimage_size": got.size,
                     "scaled_ring_size": powerE.size,
-                    "endo_outside_scaled_ring": ring.endo_of_index(extra[0]).to_json()[
-                        "matrix"
-                    ]
-                    if extra
+                    "endo_outside_scaled_ring": ring.decode(extra[0]).tolist()
+                    if extra.size
                     else None,
                 }
             )
@@ -727,17 +717,7 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
             wit["socle-ideal-dagger"].append({"n": n})
         if dagger_subgroup(G, torsionG) != torsionE:
             wit["socle-subgroup-dagger"].append({"n": n})
-    checked = f"all n in [0, {e}]"
-    return [
-        ClaimReport(
-            claim_id=cid,
-            status="refuted" if ws else "verified",
-            group=name,
-            witnesses=ws,
-            checked=checked,
-        )
-        for cid, ws in wit.items()
-    ]
+    return _reports(G, [(cid, ws, f"all n in [0, {e}]") for cid, ws in wit.items()])
 
 
 def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimReport]:
@@ -745,14 +725,12 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
     the two dagger maps, exhaustively over the fully invariant lattice and
     the full ideal lattice."""
     from .lattice import enumerate_fi_subgroups
-    from .groups import subgroup_meet, subgroup_sum
 
-    name = G.describe()
     if nodes is None:
         nodes = enumerate_fi_subgroups(G).nodes
     if ideals is None:
         ideals = enumerate_ideals(G)
-    reports: list[ClaimReport] = []
+    verdicts = []  # (claim id, witnesses, what was checked)
     node_list = list(nodes)
     up = {H: dagger_subgroup(G, H) for H in node_list}
     down = {I: dagger_ideal(G, I) for I in ideals}
@@ -765,30 +743,20 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
             wd_wit.append({"ideal_size": I.size})
     sample = ring.endo_matrices[: min(ring.size, 64)]
     for H in node_list:
-        ideal_idx = np.asarray(up[H].indices, dtype=np.int64)
+        ideal_idx = up[H].indices
         # a nonempty finite set is closed under addition iff it is its own span
         if not np.array_equal(ring.endo_span(ideal_idx), ideal_idx):
             wd_wit.append({"subgroup_order": H.order, "failure": "additive"})
         # Two-sided multiplicative closure against a fixed sample of ring
         # members (exhaustive would be quadratic in |E| for no extra insight).
         mats = ring.endo_matrices[ideal_idx]
-        prod = np.einsum("ast,btu->absu", mats, sample) % ring.moduli
-        packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
-        if not np.isin(packed, ideal_idx).all():
-            wd_wit.append({"subgroup_order": H.order, "failure": "right-mult"})
-        prod = np.einsum("bst,atu->absu", sample, mats) % ring.moduli
-        packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
-        if not np.isin(packed, ideal_idx).all():
-            wd_wit.append({"subgroup_order": H.order, "failure": "left-mult"})
-    reports.append(
-        ClaimReport(
-            claim_id="dagger-well-defined",
-            status="refuted" if wd_wit else "verified",
-            group=name,
-            witnesses=wd_wit[:5],
-            checked=f"{len(node_list)} subgroups, {len(ideals)} ideals",
-        )
-    )
+        for side, A, B in (("right-mult", mats, sample), ("left-mult", sample, mats)):
+            prod = np.einsum("ast,btu->absu", A, B) % ring.moduli
+            packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
+            if not np.isin(packed, ideal_idx).all():
+                wd_wit.append({"subgroup_order": H.order, "failure": side})
+    checked = f"{len(node_list)} subgroups, {len(ideals)} ideals"
+    verdicts.append(("dagger-well-defined", wd_wit[:5], checked))
 
     # order preservation, both directions
     order_wit = []
@@ -798,15 +766,7 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
     for I, J in itertools.product(ideals, repeat=2):
         if ideal_leq(I, J) and not subgroup_leq(down[I], down[J]):
             order_wit.append({"pair": [I.size, J.size], "side": "ideal"})
-    reports.append(
-        ClaimReport(
-            claim_id="dagger-order",
-            status="refuted" if order_wit else "verified",
-            group=name,
-            witnesses=order_wit[:5],
-            checked="all ordered pairs on both sides",
-        )
-    )
+    verdicts.append(("dagger-order", order_wit[:5], "all ordered pairs on both sides"))
 
     # meet/join preservation
     sum_wit, meet_wit = [], []
@@ -820,14 +780,13 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         lhs = up.get(HK_meet) or dagger_subgroup(G, HK_meet)
         if lhs != ideal_meet(up[H], up[K]):
             meet_wit.append({"pair": [H.order, K.order], "side": "subgroup"})
-    down_lookup = {tuple(I.indices): down[I] for I in ideals}
     for I, J in itertools.combinations(ideals, 2):
         S = ideal_sum(I, J)
-        lhs = down_lookup.get(tuple(S.indices)) or dagger_ideal(G, S)
+        lhs = down.get(S) or dagger_ideal(G, S)
         if lhs != subgroup_sum(down[I], down[J]):
             sum_wit.append({"pair": [I.size, J.size], "side": "ideal"})
         M = ideal_meet(I, J)
-        lhs = down_lookup.get(tuple(M.indices)) or dagger_ideal(G, M)
+        lhs = down.get(M) or dagger_ideal(G, M)
         if lhs != subgroup_meet(down[I], down[J]):
             meet_wit.append(
                 {
@@ -837,65 +796,34 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
                     "meet_of_images_order": subgroup_meet(down[I], down[J]).order,
                 }
             )
-    reports.append(
-        ClaimReport(
-            claim_id="dagger-sum-preservation",
-            status="refuted" if sum_wit else "verified",
-            group=name,
-            witnesses=sum_wit[:5],
-            checked="all unordered pairs on both sides",
-        )
-    )
-    reports.append(
-        ClaimReport(
-            claim_id="dagger-intersection-preservation",
-            status="refuted" if meet_wit else "verified",
-            group=name,
-            witnesses=meet_wit[:5],
-            checked="all unordered pairs on both sides",
-        )
-    )
+    checked = "all unordered pairs on both sides"
+    verdicts.append(("dagger-sum-preservation", sum_wit[:5], checked))
+    verdicts.append(("dagger-intersection-preservation", meet_wit[:5], checked))
 
     # closure behavior
     sub_defl_wit, fi_closed_wit = [], []
+    back_up = {H: dagger_ideal(G, up[H]) for H in node_list}
     for H in node_list:
-        back = dagger_ideal(G, up[H])
+        back = back_up[H]
         if not subgroup_leq(back, H):
             sub_defl_wit.append({"subgroup_order": H.order})
         if back != H:
             fi_closed_wit.append({"subgroup_order": H.order, "closure_order": back.order})
-    reports.append(
-        ClaimReport(
-            claim_id="subgroup-double-dagger-deflation",
-            status="refuted" if sub_defl_wit else "verified",
-            group=name,
-            witnesses=sub_defl_wit,
-            checked=f"{len(node_list)} fully invariant subgroups",
-        )
-    )
-    reports.append(
-        ClaimReport(
-            claim_id="fi-dagger-closed",
-            status="refuted" if fi_closed_wit else "verified",
-            group=name,
-            witnesses=fi_closed_wit,
-            checked=f"{len(node_list)} fully invariant subgroups",
-        )
-    )
+    checked = f"{len(node_list)} fully invariant subgroups"
+    verdicts.append(("subgroup-double-dagger-deflation", sub_defl_wit, checked))
+    verdicts.append(("fi-dagger-closed", fi_closed_wit, checked))
     ideal_defl_wit, ideal_infl_wit, triple_wit = [], [], []
     back_of = {I: dagger_subgroup(G, down[I]) for I in ideals}
     closed_ideals = [I for I in ideals if back_of[I] == I]
     for I in ideals:
         back = back_of[I]
         if not ideal_leq(back, I):
-            sample = sorted(set(back.indices) - set(I.indices))
+            sample = np.setdiff1d(back.indices, I.indices)
             ideal_defl_wit.append(
                 {
                     "ideal_size": I.size,
                     "closure_size": back.size,
-                    "endo_in_closure_only": ring.endo_of_index(sample[0]).to_json()[
-                        "matrix"
-                    ],
+                    "endo_in_closure_only": ring.decode(sample[0]).tolist(),
                 }
             )
         if not ideal_leq(I, back):
@@ -903,56 +831,26 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         if dagger_ideal(G, back) != down[I]:
             triple_wit.append({"ideal_size": I.size, "side": "ideal"})
     for H in node_list:
-        if dagger_subgroup(G, dagger_ideal(G, up[H])) != up[H]:
+        if dagger_subgroup(G, back_up[H]) != up[H]:
             triple_wit.append({"subgroup_order": H.order, "side": "subgroup"})
-    reports.append(
-        ClaimReport(
-            claim_id="ideal-double-dagger-deflation",
-            status="refuted" if ideal_defl_wit else "verified",
-            group=name,
-            witnesses=ideal_defl_wit[:5],
-            checked=f"{len(ideals)} ideals",
-        )
-    )
-    reports.append(
-        ClaimReport(
-            claim_id="ideal-double-dagger-inflation",
-            status="refuted" if ideal_infl_wit else "verified",
-            group=name,
-            witnesses=ideal_infl_wit[:5],
-            checked=f"{len(ideals)} ideals",
-        )
-    )
-    reports.append(
-        ClaimReport(
-            claim_id="dagger-triple",
-            status="refuted" if triple_wit else "verified",
-            group=name,
-            witnesses=triple_wit[:5],
-            checked="both composites on every object",
-        )
-    )
+    checked = f"{len(ideals)} ideals"
+    verdicts.append(("ideal-double-dagger-deflation", ideal_defl_wit[:5], checked))
+    verdicts.append(("ideal-double-dagger-inflation", ideal_infl_wit[:5], checked))
+    checked = "both composites on every object"
+    verdicts.append(("dagger-triple", triple_wit[:5], checked))
 
     # closed-object equivalences and the lattice isomorphism between them
     equiv_wit = []
     images = {down[I] for I in ideals}
     for H in node_list:
-        closed = dagger_ideal(G, up[H]) == H
-        if closed != (H in images):
+        if (back_up[H] == H) != (H in images):
             equiv_wit.append({"subgroup_order": H.order})
-    preimages = {tuple(up[H].indices) for H in node_list}
+    preimages = set(up.values())
     for I in ideals:
-        if (back_of[I] == I) != (tuple(I.indices) in preimages):
+        if (back_of[I] == I) != (I in preimages):
             equiv_wit.append({"ideal_size": I.size})
-    reports.append(
-        ClaimReport(
-            claim_id="dagger-closed-equivalences",
-            status="refuted" if equiv_wit else "verified",
-            group=name,
-            witnesses=equiv_wit[:5],
-            checked="closedness vs membership in the opposite map's range",
-        )
-    )
+    checked = "closedness vs membership in the opposite map's range"
+    verdicts.append(("dagger-closed-equivalences", equiv_wit[:5], checked))
     iso_wit = []
     for I, J in itertools.product(closed_ideals, repeat=2):
         if ideal_leq(I, J) != subgroup_leq(down[I], down[J]):
@@ -964,15 +862,8 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
                 "fully_invariant_subgroups": len(node_list),
             }
         )
-    reports.append(
-        ClaimReport(
-            claim_id="closed-lattice-isomorphism",
-            status="refuted" if iso_wit else "verified",
-            group=name,
-            witnesses=iso_wit[:5],
-            checked=f"{len(closed_ideals)} closed ideals vs {len(node_list)} subgroups",
-        )
-    )
+    checked = f"{len(closed_ideals)} closed ideals vs {len(node_list)} subgroups"
+    verdicts.append(("closed-lattice-isomorphism", iso_wit[:5], checked))
 
     # preimage classes: closed under sums, with a unique closed maximum
     class_wit = []
@@ -996,15 +887,8 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
                 ideal_leq(I, closed_members[0]) for I in cls
             ):
                 class_wit.append({"subgroup_order": H.order, "failure": "not maximum"})
-    reports.append(
-        ClaimReport(
-            claim_id="dagger-class-structure",
-            status="refuted" if class_wit else "verified",
-            group=name,
-            witnesses=class_wit[:5],
-            checked=f"{len(ideals)} ideals grouped by image",
-        )
-    )
+    checked = f"{len(ideals)} ideals grouped by image"
+    verdicts.append(("dagger-class-structure", class_wit[:5], checked))
 
     # fundamental subgroups are closed
     fund_wit = []
@@ -1014,13 +898,6 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
             H = fundamental_subgroup(G, kappa, n)
             if dagger_ideal(G, dagger_subgroup(G, H)) != H:
                 fund_wit.append({"cell": [n, kappa]})
-    reports.append(
-        ClaimReport(
-            claim_id="fundamental-dagger-closed",
-            status="refuted" if fund_wit else "verified",
-            group=name,
-            witnesses=fund_wit[:5],
-            checked=f"all {e * e} fundamental subgroups",
-        )
-    )
-    return reports
+    checked = f"all {e * e} fundamental subgroups"
+    verdicts.append(("fundamental-dagger-closed", fund_wit[:5], checked))
+    return _reports(G, verdicts)

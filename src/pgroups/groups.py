@@ -20,6 +20,11 @@ table per group (:func:`_table`) holds the coordinates of every element and
 the heights of their ``p^k`` multiples, which is all that sums,
 intersections, containment and indicator cuts need.  ``Element`` objects
 appear only where a caller asks for them.
+
+Subgroups and the ideals of End(G) (:class:`pgroups.endos.Ideal`) are both
+packed sets (:class:`_PackedSet`) and share one join, meet, order and
+join-closure fixpoint (:func:`_join`, :func:`_meet`, :func:`_leq`,
+:func:`_join_closure`); they differ only in the digit radix of their indices.
 """
 from __future__ import annotations
 
@@ -443,11 +448,79 @@ def _indices_of(G: GroupSpec, elems: Iterable[Element]) -> np.ndarray:
     return coords.reshape(-1, G.rank) % t.moduli @ t.strides
 
 
-class Subgroup:
-    """A subgroup held as the sorted packed indices of its elements.
+class _PackedSet:
+    """A finite set held as the sorted packed indices of its members.
 
-    ``Subgroup(G, elements)`` packs an ``Element`` sequence.  ``indices`` is
-    read-only; equality and hashing use the group and the index bytes.
+    ``indices`` is a read-only sorted int64 array; equality and hashing use
+    the type, the group and the index bytes.  A subclass names the digit
+    radix and strides its indices are packed with (:meth:`_digits`) and how
+    to hold a new index array of its kind (:meth:`_with`).
+    """
+
+    __slots__ = ("group", "indices", "_key")
+
+    def _pack(self, group: GroupSpec, indices) -> "_PackedSet":
+        """Hold sorted unique packed ``indices``."""
+        self.group = group
+        self._key = np.asarray(indices, dtype=np.int64).tobytes()
+        self.indices = np.frombuffer(self._key, dtype=np.int64)
+        return self
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._key == other._key
+            and self.group == other.group
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.group, self._key))
+
+
+def _same_group(A: _PackedSet, B: _PackedSet) -> None:
+    if A.group != B.group:
+        raise MismatchedParentError(f"{type(A).__name__.lower()}s of different groups")
+
+
+def _join(A: _PackedSet, B: _PackedSet) -> _PackedSet:
+    """``A + B``: the span of the smaller set grown from the larger one."""
+    _same_group(A, B)
+    if A.indices.size < B.indices.size:
+        A, B = B, A
+    return A._with(_span(B.indices, *A._digits(), span=A.indices))
+
+
+def _meet(A: _PackedSet, B: _PackedSet) -> _PackedSet:
+    _same_group(A, B)
+    return A._with(np.intersect1d(A.indices, B.indices, assume_unique=True))
+
+
+def _leq(A: _PackedSet, B: _PackedSet) -> bool:
+    _same_group(A, B)
+    return A.indices.size <= B.indices.size and bool(
+        _members(A.indices, B.indices).all()
+    )
+
+
+def _join_closure(atoms: Iterable, join) -> list:
+    """Every join of a nonempty set of ``atoms``, in order of discovery.
+    Each set is joined once with every set found before it."""
+    found = list(dict.fromkeys(atoms))
+    seen = set(found)
+    for i, A in enumerate(found):  # runs on over the sets appended below
+        for B in found[:i]:
+            total = join(A, B)
+            if total not in seen:
+                seen.add(total)
+                found.append(total)
+    return found
+
+
+class Subgroup(_PackedSet):
+    """A subgroup held as the sorted packed indices of its elements, packed
+    with the group's own radix and strides (:func:`_table`).
+
+    ``Subgroup(G, elements)`` packs an ``Element`` sequence.
     ``elements`` decodes the members, in lexicographic order, on first use.
 
     ``fi_form`` optionally records a block decomposition: a tuple of
@@ -457,17 +530,21 @@ class Subgroup:
     decomposition (e.g. the fundamental family) and by canonicalization.
     """
 
-    __slots__ = ("group", "indices", "fi_form", "_key", "_elements")
+    __slots__ = ("fi_form", "_elements")
 
     def __init__(self, group: GroupSpec, elements: Iterable[Element], fi_form=None):
         self._pack(group, np.unique(_indices_of(group, elements)), fi_form)
 
-    def _pack(self, group: GroupSpec, indices: np.ndarray, fi_form) -> "Subgroup":
-        """Hold sorted unique packed ``indices``."""
-        self.group, self.fi_form, self._elements = group, fi_form, None
-        self._key = np.asarray(indices, dtype=np.int64).tobytes()
-        self.indices = np.frombuffer(self._key, dtype=np.int64)
-        return self
+    def _pack(self, group: GroupSpec, indices, fi_form=None) -> "Subgroup":
+        self.fi_form, self._elements = fi_form, None
+        return super()._pack(group, indices)
+
+    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
+        t = _table(self.group)
+        return t.moduli, t.strides
+
+    def _with(self, indices: np.ndarray) -> "Subgroup":
+        return _subgroup(self.group, indices)
 
     @property
     def elements(self) -> tuple[Element, ...]:
@@ -490,16 +567,6 @@ class Subgroup:
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self._key == other._key
-            and self.group == other.group
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group, self._key))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group.describe()})"
@@ -564,31 +631,19 @@ def subgroup_generated(
     return subgroup_from_set(G, closed, max_size=cap)
 
 
-def _same_group(H: Subgroup, K: Subgroup) -> GroupSpec:
-    if H.group != K.group:
-        raise MismatchedParentError("subgroups of different groups")
-    return H.group
-
-
 def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
-    """Sum H + K: the span of the smaller one grown from the larger one."""
-    G = _same_group(H, K)
-    if H.order < K.order:
-        H, K = K, H
-    t = _table(G)
-    return _subgroup(G, _span(K.indices, t.moduli, t.strides, span=H.indices))
+    """Sum H + K."""
+    return _join(H, K)
 
 
 def subgroup_meet(H: Subgroup, K: Subgroup) -> Subgroup:
     """Intersection."""
-    G = _same_group(H, K)
-    return _subgroup(G, np.intersect1d(H.indices, K.indices, assume_unique=True))
+    return _meet(H, K)
 
 
 def subgroup_leq(H: Subgroup, K: Subgroup) -> bool:
     """Containment H <= K."""
-    _same_group(H, K)
-    return H.order <= K.order and bool(_members(H.indices, K.indices).all())
+    return _leq(H, K)
 
 
 def fundamental_subgroup(

@@ -31,7 +31,7 @@ from .errors import (
     UnknownFormatError,
 )
 from .groups import Element, GroupSpec, Subgroup, block_subgroup, subgroup_leq
-from .groups import _grid, _subgroup, _table, subgroup_sum
+from .groups import _grid, _join, _join_closure, _subgroup, _table
 from .indicators import Indicator, enumerate_admissible, indicator_subgroup
 from .reports import ClaimReport
 
@@ -184,16 +184,7 @@ def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
     """Single-element orbits (each distinct one built once, from its steps; no
     ring budget applies), then a pairwise-sum fixpoint, then covers."""
     steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
-    found = dict.fromkeys(_subgroup(G, _grid(G, s)) for s in steps)
-    while True:
-        fresh = {}
-        for H, K in itertools.combinations(found, 2):
-            total = subgroup_sum(H, K)
-            if total not in found:
-                fresh[total] = None
-        if not fresh:
-            break
-        found.update(fresh)
+    found = _join_closure((_subgroup(G, _grid(G, s)) for s in steps), _join)
     subs = sorted(found, key=lambda H: (H.order, H.indices.tolist()))
     # containment matrix -> transitive reduction (distinct nodes, so <= with
     # i != j is already strict)

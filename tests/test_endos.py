@@ -271,28 +271,38 @@ def test_ideal_contains_generators_and_zero(small24):
     assert zero_endo(small24) in members and f in members
 
 
-def test_ideal_sum_meet_leq(small24):
-    ring = get_ring(small24)
-    ideals = enumerate_ideals(small24)
+def test_ideal_sum_meet_leq():
+    # the six oracle groups of the generator-form tests below
+    for key in sorted(GENERATOR_FORM_GROUPS):
+        _check_ideal_sum_meet_leq(make_group(*GENERATOR_FORM_GROUPS[key]))
+
+
+def _check_ideal_sum_meet_leq(G):
+    """Sum, meet, order and enumeration order of the ideals of ``G`` against
+    Python sets of their indices."""
+    ring = get_ring(G)
+    ideals = enumerate_ideals(G)
+    assert ideals == sorted(ideals, key=lambda I: (I.size, I.indices.tolist()))
     incomparable = 0
+    for I, J in itertools.product(ideals, repeat=2):
+        si, sj = set(I.indices.tolist()), set(J.indices.tolist())
+        assert ideal_leq(I, J) == (si <= sj)
     for I, J in itertools.combinations(ideals, 2):
         total = ideal_sum(I, J)
         meet = ideal_meet(I, J)
-        si, sj = set(I.indices), set(J.indices)
-        assert set(meet.indices) == si & sj
+        si, sj = set(I.indices.tolist()), set(J.indices.tolist())
+        assert set(meet.indices.tolist()) == si & sj
         # the elementwise sum of two ideals is already an ideal
-        add_table = {
-            int(ring.add_endo_indices(np.int64(i), np.int64(j)))
-            for i in si
-            for j in sj
-        }
-        assert set(total.indices) == add_table
+        add_table = ring.add_endo_indices(I.indices[:, None], J.indices[None, :])
+        assert set(total.indices.tolist()) == set(add_table.ravel().tolist())
+        assert ideal_sum(J, I) == total and ideal_meet(J, I) == meet
         assert ideal_leq(I, total) and ideal_leq(J, total)
         assert ideal_leq(meet, I) and ideal_leq(meet, J)
         if not ideal_leq(I, J) and not ideal_leq(J, I):
             incomparable += 1
             assert total.size > max(I.size, J.size)
-    assert incomparable > 0  # this ideal lattice is not a chain
+    # these ideal lattices are chains exactly on the homocyclic groups
+    assert (incomparable > 0) == (len(G.components) > 1)
 
 
 def test_special_ideals_by_recount(small24):

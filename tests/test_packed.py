@@ -1,9 +1,10 @@
 """The packed representation against element-by-element oracles.
 
-Subgroups are sorted index arrays over one table per group, and indicator
-cuts, heights and exponents are read from that table.  The oracles here use
-only ``enumerate_elements``, ``ind_of``, ``height``, ``exponent``, ``smul``,
-``add`` and ``subgroup_generated``, which work one ``Element`` at a time.
+Subgroups are sorted index arrays over one table per group, and ideals sorted
+index arrays over one ring shape; indicator cuts, heights and exponents are
+read from the group's table.  The oracles here use only ``enumerate_elements``,
+``ind_of``, ``height``, ``exponent``, ``smul``, ``add`` and
+``subgroup_generated``, which work one ``Element`` at a time.
 """
 import random
 
@@ -16,11 +17,17 @@ from pgroups import (
     MismatchedParentError,
     Subgroup,
     add,
+    dagger_subgroup,
     enumerate_admissible,
     enumerate_elements,
     exponent,
     full_subgroup,
     height,
+    ideal_generated,
+    ideal_leq,
+    ideal_meet,
+    ideal_sum,
+    identity_endo,
     ind_of,
     indicator_subgroup,
     indicator_universe,
@@ -160,10 +167,33 @@ def test_subgroups_of_different_groups_are_never_equal():
         subgroup_leq(full_subgroup(Z4), zero_subgroup(Z2sq))
 
 
+def test_ideals_share_the_packed_equality():
+    Z4 = make_group(2, [(2, 1)])
+    Z2sq = make_group(2, [(1, 2)])
+    zero4, zero22 = (dagger_subgroup(G, zero_subgroup(G)) for G in (Z4, Z2sq))
+    # identical index bytes: the zero ideal of each ring, and the zero subgroup
+    assert zero4.indices.tolist() == zero22.indices.tolist() == [0]
+    assert zero_subgroup(Z4).indices.tolist() == [0]
+    assert zero4 != zero22 and hash(zero4) != hash(zero22)
+    assert len({zero4, zero22}) == 2
+    assert zero4 != zero_subgroup(Z4) and zero_subgroup(Z4) != zero4
+    assert hash(zero4) != hash(zero_subgroup(Z4))
+    assert len({zero4, zero_subgroup(Z4)}) == 2
+    # generators take no part in equality
+    assert ideal_generated(Z4, []) == zero4
+    for op in (ideal_sum, ideal_meet, ideal_leq):
+        with pytest.raises(MismatchedParentError):
+            op(zero4, zero22)
+
+
 def test_indices_and_tables_are_read_only(G2):
     H = full_subgroup(G2)
     with pytest.raises(ValueError):
         H.indices[0] = 1
+    I = ideal_generated(G2, [identity_endo(G2)])
+    assert I.indices.dtype == np.int64 and I.size == 2**10
+    with pytest.raises(ValueError):
+        I.indices[0] = 1
     table = _table(G2)
     for arr in (table.coords, table.valuations, table.heights, table.exponents):
         with pytest.raises(ValueError):
