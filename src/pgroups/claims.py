@@ -33,9 +33,9 @@ from .groups import (
 )
 from .indicators import (
     Indicator,
+    _endo_action_claims,
     admissible_glb,
     admissible_lub,
-    check_endo_monotone,
     enumerate_admissible,
     ind_max,
     ind_min,
@@ -82,7 +82,7 @@ from .endos import (
     verify_fun_identities,
     verify_galois_suite,
 )
-from .reports import ClaimReport
+from .reports import ClaimReport, _verdict
 from .symbolic import (
     check_ulm_criterion,
     check_ulm_position_indexing,
@@ -148,14 +148,7 @@ class ClaimContext:
 
 
 def _report(ctx: ClaimContext, claim_id: str, witnesses: list, checked: str, note: str = "") -> ClaimReport:
-    return ClaimReport(
-        claim_id=claim_id,
-        status="refuted" if witnesses else "verified",
-        group=ctx.group.describe(),
-        witnesses=witnesses[:5],
-        checked=checked,
-        note=note,
-    )
+    return _verdict(claim_id, ctx.group.describe(), witnesses[:5], checked, note)
 
 
 def _skip(ctx: ClaimContext, claim_id: str, reason: str) -> ClaimReport:
@@ -508,44 +501,8 @@ def _run_reference_table_rows(ctx: ClaimContext) -> list[ClaimReport]:
 # endomorphism-ring checks
 
 
-def _run_endo_monotone(ctx: ClaimContext) -> list[ClaimReport]:
-    return [check_endo_monotone(ctx.group, max_ring=ctx.max_ring)]
-
-
-def _run_endo_height_exponent(ctx: ClaimContext) -> list[ClaimReport]:
-    """Endomorphisms never decrease height and never increase exponent."""
-    G = ctx.group
-    ring = ctx.ring()
-    n = G.order
-    table = _table(G)
-    h, ex = table.heights[0], table.exponents
-    wit = []
-    for start, block in ring.action_chunks():
-        bad = (h[block] < h[None, :]) | (ex[block] > ex[None, :])
-        if not bad.any():
-            continue
-        for f_off, j in zip(*np.nonzero(bad)):
-            wit.append(
-                {
-                    "endomorphism": ring.endo_of_index(start + int(f_off)).to_json()[
-                        "matrix"
-                    ],
-                    "element": list(ring.element_of_index(int(j)).coords),
-                    "image": list(ring.element_of_index(int(block[f_off, j])).coords),
-                }
-            )
-            if len(wit) >= 5:
-                break
-        if len(wit) >= 5:
-            break
-    return [
-        _report(
-            ctx,
-            "endo-height-exponent",
-            wit,
-            f"{ring.size} endomorphisms x {n} elements",
-        )
-    ]
+def _run_endo_action(ctx: ClaimContext) -> list[ClaimReport]:
+    return _endo_action_claims(ctx.group, max_ring=ctx.max_ring)
 
 
 def _run_rank_subadditivity(ctx: ClaimContext) -> list[ClaimReport]:
@@ -614,7 +571,7 @@ def _run_collision_recipe(ctx: ClaimContext) -> list[ClaimReport]:
             )
         ]
     ctx.ring()
-    got = find_dagger_collision(G)
+    got = find_dagger_collision(G, ideals=ctx.ideals() if homocyclic else None)
     wit = []
     if homocyclic:
         if got is not None:
@@ -802,8 +759,7 @@ _RUNNERS: tuple[_Runner, ...] = (
     _Runner(("path-realization",), _run_path_realization),
     _Runner(("path-count-accounting",), _run_path_count_accounting),
     _Runner(("reference-table-rows",), _run_reference_table_rows),
-    _Runner(("endo-indicator-monotone",), _run_endo_monotone),
-    _Runner(("endo-height-exponent",), _run_endo_height_exponent),
+    _Runner(("endo-height-exponent", "endo-indicator-monotone"), _run_endo_action),
     _Runner(("rank-subadditivity",), _run_rank_subadditivity),
     _Runner(
         (

@@ -26,9 +26,9 @@ generated by the ``r`` rows ``e_s.f``, and End(G) is additively spanned by the
 
 Spans are closed one generator at a time (:func:`_span`).  The claims that
 are exhaustive by statement, ``endo-height-exponent`` and
-``endo-indicator-monotone``, still scan every (endomorphism, element) pair
-through :meth:`EndoRing.action_chunks`; ``rank-subadditivity`` reads
-sampled action rows.
+``endo-indicator-monotone``, still scan every (endomorphism, element) pair,
+both in one pass through :meth:`EndoRing.action_chunks`;
+``rank-subadditivity`` reads sampled action rows.
 
 Both directions, their closure behavior, and several identities about the
 power/socle ideals are checked mechanically by the ``verify_*`` helpers.
@@ -43,7 +43,7 @@ An :class:`Ideal` is a packed set like a subgroup: the sorted indices of its
 members, with the ring's digit radix.  Sums, meets and containment of ideals
 are the shared packed-set operations of :mod:`pgroups.groups`, and
 :func:`enumerate_ideals` closes the principal ideals under sums with the same
-join-closure as the fully invariant lattice.
+join-closure as the oracle of the fully invariant lattice.
 
 Enumeration order of the ring is fixed (matrix positions row-major, entries
 ascending), so every index used here is reproducible run to run.
@@ -66,7 +66,7 @@ from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup
 from .groups import subgroup_leq, subgroup_meet, subgroup_sum
 from .groups import _PackedSet, _grid, _join, _join_closure, _leq, _meet, _members
 from .groups import _span, _subgroup, _table
-from .reports import ClaimReport
+from .reports import ClaimReport, _verdict
 
 #: Largest endomorphism ring that will be enumerated.
 DEFAULT_MAX_RING_ORDER = 2**20
@@ -624,14 +624,15 @@ def dagger_inv_class(G: GroupSpec, H: Subgroup, ideals=None) -> list[Ideal]:
     return [I for I in pool if dagger_ideal(G, I) == H]
 
 
-def find_dagger_collision(G: GroupSpec):
+def find_dagger_collision(G: GroupSpec, ideals=None):
     """Two distinct ideals with the same image subgroup, or None.
 
     Construction first (needs components of two different exponents): with
     ``a`` of minimal and ``b`` of maximal exponent ``e``, the ideal generated
     by (a -> p^(e-1) b, b -> p^(e-1) b) strictly contains the one generated
     by (b -> p^(e-1) b), yet both push forward to the top power subgroup.
-    Falls back to exhaustive ideal enumeration when the ring is small enough.
+    Falls back to searching ``ideals``, by default every ideal when the ring
+    is within the default ideal-enumeration cap.
     """
     p = G.p
     e = G.exponent
@@ -648,14 +649,14 @@ def find_dagger_collision(G: GroupSpec):
         J = ideal_generated(G, [make_endo(G, rows_g)])
         if I != J and dagger_ideal(G, I) == dagger_ideal(G, J):
             return I, J
-    if ring_order(G) <= DEFAULT_MAX_IDEAL_RING_ORDER:
-        pool = enumerate_ideals(G)
-        by_image: dict[Subgroup, Ideal] = {}
-        for I in pool:
-            img = dagger_ideal(G, I)
-            if img in by_image:
-                return by_image[img], I
-            by_image[img] = I
+    if ideals is None and ring_order(G) <= DEFAULT_MAX_IDEAL_RING_ORDER:
+        ideals = enumerate_ideals(G)
+    by_image: dict[Subgroup, Ideal] = {}
+    for I in ideals or ():
+        img = dagger_ideal(G, I)
+        if img in by_image:
+            return by_image[img], I
+        by_image[img] = I
     return None
 
 
@@ -665,16 +666,7 @@ def find_dagger_collision(G: GroupSpec):
 
 def _reports(G: GroupSpec, verdicts) -> list[ClaimReport]:
     """One report per ``(claim id, witnesses, what was checked)``."""
-    return [
-        ClaimReport(
-            claim_id=cid,
-            status="refuted" if ws else "verified",
-            group=G.describe(),
-            witnesses=ws,
-            checked=checked,
-        )
-        for cid, ws, checked in verdicts
-    ]
+    return [_verdict(cid, G.describe(), ws, checked) for cid, ws, checked in verdicts]
 
 
 def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:

@@ -572,12 +572,10 @@ class Subgroup(_PackedSet):
         return f"Subgroup(order={self.order} of {self.group.describe()})"
 
 
-def _subgroup(
-    G: GroupSpec, indices: np.ndarray, fi_form=None, max_size: int | None = None
-) -> Subgroup:
+def _subgroup(G: GroupSpec, indices: np.ndarray, fi_form=None) -> Subgroup:
     """A Subgroup from sorted unique packed indices, after the size cap and
     the zero-element check.  The caller asserts closure."""
-    cap = DEFAULT_MAX_SUBGROUP_SIZE if max_size is None else max_size
+    cap = DEFAULT_MAX_SUBGROUP_SIZE
     if indices.size > cap:
         raise GroupTooLargeError(
             f"subgroup with {indices.size} elements exceeds cap {cap}"
@@ -591,21 +589,18 @@ def subgroup_from_set(
     G: GroupSpec,
     elems: Iterable[Element],
     fi_form: tuple[int, ...] | None = None,
-    max_size: int | None = None,
 ) -> Subgroup:
     """Freeze an element set into a Subgroup with canonical ordering.
 
     The caller asserts closure; this only sorts, dedupes, caps, and checks
     the zero element is present.
     """
-    return _subgroup(G, np.unique(_indices_of(G, elems)), fi_form, max_size)
+    return _subgroup(G, np.unique(_indices_of(G, elems)), fi_form)
 
 
-def subgroup_generated(
-    G: GroupSpec, generators: Iterable[Element], max_size: int | None = None
-) -> Subgroup:
+def subgroup_generated(G: GroupSpec, generators: Iterable[Element]) -> Subgroup:
     """Additive closure of a generating set (cyclic multiples + sums)."""
-    cap = DEFAULT_MAX_SUBGROUP_SIZE if max_size is None else max_size
+    cap = DEFAULT_MAX_SUBGROUP_SIZE
     gens = list(generators)
     for g in gens:
         if g.group != G:
@@ -628,7 +623,7 @@ def subgroup_generated(
             raise GroupTooLargeError(
                 f"generated subgroup exceeded cap {cap} during closure"
             )
-    return subgroup_from_set(G, closed, max_size=cap)
+    return subgroup_from_set(G, closed)
 
 
 def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
@@ -646,9 +641,7 @@ def subgroup_leq(H: Subgroup, K: Subgroup) -> bool:
     return _leq(H, K)
 
 
-def fundamental_subgroup(
-    G: GroupSpec, kappa: int, n: int, max_size: int | None = None
-) -> Subgroup:
+def fundamental_subgroup(G: GroupSpec, kappa: int, n: int) -> Subgroup:
     """The subgroup ``p^kappa G [p^n]`` = elements of height >= kappa killed by p^n.
 
     Within a ``Z(p^e)`` summand it cuts out ``p^min(max(kappa, e-n), e) Z(p^e)``,
@@ -662,12 +655,10 @@ def fundamental_subgroup(
     if kappa < 0 or n < 0:
         raise InvalidInputError("kappa and n must be nonnegative")
     alpha = tuple(min(max(kappa, ncomp - n), ncomp) for ncomp, _ in G.components)
-    return block_subgroup(G, alpha, max_size=max_size)
+    return block_subgroup(G, alpha)
 
 
-def block_subgroup(
-    G: GroupSpec, alpha: tuple[int, ...], max_size: int | None = None
-) -> Subgroup:
+def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     """The subgroup ``p^alpha_1 B_1 (+) ... (+) p^alpha_k B_k``.
 
     ``alpha`` gives one shift per homocyclic component, each within
@@ -679,11 +670,11 @@ def block_subgroup(
         if not 0 <= a <= n:
             raise InvalidInputError(f"shift {a} outside [0, {n}]")
     size = G.p ** sum((n - a) * m for a, (n, m) in zip(alpha, G.components))
-    cap = DEFAULT_MAX_SUBGROUP_SIZE if max_size is None else max_size
+    cap = DEFAULT_MAX_SUBGROUP_SIZE
     if size > cap:
         raise GroupTooLargeError(f"subgroup of order {size} exceeds cap {cap}")
     steps = [G.p**a for a, (_, m) in zip(alpha, G.components) for _ in range(m)]
-    return _subgroup(G, _grid(G, steps), fi_form=tuple(alpha), max_size=cap)
+    return _subgroup(G, _grid(G, steps), fi_form=tuple(alpha))
 
 
 def full_subgroup(G: GroupSpec) -> Subgroup:

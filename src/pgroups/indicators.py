@@ -281,45 +281,72 @@ def indicator_universe(bound: int) -> list[Indicator]:
     return out
 
 
+def _endo_action_claims(G: GroupSpec, max_ring: int | None = None) -> list:
+    """``endo-height-exponent`` and ``endo-indicator-monotone`` from one scan
+    of every (endomorphism, element) pair; each keeps its first five failures
+    in scan order.
+
+    Endomorphisms never lower height nor raise exponent.  They also refine
+    indicators, ``ind(a) precedes ind(a f)``, which is equivalent to
+    ``height(p^k a) <= height(p^k af)`` for every k below exp(G) (the length
+    condition falls out of the infinite height of vanished multiples).
+    """
+    from .endos import get_ring
+    from .reports import _verdict
+
+    ring = get_ring(G, max_ring=max_ring)
+    table = _table(G)
+    h, ex = table.heights[: G.exponent], table.exponents
+    fails = {"endo-height-exponent": [], "endo-indicator-monotone": []}
+    for start, block in ring.action_chunks():
+        bad = {
+            "endo-height-exponent": (h[0, block] < h[0]) | (ex[block] > ex),
+            "endo-indicator-monotone": (h[:, block] < h[:, None]).any(axis=0),
+        }
+        for cid, mask in bad.items():
+            f_offs, xs = np.nonzero(mask)
+            for f_off, x in zip(f_offs, xs[: 5 - len(fails[cid])]):
+                fails[cid].append((start + int(f_off), int(x), int(block[f_off, x])))
+        if all(len(found) >= 5 for found in fails.values()):
+            break
+
+    def pair(f: int, x: int) -> dict:
+        return {
+            "endomorphism": ring.decode(f).tolist(),
+            "element": ring.elem_coords[x].tolist(),
+        }
+
+    return [
+        _verdict(
+            "endo-height-exponent",
+            G.describe(),
+            [
+                {**pair(f, x), "image": ring.elem_coords[y].tolist()}
+                for f, x, y in fails["endo-height-exponent"]
+            ],
+            f"{ring.size} endomorphisms x {G.order} elements",
+        ),
+        _verdict(
+            "endo-indicator-monotone",
+            G.describe(),
+            [
+                {
+                    **pair(f, x),
+                    "indicator": list(ind_of(ring.element_of_index(x)).entries),
+                    "image_indicator": list(ind_of(ring.element_of_index(y)).entries),
+                }
+                for f, x, y in fails["endo-indicator-monotone"]
+            ],
+            f"{G.order} elements x {ring.size} endomorphisms",
+        ),
+    ]
+
+
 def check_endo_monotone(G: GroupSpec, max_ring: int | None = None):
     """Exhaustively confirm that applying an endomorphism refines indicators:
     ``ind(a) precedes ind(a f)`` for every element/endomorphism pair.
 
-    Refinement is equivalent to ``height(p^k a) <= height(p^k af)`` for every
-    k below exp(G) (the length condition falls out of the infinite height of
-    vanished multiples), which vectorizes over the ring's action table.
+    Vectorizes over the ring's action table (see :func:`_endo_action_claims`).
     Returns a claim report; refutation would carry the offending pair.
     """
-    from .endos import get_ring
-    from .reports import ClaimReport
-
-    ring = get_ring(G, max_ring=max_ring)
-    heights = _table(G).heights[: G.exponent]
-    witnesses = []
-    for start, block in ring.action_chunks():
-        ok = (heights[:, block] >= heights[:, None, :]).all(axis=0)
-        if ok.all():
-            continue
-        for f_off, x in zip(*np.nonzero(~ok)):
-            a = ring.element_of_index(int(x))
-            img = ring.element_of_index(int(block[f_off, x]))
-            f = ring.endo_of_index(start + int(f_off))
-            witnesses.append(
-                {
-                    "element": list(a.coords),
-                    "endomorphism": [list(r) for r in f.matrix],
-                    "indicator": list(ind_of(a).entries),
-                    "image_indicator": list(ind_of(img).entries),
-                }
-            )
-            if len(witnesses) >= 5:
-                break
-        if len(witnesses) >= 5:
-            break
-    return ClaimReport(
-        claim_id="endo-indicator-monotone",
-        status="refuted" if witnesses else "verified",
-        group=G.describe(),
-        witnesses=witnesses,
-        checked=f"{G.order} elements x {ring.size} endomorphisms",
-    )
+    return _endo_action_claims(G, max_ring)[1]

@@ -10,10 +10,13 @@ where the shifts satisfy ``a_i <= a_j <= a_i + (n_j - n_i)`` for ``i < j``
 (shifts may not decrease, and may not grow faster than the block exponents).
 That normal form is what :func:`canonical_fi_form` recovers and validates.
 
-Enumeration works from the other end: the smallest fully invariant subgroup
-containing a single element is its orbit under the full endomorphism ring
-(already a subgroup), and arbitrary ones are sums of those, so a pairwise-sum
-fixpoint over single-element closures finds every node.
+Enumeration reads the lattice off the indicators: every fully invariant
+subgroup is the cut ``G(sigma)`` of an admissible indicator (Kaplansky), so
+the nodes are the distinct cuts, one vectorised pass over the height table
+each.  The ``indicator-coverage`` claim checks that against an independent
+oracle: the smallest fully invariant subgroup containing a single element is
+its orbit under the full endomorphism ring, arbitrary ones are sums of those,
+and a pairwise-sum fixpoint over the orbits finds every node.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .errors import (
 from .groups import Element, GroupSpec, Subgroup, block_subgroup, subgroup_leq
 from .groups import _grid, _join, _join_closure, _subgroup, _table
 from .indicators import Indicator, enumerate_admissible, indicator_subgroup
-from .reports import ClaimReport
+from .reports import ClaimReport, _verdict
 
 
 def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
@@ -180,12 +183,19 @@ class FILattice:
         return [subgroup_name(self.group, H) for H in self.nodes]
 
 
+def _by_order(subs) -> list[Subgroup]:
+    """Subgroups in lattice node order: by (order, indices)."""
+    return sorted(subs, key=lambda H: (H.order, H.indices.tolist()))
+
+
 def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
-    """Single-element orbits (each distinct one built once, from its steps; no
-    ring budget applies), then a pairwise-sum fixpoint, then covers."""
-    steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
-    found = _join_closure((_subgroup(G, _grid(G, s)) for s in steps), _join)
-    subs = sorted(found, key=lambda H: (H.order, H.indices.tolist()))
+    """The distinct cuts ``G(sigma)`` of the admissible indicators, each
+    labelled by the indicators that cut it out, then covers.  No ring budget
+    applies."""
+    by_cut: dict[Subgroup, list[Indicator]] = {}
+    for sigma in sorted(enumerate_admissible(G), key=lambda s: (s.length, s.entries)):
+        by_cut.setdefault(indicator_subgroup(G, sigma), []).append(sigma)
+    subs = _by_order(by_cut)
     # containment matrix -> transitive reduction (distinct nodes, so <= with
     # i != j is already strict)
     n = len(subs)
@@ -199,21 +209,11 @@ def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
         )
         if not between:
             edges.append((i, j))
-    node_of = {H: i for i, H in enumerate(subs)}
-    by_node: dict[int, list[Indicator]] = {}
-    for sigma in enumerate_admissible(G):
-        i = node_of.get(indicator_subgroup(G, sigma))
-        if i is not None:
-            by_node.setdefault(i, []).append(sigma)
-    labels = tuple(
-        tuple(sorted(by_node.get(i, []), key=lambda s: (s.length, s.entries)))
-        for i in range(n)
-    )
     return FILattice(
         group=G,
         nodes=tuple(subs),
         hasse_edges=tuple(sorted(edges)),
-        sigma_labels=labels,
+        sigma_labels=tuple(tuple(by_cut[H]) for H in subs),
     )
 
 
@@ -297,31 +297,32 @@ def hasse_export(L: FILattice, format: str = "json") -> str:
 def verify_indicator_coverage(G: GroupSpec, lattice: FILattice | None = None) -> ClaimReport:
     """Every fully invariant subgroup is cut out by an admissible indicator,
     and distinct admissible indicators cut out distinct subgroups exactly
-    when the indicator is realizable."""
+    when the indicator is realizable.
+
+    The lattice is read off the cuts, so its nodes are checked against an
+    independent oracle: sums of single-element orbits, closed under pairwise
+    sums."""
     from .indicators import is_realizable
 
     if lattice is None:
         lattice = enumerate_fi_subgroups(G)
+    steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
+    sums = set(_join_closure((_subgroup(G, _grid(G, s)) for s in steps), _join))
+    nodes = set(lattice.nodes)
+    witnesses = [{"missing_subgroup_order": H.order} for H in _by_order(sums - nodes)]
+    witnesses += [{"extra_subgroup_order": H.order} for H in _by_order(nodes - sums)]
     by_sigma = {s: indicator_subgroup(G, s) for s in enumerate_admissible(G)}
-    node_set = set(lattice.nodes)
-    cut_out = set(by_sigma.values())
-    witnesses = []
-    for H in node_set - cut_out:
-        witnesses.append({"missing_subgroup_order": H.order})
-    for H in cut_out - node_set:
-        witnesses.append({"extra_subgroup_order": H.order})
     realizable = {s for s in by_sigma if is_realizable(G, s)}
     distinct = len({by_sigma[s] for s in realizable})
     if distinct != len(realizable):
         witnesses.append(
             {"realizable": len(realizable), "distinct_subgroups": distinct}
         )
-    return ClaimReport(
-        claim_id="indicator-coverage",
-        status="refuted" if witnesses else "verified",
-        group=G.describe(),
-        witnesses=witnesses[:5],
-        checked=f"{len(by_sigma)} admissible indicators vs {len(node_set)} nodes",
+    return _verdict(
+        "indicator-coverage",
+        G.describe(),
+        witnesses[:5],
+        f"{len(by_sigma)} admissible indicators vs {len(sums)} nodes",
     )
 
 
@@ -340,10 +341,9 @@ def check_fundamental_containment(G: GroupSpec) -> ClaimReport:
         outer = fundamental_subgroup(G, sigma.entries[0], len(sigma.entries))
         if not subgroup_leq(cut, outer):
             witnesses.append({"indicator": str(sigma)})
-    return ClaimReport(
-        claim_id="fundamental-containment",
-        status="refuted" if witnesses else "verified",
-        group=G.describe(),
-        witnesses=witnesses,
-        checked=f"{count} nonempty admissible indicators",
+    return _verdict(
+        "fundamental-containment",
+        G.describe(),
+        witnesses,
+        f"{count} nonempty admissible indicators",
     )

@@ -39,7 +39,7 @@ from .groups import (
     zero_subgroup,
 )
 from .indicators import Indicator, is_admissible
-from .reports import ClaimReport
+from .reports import ClaimReport, _verdict
 
 
 @dataclass(frozen=True)
@@ -303,20 +303,8 @@ def verify_sigma_sum(
             cont_witnesses.append({"indicator": list(sigma.entries)})
     checked = f"{len(verdicts)} admissible indicators"
     return [
-        ClaimReport(
-            claim_id="sigma-sum-equality",
-            status="refuted" if eq_witnesses else "verified",
-            group=name,
-            witnesses=eq_witnesses,
-            checked=checked,
-        ),
-        ClaimReport(
-            claim_id="sigma-sum-containment",
-            status="refuted" if cont_witnesses else "verified",
-            group=name,
-            witnesses=cont_witnesses,
-            checked=checked,
-        ),
+        _verdict("sigma-sum-equality", name, eq_witnesses, checked),
+        _verdict("sigma-sum-containment", name, cont_witnesses, checked),
     ]
 
 
@@ -336,12 +324,11 @@ def check_monotone(M: FundMatrix) -> ClaimReport:
         for j in range(e):
             if not subgroup_leq(M.entry(i, j), M.entry(i + 1, j)):
                 witnesses.append({"cells": [[i, j], [i + 1, j]]})
-    return ClaimReport(
-        claim_id="matrix-monotone",
-        status="refuted" if witnesses else "verified",
-        group=M.group.describe(),
-        witnesses=witnesses,
-        checked=f"{e * e} cells, all adjacent comparisons",
+    return _verdict(
+        "matrix-monotone",
+        M.group.describe(),
+        witnesses,
+        f"{e * e} cells, all adjacent comparisons",
     )
 
 
@@ -352,12 +339,11 @@ def check_distinct(M: FundMatrix) -> ClaimReport:
     for a, b in itertools.combinations(cells, 2):
         if M.entry(*a) == M.entry(*b):
             witnesses.append({"cells": [list(a), list(b)]})
-    return ClaimReport(
-        claim_id="matrix-distinct-entries",
-        status="refuted" if witnesses else "verified",
-        group=M.group.describe(),
-        witnesses=witnesses,
-        checked=f"{len(cells)} display cells, all pairs",
+    return _verdict(
+        "matrix-distinct-entries",
+        M.group.describe(),
+        witnesses,
+        f"{len(cells)} display cells, all pairs",
     )
 
 
@@ -386,20 +372,8 @@ def check_join_meet(M: FundMatrix) -> list[ClaimReport]:
     name = M.group.describe()
     checked = f"{len(cells) * (len(cells) - 1) // 2} cell pairs"
     return [
-        ClaimReport(
-            claim_id="matrix-meet-formula",
-            status="refuted" if meet_witnesses else "verified",
-            group=name,
-            witnesses=meet_witnesses,
-            checked=checked,
-        ),
-        ClaimReport(
-            claim_id="matrix-join-formula",
-            status="refuted" if join_witnesses else "verified",
-            group=name,
-            witnesses=join_witnesses,
-            checked=checked,
-        ),
+        _verdict("matrix-meet-formula", name, meet_witnesses, checked),
+        _verdict("matrix-join-formula", name, join_witnesses, checked),
     ]
 
 
@@ -426,20 +400,8 @@ def check_quartering(M: FundMatrix) -> list[ClaimReport]:
     e = M.exponent
     checked = f"{e * e} centers, full grid per center"
     return [
-        ClaimReport(
-            claim_id="quartering-containments",
-            status="refuted" if contain_witnesses else "verified",
-            group=name,
-            witnesses=contain_witnesses[:5],
-            checked=checked,
-        ),
-        ClaimReport(
-            claim_id="quartering-incomparability",
-            status="refuted" if incomp_witnesses else "verified",
-            group=name,
-            witnesses=incomp_witnesses[:5],
-            checked=checked,
-        ),
+        _verdict("quartering-containments", name, contain_witnesses[:5], checked),
+        _verdict("quartering-incomparability", name, incomp_witnesses[:5], checked),
     ]
 
 
@@ -458,12 +420,11 @@ def check_alias(M: FundMatrix) -> ClaimReport:
             alias(M, i, j)
         except NoAliasError:
             witnesses.append({"cell": [i, j]})
-    return ClaimReport(
-        claim_id="alias-to-marker",
-        status="refuted" if witnesses else "verified",
-        group=M.group.describe(),
-        witnesses=witnesses,
-        checked=f"{total} nonzero non-marker cells",
+    return _verdict(
+        "alias-to-marker",
+        M.group.describe(),
+        witnesses,
+        f"{total} nonzero non-marker cells",
     )
 
 
@@ -486,12 +447,11 @@ def check_path_roundtrip(M: FundMatrix) -> ClaimReport:
         P = indicator_to_path(M, sigma)
         if path_to_indicator(P) != sigma:
             witnesses.append({"indicator": list(sigma.entries)})
-    return ClaimReport(
-        claim_id="path-roundtrip",
-        status="refuted" if witnesses else "verified",
-        group=M.group.describe(),
-        witnesses=witnesses,
-        checked=f"{count} paths and all admissible indicators",
+    return _verdict(
+        "path-roundtrip",
+        M.group.describe(),
+        witnesses,
+        f"{count} paths and all admissible indicators",
     )
 
 
@@ -532,11 +492,10 @@ def path_chain_check(
                         "cell_order": cell.order,
                     }
                 )
-    return ClaimReport(
-        claim_id="path-subgroup-chain",
-        status="refuted" if witnesses else "verified",
-        group=G.describe(),
-        witnesses=witnesses[:5],
-        checked=f"{checked} path cells",
-        note="reverse containment (cells inside G(sigma)) is the verified half",
+    return _verdict(
+        "path-subgroup-chain",
+        G.describe(),
+        witnesses[:5],
+        f"{checked} path cells",
+        "reverse containment (cells inside G(sigma)) is the verified half",
     )

@@ -38,8 +38,8 @@ class ClaimReport:
     def __post_init__(self):
         if self.status not in VERDICTS:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status == "refuted" and not self.witnesses:
-            raise ValueError("refuted reports must carry at least one witness")
+        if (self.status == "refuted") != bool(self.witnesses):
+            raise ValueError("a report carries witnesses exactly when it is refuted")
 
     def to_json(self, include_timing: bool = False) -> dict:
         data = {
@@ -62,6 +62,20 @@ class ClaimReport:
             sort_keys=True,
             separators=(",", ":"),
         )
+
+
+def _verdict(
+    claim_id: str, group: str, witnesses: list, checked: str, note: str = ""
+) -> ClaimReport:
+    """The report of a check: refuted exactly when it found witnesses."""
+    return ClaimReport(
+        claim_id=claim_id,
+        status="refuted" if witnesses else "verified",
+        group=group,
+        witnesses=witnesses,
+        checked=checked,
+        note=note,
+    )
 
 
 def load_allowlist() -> dict[str, str]:

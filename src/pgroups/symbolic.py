@@ -27,7 +27,7 @@ from .errors import (
     ShapeViolationError,
 )
 from .groups import GroupSpec, ulm_invariants
-from .reports import ClaimReport
+from .reports import ClaimReport, _verdict
 
 
 # --------------------------------------------------------------------------
@@ -382,12 +382,11 @@ def check_ulm_criterion(seq: UlmSequence) -> ClaimReport:
                 break
         if witnesses:
             break
-    return ClaimReport(
-        claim_id="ulm-criterion",
-        status="refuted" if witnesses else "verified",
-        group=f"sequence of length {seq.length}",
-        witnesses=witnesses,
-        checked=f"{checked} window positions",
+    return _verdict(
+        "ulm-criterion",
+        f"sequence of length {seq.length}",
+        witnesses,
+        f"{checked} window positions",
     )
 
 
@@ -564,12 +563,11 @@ def check_basic_sequence_admissible(
                 }
             )
             break
-    return ClaimReport(
-        claim_id="basic-sequence-admissible",
-        status="refuted" if witnesses else "verified",
-        group=f"sequence of {len(blocks)} blocks",
-        witnesses=witnesses,
-        checked=f"{max(len(blocks) - 1, 0)} rank comparisons",
+    return _verdict(
+        "basic-sequence-admissible",
+        f"sequence of {len(blocks)} blocks",
+        witnesses,
+        f"{max(len(blocks) - 1, 0)} rank comparisons",
     )
 
 
@@ -754,19 +752,17 @@ def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
                     }
                 )
     return [
-        ClaimReport(
-            claim_id="descriptor-rule-as-stated",
-            status="refuted" if stated_wit else "verified",
-            group=name,
-            witnesses=stated_wit[:5],
-            checked=f"{checked} comparable descriptor pairs",
+        _verdict(
+            "descriptor-rule-as-stated",
+            name,
+            stated_wit[:5],
+            f"{checked} comparable descriptor pairs",
         ),
-        ClaimReport(
-            claim_id="descriptor-rule-empirical",
-            status="refuted" if empirical_wit else "verified",
-            group=name,
-            witnesses=empirical_wit[:5],
-            checked=f"{checked} comparable descriptor pairs",
+        _verdict(
+            "descriptor-rule-empirical",
+            name,
+            empirical_wit[:5],
+            f"{checked} comparable descriptor pairs",
         ),
     ]
 
@@ -796,11 +792,10 @@ def check_ulm_position_indexing(G: GroupSpec) -> ClaimReport:
         if shifted_ok
         else "shifted indexing fails too"
     )
-    return ClaimReport(
-        claim_id="ulm-position-indexing",
-        status="refuted" if stated_wit else "verified",
-        group=G.describe(),
-        witnesses=stated_wit[:5],
-        checked=f"{len(G.components)} components",
-        note=note if stated_wit else "",
+    return _verdict(
+        "ulm-position-indexing",
+        G.describe(),
+        stated_wit[:5],
+        f"{len(G.components)} components",
+        note if stated_wit else "",
     )

@@ -11,6 +11,7 @@ from pgroups import (
     InvalidInputError,
     VERDICTS,
     all_claim_ids,
+    enumerate_ideals,
     load_allowlist,
     make_group,
     run_claims,
@@ -82,6 +83,9 @@ class TestReportType:
         with pytest.raises(ValueError):
             ClaimReport(claim_id="x", status="refuted", group="G")
         ClaimReport(claim_id="x", status="refuted", group="G", witnesses=[{"a": 1}])
+        for status in ("verified", "skipped"):  # and only refutations carry them
+            with pytest.raises(ValueError):
+                ClaimReport(claim_id="x", status=status, group="G", witnesses=[{"a": 1}])
 
     def test_render_is_deterministic_json(self):
         r = ClaimReport(claim_id="x", status="verified", group="G", checked="n=3")
@@ -222,3 +226,20 @@ class TestRunClaims:
     def test_homocyclic_chain_runs_on_homocyclic_groups(self, homocyclic44):
         (report,) = run_claims(homocyclic44, ids=["homocyclic-ideal-chain"])
         assert report.status == "verified"
+
+    def test_collision_recipe_searches_the_callers_ideal_budget(self, monkeypatch):
+        import pgroups.claims
+        import pgroups.endos
+
+        calls = []
+
+        def spy(G, max_ring=None):
+            calls.append(max_ring)
+            return enumerate_ideals(G, max_ring=max_ring)
+
+        for module in (pgroups.claims, pgroups.endos):
+            monkeypatch.setattr(module, "enumerate_ideals", spy)
+        G = make_group(3, [(2, 2)])  # |End| = 6561, above the default 4096
+        (report,) = run_claims(G, ids=["collision-recipe"], max_ideals=8192)
+        assert calls == [8192]  # absence is certified by searching every ideal
+        assert (report.status, report.checked) == ("verified", "exhaustive ideal enumeration")

@@ -6,9 +6,13 @@ every endomorphism.
 """
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pgroups
 from pgroups import (
     CanonicalFormMismatchError,
     FILattice,
@@ -20,11 +24,13 @@ from pgroups import (
     block_subgroup,
     canonical_fi_form,
     check_fundamental_containment,
+    enumerate_admissible,
     enumerate_elements,
     enumerate_endos,
     enumerate_fi_subgroups,
     fi_closure,
     hasse_export,
+    indicator_subgroup,
     is_valid_fi_form,
     lattice_stats,
     make_group,
@@ -204,6 +210,45 @@ def test_every_node_is_an_indicator_cut(G2):
     lattice = enumerate_fi_subgroups(G2)
     assert all(labels for labels in lattice.sigma_labels)
     assert sum(len(labels) for labels in lattice.sigma_labels) == 13
+
+
+ROSTER = ["G2", "G3", "small24", "small28", "small39", "small224", "small248", "homocyclic44"]
+
+
+@pytest.mark.parametrize("fixture", ROSTER)
+def test_each_admissible_indicator_labels_one_node(fixture, request):
+    G = request.getfixturevalue(fixture)
+    lattice = enumerate_fi_subgroups(G)
+    labels = [s for node_labels in lattice.sigma_labels for s in node_labels]
+    assert sorted(labels, key=str) == sorted(enumerate_admissible(G), key=str)
+    for H, node_labels in zip(lattice.nodes, lattice.sigma_labels):
+        assert all(indicator_subgroup(G, s) == H for s in node_labels)
+
+
+SRC = os.path.dirname(os.path.dirname(pgroups.__file__))
+
+
+def test_coverage_witnesses_ignore_the_hash_seed():
+    # a forged lattice: the cyclic subgroups of Z(4) + Z(16), most of them
+    # not fully invariant, so the report lists missing and extra nodes
+    script = """
+from pgroups import FILattice, enumerate_elements, make_group, subgroup_generated
+from pgroups import verify_indicator_coverage
+G = make_group(2, [(2, 1), (4, 1)])
+cyclic = {subgroup_generated(G, [a]) for a in enumerate_elements(G)}
+nodes = tuple(sorted(cyclic, key=lambda H: (H.order, H.indices.tolist())))
+forged = FILattice(G, nodes, (), ((),) * len(nodes))
+print(verify_indicator_coverage(G, lattice=forged).render())
+"""
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(done.stdout)
+    assert json.loads(outputs[0])["status"] == "refuted"
+    assert outputs[0] == outputs[1]
 
 
 def test_label_multiplicities(G2):

@@ -48,6 +48,11 @@ def test_lattice_builds_each_orbit_once():
     assert enumerate_fi_subgroups(G).node_count == 2
     # one orbit per element (65536 subgroups of up to |G| elements) takes minutes
     assert time.perf_counter() - start < 20
+    # the coverage claim's oracle builds the distinct orbits the same way
+    start = time.perf_counter()
+    (report,) = run_claims(G, ids=["indicator-coverage"])
+    assert time.perf_counter() - start < 20
+    assert report.status == "verified"
 
 
 def test_fi_closure_indicator_is_one_pass():
