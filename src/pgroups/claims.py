@@ -1,10 +1,13 @@
 """Claim registry: every mechanically checkable statement, keyed by stable id.
 
-Each runner produces one or more :class:`ClaimReport`s for a single group.
-Runners share a :class:`ClaimContext` that lazily materializes the expensive
-artifacts (admissible indicators, fundamental matrix, fully invariant lattice,
-the endomorphism ring and its ideal lattice) under the caller's budgets; a budget
-overrun downgrades every claim of that runner to ``skipped`` rather than
+Each runner is registered where it is defined: ``_claim(id)`` for a runner of
+one claim, which returns what it found and gets its report built, and
+``_suite(*ids)`` for a runner that returns its reports itself.  Runners share
+a :class:`ClaimContext` that lazily materializes the expensive artifacts
+(admissible indicators, fundamental matrix, fully invariant lattice, the
+endomorphism ring and its ideal lattice) under the caller's budgets.  A budget
+overrun, or a ``_Skip`` raised by a runner whose claims do not apply to the
+group, downgrades every claim of that runner to ``skipped`` rather than
 failing the whole run.
 
 ``run_claims`` is the single entry point used by the CLI ``verify``
@@ -16,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -157,11 +160,52 @@ def _skip(ctx: ClaimContext, claim_id: str, reason: str) -> ClaimReport:
     )
 
 
+class _Skip(Exception):
+    """Raised by a runner whose claims do not apply to the group; the message
+    is the reason every one of its reports gives."""
+
+
+@dataclass(frozen=True)
+class _Runner:
+    ids: tuple[str, ...]
+    fn: Callable[[ClaimContext], list[ClaimReport]]
+
+
+#: Filled by ``_suite`` and ``_claim`` in definition order, which decides the
+#: runner that first fills each of ``ClaimContext``'s cached artifacts.
+_RUNNERS: list[_Runner] = []
+
+#: What a one-claim runner found: ``(witnesses, checked)`` or
+#: ``(witnesses, checked, note)``.
+_Found = Union[tuple[list, str], tuple[list, str, str]]
+
+
+def _suite(*ids: str):
+    """Register a runner that returns the reports of ``ids`` itself."""
+
+    def register(fn: Callable[[ClaimContext], list[ClaimReport]]):
+        _RUNNERS.append(_Runner(ids, fn))
+        return fn
+
+    return register
+
+
+def _claim(claim_id: str):
+    """Register a runner of one claim; its report is built from what it found."""
+
+    def register(fn: Callable[[ClaimContext], _Found]):
+        _suite(claim_id)(lambda ctx: [_report(ctx, claim_id, *fn(ctx))])
+        return fn
+
+    return register
+
+
 # --------------------------------------------------------------------------
 # indicator-order checks
 
 
-def _run_indicator_antitone(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("indicator-antitone")
+def _run_indicator_antitone(ctx: ClaimContext) -> _Found:
     """Refinement of indicators reverses containment of the cut-out subgroups."""
     G = ctx.group
     adm = ctx.admissible()
@@ -170,18 +214,15 @@ def _run_indicator_antitone(ctx: ClaimContext) -> list[ClaimReport]:
     for s, t in itertools.permutations(adm, 2):
         if precedes(s, t) and not subgroup_leq(subs[t], subs[s]):
             wit.append({"sigma": list(s.entries), "tau": list(t.entries)})
-    return [
-        _report(
-            ctx,
-            "indicator-antitone",
-            wit,
-            f"{len(adm) * (len(adm) - 1)} ordered admissible pairs",
-            note="one direction only; distinct indicators can cut out equal subgroups",
-        )
-    ]
+    return (
+        wit,
+        f"{len(adm) * (len(adm) - 1)} ordered admissible pairs",
+        "one direction only; distinct indicators can cut out equal subgroups",
+    )
 
 
-def _run_min_admissible_bottom(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("min-admissible-bottom")
+def _run_min_admissible_bottom(ctx: ClaimContext) -> _Found:
     """The dense indicator (0,...,e-1) is admissible, below everything, and
     cuts out the whole group."""
     G = ctx.group
@@ -194,17 +235,11 @@ def _run_min_admissible_bottom(ctx: ClaimContext) -> list[ClaimReport]:
             wit.append({"failure": "not below", "sigma": list(s.entries)})
     if indicator_subgroup(G, bottom).order != G.order:
         wit.append({"failure": "does not cut out G"})
-    return [
-        _report(
-            ctx,
-            "min-admissible-bottom",
-            wit,
-            f"{len(ctx.admissible())} admissible indicators",
-        )
-    ]
+    return wit, f"{len(ctx.admissible())} admissible indicators"
 
 
-def _run_admissible_minmax_closure(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("admissible-minmax-closure")
+def _run_admissible_minmax_closure(ctx: ClaimContext) -> _Found:
     """Stated: pointwise min/max of admissible indicators stays admissible."""
     G = ctx.group
     adm = ctx.admissible()
@@ -231,14 +266,11 @@ def _run_admissible_minmax_closure(ctx: ClaimContext) -> list[ClaimReport]:
                 }
             )
     n = len(adm)
-    return [
-        _report(
-            ctx, "admissible-minmax-closure", wit, f"{n * (n - 1) // 2} unordered pairs"
-        )
-    ]
+    return wit, f"{n * (n - 1) // 2} unordered pairs"
 
 
-def _run_admissible_pair_bounds(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("admissible-pair-bounds")
+def _run_admissible_pair_bounds(ctx: ClaimContext) -> _Found:
     """Stated: every admissible pair has a greatest admissible lower bound
     and a least admissible upper bound."""
     G = ctx.group
@@ -251,14 +283,11 @@ def _run_admissible_pair_bounds(ctx: ClaimContext) -> list[ClaimReport]:
         if admissible_lub(G, s, t, universe=universe) is None:
             wit.append({"missing": "lub", "sigma": list(s.entries), "tau": list(t.entries)})
     n = len(adm)
-    return [
-        _report(
-            ctx, "admissible-pair-bounds", wit, f"{n * (n - 1) // 2} unordered pairs"
-        )
-    ]
+    return wit, f"{n * (n - 1) // 2} unordered pairs"
 
 
-def _run_segment_realizability(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("segment-realizability")
+def _run_segment_realizability(ctx: ClaimContext) -> _Found:
     """Stated: every contiguous segment of a realizable indicator is realizable."""
     G = ctx.group
     wit = []
@@ -272,17 +301,11 @@ def _run_segment_realizability(ctx: ClaimContext) -> list[ClaimReport]:
                     wit.append(
                         {"indicator": list(s.entries), "segment": list(seg.entries)}
                     )
-    return [
-        _report(
-            ctx,
-            "segment-realizability",
-            wit,
-            f"all segments of {len(realizable)} realizable indicators",
-        )
-    ]
+    return wit, f"all segments of {len(realizable)} realizable indicators"
 
 
-def _run_indicator_subgroups_invariant(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("indicator-subgroups-invariant")
+def _run_indicator_subgroups_invariant(ctx: ClaimContext) -> _Found:
     """Every indicator subgroup is fully invariant."""
     G = ctx.group
     ring = _cached_ring(G)  # the shape only: no ring budget
@@ -291,17 +314,11 @@ def _run_indicator_subgroups_invariant(ctx: ClaimContext) -> list[ClaimReport]:
         H = indicator_subgroup(G, s)
         if not ring.is_fully_invariant(H):
             wit.append({"sigma": list(s.entries), "order": H.order})
-    return [
-        _report(
-            ctx,
-            "indicator-subgroups-invariant",
-            wit,
-            f"{len(ctx.admissible())} admissible indicators",
-        )
-    ]
+    return wit, f"{len(ctx.admissible())} admissible indicators"
 
 
-def _run_fi_closure_indicator(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("fi-closure-indicator")
+def _run_fi_closure_indicator(ctx: ClaimContext) -> _Found:
     """The smallest fully invariant subgroup containing ``a`` is exactly the
     subgroup cut out by a's own indicator.
 
@@ -327,20 +344,15 @@ def _run_fi_closure_indicator(ctx: ClaimContext) -> list[ClaimReport]:
         }
         for x in np.flatnonzero(np.isin(kind, list(orders)))[:5]
     ]
-    return [_report(ctx, "fi-closure-indicator", wit, f"{G.order} elements")]
+    return wit, f"{G.order} elements"
 
 
-def _run_indicator_transitivity(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("indicator-transitivity")
+def _run_indicator_transitivity(ctx: ClaimContext) -> _Found:
     """If ind(a) refines ind(b), some endomorphism maps a onto b."""
     G = ctx.group
     if G.order > TRANSITIVITY_MAX_ORDER:
-        return [
-            _skip(
-                ctx,
-                "indicator-transitivity",
-                f"|G| = {G.order} exceeds the quadratic-orbit bound {TRANSITIVITY_MAX_ORDER}",
-            )
-        ]
+        raise _Skip(f"|G| = {G.order} exceeds the quadratic-orbit bound {TRANSITIVITY_MAX_ORDER}")
     ring = _cached_ring(G)  # the shape only: no ring budget
     elements = enumerate_elements(G)
     inds = [ind_of(a) for a in elements]
@@ -351,18 +363,15 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> list[ClaimReport]:
         for j, b in enumerate(elements):
             if precedes(inds[i], inds[j]) and not in_orbit[j]:
                 wit.append({"from": list(a.coords), "to": list(b.coords)})
-    return [
-        _report(
-            ctx, "indicator-transitivity", wit, f"{len(elements)}^2 ordered pairs"
-        )
-    ]
+    return wit, f"{len(elements)}^2 ordered pairs"
 
 
 # --------------------------------------------------------------------------
 # fundamental-subgroup and matrix checks
 
 
-def _run_fundamental_order_iff(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("fundamental-order-iff")
+def _run_fundamental_order_iff(ctx: ClaimContext) -> _Found:
     """Stated: containment of two-parameter subgroups holds exactly when the
     parameters are ordered (deeper height, smaller torsion bound)."""
     G = ctx.group
@@ -382,11 +391,22 @@ def _run_fundamental_order_iff(ctx: ClaimContext) -> list[ClaimReport]:
                     "containment": actual,
                 }
             )
-    return [
-        _report(ctx, "fundamental-order-iff", wit, f"{len(cells)}^2 parameter pairs")
-    ]
+    return wit, f"{len(cells)}^2 parameter pairs"
 
 
+@_suite(
+    "matrix-monotone",
+    "matrix-distinct-entries",
+    "matrix-meet-formula",
+    "matrix-join-formula",
+    "quartering-containments",
+    "quartering-incomparability",
+    "alias-to-marker",
+    "path-roundtrip",
+    "path-subgroup-chain",
+    "sigma-sum-equality",
+    "sigma-sum-containment",
+)
 def _run_matrix_suite(ctx: ClaimContext) -> list[ClaimReport]:
     M = ctx.matrix()
     G = ctx.group
@@ -400,7 +420,8 @@ def _run_matrix_suite(ctx: ClaimContext) -> list[ClaimReport]:
     return out
 
 
-def _run_path_realization(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("path-realization")
+def _run_path_realization(ctx: ClaimContext) -> _Found:
     """Stated: the column sequence of every rising path is the indicator of
     some element."""
     G = ctx.group
@@ -415,27 +436,14 @@ def _run_path_realization(ctx: ClaimContext) -> list[ClaimReport]:
         seen.add(sigma)
         if not is_realizable(G, sigma):
             wit.append({"columns": list(sigma.entries)})
-    return [
-        _report(
-            ctx,
-            "path-realization",
-            wit,
-            f"{len(paths)} paths, {len(seen)} distinct column sequences",
-        )
-    ]
+    return wit, f"{len(paths)} paths, {len(seen)} distinct column sequences"
 
 
-def _run_path_count_accounting(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("path-count-accounting")
+def _run_path_count_accounting(ctx: ClaimContext) -> _Found:
     """The bundled per-length path tally, against exhaustive enumeration."""
-    G = ctx.group
-    if G.components != ((2, 1), (4, 1)):
-        return [
-            _skip(
-                ctx,
-                "path-count-accounting",
-                "tally is bundled for the Z(p^2)+Z(p^4) shape only",
-            )
-        ]
+    if ctx.group.components != ((2, 1), (4, 1)):
+        raise _Skip("tally is bundled for the Z(p^2)+Z(p^4) shape only")
     computed = path_tally(ctx.matrix())
     wit = []
     if computed != REFERENCE_PATH_TALLY or sum(computed.values()) != REFERENCE_PATH_TOTAL:
@@ -447,28 +455,19 @@ def _run_path_count_accounting(ctx: ClaimContext) -> list[ClaimReport]:
                 "computed_total": sum(computed.values()),
             }
         )
-    return [
-        _report(
-            ctx,
-            "path-count-accounting",
-            wit,
-            "exhaustive rising-path enumeration",
-            note="listed tally counts column sequences by largest column, not paths",
-        )
-    ]
+    return (
+        wit,
+        "exhaustive rising-path enumeration",
+        "listed tally counts column sequences by largest column, not paths",
+    )
 
 
-def _run_reference_table_rows(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("reference-table-rows")
+def _run_reference_table_rows(ctx: ClaimContext) -> _Found:
     """Each bundled table row: does its indicator cut out the listed subgroup?"""
     G = ctx.group
     if G.components != ((2, 1), (4, 1)):
-        return [
-            _skip(
-                ctx,
-                "reference-table-rows",
-                "table is bundled for the Z(p^2)+Z(p^4) shape only",
-            )
-        ]
+        raise _Skip("table is bundled for the Z(p^2)+Z(p^4) shape only")
     wit = []
     annotation_ok = True
     for row in REFERENCE_TABLE:
@@ -492,20 +491,20 @@ def _run_reference_table_rows(ctx: ClaimContext) -> list[ClaimReport]:
         if annotation_ok
         else "bundled corrections disagree with recomputation"
     )
-    return [
-        _report(ctx, "reference-table-rows", wit, f"{len(REFERENCE_TABLE)} rows", note)
-    ]
+    return wit, f"{len(REFERENCE_TABLE)} rows", note
 
 
 # --------------------------------------------------------------------------
 # endomorphism-ring checks
 
 
+@_suite("endo-height-exponent", "endo-indicator-monotone")
 def _run_endo_action(ctx: ClaimContext) -> list[ClaimReport]:
     return _endo_action_claims(ctx.group, max_ring=ctx.max_ring)
 
 
-def _run_rank_subadditivity(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("rank-subadditivity")
+def _run_rank_subadditivity(ctx: ClaimContext) -> _Found:
     """Image rank of a sum of endomorphisms is at most the sum of the ranks.
 
     Rank here is the p-log of the image's socle size, read off the action
@@ -537,39 +536,50 @@ def _run_rank_subadditivity(ctx: ClaimContext) -> list[ClaimReport]:
                 }
             )
     mode = "exhaustive" if step == 1 else f"stride-{step} sample"
-    return [
-        _report(
-            ctx,
-            "rank-subadditivity",
-            wit,
-            f"{mode}: {len(sel)} endomorphisms pairwise",
-        )
-    ]
+    return wit, f"{mode}: {len(sel)} endomorphisms pairwise"
 
 
+@_suite(
+    "power-ideal-dagger",
+    "power-subgroup-dagger",
+    "socle-ideal-dagger",
+    "socle-subgroup-dagger",
+)
 def _run_fun_identities(ctx: ClaimContext) -> list[ClaimReport]:
     ctx.ring()  # daggers need the full ring
     return verify_fun_identities(ctx.group)
 
 
+@_suite(
+    "dagger-well-defined",
+    "dagger-order",
+    "dagger-sum-preservation",
+    "dagger-intersection-preservation",
+    "subgroup-double-dagger-deflation",
+    "fi-dagger-closed",
+    "ideal-double-dagger-deflation",
+    "ideal-double-dagger-inflation",
+    "dagger-triple",
+    "dagger-closed-equivalences",
+    "closed-lattice-isomorphism",
+    "dagger-class-structure",
+    "fundamental-dagger-closed",
+)
 def _run_galois_suite(ctx: ClaimContext) -> list[ClaimReport]:
     return verify_galois_suite(ctx.group, nodes=ctx.lattice().nodes, ideals=ctx.ideals())
 
 
-def _run_collision_recipe(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("collision-recipe")
+def _run_collision_recipe(ctx: ClaimContext) -> _Found:
     """Non-homocyclic groups admit two distinct ideals with equal image;
     homocyclic groups do not."""
     G = ctx.group
     homocyclic = len(G.components) == 1
     if homocyclic and ring_order(G) > ctx.max_ideals:
-        return [
-            _skip(
-                ctx,
-                "collision-recipe",
-                f"|End(G)| = {ring_order(G)} exceeds the ideal-enumeration cap"
-                f" {ctx.max_ideals} needed to certify absence",
-            )
-        ]
+        raise _Skip(
+            f"|End(G)| = {ring_order(G)} exceeds the ideal-enumeration cap"
+            f" {ctx.max_ideals} needed to certify absence"
+        )
     ctx.ring()
     got = find_dagger_collision(G, ideals=ctx.ideals() if homocyclic else None)
     wit = []
@@ -577,31 +587,24 @@ def _run_collision_recipe(ctx: ClaimContext) -> list[ClaimReport]:
         if got is not None:
             I, J = got
             wit.append({"unexpected_pair_sizes": [I.size, J.size]})
-        checked = "exhaustive ideal enumeration"
+        return wit, "exhaustive ideal enumeration"
+    if got is None:
+        wit.append({"failure": "no pair found"})
     else:
-        if got is None:
-            wit.append({"failure": "no pair found"})
-        else:
-            I, J = got
-            if I == J:
-                wit.append({"failure": "pair not distinct"})
-            elif dagger_ideal(G, I) != dagger_ideal(G, J):
-                wit.append({"failure": "images differ", "sizes": [I.size, J.size]})
-        checked = "constructed pair validated"
-    return [_report(ctx, "collision-recipe", wit, checked)]
+        I, J = got
+        if I == J:
+            wit.append({"failure": "pair not distinct"})
+        elif dagger_ideal(G, I) != dagger_ideal(G, J):
+            wit.append({"failure": "images differ", "sizes": [I.size, J.size]})
+    return wit, "constructed pair validated"
 
 
-def _run_named_collision_pair(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("named-collision-pair")
+def _run_named_collision_pair(ctx: ClaimContext) -> _Found:
     """The bundled pair: both ideals are claimed to push forward to the socle."""
     G = ctx.group
     if G.components != ((2, 1), (4, 1)):
-        return [
-            _skip(
-                ctx,
-                "named-collision-pair",
-                "pair is bundled for the Z(p^2)+Z(p^4) shape only",
-            )
-        ]
+        raise _Skip("pair is bundled for the Z(p^2)+Z(p^4) shape only")
     f, g = reference_collision_generators(G)
     I = ideal_generated(G, [f], max_ring=ctx.max_ring)
     J = ideal_generated(G, [g], max_ring=ctx.max_ring)
@@ -619,25 +622,20 @@ def _run_named_collision_pair(ctx: ClaimContext) -> list[ClaimReport]:
                     "socle_order": socle.order,
                 }
             )
-    return [
-        _report(
-            ctx,
-            "named-collision-pair",
-            wit,
-            "both bundled generators pushed forward",
-            note="the diagonal generator does reach the socle; the scalar one stops"
-            " at the top power subgroup",
-        )
-    ]
+    return (
+        wit,
+        "both bundled generators pushed forward",
+        "the diagonal generator does reach the socle; the scalar one stops"
+        " at the top power subgroup",
+    )
 
 
-def _run_homocyclic_ideal_chain(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("homocyclic-ideal-chain")
+def _run_homocyclic_ideal_chain(ctx: ClaimContext) -> _Found:
     """Homocyclic groups: the ideals are exactly the scaled rings p^k E."""
     G = ctx.group
     if len(G.components) > 1:
-        return [
-            _skip(ctx, "homocyclic-ideal-chain", "applies to homocyclic groups only")
-        ]
+        raise _Skip("applies to homocyclic groups only")
     n = G.components[0][0]
     ideals = ctx.ideals()
     wit = []
@@ -648,38 +646,36 @@ def _run_homocyclic_ideal_chain(ctx: ClaimContext) -> list[ClaimReport]:
     for I, J in itertools.combinations(ideals, 2):
         if not (ideal_leq(I, J) or ideal_leq(J, I)):
             wit.append({"incomparable_sizes": [I.size, J.size]})
-    return [
-        _report(
-            ctx,
-            "homocyclic-ideal-chain",
-            wit,
-            f"{len(ideals)} ideals vs p^k E for k in [0, {n}]",
-        )
-    ]
+    return wit, f"{len(ideals)} ideals vs p^k E for k in [0, {n}]"
 
 
 # --------------------------------------------------------------------------
 # lattice and symbolic checks
 
 
+@_suite("indicator-coverage")
 def _run_indicator_coverage(ctx: ClaimContext) -> list[ClaimReport]:
     return [verify_indicator_coverage(ctx.group, lattice=ctx.lattice())]
 
 
+@_suite("fundamental-containment")
 def _run_fundamental_containment(ctx: ClaimContext) -> list[ClaimReport]:
     return [check_fundamental_containment(ctx.group)]
 
 
+@_suite("descriptor-rule-as-stated", "descriptor-rule-empirical")
 def _run_descriptor_rule(ctx: ClaimContext) -> list[ClaimReport]:
     ctx.ring()  # daggers need the full ring
     return verify_descriptor_rule(ctx.group)
 
 
+@_suite("ulm-position-indexing")
 def _run_ulm_position_indexing(ctx: ClaimContext) -> list[ClaimReport]:
     return [check_ulm_position_indexing(ctx.group)]
 
 
-def _run_ulm_criterion_examples(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("ulm-criterion-examples")
+def _run_ulm_criterion_examples(ctx: ClaimContext) -> _Found:
     """The two canonical sequences behave as published, and the group's own
     bounded sequence is vacuously fine."""
     wit = []
@@ -694,18 +690,15 @@ def _run_ulm_criterion_examples(ctx: ClaimContext) -> list[ClaimReport]:
     own = check_ulm_criterion(ulm_sequence_of_group(ctx.group))
     if own.status != "verified":
         wit.append({"failure": "bounded sequence rejected"})
-    return [
-        _report(
-            ctx,
-            "ulm-criterion-examples",
-            wit,
-            "reject + accept examples and this group's sequence",
-            note="the two examples are group-independent",
-        )
-    ]
+    return (
+        wit,
+        "reject + accept examples and this group's sequence",
+        "the two examples are group-independent",
+    )
 
 
-def _run_basic_roundtrip(ctx: ClaimContext) -> list[ClaimReport]:
+@_claim("basic-roundtrip")
+def _run_basic_roundtrip(ctx: ClaimContext) -> _Found:
     """Group -> block presentation -> Ulm sequence commutes and inverts."""
     G = ctx.group
     wit = []
@@ -717,89 +710,11 @@ def _run_basic_roundtrip(ctx: ClaimContext) -> list[ClaimReport]:
     back = ulm_to_basic_seq(u)
     if back != b:
         wit.append({"failure": "inverse translation", "got": back.to_json()})
-    return [_report(ctx, "basic-roundtrip", wit, "both directions on this group")]
+    return wit, "both directions on this group"
 
 
 # --------------------------------------------------------------------------
 # registry
-
-
-@dataclass(frozen=True)
-class _Runner:
-    ids: tuple[str, ...]
-    fn: Callable[[ClaimContext], list[ClaimReport]]
-
-
-_RUNNERS: tuple[_Runner, ...] = (
-    _Runner(("indicator-antitone",), _run_indicator_antitone),
-    _Runner(("min-admissible-bottom",), _run_min_admissible_bottom),
-    _Runner(("admissible-minmax-closure",), _run_admissible_minmax_closure),
-    _Runner(("admissible-pair-bounds",), _run_admissible_pair_bounds),
-    _Runner(("segment-realizability",), _run_segment_realizability),
-    _Runner(("indicator-subgroups-invariant",), _run_indicator_subgroups_invariant),
-    _Runner(("fi-closure-indicator",), _run_fi_closure_indicator),
-    _Runner(("indicator-transitivity",), _run_indicator_transitivity),
-    _Runner(("fundamental-order-iff",), _run_fundamental_order_iff),
-    _Runner(
-        (
-            "matrix-monotone",
-            "matrix-distinct-entries",
-            "matrix-meet-formula",
-            "matrix-join-formula",
-            "quartering-containments",
-            "quartering-incomparability",
-            "alias-to-marker",
-            "path-roundtrip",
-            "path-subgroup-chain",
-            "sigma-sum-equality",
-            "sigma-sum-containment",
-        ),
-        _run_matrix_suite,
-    ),
-    _Runner(("path-realization",), _run_path_realization),
-    _Runner(("path-count-accounting",), _run_path_count_accounting),
-    _Runner(("reference-table-rows",), _run_reference_table_rows),
-    _Runner(("endo-height-exponent", "endo-indicator-monotone"), _run_endo_action),
-    _Runner(("rank-subadditivity",), _run_rank_subadditivity),
-    _Runner(
-        (
-            "power-ideal-dagger",
-            "power-subgroup-dagger",
-            "socle-ideal-dagger",
-            "socle-subgroup-dagger",
-        ),
-        _run_fun_identities,
-    ),
-    _Runner(
-        (
-            "dagger-well-defined",
-            "dagger-order",
-            "dagger-sum-preservation",
-            "dagger-intersection-preservation",
-            "subgroup-double-dagger-deflation",
-            "fi-dagger-closed",
-            "ideal-double-dagger-deflation",
-            "ideal-double-dagger-inflation",
-            "dagger-triple",
-            "dagger-closed-equivalences",
-            "closed-lattice-isomorphism",
-            "dagger-class-structure",
-            "fundamental-dagger-closed",
-        ),
-        _run_galois_suite,
-    ),
-    _Runner(("collision-recipe",), _run_collision_recipe),
-    _Runner(("named-collision-pair",), _run_named_collision_pair),
-    _Runner(("homocyclic-ideal-chain",), _run_homocyclic_ideal_chain),
-    _Runner(("indicator-coverage",), _run_indicator_coverage),
-    _Runner(("fundamental-containment",), _run_fundamental_containment),
-    _Runner(
-        ("descriptor-rule-as-stated", "descriptor-rule-empirical"), _run_descriptor_rule
-    ),
-    _Runner(("ulm-position-indexing",), _run_ulm_position_indexing),
-    _Runner(("ulm-criterion-examples",), _run_ulm_criterion_examples),
-    _Runner(("basic-roundtrip",), _run_basic_roundtrip),
-)
 
 
 def all_claim_ids() -> list[str]:
@@ -820,8 +735,9 @@ def run_claims(
     """Run the registered checks on ``G`` and return reports sorted by id.
 
     ``ids=None`` runs everything.  A runner whose prerequisites exceed the
-    ring or ideal budget yields ``skipped`` reports; a group larger than
-    ``max_group`` is rejected outright.
+    ring or ideal budget, or whose claims do not apply to ``G``, yields
+    ``skipped`` reports; a group larger than ``max_group`` is rejected
+    outright.
     """
     group_cap = DEFAULT_MAX_GROUP_ORDER if max_group is None else max_group
     if G.order > group_cap:
@@ -845,7 +761,7 @@ def run_claims(
         start = perf_counter()
         try:
             reports = runner.fn(ctx)
-        except BudgetExceededError as exc:
+        except (BudgetExceededError, _Skip) as exc:
             reports = [_skip(ctx, cid, str(exc)) for cid in runner.ids]
         elapsed = perf_counter() - start
         for r in reports:

@@ -445,7 +445,9 @@ class Ideal(_PackedSet):
     def generator_endos(self) -> list[Endo]:
         return list(map(_cached_ring(self.group).endo_of_index, self.generators))
 
-    def __contains__(self, f: Endo) -> bool:
+    def __contains__(self, f) -> bool:
+        if not (isinstance(f, Endo) and f.group == self.group):
+            return False
         i = _cached_ring(self.group).endo_index(f)
         return bool(_members(np.array([i]), self.indices)[0])
 

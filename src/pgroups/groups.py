@@ -654,8 +654,17 @@ def fundamental_subgroup(G: GroupSpec, kappa: int, n: int) -> Subgroup:
     """
     if kappa < 0 or n < 0:
         raise InvalidInputError("kappa and n must be nonnegative")
-    alpha = tuple(min(max(kappa, ncomp - n), ncomp) for ncomp, _ in G.components)
-    return block_subgroup(G, alpha)
+    return block_subgroup(G, _fundamental_shifts(G, kappa, n))
+
+
+def _fundamental_shifts(G: GroupSpec, kappa: int, n: int) -> tuple[int, ...]:
+    """The block shifts of ``p^kappa G[p^n]``."""
+    return tuple(min(max(kappa, e - n), e) for e, _ in G.components)
+
+
+def _block_order(G: GroupSpec, alpha: tuple[int, ...]) -> int:
+    """The order of the block subgroup with shifts ``alpha``."""
+    return G.p ** sum((n - a) * m for a, (n, m) in zip(alpha, G.components))
 
 
 def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
@@ -669,7 +678,7 @@ def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     for a, (n, _) in zip(alpha, G.components):
         if not 0 <= a <= n:
             raise InvalidInputError(f"shift {a} outside [0, {n}]")
-    size = G.p ** sum((n - a) * m for a, (n, m) in zip(alpha, G.components))
+    size = _block_order(G, alpha)
     cap = DEFAULT_MAX_SUBGROUP_SIZE
     if size > cap:
         raise GroupTooLargeError(f"subgroup of order {size} exceeds cap {cap}")

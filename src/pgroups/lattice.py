@@ -33,8 +33,16 @@ from .errors import (
     NotFullyInvariantError,
     UnknownFormatError,
 )
-from .groups import Element, GroupSpec, Subgroup, block_subgroup, subgroup_leq
-from .groups import _grid, _join, _join_closure, _subgroup, _table
+from .groups import Element, GroupSpec, Subgroup, subgroup_leq
+from .groups import (
+    _block_order,
+    _fundamental_shifts,
+    _grid,
+    _join,
+    _join_closure,
+    _subgroup,
+    _table,
+)
 from .indicators import Indicator, enumerate_admissible, indicator_subgroup
 from .reports import ClaimReport, _verdict
 
@@ -77,7 +85,9 @@ def canonical_fi_form(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
     if H.group != G:
         raise InvalidInputError("subgroup belongs to a different group")
     alpha = _block_shifts_of(G, H)
-    if block_subgroup(G, alpha) != H:
+    # H lies in the block sum of its shifts, each the least valuation in its
+    # block, so the two are equal exactly when their orders are
+    if _block_order(G, alpha) != H.order:
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not a sum of shifted blocks"
         )
@@ -106,23 +116,19 @@ def subgroup_name(G: GroupSpec, H: Subgroup) -> str:
         return f"subgroup of order {H.order}"
     e = G.exponent
     exps = [n for n, _ in G.components]
-
-    def form(kappa: int, n: int) -> tuple[int, ...]:
-        return tuple(min(max(kappa, ni - n), ni) for ni in exps)
-
     if all(a == ni for a, ni in zip(alpha, exps)):
         return "0"
     if all(a == 0 for a in alpha):
         return "G"
     for kappa in range(1, e + 1):
-        if alpha == form(kappa, e):
+        if alpha == _fundamental_shifts(G, kappa, e):
             return f"p^{kappa}G" if kappa > 1 else "pG"
     for n in range(1, e + 1):
-        if alpha == form(0, n):
+        if alpha == _fundamental_shifts(G, 0, n):
             return f"G[p^{n}]" if n > 1 else "G[p]"
     for kappa in range(1, e + 1):
         for n in range(1, e + 1):
-            if alpha == form(kappa, n):
+            if alpha == _fundamental_shifts(G, kappa, n):
                 k_str = f"p^{kappa}G" if kappa > 1 else "pG"
                 n_str = f"[p^{n}]" if n > 1 else "[p]"
                 return k_str + n_str
@@ -264,7 +270,6 @@ def hasse_export(L: FILattice, format: str = "json") -> str:
     JSON nodes carry the block-shift form (``alpha``), every indicator that
     cuts the node out (``sigmas``), and the order; edges are covering pairs.
     """
-    names = L.names()
     if format == "json":
         nodes = []
         for i, H in enumerate(L.nodes):
@@ -283,6 +288,7 @@ def hasse_export(L: FILattice, format: str = "json") -> str:
         return json.dumps(payload, indent=2, sort_keys=True)
     if format == "dot":
         lines = ["digraph fi_lattice {", "  rankdir=BT;"]
+        names = L.names()
         for i, H in enumerate(L.nodes):
             sigmas = ", ".join(str(s) for s in L.sigma_labels[i])
             label = f"{names[i]}\\n|H| = {H.order}\\n{sigmas}"

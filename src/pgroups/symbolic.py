@@ -26,8 +26,16 @@ from .errors import (
     NotAdmissibleError,
     ShapeViolationError,
 )
-from .groups import GroupSpec, ulm_invariants
+from .groups import GroupSpec, _is_int, ulm_invariants
 from .reports import ClaimReport, _verdict
+
+
+def _json_int(value, what: str) -> int:
+    """An integer field of symbolic JSON; ``bool``, ``float`` and strings are
+    malformed, not coerced."""
+    if not _is_int(value):
+        raise InvalidInputError(f"malformed {what}: {value!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -66,8 +74,10 @@ class Ordinal:
     @classmethod
     def from_json(cls, data: dict) -> "Ordinal":
         try:
-            return cls(q=int(data["q"]), r=int(data["r"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            q = _json_int(data["q"], "ordinal part")
+            r = _json_int(data["r"], "ordinal part")
+            return cls(q=q, r=r)
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed ordinal: {exc}") from exc
 
 
@@ -141,7 +151,7 @@ class CardinalValue:
         if not isinstance(data, dict) or len(data) != 1:
             raise InvalidInputError(f"malformed cardinal: {data!r}")
         kind, value = next(iter(data.items()))
-        return cls(kind=kind, value=int(value))
+        return cls(kind=kind, value=_json_int(value, "cardinal"))
 
 
 def finite(n: int) -> CardinalValue:
@@ -167,6 +177,15 @@ def cardinal_sum(values: Iterable[CardinalValue]) -> CardinalValue:
     for v in values:
         total = cardinal_add(total, v)
     return total
+
+
+def _suffix_sums(values: list[CardinalValue]) -> list[CardinalValue]:
+    """``out[i]`` is the sum of ``values[i:]``, so ``out[len(values)]`` is zero:
+    one pass, where summing each suffix afresh is quadratic."""
+    out = [ZERO]
+    for v in reversed(values):
+        out.append(cardinal_add(v, out[-1]))
+    return out[::-1]
 
 
 def cardinal_repeat_omega(c: CardinalValue) -> CardinalValue:
@@ -206,10 +225,12 @@ class UlmBlock:
 
     def suffix_sum(self, j: int) -> CardinalValue:
         """Sum of all values from offset j to the end of the omega-segment."""
-        head_part = cardinal_sum(self.head[j:])
-        if self.tail == TAIL_CONSTANT:
-            return cardinal_add(head_part, cardinal_repeat_omega(self.tail_value))
-        return head_part
+        return self.suffix_sums()[j]
+
+    def suffix_sums(self) -> list[CardinalValue]:
+        """``suffix_sum(j)`` for every head offset ``j``, ``len(head)`` included."""
+        tail = cardinal_repeat_omega(self.tail_value) if self.tail == TAIL_CONSTANT else ZERO
+        return [cardinal_add(h, tail) for h in _suffix_sums(list(self.head))]
 
     def is_everywhere_zero(self) -> bool:
         return all(v.is_zero for v in self.head) and self.tail != TAIL_CONSTANT
@@ -365,12 +386,11 @@ def check_ulm_criterion(seq: UlmSequence) -> ClaimReport:
     """
     witnesses = []
     checked = 0
+    totals = _suffix_sums([seq.block_total(k) for k in range(len(seq.blocks))])
     for i in range(seq.length.q):
-        beyond = cardinal_sum(seq.block_total(k) for k in range(i + 1, len(seq.blocks)))
-        block = seq.blocks[i]
-        for j in range(len(block.head) + 1):
+        beyond = totals[i + 1]
+        for j, window in enumerate(seq.blocks[i].suffix_sums()):
             checked += 1
-            window = block.suffix_sum(j)
             if not beyond <= window:
                 witnesses.append(
                     {
@@ -459,7 +479,8 @@ class BasicGroupSpec:
     def from_json(cls, data: dict) -> "BasicGroupSpec":
         try:
             pairs = tuple(
-                (int(n), CardinalValue.from_json(m)) for n, m in data["pairs"]
+                (_json_int(n, "exponent"), CardinalValue.from_json(m))
+                for n, m in data["pairs"]
             )
             tail = data.get("tail", TAIL_ALL_ZERO)
             tv = data.get("tail_value")
@@ -501,6 +522,8 @@ class BasicSequence:
             raise InvalidInputError(f"malformed sequence: {exc}") from exc
         parsed = []
         for i, raw in enumerate(raw_blocks):
+            if not isinstance(raw, dict):
+                raise InvalidInputError(f"malformed block: {raw!r}")
             if "xi" in raw:
                 xi = Ordinal.from_json(raw["xi"])
                 if xi != Ordinal(i, 0):
@@ -552,14 +575,15 @@ def check_basic_sequence_admissible(
         if i < len(blocks) - 1 and b.is_bounded:
             raise ShapeViolationError(f"block {i} is bounded but not final")
     witnesses = []
+    ranks = [b.rank() for b in blocks]
+    later = _suffix_sums(ranks)
     for i in range(len(blocks) - 1):
-        later = cardinal_sum(b.rank() for b in blocks[i + 1 :])
-        if not later <= blocks[i].rank():
+        if not later[i + 1] <= ranks[i]:
             witnesses.append(
                 {
                     "block": i,
-                    "rank": str(blocks[i].rank()),
-                    "later_sum": str(later),
+                    "rank": str(ranks[i]),
+                    "later_sum": str(later[i + 1]),
                 }
             )
             break
@@ -669,10 +693,10 @@ class SymbolicIdealDescriptor:
         try:
             return cls(
                 kappa=Ordinal.from_json(data["kappa"]),
-                n=int(data["n"]),
+                n=_json_int(data["n"], "descriptor n"),
                 mu=CardinalValue.from_json(data["mu"]) if "mu" in data else aleph(0),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed descriptor: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ from pgroups import (
     run_claims,
     unexpected_refutations,
 )
-from pgroups.claims import TRANSITIVITY_MAX_ORDER
+from pgroups.claims import _RUNNERS, TRANSITIVITY_MAX_ORDER
 
 # frozen verdicts for Z(2) (+) Z(4): statements whose source formulation
 # disagrees with exhaustive computation on this group
@@ -119,6 +119,13 @@ class TestRegistry:
         assert len(ids) == 53
         assert ids == sorted(ids)
         assert len(set(ids)) == 53
+
+    def test_each_runner_reports_exactly_its_ids(self, small24):
+        # run_claims keeps only the ids it asked for, so a runner that emits
+        # an id it did not register would otherwise lose that report unseen
+        for runner in _RUNNERS:
+            reports = run_claims(small24, ids=list(runner.ids))
+            assert [r.claim_id for r in reports] == sorted(runner.ids)
 
     def test_allowlist_names_real_claims(self):
         allow = load_allowlist()

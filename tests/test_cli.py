@@ -262,6 +262,35 @@ class TestUlm:
         assert code == 2
         assert "error:" in err and "duplicate block" in err
 
+    @pytest.mark.parametrize(
+        "lam, cardinal",
+        [
+            ({"q": 0, "r": 1}, {"finite": "x"}),
+            ({"q": 0, "r": 1}, {"finite": 1.5}),
+            ({"q": 0, "r": 1}, {"finite": True}),
+            ({"q": "0", "r": 1}, {"finite": 1}),
+        ],
+    )
+    def test_non_integer_fields_exit_2(self, capsys, lam, cardinal):
+        doc = {"lambda": lam, "blocks": [{"head": [cardinal], "tail": None}]}
+        code, _, err = run(capsys, "ulm", json.dumps(doc))
+        assert code == 2
+        assert "error: malformed" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"lambda": {"q": 10_000, "r": 0}, "blocks": []},
+            {"lambda": {"q": 1, "r": 0}, "blocks": [{"head": [1] * 10_000}]},
+        ],
+        ids=["blocks", "head"],
+    )
+    def test_criterion_is_linear_in_the_length(self, capsys, doc):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "ulm", json.dumps(doc))
+        assert time.perf_counter() - start < 5  # summed per block and offset: 85 s and 61 s
+        assert code == 0 and json.loads(out)["status"] == "verified"
+
 
 class TestErrorPaths:
     def test_group_over_budget_exits_3(self, capsys):
@@ -503,3 +532,57 @@ def test_fuzzed_group_input_exits_cleanly(arg):
             code = main([command[0], arg, "--max-group", "4096", *command[1:]])
         assert code in (0, 2, 3), (command, arg, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# -- fuzzing the Ulm-sequence input --------------------------------------------
+
+# small values only: every omitted block is still built, so a large length
+# costs memory in proportion
+_BAD_FIELD = st.one_of(
+    _JUNK,
+    st.integers(-3, -1),
+    st.floats(-3, 3),
+    st.text(alphabet="0123456789", min_size=1, max_size=2),
+)
+
+
+def _dicts(node):
+    """Every object in a JSON document, outermost first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _dicts(child)
+
+
+@st.composite
+def _ulm_args(draw):
+    """A valid Ulm-sequence document, then up to three malformations of it."""
+    doc = json.loads(draw(st.sampled_from([TestUlm.REJECT, TestUlm.ACCEPT])))
+    for _ in range(draw(st.integers(0, 3))):
+        holder = draw(st.sampled_from(list(_dicts(doc))))
+        key = draw(st.sampled_from(sorted(holder)) if holder else st.just("q"))
+        kind = draw(st.sampled_from(["bad field", "drop", "extra"]))
+        if kind == "bad field":
+            holder[key] = draw(_BAD_FIELD)
+        elif kind == "drop":
+            holder.pop(key, None)
+        else:
+            holder["extra"] = draw(_BAD_FIELD)
+    return json.dumps(doc)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_ulm_args())
+def test_fuzzed_ulm_input_exits_cleanly(arg):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["ulm", arg])
+    assert code in (0, 2), (arg, err.getvalue())
+    assert "Traceback" not in err.getvalue()

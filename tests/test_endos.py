@@ -271,6 +271,13 @@ def test_ideal_contains_generators_and_zero(small24):
     assert zero_endo(small24) in members and f in members
 
 
+def test_ideal_holds_no_endomorphism_of_another_group(small24):
+    top = enumerate_ideals(small24)[-1]
+    assert identity_endo(small24) in top
+    assert identity_endo(make_group(3, [(1, 1), (2, 1)])) not in top
+    assert "f" not in top
+
+
 def test_ideal_sum_meet_leq():
     # the six oracle groups of the generator-form tests below
     for key in sorted(GENERATOR_FORM_GROUPS):

@@ -88,10 +88,13 @@ def test_canonical_form_roundtrip(G2):
         assert canonical_fi_form(G2, block_subgroup(G2, alpha)) == alpha
 
 
-def test_canonical_form_rejects_non_fi(G2):
+def test_canonical_form_rejects_non_fi(G2, small24):
     b_only = subgroup_generated(G2, [G2.generator(1)])
-    with pytest.raises(NotFullyInvariantError):
+    with pytest.raises(NotFullyInvariantError, match="chain conditions"):
         canonical_fi_form(G2, b_only)
+    diagonal = subgroup_generated(small24, [small24.element((1, 1))])
+    with pytest.raises(NotFullyInvariantError, match="not a sum of shifted blocks"):
+        canonical_fi_form(small24, diagonal)
 
 
 def test_canonical_form_detects_corrupt_annotation(G2):

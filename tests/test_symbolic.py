@@ -2,6 +2,7 @@
 block presentations, and the context-free ideal descriptors."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -83,7 +84,19 @@ class TestOrdinal:
     def test_json_roundtrip(self, a):
         assert Ordinal.from_json(json.loads(json.dumps(a.to_json()))) == a
 
-    @pytest.mark.parametrize("bad", [{}, {"q": 1}, {"r": 2}, "w+1", {"q": "x", "r": 0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {},
+            {"q": 1},
+            {"r": 2},
+            "w+1",
+            {"q": "x", "r": 0},
+            {"q": "1", "r": 0},
+            {"q": 1.0, "r": 0},
+            {"q": 0, "r": True},
+        ],
+    )
     def test_from_json_malformed(self, bad):
         with pytest.raises(InvalidInputError):
             Ordinal.from_json(bad)
@@ -142,7 +155,20 @@ class TestCardinal:
     def test_from_json_accepts_bare_integers(self):
         assert CardinalValue.from_json(7) == finite(7)
 
-    @pytest.mark.parametrize("bad", [True, False, "3", {"finite": 1, "aleph": 0}, []])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            True,
+            False,
+            "3",
+            {"finite": 1, "aleph": 0},
+            [],
+            {"finite": 1.5},
+            {"finite": True},
+            {"finite": "x"},
+            {"aleph": "0"},
+        ],
+    )
     def test_from_json_malformed(self, bad):
         with pytest.raises(InvalidInputError):
             CardinalValue.from_json(bad)
@@ -440,6 +466,9 @@ class TestBasicGroupSpec:
             tail_value=finite(3),
         )
         assert BasicGroupSpec.from_json(json.loads(json.dumps(b.to_json()))) == b
+        for bad in ("2", 2.0, True):
+            with pytest.raises(InvalidInputError):
+                BasicGroupSpec.from_json({"pairs": [[bad, 1]]})
 
 
 class TestBasicSequence:
@@ -463,6 +492,8 @@ class TestBasicSequence:
         data["blocks"][0]["xi"] = {"q": 3, "r": 0}
         with pytest.raises(InvalidInputError):
             BasicSequence.from_json(data)
+        with pytest.raises(InvalidInputError):
+            BasicSequence.from_json({"blocks": [3]})
 
     def test_of_bounded_group(self, G2):
         seq = basic_sequence_of_group(G2)
@@ -508,6 +539,14 @@ class TestBasicAdmissibility:
         assert report.witnesses == [
             {"block": 0, "rank": "aleph_0", "later_sum": "aleph_1"}
         ]
+
+    def test_rank_sums_are_linear_in_the_block_count(self):
+        blocks = (UNBOUNDED_ONES,) * 10_000 + (BasicGroupSpec(pairs=((1, finite(1)),)),)
+        start = time.perf_counter()
+        report = check_basic_sequence_admissible(BasicSequence(blocks=blocks))
+        assert time.perf_counter() - start < 5
+        assert report.status == "verified"
+        assert report.checked == "10000 rank comparisons"
 
     def test_accepts_explicit_index_pairs(self):
         pairs = [
@@ -591,6 +630,9 @@ class TestDescriptor:
         ) == SymbolicIdealDescriptor(kappa=Ordinal(0, 3), n=1)
         with pytest.raises(InvalidInputError):
             SymbolicIdealDescriptor.from_json({"n": 1})
+        for bad in ("2", 2.0, True):
+            with pytest.raises(InvalidInputError):
+                SymbolicIdealDescriptor.from_json({"kappa": {"q": 0, "r": 0}, "n": bad})
 
     def test_leq_reverses_subgroup_containment(self):
         deep = SymbolicIdealDescriptor(kappa=Ordinal(0, 2), n=1)
