@@ -13,6 +13,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -313,7 +314,10 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` fills a fresh namespace
+    per call, so no state carries over from one request to the next."""
     parser = argparse.ArgumentParser(
         prog="pgroups",
         description="Analyze bounded abelian p-groups: indicators, fully"

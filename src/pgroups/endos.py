@@ -27,8 +27,9 @@ generated by the ``r`` rows ``e_s.f``, and End(G) is additively spanned by the
 Spans are closed one generator at a time (:func:`_span`).  The claims that
 are exhaustive by statement, ``endo-height-exponent`` and
 ``endo-indicator-monotone``, still scan every (endomorphism, element) pair,
-both in one pass through :meth:`EndoRing.action_chunks`;
-``rank-subadditivity`` reads sampled action rows.
+both in one pass through :meth:`EndoRing.action_chunks`.
+``rank-subadditivity`` needs no pass over G: an image's rank is read off the
+``r x r`` matrix whose rows span it (:func:`_image_ranks`).
 
 Both directions, their closure behavior, and several identities about the
 power/socle ideals are checked mechanically by the ``verify_*`` helpers.
@@ -64,8 +65,8 @@ from .errors import (
 )
 from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup
 from .groups import subgroup_leq, subgroup_meet, subgroup_sum
-from .groups import _PackedSet, _grid, _join, _join_closure, _leq, _meet, _members
-from .groups import _span, _subgroup, _table
+from .groups import _PackedSet, _grid, _is_int, _join, _join_closure, _leq, _meet
+from .groups import _members, _span, _subgroup, _table
 from .reports import ClaimReport, _verdict
 
 #: Largest endomorphism ring that will be enumerated.
@@ -104,10 +105,15 @@ class Endo:
 
     @classmethod
     def from_json(cls, G: GroupSpec, data: dict) -> "Endo":
+        """Read ``{"matrix": [[...], ...]}``; an entry that is not a JSON
+        integer (``bool``, ``float``, a string) is malformed, not coerced."""
         try:
-            rows = [list(map(int, r)) for r in data["matrix"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            rows = [list(r) for r in data["matrix"]]
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed endomorphism: {exc}") from exc
+        for x in itertools.chain.from_iterable(rows):
+            if not _is_int(x):
+                raise InvalidInputError(f"malformed endomorphism: entry {x!r}")
         return make_endo(G, rows)
 
 
@@ -212,15 +218,53 @@ def image(f: Endo) -> Subgroup:
 
 
 def endo_rank(f: Endo) -> int:
-    """Rank of the image subgroup: p-log of the size of its socle."""
-    G = f.group
-    # the socle is where p.a vanishes, i.e. where height(p.a) is INF
-    socle = int((_table(G).heights[1, image(f).indices] == G.exponent).sum())
-    rank = 0
-    while socle > 1:
-        socle //= G.p
-        rank += 1
-    return rank
+    """Rank of the image subgroup: the number of its cyclic summands.
+
+    >>> from .groups import make_group
+    >>> G = make_group(2, [(1, 1), (2, 1)])
+    >>> endo_rank(make_endo(G, [[0, 2], [0, 2]]))
+    1
+    """
+    return int(_image_ranks(f.group, [f.matrix])[0])
+
+
+def _image_ranks(G: GroupSpec, mats) -> np.ndarray:
+    """Number of cyclic summands of the image of each matrix in ``mats``
+    (shape ``(n, r, r)``, row ``s`` the image of generator ``s``).
+
+    Coordinate ``t`` is scaled by ``p^(E - e_t)`` into ``Z/p^E``, so each
+    image is the row span of an ``r x r`` matrix over ``Z/p^E`` and its rank
+    is the number of Smith invariants below ``p^E``.  Round by round, every
+    matrix takes an entry ``p^v u`` of least valuation; if ``v < E`` it counts
+    one summand and sets ``row_k <- u row_k - (a_k / p^v) row_pivot``.  That
+    clears the pivot's column (``u`` is a unit, so the other rows' span keeps
+    its shape) and, as ``a_pivot / p^v = u``, the pivot's row, which is the
+    summand just counted.  The cost depends on ``r`` and ``E``, not on ``|G|``.
+    """
+    p, E = G.p, G.exponent
+    mod = p**E
+    # products of two residues stay exact in int64 below this modulus
+    dtype = np.int64 if mod < 2**31 else object
+    pows = np.array([p**k for k in range(E + 1)], dtype=dtype)
+    a = np.array(mats, dtype=dtype)
+    n, r = a.shape[0], G.rank
+    a = a * pows[E - np.array(G.coordinate_exponents)] % mod
+    ranks = np.zeros(n, dtype=np.int64)
+    at = np.arange(n)
+    for _ in range(r):
+        val = np.zeros((n, r, r), dtype=np.int64)
+        for k in range(1, E + 1):
+            val += a % pows[k] == 0
+        i, j = np.divmod(val.reshape(n, r * r).argmin(axis=1), r)
+        v = val[at, i, j]
+        if (v == E).all():
+            break
+        ranks += v < E
+        pv = pows[v]
+        u = a[at, i, j] // pv
+        q = a[at, :, j] // pv[:, None]
+        a = (u[:, None, None] * a - q[:, :, None] * a[at, i][:, None, :]) % mod
+    return ranks
 
 
 # --------------------------------------------------------------------------
@@ -272,12 +316,6 @@ class EndoRing:
 
     def element_of_index(self, idx: int) -> Element:
         return Element(self.group, tuple(self.elem_coords[idx].tolist()))
-
-    def add_element_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized index-space addition (broadcasting allowed)."""
-        ca = (a[..., None] // self._elem_strides) % self.moduli
-        cb = (b[..., None] // self._elem_strides) % self.moduli
-        return ((ca + cb) % self.moduli) @ self._elem_strides
 
     # -- endo indexing ------------------------------------------------------
 

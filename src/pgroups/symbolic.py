@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import (
+    BudgetExceededError,
     IncomparableContextError,
     InvalidInputError,
     NotAdmissibleError,
@@ -201,6 +202,11 @@ def cardinal_repeat_omega(c: CardinalValue) -> CardinalValue:
 TAIL_ALL_ZERO = "all_zero"
 TAIL_CONSTANT = "constant"
 
+#: Largest ``q`` and largest ``r`` of the length ``w*q + r`` of an Ulm
+#: sequence read from JSON.  Every block up to the length is built, omitted
+#: ones included, so this bounds the time and memory of one request.
+MAX_ULM_LENGTH = 2**16
+
 
 @dataclass(frozen=True)
 class UlmBlock:
@@ -324,6 +330,11 @@ class UlmSequence:
             raw_blocks = list(data["blocks"])
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed sequence: {exc}") from exc
+        if max(lam.q, lam.r) > MAX_ULM_LENGTH:
+            raise BudgetExceededError(
+                f"length {lam} exceeds the Ulm length cap:"
+                f" q and r must each be at most {MAX_ULM_LENGTH}"
+            )
         want = lam.q + (1 if lam.r > 0 else 0)
         slots: list[Optional[UlmBlock]] = [None] * want
         cursor = 0

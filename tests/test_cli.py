@@ -14,12 +14,13 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pgroups
 from pgroups import all_claim_ids
-from pgroups.cli import main
+from pgroups.cli import build_parser, main
+from pgroups.symbolic import MAX_ULM_LENGTH
 
 G24 = '{"p": 2, "components": [{"exponent": 1, "multiplicity": 1}, {"exponent": 2, "multiplicity": 1}]}'
 REFERENCE = (
@@ -292,6 +293,32 @@ class TestUlm:
         assert code == 0 and json.loads(out)["status"] == "verified"
 
 
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys):
+        build_parser.cache_clear()
+        run(capsys, "matrix", G24)
+        run(capsys, "ulm", TestUlm.ACCEPT)
+        run(capsys, "lattice", G24, "--format", "dot")
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                ["verify", G24, "--timings", "--claims", "rank-subadditivity"],
+                ["verify", G24],
+            ),
+            (["lattice", G24, "--format", "dot"], ["lattice", G24]),
+        ],
+        ids=["verify", "lattice"],
+    )
+    def test_options_do_not_carry_over(self, capsys, first, second):
+        build_parser.cache_clear()
+        fresh = run(capsys, *second)
+        run(capsys, *first)
+        assert run(capsys, *second) == fresh
+
+
 class TestErrorPaths:
     def test_group_over_budget_exits_3(self, capsys):
         code, _, err = run(capsys, "analyze", HUGE)
@@ -536,11 +563,12 @@ def test_fuzzed_group_input_exits_cleanly(arg):
 
 # -- fuzzing the Ulm-sequence input --------------------------------------------
 
-# small values only: every omitted block is still built, so a large length
-# costs memory in proportion
+# every omitted block is still built, so a length within the cap costs memory
+# in proportion: small values, or ones past the cap, which exit 3 at once
 _BAD_FIELD = st.one_of(
     _JUNK,
     st.integers(-3, -1),
+    st.integers(MAX_ULM_LENGTH + 1, 10**30),
     st.floats(-3, 3),
     st.text(alphabet="0123456789", min_size=1, max_size=2),
 )
@@ -580,9 +608,14 @@ def _ulm_args(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(_ulm_args())
+@example('{"lambda": {"q": 100000000000000000000, "r": 0}, "blocks": []}')
+@example('{"lambda": {"q": 0, "r": 100000000000000000000}, "blocks": []}')
+@example(json.dumps({"lambda": {"q": 1, "r": MAX_ULM_LENGTH + 1}, "blocks": []}))
 def test_fuzzed_ulm_input_exits_cleanly(arg):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["ulm", arg])
-    assert code in (0, 2), (arg, err.getvalue())
+    assert code in (0, 2, 3), (arg, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert "exceeds the Ulm length cap" in err.getvalue()

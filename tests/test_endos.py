@@ -95,6 +95,15 @@ def test_endo_json_roundtrip(small24):
         Endo.from_json(small24, {"rows": []})
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[["1", 0.0], [True, 1.9]], [[1, 0], [0, 1.0]], [[1, 0], [0, False]], [[1, 0], "01"]],
+)
+def test_endo_json_entries_are_not_coerced(small24, matrix):
+    with pytest.raises(InvalidInputError, match="malformed endomorphism"):
+        Endo.from_json(small24, {"matrix": matrix})
+
+
 def test_apply_matches_oracle(small248):
     fs = enumerate_endos(small248)[:: 97]
     for f in fs:
@@ -206,15 +215,6 @@ class TestRingTables:
         rows = ring.action_rows(sel)
         for k, i in enumerate(sel):
             assert rows[k].tolist() == ring.action_row(int(i)).tolist()
-
-    def test_add_element_indices(self, small24):
-        from pgroups import add
-
-        ring = get_ring(small24)
-        elements = enumerate_elements(small24)
-        for i, j in itertools.product(range(len(elements)), repeat=2):
-            k = int(ring.add_element_indices(np.int64(i), np.int64(j)))
-            assert elements[k] == add(elements[i], elements[j])
 
     def test_orbit_is_endomorphic_images(self, small24):
         ring = get_ring(small24)
