@@ -37,6 +37,7 @@ from .groups import (
 from .indicators import (
     Indicator,
     _endo_action_claims,
+    _sorted_indicators,
     admissible_glb,
     admissible_lub,
     enumerate_admissible,
@@ -125,9 +126,7 @@ class ClaimContext:
     def admissible(self) -> list[Indicator]:
         """Admissible indicators in the fixed (length, entries) order."""
         if self._admissible is None:
-            self._admissible = sorted(
-                enumerate_admissible(self.group), key=lambda s: (s.length, s.entries)
-            )
+            self._admissible = _sorted_indicators(enumerate_admissible(self.group))
         return self._admissible
 
     def matrix(self):
@@ -333,7 +332,7 @@ def _run_fi_closure_indicator(ctx: ClaimContext) -> _Found:
     keys, kind = np.unique(rows, axis=0, return_inverse=True)
     orders = {}  # key number -> (orbit order, cut order), where the two differ
     for k, key in enumerate(keys):
-        orbit, h = _grid(G, key[: G.rank]), key[G.rank :]
+        orbit, h = _grid(key[: G.rank], t.moduli, t.strides), key[G.rank :]
         cut = indicator_subgroup(G, Indicator(tuple(h[h < G.exponent].tolist())))
         if not np.array_equal(orbit, cut.indices):
             orders[k] = (orbit.size, cut.order)

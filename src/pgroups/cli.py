@@ -35,7 +35,7 @@ from .groups import (
     block_subgroup,
     ulm_invariants,
 )
-from .indicators import Indicator, enumerate_admissible, indicator_subgroup
+from .indicators import Indicator, _sorted_indicators, enumerate_admissible, indicator_subgroup
 from .lattice import canonical_fi_form, enumerate_fi_subgroups, hasse_export, subgroup_name
 from .matrix import build_matrix
 from .reference import REFERENCE_LISTED_FI_COUNT, REFERENCE_TABLE
@@ -51,11 +51,11 @@ def _load_json_arg(arg: str) -> dict:
     if not arg.lstrip().startswith("{"):
         try:
             text = Path(arg).read_text("utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot read {arg!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("top-level JSON value must be an object")
@@ -140,7 +140,7 @@ def _indicator_table(G: GroupSpec) -> list[str]:
         )
         return out
     rows = []
-    for sigma in sorted(enumerate_admissible(G), key=lambda s: (s.length, s.entries)):
+    for sigma in _sorted_indicators(enumerate_admissible(G)):
         cut = indicator_subgroup(G, sigma)
         rows.append(
             [

@@ -14,38 +14,35 @@ Two order-preserving maps connect ideals and subgroups:
 * an ideal ``I`` pushes forward to the subgroup generated by the images of
   its members.
 
-Both maps, full invariance and single-element orbits are computed from
-generators, never by scanning the ring against the group.  ``G.f`` is
-generated by the ``r`` rows ``e_s.f``, and End(G) is additively spanned by the
-``r^2`` single-entry matrices of ``EndoRing.basis``, so:
+End(G) is additively spanned by the ``r^2`` single-entry matrices of
+``EndoRing.basis``, and an endomorphism's index is its digits over them, so
+every additive subgroup of End(G) is built from the basis, never from a
+table of members:
 
-* the pullback of ``H`` is ``{f : every row of f lies in H}``;
 * ``H`` is fully invariant iff ``H.b`` lies in ``H`` for each basis matrix ``b``;
-* the pushforward of ``I`` is the span of the rows of I's members;
-* the orbit ``{a.f : f}`` of ``a`` is the span of the ``a.b``.
+* the orbit ``{a.f : f}`` of ``a`` is the span of the ``a.b``;
+* the pullback of ``H``, ``p^n E`` and ``E[p^n]`` are grids in the digits
+  (:meth:`EndoRing.basis_grid`), as a fully invariant ``H`` splits by
+  coordinate;
+* the pushforward of ``I`` is the span of the rows of its members;
+* :func:`enumerate_ideals` closes the principal ideals of the multiples
+  ``p^v b`` under sums.
 
-Spans are closed one generator at a time (:func:`_span`).  The claims that
-are exhaustive by statement, ``endo-height-exponent`` and
-``endo-indicator-monotone``, still scan every (endomorphism, element) pair,
-both in one pass through :meth:`EndoRing.action_chunks`.
-``rank-subadditivity`` needs no pass over G: an image's rank is read off the
-``r x r`` matrix whose rows span it (:func:`_image_ranks`).
+An :class:`Ideal` is a packed set like a subgroup: the sorted indices of its
+members, with the ring's digit radix, so the join, meet, containment and
+join-closure of :mod:`pgroups.groups` serve both.  Spans are closed one
+generator at a time (:func:`_span`).
+
+Each group has one cached :class:`EndoRing` shape.  The ring budget applies
+through :func:`get_ring`.  Only :func:`enumerate_endos` and
+:attr:`EndoRing.action` decode every member; ``endo-height-exponent`` and
+``endo-indicator-monotone``, exhaustive by statement, scan every
+(endomorphism, element) pair in one pass through
+:meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an image's
+rank off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).
 
 Both directions, their closure behavior, and several identities about the
 power/socle ideals are checked mechanically by the ``verify_*`` helpers.
-
-Each group has one cached :class:`EndoRing`, a shape (digit radix, strides,
-the r^2 basis matrices) that decodes members from their indices on demand.
-Orbits, full invariance and the ideal helpers need only the shape and run at
-any ring size; work that walks End(G) goes through :func:`get_ring`, which
-applies the ring budget.
-
-An :class:`Ideal` is a packed set like a subgroup: the sorted indices of its
-members, with the ring's digit radix.  Sums, meets and containment of ideals
-are the shared packed-set operations of :mod:`pgroups.groups`, and
-:func:`enumerate_ideals` closes the principal ideals under sums with the same
-join-closure as the oracle of the fully invariant lattice.
-
 Enumeration order of the ring is fixed (matrix positions row-major, entries
 ascending), so every index used here is reproducible run to run.
 """
@@ -53,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -275,12 +272,11 @@ class EndoRing:
     """The shape of End(G): indexing, the additive basis and lookup tables.
 
     Elements are addressed by their packed indices (see :mod:`pgroups.groups`),
-    endomorphisms by dense indices in a fixed enumeration order.  ``basis``
-    holds the ``r^2`` single-entry matrices (with the forced divisibility)
-    that additively span the ring.  The shape checks no budget; member
-    matrices are decoded from indices on demand (:meth:`decode`), and the
-    whole ``endo_matrices`` table is built on first use by work that walks
-    End(G), which gets the ring through :func:`get_ring`.
+    endomorphisms by dense indices whose digit ``k`` is the multiple of
+    ``basis[k]``, one of the ``r^2`` single-entry matrices (with the forced
+    divisibility) that additively span the ring.  The shape checks no budget
+    and holds no table of members: matrices are decoded from indices on
+    demand (:meth:`decode`).
     """
 
     def __init__(self, G: GroupSpec):
@@ -304,11 +300,6 @@ class EndoRing:
         self._endo_strides = np.append(np.cumprod(self._endo_radix[:0:-1])[::-1], 1)
         self.basis = np.diag(self._endo_lift).reshape(r * r, r, r)
 
-    @cached_property
-    def endo_matrices(self) -> np.ndarray:
-        """Every member as an ``(|End|, r, r)`` table, in enumeration order."""
-        return self.decode(np.arange(self.size, dtype=np.int64))
-
     # -- element indexing ---------------------------------------------------
 
     def element_index(self, a: Element) -> int:
@@ -320,9 +311,7 @@ class EndoRing:
     # -- endo indexing ------------------------------------------------------
 
     def endo_index(self, f: Endo) -> int:
-        flat = np.array(f.matrix, dtype=np.int64).reshape(-1)
-        digits = flat // self._endo_lift
-        return int(np.dot(digits, self._endo_strides))
+        return int(self.pack_endos(np.array([f.matrix], dtype=np.int64))[0])
 
     def pack_endos(self, mats: np.ndarray) -> np.ndarray:
         digits = mats.reshape(mats.shape[0], -1) // self._endo_lift[None, :]
@@ -354,7 +343,7 @@ class EndoRing:
         """Full (|E|, |G|) action table, refused above 2**26 entries."""
         if self.size * self.group.order > 2**26:
             raise RingTooLargeError("full action table over cap; use chunked access")
-        return self._act_block(self.endo_matrices)
+        return self._act_block(self.decode(np.arange(self.size)))
 
     def action_chunks(self):
         """Yield ``(start, packed_block)`` covering all endomorphisms, each
@@ -375,12 +364,6 @@ class EndoRing:
         """
         return self._act_block(self.decode(endo_indices))
 
-    def endo_rows(self, endo_indices=None) -> np.ndarray:
-        """Packed rows ``e_s.f`` (shape ``(k, r)``) of the selected
-        endomorphisms, or of the whole ring."""
-        mats = self.endo_matrices if endo_indices is None else self.decode(endo_indices)
-        return mats @ self._elem_strides
-
     def orbit_steps(self, elem_indices) -> np.ndarray:
         """Per element ``a``, the step of each coordinate ``t`` of its orbit:
         the gcd of ``p^e_t`` and the ``(a.b)_t`` over the additive basis,
@@ -400,7 +383,7 @@ class EndoRing:
         in one coordinate, so the span splits by coordinate: coordinate ``t``
         runs over the multiples of its step (:meth:`orbit_steps`).
         """
-        return _grid(self.group, self.orbit_steps(elem_idx))
+        return _grid(self.orbit_steps(elem_idx), self.moduli, self._elem_strides)
 
     # -- subgroup helpers ---------------------------------------------------
 
@@ -411,6 +394,15 @@ class EndoRing:
     def endo_span(self, seed: np.ndarray) -> np.ndarray:
         """Smallest additively closed endo index set containing ``seed`` (and 0)."""
         return _span(seed, self._endo_radix, self._endo_strides)
+
+    def basis_multiples(self) -> np.ndarray:
+        """``p^v basis[k]`` reduced, at ``[v, k]`` for ``v <= exp(G)``."""
+        pows = self.group.p ** np.arange(self.group.exponent + 1)
+        return pows[:, None, None, None] * self.basis % self.moduli
+
+    def basis_grid(self, steps) -> np.ndarray:
+        """Sorted indices of the additive span of the ``steps_k basis[k]``."""
+        return _grid(steps, self._endo_radix, self._endo_strides)
 
     def is_fully_invariant(self, H: Subgroup) -> bool:
         """``H.b`` lies in ``H`` for every basis matrix ``b``; as ``H`` is a
@@ -442,7 +434,8 @@ def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
     >>> len(enumerate_endos(make_group(2, [(1, 1), (2, 1)])))
     32
     """
-    mats = get_ring(G, max_ring=max_ring).endo_matrices.tolist()
+    ring = get_ring(G, max_ring=max_ring)
+    mats = ring.decode(np.arange(ring.size)).tolist()
     return [Endo(G, tuple(map(tuple, m))) for m in mats]
 
 
@@ -546,36 +539,35 @@ def ideal_leq(I: Ideal, J: Ideal) -> bool:
 
 
 def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
-    """All two-sided ideals: principal ideals, then the pairwise-sum fixpoint,
-    sorted by (size, indices).
-
-    Budgeted separately from plain ring enumeration (default cap 2**12)
-    because the principal-ideal sweep touches every ring element.
-    """
+    """All two-sided ideals: the principal ideals of the distinct multiples
+    ``p^v b`` of the basis matrices, then the pairwise-sum fixpoint, sorted
+    by (size, indices).  They reach every ideal, as ``e_ss f e_tt`` lies in
+    the ideal of ``f`` and is some ``c b``, which generates the ideal of
+    ``p^(v_p(c)) b``.  Ideals are packed sets as large as End(G), hence a
+    budget of their own (default cap 2**12)."""
     cap = DEFAULT_MAX_IDEAL_RING_ORDER if max_ring is None else max_ring
     if ring_order(G) > cap:
         raise RingTooLargeError(
             f"|End(G)| = {ring_order(G)} exceeds ideal-enumeration cap {cap}"
         )
     ring = _cached_ring(G)
-    products = (_sandwich_products(ring, mat) for mat in ring.endo_matrices)
-    seeds = {prods.tobytes(): prods for prods in products}
-    ideals = _join_closure((Ideal(G, ring.endo_span(s)) for s in seeds.values()), _join)
+    mults = np.unique(ring.basis_multiples().reshape(-1, G.rank, G.rank), axis=0)
+    principal = (Ideal(G, ring.endo_span(_sandwich_products(ring, f))) for f in mults)
+    ideals = _join_closure(principal, _join)
     ideals.sort(key=lambda I: (I.size, I.indices.tolist()))
     return ideals
 
 
 def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
-    """The pair ``(p^n E, E[p^n])``: scaled ring and p^n-torsion ideal."""
+    """The pair ``(p^n E, E[p^n])``: scaled ring and p^n-torsion ideal.
+    With ``q_k`` the order of ``basis[k]``, they step digit ``k`` by
+    ``gcd(q_k, p^n)`` and by ``q_k / gcd(q_k, p^n)``."""
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     ring = get_ring(G)
-    p = G.p
-    scaled = (ring.endo_matrices * p**n) % ring.moduli[None, None, :]
-    power = Ideal(G, np.unique(ring.pack_endos(scaled)))
-    killed = (scaled == 0).all(axis=(1, 2))
-    torsion = Ideal(G, np.flatnonzero(killed))
-    return power, torsion
+    scale = np.gcd(ring._endo_radix, G.p ** min(n, G.exponent))
+    torsion = ring.basis_grid(ring._endo_radix // scale)
+    return Ideal(G, ring.basis_grid(scale)), Ideal(G, torsion)
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +579,9 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
     every row lies in ``H``.
 
     ``H`` must be fully invariant, otherwise the result would not be closed
-    under right multiplication.
+    under right multiplication.  Then ``H`` splits by coordinate, so ``f``
+    maps G into ``H`` iff digit ``k`` of ``f`` is a multiple of the least
+    ``p^v`` for which ``p^v basis[k]`` does.
     """
     if H.group != G:
         raise MismatchedParentError("subgroup of a different group")
@@ -596,8 +590,9 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not fully invariant"
         )
-    inside = _members(ring.endo_rows(), H.indices).all(axis=1)
-    return Ideal(G, np.flatnonzero(inside))
+    rows = ring.basis_multiples() @ ring._elem_strides
+    inside = _members(rows, H.indices).all(axis=2)
+    return Ideal(G, ring.basis_grid(G.p ** inside.argmax(axis=0)))
 
 
 def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
@@ -606,7 +601,7 @@ def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
     if I.group != G:
         raise MismatchedParentError("ideal of a different group")
     ring = _cached_ring(G)
-    rows = ring.endo_rows(I.indices)
+    rows = ring.decode(I.indices) @ ring._elem_strides
     return _subgroup(G, ring.element_span(rows.reshape(-1)))
 
 
@@ -773,16 +768,15 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
     for I in ideals:
         if not ring.is_fully_invariant(down[I]):
             wd_wit.append({"ideal_size": I.size})
-    sample = ring.endo_matrices[: min(ring.size, 64)]
     for H in node_list:
         ideal_idx = up[H].indices
         # a nonempty finite set is closed under addition iff it is its own span
         if not np.array_equal(ring.endo_span(ideal_idx), ideal_idx):
             wd_wit.append({"subgroup_order": H.order, "failure": "additive"})
-        # Two-sided multiplicative closure against a fixed sample of ring
-        # members (exhaustive would be quadratic in |E| for no extra insight).
-        mats = ring.endo_matrices[ideal_idx]
-        for side, A, B in (("right-mult", mats, sample), ("left-mult", sample, mats)):
+        # an additive subgroup closed under products with the basis on both
+        # sides is closed under products with every sum of basis matrices
+        mats, basis = ring.decode(ideal_idx), ring.basis
+        for side, A, B in (("right-mult", mats, basis), ("left-mult", basis, mats)):
             prod = np.einsum("ast,btu->absu", A, B) % ring.moduli
             packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
             if not np.isin(packed, ideal_idx).all():

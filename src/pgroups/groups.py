@@ -431,12 +431,12 @@ def _span(
         span = np.sort(grown, axis=None)
 
 
-def _grid(G: GroupSpec, steps) -> np.ndarray:
-    """Sorted packed indices of the product of ``<steps_i>`` in each coordinate."""
-    t = _table(G)
+def _grid(steps, radix: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """Sorted packed indices of the product of ``<steps_i>`` in each digit
+    ``Z(radix_i)`` of stride ``strides_i``: a subgroup of G or of End(G)."""
     out = np.zeros(1, dtype=np.int64)
-    # first coordinate most significant, so the result comes out sorted
-    for q, stride, step in zip(t.moduli, t.strides, steps):
+    # first digit most significant, so the result comes out sorted
+    for q, stride, step in zip(radix, strides, steps):
         out = (out[:, None] + np.arange(0, q, step) * stride).reshape(-1)
     return out
 
@@ -683,7 +683,8 @@ def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     if size > cap:
         raise GroupTooLargeError(f"subgroup of order {size} exceeds cap {cap}")
     steps = [G.p**a for a, (_, m) in zip(alpha, G.components) for _ in range(m)]
-    return _subgroup(G, _grid(G, steps), fi_form=tuple(alpha))
+    t = _table(G)
+    return _subgroup(G, _grid(steps, t.moduli, t.strides), fi_form=tuple(alpha))
 
 
 def full_subgroup(G: GroupSpec) -> Subgroup:

@@ -29,7 +29,7 @@ from .errors import (
     NotNormalizableError,
 )
 from .groups import Element, GroupSpec, INF, exponent, height, smul, ulm_invariant
-from .groups import _indices_of, _subgroup, _table
+from .groups import _indices_of, _is_int, _subgroup, _table
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Indicator:
     def __post_init__(self):
         last = -1
         for e in self.entries:
-            if not isinstance(e, int) or e < 0:
+            if not _is_int(e) or e < 0:
                 raise InvalidInputError(f"indicator entries must be naturals: {e!r}")
             if e <= last:
                 raise InvalidInputError(
@@ -72,11 +72,17 @@ class Indicator:
 
     @classmethod
     def from_json(cls, data: dict) -> "Indicator":
+        """Read ``{"entries": [...]}``; a non-integer entry is malformed, not coerced."""
         try:
-            entries = tuple(int(e) for e in data["entries"])
-        except (KeyError, TypeError, ValueError) as exc:
+            entries = tuple(data["entries"])
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed indicator: {exc}") from exc
         return cls(entries)
+
+
+def _sorted_indicators(sigmas: Iterable[Indicator]) -> list[Indicator]:
+    """The indicators in the one fixed output order: by length, then entries."""
+    return sorted(sigmas, key=lambda s: (s.length, s.entries))
 
 
 #: The empty indicator (the top of the order; indicator of the zero element).
@@ -277,8 +283,7 @@ def indicator_universe(bound: int) -> list[Indicator]:
     for length in range(bound + 1):
         for entries in itertools.combinations(range(bound), length):
             out.append(Indicator(entries))
-    out.sort(key=lambda s: (s.length, s.entries))
-    return out
+    return _sorted_indicators(out)
 
 
 def _endo_action_claims(G: GroupSpec, max_ring: int | None = None) -> list:

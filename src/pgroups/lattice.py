@@ -43,7 +43,7 @@ from .groups import (
     _subgroup,
     _table,
 )
-from .indicators import Indicator, enumerate_admissible, indicator_subgroup
+from .indicators import Indicator, _sorted_indicators, enumerate_admissible, indicator_subgroup
 from .reports import ClaimReport, _verdict
 
 
@@ -199,7 +199,7 @@ def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
     labelled by the indicators that cut it out, then covers.  No ring budget
     applies."""
     by_cut: dict[Subgroup, list[Indicator]] = {}
-    for sigma in sorted(enumerate_admissible(G), key=lambda s: (s.length, s.entries)):
+    for sigma in _sorted_indicators(enumerate_admissible(G)):
         by_cut.setdefault(indicator_subgroup(G, sigma), []).append(sigma)
     subs = _by_order(by_cut)
     # containment matrix -> transitive reduction (distinct nodes, so <= with
@@ -313,7 +313,9 @@ def verify_indicator_coverage(G: GroupSpec, lattice: FILattice | None = None) ->
     if lattice is None:
         lattice = enumerate_fi_subgroups(G)
     steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
-    sums = set(_join_closure((_subgroup(G, _grid(G, s)) for s in steps), _join))
+    t = _table(G)
+    orbits = (_subgroup(G, _grid(s, t.moduli, t.strides)) for s in steps)
+    sums = set(_join_closure(orbits, _join))
     nodes = set(lattice.nodes)
     witnesses = [{"missing_subgroup_order": H.order} for H in _by_order(sums - nodes)]
     witnesses += [{"extra_subgroup_order": H.order} for H in _by_order(nodes - sums)]

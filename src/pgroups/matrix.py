@@ -263,11 +263,11 @@ def sigma_sum_verdicts(G: GroupSpec, matrix: FundMatrix | None = None, elements=
     Returns ``{sigma: (equal, sum_contained_in_G_sigma)}`` with explicit
     set comparisons on both sides.
     """
-    from .indicators import enumerate_admissible, indicator_subgroup
+    from .indicators import _sorted_indicators, enumerate_admissible, indicator_subgroup
 
     M = matrix if matrix is not None else build_matrix(G)
     out = {}
-    for sigma in sorted(enumerate_admissible(G), key=lambda s: (s.length, s.entries)):
+    for sigma in _sorted_indicators(enumerate_admissible(G)):
         target = indicator_subgroup(G, sigma, elements=elements)
         total = sigma_sum(G, sigma, matrix=M)
         out[sigma] = (total == target, subgroup_leq(total, target))
@@ -468,12 +468,10 @@ def path_chain_check(
     :func:`verify_sigma_sum`.  With ``sigma=None`` all admissible indicators
     are swept.
     """
-    from .indicators import enumerate_admissible, indicator_subgroup
+    from .indicators import _sorted_indicators, enumerate_admissible, indicator_subgroup
 
     M = matrix if matrix is not None else build_matrix(G)
-    targets = [sigma] if sigma is not None else [
-        s for s in sorted(enumerate_admissible(G), key=lambda s: (s.length, s.entries))
-    ]
+    targets = [sigma] if sigma is not None else _sorted_indicators(enumerate_admissible(G))
     witnesses = []
     checked = 0
     for s in targets:

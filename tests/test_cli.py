@@ -370,6 +370,21 @@ class TestErrorPaths:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "ulm"])
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{\x00")  # UTF-16 "{"
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read") and "utf-8" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "ulm"])
+    def test_json_nested_past_the_recursion_limit_exits_2(self, capsys, command):
+        deep = '{"p": ' + "[" * 200_000 + "]" * 200_000 + "}"
+        code, out, err = run(capsys, command, deep)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed JSON")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -19,35 +19,7 @@ from pgroups import run_claims
 from pgroups import claims as claims_module
 from pgroups.endos import _image_ranks, get_ring
 from pgroups.groups import _table
-
-IDEAL_BUDGET = 2**12
-
-
-def _partitions(n, least=1):
-    """Strictly increasing exponents with multiplicities, total size ``n``."""
-    if n == 0:
-        yield []
-        return
-    for e in range(least, n + 1):
-        for m in range(1, n // e + 1):
-            for rest in _partitions(n - e * m, e + 1):
-                yield [(e, m)] + rest
-
-
-def _family():
-    out = []
-    for p in (2, 3, 5, 7):
-        for n in itertools.count(1):
-            if p**n > IDEAL_BUDGET:
-                break
-            for pairs in _partitions(n):
-                G = make_group(p, pairs)
-                if ring_order(G) <= IDEAL_BUDGET:
-                    out.append(G)
-    return out
-
-
-FAMILY = _family()
+from ring_family import FAMILY, IDEAL_BUDGET
 
 
 def socle_ranks(G, rows):

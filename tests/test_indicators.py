@@ -71,6 +71,21 @@ def test_json_roundtrip():
     assert Indicator.from_json(sigma.to_json()) == sigma
 
 
+@pytest.mark.parametrize(
+    "entries", [["1", 2.7], [1.0], [True], [0, "2"], "12", None, [[1]]]
+)
+def test_json_entries_are_integers_not_coerced(entries):
+    with pytest.raises(InvalidInputError):
+        Indicator.from_json({"entries": entries})
+
+
+def test_bool_entries_are_rejected():
+    with pytest.raises(InvalidInputError):
+        Indicator((True,))
+    with pytest.raises(InvalidInputError):
+        Indicator((0, True))
+
+
 # --- ind_of -------------------------------------------------------------------
 
 
