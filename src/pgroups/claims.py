@@ -30,7 +30,6 @@ from .groups import (
     _grid,
     _table,
     block_subgroup,
-    enumerate_elements,
     fundamental_subgroup,
     subgroup_leq,
 )
@@ -43,7 +42,6 @@ from .indicators import (
     enumerate_admissible,
     ind_max,
     ind_min,
-    ind_of,
     indicator_subgroup,
     is_admissible,
     is_realizable,
@@ -106,8 +104,8 @@ from .reference import (
     ulm_reject_example,
 )
 
-#: Exhaustive transitivity checking is quadratic in |G| with an orbit
-#: computation per element, so it is restricted to small groups.
+#: Exhaustive transitivity checking is quadratic in |G| (one boolean per
+#: ordered pair of elements), so it is restricted to small groups.
 TRANSITIVITY_MAX_ORDER = 64
 
 
@@ -349,21 +347,29 @@ def _run_fi_closure_indicator(ctx: ClaimContext) -> _Found:
 
 @_claim("indicator-transitivity")
 def _run_indicator_transitivity(ctx: ClaimContext) -> _Found:
-    """If ind(a) refines ind(b), some endomorphism maps a onto b."""
+    """If ind(a) refines ind(b), some endomorphism maps a onto b.
+
+    Elements fall into classes by their orbit steps and their column of the
+    height table, as for ``fi-closure-indicator``.  ``precedes`` is evaluated
+    once per pair of classes and each class's orbit tested against every
+    element, so the ``|G|^2`` pairs are one array, read in row-major order."""
     G = ctx.group
     if G.order > TRANSITIVITY_MAX_ORDER:
         raise _Skip(f"|G| = {G.order} exceeds the quadratic-orbit bound {TRANSITIVITY_MAX_ORDER}")
-    ring = _cached_ring(G)  # the shape only: no ring budget
-    elements = enumerate_elements(G)
-    inds = [ind_of(a) for a in elements]
-    wit = []
-    for i, a in enumerate(elements):
-        in_orbit = np.zeros(len(elements), dtype=bool)
-        in_orbit[ring.orbit_indices(i)] = True
-        for j, b in enumerate(elements):
-            if precedes(inds[i], inds[j]) and not in_orbit[j]:
-                wit.append({"from": list(a.coords), "to": list(b.coords)})
-    return wit, f"{len(elements)}^2 ordered pairs"
+    t = _table(G)
+    steps = _cached_ring(G).orbit_steps(slice(None))  # the shape only: no ring budget
+    keys, kind = np.unique(np.hstack((steps, t.heights.T)), axis=0, return_inverse=True)
+    kind = kind.reshape(-1)
+    inds = [Indicator(tuple(h[h < G.exponent].tolist())) for h in keys[:, G.rank :]]
+    refines = np.array([[precedes(a, b) for b in inds] for a in inds])
+    # [class, element]: the element lies in the class's orbit
+    in_orbit = (t.coords[None] % keys[:, None, : G.rank] == 0).all(axis=2)
+    missed = refines[kind[:, None], kind[None, :]] & ~in_orbit[kind]
+    wit = [
+        {"from": t.coords[i].tolist(), "to": t.coords[j].tolist()}
+        for i, j in np.argwhere(missed)
+    ]
+    return wit, f"{G.order}^2 ordered pairs"
 
 
 # --------------------------------------------------------------------------

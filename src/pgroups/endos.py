@@ -15,29 +15,35 @@ Two order-preserving maps connect ideals and subgroups:
   its members.
 
 End(G) is additively spanned by the ``r^2`` single-entry matrices of
-``EndoRing.basis``, and an endomorphism's index is its digits over them, so
-every additive subgroup of End(G) is built from the basis, never from a
-table of members:
+``EndoRing.basis``, and an endomorphism's index is its digits over them.
+Every two-sided ideal holds ``e_ss f e_tt`` for each of its members ``f``, so
+it splits entrywise: it is the grid of one step per basis digit, its shift
+form (:class:`Ideal`).  A fully invariant subgroup splits by coordinate in the
+same way, into the multiples of one step per coordinate (its block shifts).
+Results are served from these shift forms:
 
+* ideal sums, meets and containment are the entrywise gcd, lcm and
+  divisibility of steps;
+* the pullback of ``H`` (:meth:`EndoRing.preimage_steps`), the pushforward of
+  ``I`` (:meth:`EndoRing.image_steps`), ``p^n E`` and ``E[p^n]`` are closed
+  forms in the steps;
 * ``H`` is fully invariant iff ``H.b`` lies in ``H`` for each basis matrix ``b``;
-* the orbit ``{a.f : f}`` of ``a`` is the span of the ``a.b``;
-* the pullback of ``H``, ``p^n E`` and ``E[p^n]`` are grids in the digits
-  (:meth:`EndoRing.basis_grid`), as a fully invariant ``H`` splits by
-  coordinate;
-* the pushforward of ``I`` is the span of the rows of its members;
-* :func:`enumerate_ideals` closes the principal ideals of the multiples
-  ``p^v b`` under sums.
+* the orbit ``{a.f : f}`` of ``a`` is the span of the ``a.b``.
 
-An :class:`Ideal` is a packed set like a subgroup: the sorted indices of its
-members, with the ring's digit radix, so the join, meet, containment and
-join-closure of :mod:`pgroups.groups` serve both.  Spans are closed one
-generator at a time (:func:`_span`).
+The exhaustive paths stay as oracles, which ``dagger-well-defined`` checks
+the shift forms against on every ring within the ideal budget:
+:func:`enumerate_ideals` still finds the ideals by the census (the principal
+ideals of the multiples ``p^v b``, closed under sums one span at a time,
+:func:`_span`), the pushforward is compared with the span of the rows of the
+ideal's members, and the pullback with the whole-ring filter of the members
+whose rows lie in ``H``.  An ideal's packed member indices are built only for
+output, witnesses and these oracles.
 
 Each group has one cached :class:`EndoRing` shape.  The ring budget applies
-through :func:`get_ring`.  Only :func:`enumerate_endos` and
-:attr:`EndoRing.action` decode every member; ``endo-height-exponent`` and
-``endo-indicator-monotone``, exhaustive by statement, scan every
-(endomorphism, element) pair in one pass through
+through :func:`get_ring`.  Only :func:`enumerate_endos`,
+:attr:`EndoRing.action` and the pullback oracle decode every member;
+``endo-height-exponent`` and ``endo-indicator-monotone``, exhaustive by
+statement, scan every (endomorphism, element) pair in one pass through
 :meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an image's
 rank off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).
 
@@ -61,8 +67,7 @@ from .errors import (
     RingTooLargeError,
 )
 from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup
-from .groups import subgroup_leq, subgroup_meet, subgroup_sum
-from .groups import _PackedSet, _grid, _is_int, _join, _join_closure, _leq, _meet
+from .groups import _PackedSet, _grid, _is_int, _join, _join_closure, _same_group
 from .groups import _members, _span, _subgroup, _table
 from .reports import ClaimReport, _verdict
 
@@ -404,6 +409,32 @@ class EndoRing:
         """Sorted indices of the additive span of the ``steps_k basis[k]``."""
         return _grid(steps, self._endo_radix, self._endo_strides)
 
+    def image_steps(self, steps) -> np.ndarray:
+        """Coordinate steps of the pushforward of the ideal with these digit
+        steps, over any leading axes (``(..., r^2)`` to ``(..., r)``).
+
+        The ideal is the span of the ``steps_k basis[k]``, so its image is
+        the span of their rows; the one nonzero row of ``basis[(s, t)]`` is
+        ``lift_st`` in coordinate ``t``.  So coordinate ``t`` steps by the gcd
+        over ``s`` of ``steps_st lift_st`` and ``p^e_t``.
+        """
+        steps = np.asarray(steps)
+        w = steps.reshape(steps.shape[:-1] + (self.rank, self.rank))
+        lift = self._endo_lift.reshape(self.rank, self.rank)
+        return np.gcd(np.gcd.reduce(w * lift, axis=-2), self.moduli)
+
+    def preimage_steps(self, coord_steps) -> np.ndarray:
+        """Digit steps of the pullback of the subgroup with these coordinate
+        steps, over any leading axes (``(..., r)`` to ``(..., r^2)``).
+
+        ``f`` maps G into that subgroup iff each entry ``f_st = d lift_st``
+        is a multiple of ``c_t``, i.e. digit ``d`` is a multiple of
+        ``c_t / gcd(c_t, lift_st)``: in valuations, ``w_st = max(λ_st, α_t)``.
+        """
+        c = np.asarray(coord_steps)[..., None, :]
+        lift = self._endo_lift.reshape(self.rank, self.rank)
+        return (c // np.gcd(c, lift)).reshape(c.shape[:-2] + (self.rank**2,))
+
     def is_fully_invariant(self, H: Subgroup) -> bool:
         """``H.b`` lies in ``H`` for every basis matrix ``b``; as ``H`` is a
         subgroup, that covers every sum of basis matrices, i.e. all of End(G)."""
@@ -443,32 +474,63 @@ def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
 # ideals
 
 
-class Ideal(_PackedSet):
-    """A two-sided ideal, held as the sorted indices of its members in the
-    fixed enumeration order of End(G), packed with the ring's digit radix and
-    strides.
+class Ideal:
+    """A two-sided ideal of End(G), held in its shift form: ``steps[k]`` is
+    the least positive multiple of digit ``k`` that its members take, a power
+    of p up to the digit radix (the radix itself where the digit is always 0).
 
-    ``indices`` is a read-only sorted int64 array, as for a :class:`Subgroup`.
-    ``generators`` records a generating set (also as indices); it takes no
-    part in equality.
+    Every two-sided ideal is the grid of its steps over the basis digits
+    (:meth:`EndoRing.basis_grid`); in entry valuations this is the shift
+    matrix ``w_st = v_p(steps_st) + λ_st``.  Equality and hashing use the
+    type, the group and the steps.  ``generators`` records a generating set
+    (as indices); it takes no part in equality.
+
+    ``indices``, the sorted packed indices of the members (read-only int64),
+    are built from the steps on first use, for output, witnesses and the
+    oracles.  An ideal read off a set of members, ``Ideal(group, indices)``
+    as the census and :func:`ideal_generated` build it, keeps that set, and
+    ``dagger-well-defined`` checks it against the grid of its steps.
     """
 
-    __slots__ = ("generators",)
+    __slots__ = ("group", "steps", "generators", "_key", "_indices")
 
     def __init__(self, group: GroupSpec, indices, generators: tuple[int, ...] = ()):
-        self._pack(group, indices)
+        ring = _cached_ring(group)
+        held = np.array(indices, dtype=np.int64)
+        held.setflags(write=False)
+        digits = held[:, None] // ring._endo_strides % ring._endo_radix
+        steps = np.gcd(np.gcd.reduce(digits, axis=0), ring._endo_radix)
+        self._hold(group, steps, generators)
+        self._indices = held
+
+    def _hold(self, group: GroupSpec, steps, generators=()) -> "Ideal":
+        self.group = group
+        self._key = np.asarray(steps, dtype=np.int64).tobytes()
+        self.steps = np.frombuffer(self._key, dtype=np.int64)
         self.generators = tuple(generators)
+        self._indices = None
+        return self
 
-    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
-        ring = _cached_ring(self.group)
-        return ring._endo_radix, ring._endo_strides
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._key == other._key
+            and self.group == other.group
+        )
 
-    def _with(self, indices: np.ndarray) -> "Ideal":
-        return Ideal(self.group, indices)
+    def __hash__(self) -> int:
+        return hash((type(self), self.group, self._key))
+
+    @property
+    def indices(self) -> np.ndarray:
+        if self._indices is None:
+            self._indices = _cached_ring(self.group).basis_grid(self.steps)
+            self._indices.setflags(write=False)
+        return self._indices
 
     @property
     def size(self) -> int:
-        return self.indices.size
+        return int(np.prod(_cached_ring(self.group)._endo_radix // self.steps))
 
     def endos(self) -> list[Endo]:
         return list(map(_cached_ring(self.group).endo_of_index, self.indices))
@@ -479,8 +541,9 @@ class Ideal(_PackedSet):
     def __contains__(self, f) -> bool:
         if not (isinstance(f, Endo) and f.group == self.group):
             return False
-        i = _cached_ring(self.group).endo_index(f)
-        return bool(_members(np.array([i]), self.indices)[0])
+        ring = _cached_ring(self.group)
+        digits = np.array(f.matrix, dtype=np.int64).reshape(-1) // ring._endo_lift
+        return bool((digits % ring._endo_radix % self.steps == 0).all())
 
     def __repr__(self) -> str:
         return f"Ideal(size={self.size} of End({self.group.describe()}))"
@@ -490,6 +553,25 @@ class Ideal(_PackedSet):
             "size": self.size,
             "generators": [f.to_json() for f in self.generator_endos()],
         }
+
+
+def _ideal(G: GroupSpec, steps, generators: tuple[int, ...] = ()) -> Ideal:
+    """The ideal with these digit steps."""
+    return Ideal.__new__(Ideal)._hold(G, steps, generators)
+
+
+class _Additive(_PackedSet):
+    """An additive subgroup of End(G) as sorted packed indices, with no
+    shift form: the sets the census spans and joins."""
+
+    __slots__ = ()
+
+    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
+        ring = _cached_ring(self.group)
+        return ring._endo_radix, ring._endo_strides
+
+    def _with(self, indices: np.ndarray) -> "_Additive":
+        return _Additive()._pack(self.group, indices)
 
 
 def _sandwich_products(ring: EndoRing, mat: np.ndarray) -> np.ndarray:
@@ -525,17 +607,22 @@ def principal_ideal(G: GroupSpec, f: Endo, max_ring: int | None = None) -> Ideal
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    """Elementwise sum ``I + J``, generated by the generators of both: the
-    span of ``I`` and ``J`` (already an ideal, no multiplicative closure)."""
-    return Ideal(I.group, _join(I, J).indices, I.generators + J.generators)
+    """Elementwise sum ``I + J`` (already an ideal), generated by the
+    generators of both: the entrywise gcd of the steps."""
+    _same_group(I, J)
+    return _ideal(I.group, np.gcd(I.steps, J.steps), I.generators + J.generators)
 
 
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
-    return _meet(I, J)
+    """``I`` meet ``J``: the entrywise lcm of the steps."""
+    _same_group(I, J)
+    return _ideal(I.group, np.lcm(I.steps, J.steps))
 
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
-    return _leq(I, J)
+    """``I <= J``: each step of ``J`` divides that of ``I``."""
+    _same_group(I, J)
+    return bool((I.steps % J.steps == 0).all())
 
 
 def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
@@ -543,8 +630,9 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
     ``p^v b`` of the basis matrices, then the pairwise-sum fixpoint, sorted
     by (size, indices).  They reach every ideal, as ``e_ss f e_tt`` lies in
     the ideal of ``f`` and is some ``c b``, which generates the ideal of
-    ``p^(v_p(c)) b``.  Ideals are packed sets as large as End(G), hence a
-    budget of their own (default cap 2**12)."""
+    ``p^(v_p(c)) b``.  The census spans packed sets as large as End(G),
+    hence a budget of its own (default cap 2**12); it is the oracle that
+    ``dagger-well-defined`` checks the shift forms against."""
     cap = DEFAULT_MAX_IDEAL_RING_ORDER if max_ring is None else max_ring
     if ring_order(G) > cap:
         raise RingTooLargeError(
@@ -552,8 +640,10 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
         )
     ring = _cached_ring(G)
     mults = np.unique(ring.basis_multiples().reshape(-1, G.rank, G.rank), axis=0)
-    principal = (Ideal(G, ring.endo_span(_sandwich_products(ring, f))) for f in mults)
-    ideals = _join_closure(principal, _join)
+    principal = (
+        _Additive()._pack(G, ring.endo_span(_sandwich_products(ring, f))) for f in mults
+    )
+    ideals = [Ideal(G, S.indices) for S in _join_closure(principal, _join)]
     ideals.sort(key=lambda I: (I.size, I.indices.tolist()))
     return ideals
 
@@ -566,12 +656,19 @@ def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
         raise InvalidInputError("n must be nonnegative")
     ring = get_ring(G)
     scale = np.gcd(ring._endo_radix, G.p ** min(n, G.exponent))
-    torsion = ring.basis_grid(ring._endo_radix // scale)
-    return Ideal(G, ring.basis_grid(scale)), Ideal(G, torsion)
+    return _ideal(G, scale), _ideal(G, ring._endo_radix // scale)
 
 
 # --------------------------------------------------------------------------
 # the two dagger maps
+
+
+def _coordinate_steps(H: Subgroup) -> np.ndarray:
+    """Per coordinate, the least ``p^v`` that a member of ``H`` has there: the
+    step of that coordinate when ``H`` splits by coordinate, as a fully
+    invariant subgroup does."""
+    lowest = _table(H.group).valuations[H.indices].min(axis=0)
+    return H.group.p ** lowest.astype(np.int64)
 
 
 def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
@@ -579,9 +676,8 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
     every row lies in ``H``.
 
     ``H`` must be fully invariant, otherwise the result would not be closed
-    under right multiplication.  Then ``H`` splits by coordinate, so ``f``
-    maps G into ``H`` iff digit ``k`` of ``f`` is a multiple of the least
-    ``p^v`` for which ``p^v basis[k]`` does.
+    under right multiplication.  Then ``H`` splits by coordinate, and the
+    ideal is the closed form :meth:`EndoRing.preimage_steps` of its steps.
     """
     if H.group != G:
         raise MismatchedParentError("subgroup of a different group")
@@ -590,19 +686,17 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not fully invariant"
         )
-    rows = ring.basis_multiples() @ ring._elem_strides
-    inside = _members(rows, H.indices).all(axis=2)
-    return Ideal(G, ring.basis_grid(G.p ** inside.argmax(axis=0)))
+    return _ideal(G, ring.preimage_steps(_coordinate_steps(H)))
 
 
 def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
-    """The subgroup generated by the images of the ideal's members: the span
-    of their rows."""
+    """The subgroup generated by the images of the ideal's members: the
+    closed form :meth:`EndoRing.image_steps` of its steps."""
     if I.group != G:
         raise MismatchedParentError("ideal of a different group")
-    ring = _cached_ring(G)
-    rows = ring.decode(I.indices) @ ring._elem_strides
-    return _subgroup(G, ring.element_span(rows.reshape(-1)))
+    t = _table(G)
+    steps = _cached_ring(G).image_steps(I.steps)
+    return _subgroup(G, _grid(steps, t.moduli, t.strides))
 
 
 @dataclass(frozen=True)
@@ -747,118 +841,167 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     return _reports(G, [(cid, ws, f"all n in [0, {e}]") for cid, ws in wit.items()])
 
 
+def _well_defined_witnesses(ring: EndoRing, nodes, ideals) -> list:
+    """``dagger-well-defined``: both maps land where they should, and their
+    shift forms agree with the exhaustive oracles on every object.
+
+    Each census ideal must be the grid of its steps, and its pushforward the
+    span of its members' rows and fully invariant.  Each node's pullback must
+    be the whole-ring filter of the endomorphisms whose rows lie in the node,
+    and closed under products with the basis on both sides.  Only the row
+    spans call :func:`_span`, one per ideal.
+    """
+    G = ring.group
+    wit = []
+    for I in ideals:
+        if not np.array_equal(ring.basis_grid(I.steps), I.indices):
+            wit.append({"ideal_size": I.size, "failure": "not a grid"})
+        down = dagger_ideal(G, I)
+        rows = ring.decode(I.indices) @ ring._elem_strides
+        if not np.array_equal(ring.element_span(rows.reshape(-1)), down.indices):
+            wit.append({"ideal_size": I.size, "failure": "pushforward"})
+        if not ring.is_fully_invariant(down):
+            wit.append({"ideal_size": I.size})
+    every_row = ring.decode(np.arange(ring.size)) @ ring._elem_strides
+    for H in nodes:
+        up = dagger_subgroup(G, H)
+        ideal_idx = up.indices
+        inside = np.flatnonzero(_members(every_row, H.indices).all(axis=1))
+        if not np.array_equal(ideal_idx, inside):
+            wit.append({"subgroup_order": H.order, "failure": "pullback"})
+        # the grid is spanned by the steps_k basis[k]; if their products with
+        # the basis on both sides lie in it, so do its products with every
+        # sum of basis matrices
+        basis = ring.basis
+        gens = up.steps[:, None, None] * basis % ring.moduli
+        for side, A, B in (("right-mult", gens, basis), ("left-mult", basis, gens)):
+            prod = np.einsum("ast,btu->absu", A, B) % ring.moduli
+            packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
+            if not np.isin(packed, ideal_idx).all():
+                wit.append({"subgroup_order": H.order, "failure": side})
+    return wit
+
+
+def _within(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``[i, j]``: the grid with steps ``A[i]`` lies in the one with steps
+    ``B[j]``, i.e. each step of ``B[j]`` divides that of ``A[i]``."""
+    return (A[:, None] % B[None] == 0).all(axis=-1)
+
+
+def _same(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return (A == B).all(axis=-1)
+
+
+def _pairwise(ufunc, A: np.ndarray) -> np.ndarray:
+    """``[i, j]``: ``ufunc(A[i], A[j])``."""
+    return ufunc(A[:, None], A[None])
+
+
 def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimReport]:
     """Order/meet/join preservation, closure behavior, and class structure of
     the two dagger maps, exhaustively over the fully invariant lattice and
-    the full ideal lattice."""
+    the full ideal lattice.
+
+    ``dagger-well-defined`` checks the shift forms against the census and
+    the definitions (:func:`_well_defined_witnesses`).  The other claims run
+    on shift vectors: a node or an image by its coordinate steps, an ideal by
+    its digit steps, with sums, meets and containment as entrywise gcd, lcm
+    and divisibility, and the two maps as :meth:`EndoRing.image_steps` and
+    :meth:`EndoRing.preimage_steps`.  Pairs are read off in row-major order,
+    the order of ``itertools.product`` and ``combinations``.
+    """
     from .lattice import enumerate_fi_subgroups
 
     if nodes is None:
         nodes = enumerate_fi_subgroups(G).nodes
     if ideals is None:
         ideals = enumerate_ideals(G)
-    verdicts = []  # (claim id, witnesses, what was checked)
-    node_list = list(nodes)
-    up = {H: dagger_subgroup(G, H) for H in node_list}
-    down = {I: dagger_ideal(G, I) for I in ideals}
-
-    # the pushforward of an ideal must be fully invariant, the pullback an ideal
     ring = get_ring(G)
-    wd_wit = []
-    for I in ideals:
-        if not ring.is_fully_invariant(down[I]):
-            wd_wit.append({"ideal_size": I.size})
-    for H in node_list:
-        ideal_idx = up[H].indices
-        # a nonempty finite set is closed under addition iff it is its own span
-        if not np.array_equal(ring.endo_span(ideal_idx), ideal_idx):
-            wd_wit.append({"subgroup_order": H.order, "failure": "additive"})
-        # an additive subgroup closed under products with the basis on both
-        # sides is closed under products with every sum of basis matrices
-        mats, basis = ring.decode(ideal_idx), ring.basis
-        for side, A, B in (("right-mult", mats, basis), ("left-mult", basis, mats)):
-            prod = np.einsum("ast,btu->absu", A, B) % ring.moduli
-            packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
-            if not np.isin(packed, ideal_idx).all():
-                wd_wit.append({"subgroup_order": H.order, "failure": side})
+    node_list = list(nodes)
+    verdicts = []  # (claim id, witnesses, what was checked)
+    wd_wit = _well_defined_witnesses(ring, node_list, ideals)
     checked = f"{len(node_list)} subgroups, {len(ideals)} ideals"
     verdicts.append(("dagger-well-defined", wd_wit[:5], checked))
 
+    r = G.rank
+    C = np.array([_coordinate_steps(H) for H in node_list]).reshape(-1, r)
+    W = np.array([I.steps for I in ideals]).reshape(-1, r * r)
+    up, down = ring.preimage_steps(C), ring.image_steps(W)
+    orders = [H.order for H in node_list]
+    sizes = [I.size for I in ideals]
+
+    def order_of(c) -> int:
+        return int(np.prod(ring.moduli // c))
+
+    def node_pairs(mask) -> list:
+        pairs = np.argwhere(mask)
+        return [{"pair": [orders[i], orders[j]], "side": "subgroup"} for i, j in pairs]
+
+    def ideal_pairs(mask) -> list:
+        pairs = np.argwhere(mask)
+        return [{"pair": [sizes[i], sizes[j]], "side": "ideal"} for i, j in pairs]
+
     # order preservation, both directions
-    order_wit = []
-    for H, K in itertools.product(node_list, repeat=2):
-        if subgroup_leq(H, K) and not ideal_leq(up[H], up[K]):
-            order_wit.append({"pair": [H.order, K.order], "side": "subgroup"})
-    for I, J in itertools.product(ideals, repeat=2):
-        if ideal_leq(I, J) and not subgroup_leq(down[I], down[J]):
-            order_wit.append({"pair": [I.size, J.size], "side": "ideal"})
+    order_wit = node_pairs(_within(C, C) & ~_within(up, up))
+    order_wit += ideal_pairs(_within(W, W) & ~_within(down, down))
     verdicts.append(("dagger-order", order_wit[:5], "all ordered pairs on both sides"))
 
-    # meet/join preservation
+    # meet/join preservation over unordered pairs
+    node_upper = np.triu(np.ones((len(C), len(C)), dtype=bool), 1)
+    ideal_upper = np.triu(np.ones((len(W), len(W)), dtype=bool), 1)
     sum_wit, meet_wit = [], []
-    for H, K in itertools.combinations(node_list, 2):
-        HK_sum = subgroup_sum(H, K)
-        HK_meet = subgroup_meet(H, K)
-        # the FI lattice is closed under both, so the results are nodes
-        lhs = up.get(HK_sum) or dagger_subgroup(G, HK_sum)
-        if lhs != ideal_sum(up[H], up[K]):
-            sum_wit.append({"pair": [H.order, K.order], "side": "subgroup"})
-        lhs = up.get(HK_meet) or dagger_subgroup(G, HK_meet)
-        if lhs != ideal_meet(up[H], up[K]):
-            meet_wit.append({"pair": [H.order, K.order], "side": "subgroup"})
-    for I, J in itertools.combinations(ideals, 2):
-        S = ideal_sum(I, J)
-        lhs = down.get(S) or dagger_ideal(G, S)
-        if lhs != subgroup_sum(down[I], down[J]):
-            sum_wit.append({"pair": [I.size, J.size], "side": "ideal"})
-        M = ideal_meet(I, J)
-        lhs = down.get(M) or dagger_ideal(G, M)
-        if lhs != subgroup_meet(down[I], down[J]):
-            meet_wit.append(
-                {
-                    "pair": [I.size, J.size],
-                    "side": "ideal",
-                    "image_of_meet_order": lhs.order,
-                    "meet_of_images_order": subgroup_meet(down[I], down[J]).order,
-                }
-            )
+    for op, wit in ((np.gcd, sum_wit), (np.lcm, meet_wit)):
+        pulled = ring.preimage_steps(_pairwise(op, C))
+        wit += node_pairs(~_same(pulled, _pairwise(op, up)) & node_upper)
+    image_of_sum = ring.image_steps(_pairwise(np.gcd, W))
+    sum_wit += ideal_pairs(~_same(image_of_sum, _pairwise(np.gcd, down)) & ideal_upper)
+    image_of_meet = ring.image_steps(_pairwise(np.lcm, W))
+    meet_of_images = _pairwise(np.lcm, down)
+    meet_wit += [
+        {
+            "pair": [sizes[i], sizes[j]],
+            "side": "ideal",
+            "image_of_meet_order": order_of(image_of_meet[i, j]),
+            "meet_of_images_order": order_of(meet_of_images[i, j]),
+        }
+        for i, j in np.argwhere(~_same(image_of_meet, meet_of_images) & ideal_upper)
+    ]
     checked = "all unordered pairs on both sides"
     verdicts.append(("dagger-sum-preservation", sum_wit[:5], checked))
     verdicts.append(("dagger-intersection-preservation", meet_wit[:5], checked))
 
     # closure behavior
-    sub_defl_wit, fi_closed_wit = [], []
-    back_up = {H: dagger_ideal(G, up[H]) for H in node_list}
-    for H in node_list:
-        back = back_up[H]
-        if not subgroup_leq(back, H):
-            sub_defl_wit.append({"subgroup_order": H.order})
-        if back != H:
-            fi_closed_wit.append({"subgroup_order": H.order, "closure_order": back.order})
+    back_up = ring.image_steps(up)  # each node's double dagger
+    back_of = ring.preimage_steps(down)  # each ideal's double dagger
+    fi_closed, closed = _same(back_up, C), _same(back_of, W)
+    deflates = (back_up % C == 0).all(axis=1)
+    sub_defl_wit = [{"subgroup_order": orders[i]} for i in np.flatnonzero(~deflates)]
+    fi_closed_wit = [
+        {"subgroup_order": orders[i], "closure_order": order_of(back_up[i])}
+        for i in np.flatnonzero(~fi_closed)
+    ]
     checked = f"{len(node_list)} fully invariant subgroups"
     verdicts.append(("subgroup-double-dagger-deflation", sub_defl_wit, checked))
     verdicts.append(("fi-dagger-closed", fi_closed_wit, checked))
-    ideal_defl_wit, ideal_infl_wit, triple_wit = [], [], []
-    back_of = {I: dagger_subgroup(G, down[I]) for I in ideals}
-    closed_ideals = [I for I in ideals if back_of[I] == I]
-    for I in ideals:
-        back = back_of[I]
-        if not ideal_leq(back, I):
-            sample = np.setdiff1d(back.indices, I.indices)
-            ideal_defl_wit.append(
-                {
-                    "ideal_size": I.size,
-                    "closure_size": back.size,
-                    "endo_in_closure_only": ring.decode(sample[0]).tolist(),
-                }
-            )
-        if not ideal_leq(I, back):
-            ideal_infl_wit.append({"ideal_size": I.size})
-        if dagger_ideal(G, back) != down[I]:
-            triple_wit.append({"ideal_size": I.size, "side": "ideal"})
-    for H in node_list:
-        if dagger_subgroup(G, back_up[H]) != up[H]:
-            triple_wit.append({"subgroup_order": H.order, "side": "subgroup"})
+    ideal_defl_wit = []
+    for i in np.flatnonzero(~(back_of % W == 0).all(axis=1)):
+        sample = np.setdiff1d(ring.basis_grid(back_of[i]), ideals[i].indices)
+        ideal_defl_wit.append(
+            {
+                "ideal_size": sizes[i],
+                "closure_size": int(np.prod(ring._endo_radix // back_of[i])),
+                "endo_in_closure_only": ring.decode(sample[0]).tolist(),
+            }
+        )
+    inflates = (W % back_of == 0).all(axis=1)
+    ideal_infl_wit = [{"ideal_size": sizes[i]} for i in np.flatnonzero(~inflates)]
+    triple_wit = [
+        {"ideal_size": sizes[i], "side": "ideal"}
+        for i in np.flatnonzero(~_same(ring.image_steps(back_of), down))
+    ] + [
+        {"subgroup_order": orders[i], "side": "subgroup"}
+        for i in np.flatnonzero(~_same(ring.preimage_steps(back_up), up))
+    ]
     checked = f"{len(ideals)} ideals"
     verdicts.append(("ideal-double-dagger-deflation", ideal_defl_wit[:5], checked))
     verdicts.append(("ideal-double-dagger-inflation", ideal_infl_wit[:5], checked))
@@ -866,52 +1009,46 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
     verdicts.append(("dagger-triple", triple_wit[:5], checked))
 
     # closed-object equivalences and the lattice isomorphism between them
-    equiv_wit = []
-    images = {down[I] for I in ideals}
-    for H in node_list:
-        if (back_up[H] == H) != (H in images):
-            equiv_wit.append({"subgroup_order": H.order})
-    preimages = set(up.values())
-    for I in ideals:
-        if (back_of[I] == I) != (I in preimages):
-            equiv_wit.append({"ideal_size": I.size})
+    image_of = _same(down[:, None], C[None])  # [ideal, node]: the node is its image
+    is_image = image_of.any(axis=0)
+    is_preimage = _same(W[:, None], up[None]).any(axis=1)
+    equiv_wit = [
+        {"subgroup_order": orders[i]} for i in np.flatnonzero(fi_closed != is_image)
+    ]
+    equiv_wit += [{"ideal_size": sizes[i]} for i in np.flatnonzero(closed != is_preimage)]
     checked = "closedness vs membership in the opposite map's range"
     verdicts.append(("dagger-closed-equivalences", equiv_wit[:5], checked))
-    iso_wit = []
-    for I, J in itertools.product(closed_ideals, repeat=2):
-        if ideal_leq(I, J) != subgroup_leq(down[I], down[J]):
-            iso_wit.append({"pair": [I.size, J.size]})
-    if len(closed_ideals) != len(node_list):
+    k = np.flatnonzero(closed)
+    iso = _within(W[k], W[k]) != _within(down[k], down[k])
+    iso_wit = [{"pair": [sizes[k[i]], sizes[k[j]]]} for i, j in np.argwhere(iso)]
+    if len(k) != len(node_list):
         iso_wit.append(
             {
-                "closed_ideals": len(closed_ideals),
+                "closed_ideals": len(k),
                 "fully_invariant_subgroups": len(node_list),
             }
         )
-    checked = f"{len(closed_ideals)} closed ideals vs {len(node_list)} subgroups"
+    checked = f"{len(k)} closed ideals vs {len(node_list)} subgroups"
     verdicts.append(("closed-lattice-isomorphism", iso_wit[:5], checked))
 
     # preimage classes: closed under sums, with a unique closed maximum
     class_wit = []
-    for H in node_list:
-        cls = [I for I in ideals if down[I] == H]
-        if not cls:
+    for h, H in enumerate(node_list):
+        cls = np.flatnonzero(image_of[:, h])
+        if not cls.size:
             class_wit.append({"subgroup_order": H.order, "failure": "empty class"})
             continue
-        for I, J in itertools.combinations(cls, 2):
-            S = ideal_sum(I, J)
-            if dagger_ideal(G, S) != H:
-                class_wit.append({"subgroup_order": H.order, "failure": "sum leaves class"})
-        closed_members = [I for I in cls if back_of[I] == I]
+        sums = ring.image_steps(_pairwise(np.gcd, W[cls]))
+        leaves = int(np.triu(~_same(sums, C[h]), 1).sum())
+        class_wit += [{"subgroup_order": H.order, "failure": "sum leaves class"}] * leaves
+        closed_members = cls[closed[cls]]
         if len(closed_members) != 1:
             class_wit.append(
                 {"subgroup_order": H.order, "closed_members": len(closed_members)}
             )
         else:
-            top = max(cls, key=lambda I: I.size)
-            if top != closed_members[0] or not all(
-                ideal_leq(I, closed_members[0]) for I in cls
-            ):
+            top, best = cls[np.argmax([sizes[i] for i in cls])], closed_members[0]
+            if top != best or not (W[cls] % W[best] == 0).all():
                 class_wit.append({"subgroup_order": H.order, "failure": "not maximum"})
     checked = f"{len(ideals)} ideals grouped by image"
     verdicts.append(("dagger-class-structure", class_wit[:5], checked))

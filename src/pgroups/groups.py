@@ -21,10 +21,11 @@ the heights of their ``p^k`` multiples, which is all that sums,
 intersections, containment and indicator cuts need.  ``Element`` objects
 appear only where a caller asks for them.
 
-Subgroups and the ideals of End(G) (:class:`pgroups.endos.Ideal`) are both
-packed sets (:class:`_PackedSet`) and share one join, meet, order and
-join-closure fixpoint (:func:`_join`, :func:`_meet`, :func:`_leq`,
+Subgroups and the additive subgroups of End(G) that the ideal census spans
+are both packed sets (:class:`_PackedSet`) and share one join, meet, order
+and join-closure fixpoint (:func:`_join`, :func:`_meet`, :func:`_leq`,
 :func:`_join_closure`); they differ only in the digit radix of their indices.
+The ideals themselves (:class:`pgroups.endos.Ideal`) are held by their steps.
 """
 from __future__ import annotations
 

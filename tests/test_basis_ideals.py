@@ -8,14 +8,18 @@ oracles here are the definitions over every member of End(G): one principal
 ideal per member, the members whose rows lie in ``H``, and the members
 scaled by or killed by ``p^n``.  They must agree on every ring within the
 ideal budget for p in {2, 3, 5, 7}.
+
+The dagger suite serves its answers from the shift forms and keeps the
+census, the row spans and the whole-ring filter only as the oracles of
+``dagger-well-defined``, which must notice a wrong closed form.
 """
 import numpy as np
 import pytest
 
 from pgroups import dagger_subgroup, enumerate_fi_subgroups, enumerate_ideals
-from pgroups import make_group, special_ideals
-from pgroups import endos
-from pgroups.endos import Ideal, get_ring
+from pgroups import make_group, run_claims, special_ideals, verify_galois_suite
+from pgroups import endos, groups
+from pgroups.endos import EndoRing, get_ring
 from pgroups.groups import _join, _join_closure, _members
 from ring_family import FAMILY
 
@@ -25,19 +29,20 @@ def members(ring):
 
 
 def sweep_ideals(G):
-    """One principal ideal per distinct sandwich set of each member, then
-    the pairwise-sum fixpoint, sorted by (size, indices)."""
+    """The member sets of one principal ideal per distinct sandwich set of
+    each member, then of the pairwise-sum fixpoint, sorted by size, then
+    members."""
     ring = get_ring(G)
     products = (endos._sandwich_products(ring, f) for f in members(ring))
     seeds = {prods.tobytes(): prods for prods in products}
-    ideals = _join_closure((Ideal(G, ring.endo_span(s)) for s in seeds.values()), _join)
-    ideals.sort(key=lambda I: (I.size, I.indices.tolist()))
-    return ideals
+    sets = (endos._Additive()._pack(G, ring.endo_span(s)) for s in seeds.values())
+    found = [S.indices.tolist() for S in _join_closure(sets, _join)]
+    return sorted(found, key=lambda x: (len(x), x))
 
 
 @pytest.mark.parametrize("G", FAMILY, ids=lambda G: G.describe())
 def test_basis_ideals_match_the_whole_ring(G):
-    assert enumerate_ideals(G) == sweep_ideals(G)
+    assert [I.indices.tolist() for I in enumerate_ideals(G)] == sweep_ideals(G)
     ring = get_ring(G)
     mats = members(ring)
     rows = mats @ ring._elem_strides
@@ -63,3 +68,48 @@ def test_census_spans_one_ideal_per_basis_multiple(monkeypatch):
     monkeypatch.setattr(endos, "_sandwich_products", counting)
     enumerate_ideals(G)
     assert len(calls) <= 14  # the sweep over every member made 1024
+
+
+def test_galois_suite_spans_only_its_oracle_rows(monkeypatch):
+    G = make_group(2, [(2, 1), (4, 1)])
+    nodes, ideals = enumerate_fi_subgroups(G).nodes, enumerate_ideals(G)
+    real, calls = groups._span, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (groups, endos):
+        monkeypatch.setattr(module, "_span", counting)
+    verify_galois_suite(G, nodes=nodes, ideals=ideals)
+    # one row span per ideal; the pair loops over packed sets made 1264
+    assert len(calls) <= len(ideals) + len(nodes)
+
+
+@pytest.mark.parametrize("closed_form", ["image_steps", "preimage_steps"])
+def test_dagger_well_defined_catches_a_shrunk_step(monkeypatch, closed_form):
+    G = make_group(2, [(2, 1), (4, 1)])
+    real = getattr(EndoRing, closed_form)
+
+    def shrunk(ring, steps):
+        out = real(ring, steps).copy()
+        out[..., 0] = np.maximum(out[..., 0] // G.p, 1)  # the first step of each
+        return out
+
+    monkeypatch.setattr(EndoRing, closed_form, shrunk)
+    (report,) = run_claims(G, ids=["dagger-well-defined"])
+    assert report.status == "refuted"
+    assert report.checked == "9 subgroups, 32 ideals"
+
+
+def test_dagger_well_defined_catches_a_census_set_off_its_grid():
+    G = make_group(2, [(2, 1), (4, 1)])
+    nodes, ideals = enumerate_fi_subgroups(G).nodes, enumerate_ideals(G)
+    top = ideals[-1]
+    ideals[-1] = endos.Ideal(G, top.indices[:-1])  # End(G) less one member
+    assert ideals[-1] == top  # same steps, so only the member sets differ
+    reports = {r.claim_id: r for r in verify_galois_suite(G, nodes=nodes, ideals=ideals)}
+    assert reports["dagger-well-defined"].witnesses[0] == {
+        "ideal_size": top.size,
+        "failure": "not a grid",
+    }

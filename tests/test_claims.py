@@ -3,6 +3,7 @@ stable ids, and the shipped allowlist of expected refutations."""
 
 import json
 
+import numpy as np
 import pytest
 
 from pgroups import (
@@ -11,7 +12,9 @@ from pgroups import (
     InvalidInputError,
     VERDICTS,
     all_claim_ids,
+    enumerate_elements,
     enumerate_ideals,
+    ind_of,
     load_allowlist,
     make_group,
     run_claims,
@@ -229,6 +232,40 @@ class TestRunClaims:
         assert "quadratic-orbit bound 64" in report.checked
         (small,) = run_claims(small24, ids=["indicator-transitivity"])
         assert small.status == "verified"
+
+    @pytest.mark.parametrize("always", [False, True], ids=["precedes", "always"])
+    def test_transitivity_matches_the_element_loop(self, monkeypatch, always):
+        """The one-pass runner against the loop over element pairs it
+        replaced, on every group of order <= 64 in the ring family.  With
+        ``precedes`` made to hold for every pair, both list the same refuting
+        pairs in the same order."""
+        import pgroups.claims
+        from pgroups.claims import ClaimContext, _run_indicator_transitivity
+        from pgroups.endos import _cached_ring
+        from ring_family import FAMILY
+
+        relation = pgroups.claims.precedes
+        if always:
+            relation = lambda a, b: True  # noqa: E731
+            monkeypatch.setattr(pgroups.claims, "precedes", relation)
+        groups = [G for G in FAMILY if G.order <= TRANSITIVITY_MAX_ORDER]
+        assert len(groups) > 20
+        for G in groups:
+            ring = _cached_ring(G)
+            elements = enumerate_elements(G)
+            inds = [ind_of(a) for a in elements]
+            expected = []
+            for i, a in enumerate(elements):
+                in_orbit = np.zeros(len(elements), dtype=bool)
+                in_orbit[ring.orbit_indices(i)] = True
+                for j, b in enumerate(elements):
+                    if relation(inds[i], inds[j]) and not in_orbit[j]:
+                        expected.append({"from": list(a.coords), "to": list(b.coords)})
+            assert bool(expected) == always
+            assert _run_indicator_transitivity(ClaimContext(G)) == (
+                expected,
+                f"{G.order}^2 ordered pairs",
+            )
 
     def test_homocyclic_chain_runs_on_homocyclic_groups(self, homocyclic44):
         (report,) = run_claims(homocyclic44, ids=["homocyclic-ideal-chain"])

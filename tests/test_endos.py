@@ -24,6 +24,7 @@ from pgroups import (
     endo_rank,
     enumerate_elements,
     enumerate_endos,
+    enumerate_fi_subgroups,
     enumerate_ideals,
     find_dagger_collision,
     full_subgroup,
@@ -51,6 +52,8 @@ from pgroups import (
     zero_endo,
     zero_subgroup,
 )
+from pgroups.groups import _members, _span
+from ring_family import FAMILY
 
 
 def oracle_apply(a, f):
@@ -284,24 +287,38 @@ def test_ideal_sum_meet_leq():
         _check_ideal_sum_meet_leq(make_group(*GENERATOR_FORM_GROUPS[key]))
 
 
-def _check_ideal_sum_meet_leq(G):
-    """Sum, meet, order and enumeration order of the ideals of ``G`` against
-    Python sets of their indices."""
+@pytest.mark.parametrize("G", FAMILY, ids=lambda G: G.describe())
+def test_shift_forms_on_the_ring_family(G):
+    _check_ideal_sum_meet_leq(G, table_limit=2**14)
+
+
+def _check_ideal_sum_meet_leq(G, table_limit=None):
+    """The shift-form operations against packed-set arithmetic on member
+    indices: sum, meet, order and enumeration order of the ideals of ``G``,
+    both daggers and ``is_dagger_closed`` on every fully invariant subgroup
+    and every ideal.
+
+    A sum is checked against the ``add_endo_indices`` table of all pairwise
+    sums of members where ``|I| |J|`` is at most ``table_limit`` (always by
+    default), and against the span of both member sets otherwise."""
     ring = get_ring(G)
     ideals = enumerate_ideals(G)
     assert ideals == sorted(ideals, key=lambda I: (I.size, I.indices.tolist()))
     incomparable = 0
     for I, J in itertools.product(ideals, repeat=2):
-        si, sj = set(I.indices.tolist()), set(J.indices.tolist())
-        assert ideal_leq(I, J) == (si <= sj)
+        assert ideal_leq(I, J) == bool(np.isin(I.indices, J.indices).all())
     for I, J in itertools.combinations(ideals, 2):
         total = ideal_sum(I, J)
         meet = ideal_meet(I, J)
-        si, sj = set(I.indices.tolist()), set(J.indices.tolist())
-        assert set(meet.indices.tolist()) == si & sj
-        # the elementwise sum of two ideals is already an ideal
-        add_table = ring.add_endo_indices(I.indices[:, None], J.indices[None, :])
-        assert set(total.indices.tolist()) == set(add_table.ravel().tolist())
+        assert np.array_equal(meet.indices, np.intersect1d(I.indices, J.indices))
+        if table_limit is None or I.size * J.size <= table_limit:
+            # the elementwise sum of two ideals is already an ideal
+            add_table = ring.add_endo_indices(I.indices[:, None], J.indices[None, :])
+            expected = np.unique(add_table)
+        else:
+            digits = ring._endo_radix, ring._endo_strides
+            expected = _span(J.indices, *digits, span=I.indices)
+        assert np.array_equal(total.indices, expected)
         assert ideal_sum(J, I) == total and ideal_meet(J, I) == meet
         assert ideal_leq(I, total) and ideal_leq(J, total)
         assert ideal_leq(meet, I) and ideal_leq(meet, J)
@@ -310,6 +327,31 @@ def _check_ideal_sum_meet_leq(G):
             assert total.size > max(I.size, J.size)
     # these ideal lattices are chains exactly on the homocyclic groups
     assert (incomparable > 0) == (len(G.components) > 1)
+
+    every_row = ring.decode(np.arange(ring.size)) @ ring._elem_strides
+
+    def pullback(H):  # the members whose rows lie in H
+        return np.flatnonzero(_members(every_row, H.indices).all(axis=1))
+
+    def pushforward(indices):  # the span of the members' rows
+        return ring.element_span((ring.decode(indices) @ ring._elem_strides).reshape(-1))
+
+    for H in enumerate_fi_subgroups(G).nodes:
+        up = dagger_subgroup(G, H).indices
+        assert np.array_equal(up, pullback(H))
+        closed = np.array_equal(pushforward(up), H.indices)
+        assert is_dagger_closed(H).status == ("closed" if closed else "not_closed")
+    for I in ideals:
+        down = dagger_ideal(G, I)
+        assert np.array_equal(down.indices, pushforward(I.indices))
+        back = pullback(down)
+        report = is_dagger_closed(I)
+        if np.array_equal(back, I.indices):
+            assert report.status == "closed"
+        else:
+            assert report.status == "not_closed"
+            extra = np.setxor1d(back, I.indices)
+            assert report.witnesses == ring.decode(extra[:3]).tolist()
 
 
 def test_special_ideals_by_recount(small24):
@@ -490,8 +532,6 @@ def form_group(request):
 
 
 def test_dagger_subgroup_matches_filter_on_fi_nodes(form_group):
-    from pgroups import enumerate_fi_subgroups
-
     G = form_group
     ring = get_ring(G)
     for H in enumerate_fi_subgroups(G).nodes:
