@@ -35,7 +35,7 @@ from .groups import (
     block_subgroup,
     ulm_invariants,
 )
-from .indicators import Indicator, _sorted_indicators, enumerate_admissible, indicator_subgroup
+from .indicators import Indicator, _sorted_indicators
 from .lattice import canonical_fi_form, enumerate_fi_subgroups, hasse_export, subgroup_name
 from .matrix import build_matrix
 from .reference import REFERENCE_LISTED_FI_COUNT, REFERENCE_TABLE
@@ -100,16 +100,16 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _indicator_table(G: GroupSpec) -> list[str]:
-    """The three-column indicator table; on the bundled reference shape each
-    listed row is compared as an explicit element set against the computed
-    indicator subgroup."""
+def _indicator_table(G: GroupSpec, cut_of: dict) -> list[str]:
+    """The three-column indicator table over ``cut_of`` (each admissible
+    indicator's cut); on the bundled reference shape each listed row is
+    compared as an explicit element set against the computed cut."""
     if G.components == ((2, 1), (4, 1)):
         rows = []
         mismatches = []
         for row in REFERENCE_TABLE:
             sigma = Indicator(row.indicator)
-            cut = indicator_subgroup(G, sigma)
+            cut = cut_of[sigma]
             listed = block_subgroup(G, row.listed_shifts)
             if cut == listed:
                 status = "exact match"
@@ -140,8 +140,8 @@ def _indicator_table(G: GroupSpec) -> list[str]:
         )
         return out
     rows = []
-    for sigma in _sorted_indicators(enumerate_admissible(G)):
-        cut = indicator_subgroup(G, sigma)
+    for sigma in _sorted_indicators(cut_of):
+        cut = cut_of[sigma]
         rows.append(
             [
                 str(sigma),
@@ -198,17 +198,17 @@ def cmd_analyze(args) -> int:
         "ulm invariants: "
         + ", ".join(f"u_{k} = {u}" for k, u in enumerate(ulm_invariants(G)))
     )
-    admissible = enumerate_admissible(G)
-    lines.append(f"admissible indicators: {len(admissible)}")
+    L = enumerate_fi_subgroups(G)
+    cut_of = {s: H for H, sigmas in zip(L.nodes, L.sigma_labels) for s in sigmas}
+    lines.append(f"admissible indicators: {len(cut_of)}")
     lines.append("")
-    lines.extend(_indicator_table(G))
+    lines.extend(_indicator_table(G, cut_of))
     lines.append("")
-    distinct = {indicator_subgroup(G, sigma) for sigma in admissible}
-    summary = f"fully invariant subgroups (distinct indicator cuts): {len(distinct)}"
+    summary = f"fully invariant subgroups (distinct indicator cuts): {L.node_count}"
     if G.components == ((2, 1), (4, 1)):
         summary += f" (listed table rows: {REFERENCE_LISTED_FI_COUNT})"
     lines.append(summary)
-    by_order = sorted(distinct, key=lambda H: (H.order, canonical_fi_form(G, H)))
+    by_order = sorted(L.nodes, key=lambda H: (H.order, canonical_fi_form(G, H)))
     lines.append(
         "lattice members by order: "
         + ", ".join(f"{subgroup_name(G, H)} ({H.order})" for H in by_order)

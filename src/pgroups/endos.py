@@ -18,8 +18,10 @@ End(G) is additively spanned by the ``r^2`` single-entry matrices of
 ``EndoRing.basis``, and an endomorphism's index is its digits over them.
 Every two-sided ideal holds ``e_ss f e_tt`` for each of its members ``f``, so
 it splits entrywise: it is the grid of one step per basis digit, its shift
-form (:class:`Ideal`).  A fully invariant subgroup splits by coordinate in the
-same way, into the multiples of one step per coordinate (its block shifts).
+form (:class:`Ideal`).  A fully invariant subgroup is the block sum of its
+block shifts (:attr:`pgroups.groups.Subgroup.block_shifts`), so it splits by
+coordinate in the same way, into the multiples of one step per coordinate
+(:meth:`EndoRing.block_steps`).
 Results are served from these shift forms:
 
 * ideal sums, meets and containment are the entrywise gcd, lcm and
@@ -34,10 +36,10 @@ The exhaustive paths stay as oracles, which ``dagger-well-defined`` checks
 the shift forms against on every ring within the ideal budget:
 :func:`enumerate_ideals` still finds the ideals by the census (the principal
 ideals of the multiples ``p^v b``, closed under sums one span at a time,
-:func:`_span`), the pushforward is compared with the span of the rows of the
-ideal's members, and the pullback with the whole-ring filter of the members
-whose rows lie in ``H``.  An ideal's packed member indices are built only for
-output, witnesses and these oracles.
+:func:`_sum_closure`), the pushforward is compared with the span of the rows
+of the ideal's members, and the pullback with the whole-ring filter of the
+members whose rows lie in ``H``.  An ideal's packed member indices are built
+only for output, witnesses and these oracles.
 
 Each group has one cached :class:`EndoRing` shape.  The ring budget applies
 through :func:`get_ring`.  Only :func:`enumerate_endos`,
@@ -67,8 +69,8 @@ from .errors import (
     RingTooLargeError,
 )
 from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup
-from .groups import _PackedSet, _grid, _is_int, _join, _join_closure, _same_group
-from .groups import _members, _span, _subgroup, _table
+from .groups import _grid, _is_int, _join_closure, _members, _same_group, _span
+from .groups import _subgroup, _table
 from .reports import ClaimReport, _verdict
 
 #: Largest endomorphism ring that will be enumerated.
@@ -331,11 +333,6 @@ class EndoRing:
     def endo_of_index(self, idx: int) -> Endo:
         return Endo(self.group, tuple(map(tuple, self.decode(idx).tolist())))
 
-    def add_endo_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        da = (a[..., None] // self._endo_strides) % self._endo_radix
-        db = (b[..., None] // self._endo_strides) % self._endo_radix
-        return ((da + db) % self._endo_radix) @ self._endo_strides
-
     # -- the action ---------------------------------------------------------
 
     def _act_block(self, mats: np.ndarray) -> np.ndarray:
@@ -422,6 +419,13 @@ class EndoRing:
         w = steps.reshape(steps.shape[:-1] + (self.rank, self.rank))
         lift = self._endo_lift.reshape(self.rank, self.rank)
         return np.gcd(np.gcd.reduce(w * lift, axis=-2), self.moduli)
+
+    def block_steps(self, block_shifts) -> np.ndarray:
+        """Coordinate steps ``p^alpha_i`` of the block sum with these block
+        shifts, over any leading axes (``(..., k)`` to ``(..., r)``)."""
+        mults = [m for _, m in self.group.components]
+        shifts = np.asarray(block_shifts, dtype=np.int64)
+        return self.group.p ** np.repeat(shifts, mults, axis=-1)
 
     def preimage_steps(self, coord_steps) -> np.ndarray:
         """Digit steps of the pullback of the subgroup with these coordinate
@@ -560,20 +564,6 @@ def _ideal(G: GroupSpec, steps, generators: tuple[int, ...] = ()) -> Ideal:
     return Ideal.__new__(Ideal)._hold(G, steps, generators)
 
 
-class _Additive(_PackedSet):
-    """An additive subgroup of End(G) as sorted packed indices, with no
-    shift form: the sets the census spans and joins."""
-
-    __slots__ = ()
-
-    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
-        ring = _cached_ring(self.group)
-        return ring._endo_radix, ring._endo_strides
-
-    def _with(self, indices: np.ndarray) -> "_Additive":
-        return _Additive()._pack(self.group, indices)
-
-
 def _sandwich_products(ring: EndoRing, mat: np.ndarray) -> np.ndarray:
     """Packed indices of ``A f B`` over the additive basis pairs ``(A, B)``.
 
@@ -640,12 +630,24 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
         )
     ring = _cached_ring(G)
     mults = np.unique(ring.basis_multiples().reshape(-1, G.rank, G.rank), axis=0)
-    principal = (
-        _Additive()._pack(G, ring.endo_span(_sandwich_products(ring, f))) for f in mults
-    )
-    ideals = [Ideal(G, S.indices) for S in _join_closure(principal, _join)]
+    principal = (ring.endo_span(_sandwich_products(ring, f)) for f in mults)
+    ideals = [Ideal(G, S) for S in _sum_closure(ring, principal)]
     ideals.sort(key=lambda I: (I.size, I.indices.tolist()))
     return ideals
+
+
+def _sum_closure(ring: EndoRing, spans) -> list[np.ndarray]:
+    """Every sum of a nonempty set of the additive subgroups ``spans`` of
+    End(G) (sorted index arrays), in order of discovery (:func:`_join_closure`
+    over their bytes).  A sum spans the smaller set from the larger one."""
+    radix, strides = ring._endo_radix, ring._endo_strides
+
+    def join(a: bytes, b: bytes) -> bytes:
+        small, large = (np.frombuffer(x, dtype=np.int64) for x in sorted((a, b), key=len))
+        return _span(small, radix, strides, span=large).tobytes()
+
+    found = _join_closure((S.tobytes() for S in spans), join)
+    return [np.frombuffer(S, dtype=np.int64) for S in found]
 
 
 def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
@@ -663,21 +665,14 @@ def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
 # the two dagger maps
 
 
-def _coordinate_steps(H: Subgroup) -> np.ndarray:
-    """Per coordinate, the least ``p^v`` that a member of ``H`` has there: the
-    step of that coordinate when ``H`` splits by coordinate, as a fully
-    invariant subgroup does."""
-    lowest = _table(H.group).valuations[H.indices].min(axis=0)
-    return H.group.p ** lowest.astype(np.int64)
-
-
 def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
     """The ideal of endomorphisms mapping all of G into ``H``: those whose
     every row lies in ``H``.
 
     ``H`` must be fully invariant, otherwise the result would not be closed
-    under right multiplication.  Then ``H`` splits by coordinate, and the
-    ideal is the closed form :meth:`EndoRing.preimage_steps` of its steps.
+    under right multiplication.  Then ``H`` is the block sum of its block
+    shifts, and the ideal is the closed form :meth:`EndoRing.preimage_steps`
+    of their coordinate steps.
     """
     if H.group != G:
         raise MismatchedParentError("subgroup of a different group")
@@ -686,7 +681,7 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not fully invariant"
         )
-    return _ideal(G, ring.preimage_steps(_coordinate_steps(H)))
+    return _ideal(G, ring.preimage_steps(ring.block_steps(H.block_shifts)))
 
 
 def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
@@ -904,11 +899,12 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
 
     ``dagger-well-defined`` checks the shift forms against the census and
     the definitions (:func:`_well_defined_witnesses`).  The other claims run
-    on shift vectors: a node or an image by its coordinate steps, an ideal by
-    its digit steps, with sums, meets and containment as entrywise gcd, lcm
-    and divisibility, and the two maps as :meth:`EndoRing.image_steps` and
-    :meth:`EndoRing.preimage_steps`.  Pairs are read off in row-major order,
-    the order of ``itertools.product`` and ``combinations``.
+    on shift vectors: a node by the coordinate steps of its block shifts, an
+    image by its coordinate steps, an ideal by its digit steps, with sums,
+    meets and containment as entrywise gcd, lcm and divisibility, and the two
+    maps as :meth:`EndoRing.image_steps` and :meth:`EndoRing.preimage_steps`.
+    Pairs are read off in row-major order, the order of ``itertools.product``
+    and ``combinations``.
     """
     from .lattice import enumerate_fi_subgroups
 
@@ -923,8 +919,8 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
     checked = f"{len(node_list)} subgroups, {len(ideals)} ideals"
     verdicts.append(("dagger-well-defined", wd_wit[:5], checked))
 
-    r = G.rank
-    C = np.array([_coordinate_steps(H) for H in node_list]).reshape(-1, r)
+    k, r = len(G.components), G.rank
+    C = ring.block_steps(np.array([H.block_shifts for H in node_list]).reshape(-1, k))
     W = np.array([I.steps for I in ideals]).reshape(-1, r * r)
     up, down = ring.preimage_steps(C), ring.image_steps(W)
     orders = [H.order for H in node_list]

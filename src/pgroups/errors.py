@@ -67,10 +67,6 @@ class NotFullyInvariantError(InvalidInputError):
     """The subgroup is not fully invariant (no canonical block form exists)."""
 
 
-class CanonicalFormMismatchError(PGroupError):
-    """A stored block decomposition failed to regenerate its subgroup."""
-
-
 class UnknownFormatError(InvalidInputError):
     """An export was requested in a format this package does not produce."""
 

@@ -21,11 +21,13 @@ the heights of their ``p^k`` multiples, which is all that sums,
 intersections, containment and indicator cuts need.  ``Element`` objects
 appear only where a caller asks for them.
 
-Subgroups and the additive subgroups of End(G) that the ideal census spans
-are both packed sets (:class:`_PackedSet`) and share one join, meet, order
-and join-closure fixpoint (:func:`_join`, :func:`_meet`, :func:`_leq`,
-:func:`_join_closure`); they differ only in the digit radix of their indices.
-The ideals themselves (:class:`pgroups.endos.Ideal`) are held by their steps.
+A subgroup also carries its block shifts (:attr:`Subgroup.block_shifts`), the
+least valuation met in each homocyclic block.  A fully invariant subgroup is
+the block sum of its shifts, so the lattice reads its order and containment
+off them.  :func:`_span` and :func:`_grid` build index sets in any digit radix:
+the ideal census in :mod:`pgroups.endos` spans and joins sets of End(G) indices
+with them, while the ideals themselves (:class:`pgroups.endos.Ideal`) are held
+by their steps.
 """
 from __future__ import annotations
 
@@ -449,58 +451,10 @@ def _indices_of(G: GroupSpec, elems: Iterable[Element]) -> np.ndarray:
     return coords.reshape(-1, G.rank) % t.moduli @ t.strides
 
 
-class _PackedSet:
-    """A finite set held as the sorted packed indices of its members.
-
-    ``indices`` is a read-only sorted int64 array; equality and hashing use
-    the type, the group and the index bytes.  A subclass names the digit
-    radix and strides its indices are packed with (:meth:`_digits`) and how
-    to hold a new index array of its kind (:meth:`_with`).
-    """
-
-    __slots__ = ("group", "indices", "_key")
-
-    def _pack(self, group: GroupSpec, indices) -> "_PackedSet":
-        """Hold sorted unique packed ``indices``."""
-        self.group = group
-        self._key = np.asarray(indices, dtype=np.int64).tobytes()
-        self.indices = np.frombuffer(self._key, dtype=np.int64)
-        return self
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self._key == other._key
-            and self.group == other.group
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.group, self._key))
-
-
-def _same_group(A: _PackedSet, B: _PackedSet) -> None:
+def _same_group(A, B) -> None:
+    """``A`` and ``B`` (two subgroups, or two ideals) belong to one group."""
     if A.group != B.group:
         raise MismatchedParentError(f"{type(A).__name__.lower()}s of different groups")
-
-
-def _join(A: _PackedSet, B: _PackedSet) -> _PackedSet:
-    """``A + B``: the span of the smaller set grown from the larger one."""
-    _same_group(A, B)
-    if A.indices.size < B.indices.size:
-        A, B = B, A
-    return A._with(_span(B.indices, *A._digits(), span=A.indices))
-
-
-def _meet(A: _PackedSet, B: _PackedSet) -> _PackedSet:
-    _same_group(A, B)
-    return A._with(np.intersect1d(A.indices, B.indices, assume_unique=True))
-
-
-def _leq(A: _PackedSet, B: _PackedSet) -> bool:
-    _same_group(A, B)
-    return A.indices.size <= B.indices.size and bool(
-        _members(A.indices, B.indices).all()
-    )
 
 
 def _join_closure(atoms: Iterable, join) -> list:
@@ -517,35 +471,52 @@ def _join_closure(atoms: Iterable, join) -> list:
     return found
 
 
-class Subgroup(_PackedSet):
+class Subgroup:
     """A subgroup held as the sorted packed indices of its elements, packed
     with the group's own radix and strides (:func:`_table`).
 
-    ``Subgroup(G, elements)`` packs an ``Element`` sequence.
-    ``elements`` decodes the members, in lexicographic order, on first use.
+    ``Subgroup(G, elements)`` packs an ``Element`` sequence; like every
+    constructor it checks the size cap and that 0 is a member, and the caller
+    asserts closure.  ``indices`` is a read-only sorted int64 array; equality
+    and hashing use the group and the index bytes.  ``elements`` decodes the
+    members, in lexicographic order, on first use.
 
-    ``fi_form`` optionally records a block decomposition: a tuple of
-    per-component shifts ``(alpha_1, ..., alpha_k)`` meaning the subgroup is
-    ``p^alpha_1 B_1 (+) ... (+) p^alpha_k B_k`` with ``B_i`` the i-th
-    homocyclic block.  It is populated for subgroups produced with a known
-    decomposition (e.g. the fundamental family) and by canonicalization.
+    ``block_shifts`` is the least valuation met in each homocyclic block
+    ``B_i`` (``n_i`` when the block is unused): the shifts ``alpha`` of the
+    block sum ``p^alpha_1 B_1 (+) ... (+) p^alpha_k B_k``, which every fully
+    invariant subgroup is.  :func:`block_subgroup` holds the shifts it is
+    built from; any other subgroup reads them once off the group table.
     """
 
-    __slots__ = ("fi_form", "_elements")
+    __slots__ = ("group", "indices", "_key", "_shifts", "_elements")
 
-    def __init__(self, group: GroupSpec, elements: Iterable[Element], fi_form=None):
-        self._pack(group, np.unique(_indices_of(group, elements)), fi_form)
+    def __init__(self, group: GroupSpec, elements: Iterable[Element]):
+        self._hold(group, np.unique(_indices_of(group, elements)))
 
-    def _pack(self, group: GroupSpec, indices, fi_form=None) -> "Subgroup":
-        self.fi_form, self._elements = fi_form, None
-        return super()._pack(group, indices)
+    def _hold(self, group: GroupSpec, indices: np.ndarray, shifts=None) -> "Subgroup":
+        """Hold sorted unique packed ``indices``, after the size cap and the
+        zero-element check."""
+        cap = DEFAULT_MAX_SUBGROUP_SIZE
+        if indices.size > cap:
+            raise GroupTooLargeError(
+                f"subgroup with {indices.size} elements exceeds cap {cap}"
+            )
+        if not indices.size or indices[0] != 0:
+            raise InvalidInputError("a subgroup must contain the zero element")
+        self.group = group
+        self._key = np.asarray(indices, dtype=np.int64).tobytes()
+        self.indices = np.frombuffer(self._key, dtype=np.int64)
+        self._shifts, self._elements = shifts, None
+        return self
 
-    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
-        t = _table(self.group)
-        return t.moduli, t.strides
-
-    def _with(self, indices: np.ndarray) -> "Subgroup":
-        return _subgroup(self.group, indices)
+    @property
+    def block_shifts(self) -> tuple[int, ...]:
+        if self._shifts is None:
+            # zero coordinates count as their exponent, so an unused block gives n_i
+            lowest = _table(self.group).valuations[self.indices].min(axis=0)
+            starts = np.cumsum([0] + [m for _, m in self.group.components[:-1]])
+            self._shifts = tuple(np.minimum.reduceat(lowest, starts).tolist())
+        return self._shifts
 
     @property
     def elements(self) -> tuple[Element, ...]:
@@ -557,6 +528,16 @@ class Subgroup(_PackedSet):
     @property
     def order(self) -> int:
         return self.indices.size
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._key == other._key
+            and self.group == other.group
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.group, self._key))
 
     def __contains__(self, a) -> bool:
         return (
@@ -573,30 +554,19 @@ class Subgroup(_PackedSet):
         return f"Subgroup(order={self.order} of {self.group.describe()})"
 
 
-def _subgroup(G: GroupSpec, indices: np.ndarray, fi_form=None) -> Subgroup:
-    """A Subgroup from sorted unique packed indices, after the size cap and
-    the zero-element check.  The caller asserts closure."""
-    cap = DEFAULT_MAX_SUBGROUP_SIZE
-    if indices.size > cap:
-        raise GroupTooLargeError(
-            f"subgroup with {indices.size} elements exceeds cap {cap}"
-        )
-    if not indices.size or indices[0] != 0:
-        raise InvalidInputError("a subgroup must contain the zero element")
-    return Subgroup.__new__(Subgroup)._pack(G, indices, fi_form)
+def _subgroup(G: GroupSpec, indices: np.ndarray, shifts=None) -> Subgroup:
+    """A Subgroup from sorted unique packed indices (see :meth:`Subgroup._hold`).
+    ``shifts``, when given, are its block shifts.  The caller asserts closure."""
+    return Subgroup.__new__(Subgroup)._hold(G, indices, shifts)
 
 
-def subgroup_from_set(
-    G: GroupSpec,
-    elems: Iterable[Element],
-    fi_form: tuple[int, ...] | None = None,
-) -> Subgroup:
+def subgroup_from_set(G: GroupSpec, elems: Iterable[Element]) -> Subgroup:
     """Freeze an element set into a Subgroup with canonical ordering.
 
     The caller asserts closure; this only sorts, dedupes, caps, and checks
     the zero element is present.
     """
-    return _subgroup(G, np.unique(_indices_of(G, elems)), fi_form)
+    return Subgroup(G, elems)
 
 
 def subgroup_generated(G: GroupSpec, generators: Iterable[Element]) -> Subgroup:
@@ -627,6 +597,15 @@ def subgroup_generated(G: GroupSpec, generators: Iterable[Element]) -> Subgroup:
     return subgroup_from_set(G, closed)
 
 
+def _join(H: Subgroup, K: Subgroup) -> Subgroup:
+    """``H + K``: the span of the smaller subgroup grown from the larger one."""
+    _same_group(H, K)
+    if H.order < K.order:
+        H, K = K, H
+    t = _table(H.group)
+    return _subgroup(H.group, _span(K.indices, t.moduli, t.strides, span=H.indices))
+
+
 def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
     """Sum H + K."""
     return _join(H, K)
@@ -634,20 +613,21 @@ def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
 
 def subgroup_meet(H: Subgroup, K: Subgroup) -> Subgroup:
     """Intersection."""
-    return _meet(H, K)
+    _same_group(H, K)
+    return _subgroup(H.group, np.intersect1d(H.indices, K.indices, assume_unique=True))
 
 
 def subgroup_leq(H: Subgroup, K: Subgroup) -> bool:
     """Containment H <= K."""
-    return _leq(H, K)
+    _same_group(H, K)
+    return H.order <= K.order and bool(_members(H.indices, K.indices).all())
 
 
 def fundamental_subgroup(G: GroupSpec, kappa: int, n: int) -> Subgroup:
     """The subgroup ``p^kappa G [p^n]`` = elements of height >= kappa killed by p^n.
 
     Within a ``Z(p^e)`` summand it cuts out ``p^min(max(kappa, e-n), e) Z(p^e)``,
-    so it is a block subgroup and no full-group scan is needed.  The result
-    carries its block form in ``fi_form``.
+    so it is a block subgroup and no full-group scan is needed.
 
     >>> G = make_group(2, [(2, 1), (4, 1)])
     >>> fundamental_subgroup(G, 1, 2).order   # <pa> (+) <p^2 b>
@@ -672,7 +652,7 @@ def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     """The subgroup ``p^alpha_1 B_1 (+) ... (+) p^alpha_k B_k``.
 
     ``alpha`` gives one shift per homocyclic component, each within
-    ``[0, n_i]``.
+    ``[0, n_i]``; the subgroup holds it as its ``block_shifts``.
     """
     if len(alpha) != len(G.components):
         raise InvalidInputError("one shift per homocyclic component required")
@@ -685,7 +665,7 @@ def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
         raise GroupTooLargeError(f"subgroup of order {size} exceeds cap {cap}")
     steps = [G.p**a for a, (_, m) in zip(alpha, G.components) for _ in range(m)]
     t = _table(G)
-    return _subgroup(G, _grid(steps, t.moduli, t.strides), fi_form=tuple(alpha))
+    return _subgroup(G, _grid(steps, t.moduli, t.strides), tuple(alpha))
 
 
 def full_subgroup(G: GroupSpec) -> Subgroup:

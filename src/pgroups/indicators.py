@@ -29,7 +29,7 @@ from .errors import (
     NotNormalizableError,
 )
 from .groups import Element, GroupSpec, INF, exponent, height, smul, ulm_invariant
-from .groups import _indices_of, _is_int, _subgroup, _table
+from .groups import _is_int, _subgroup, _table
 
 
 @dataclass(frozen=True)
@@ -229,12 +229,11 @@ def min_admissible(G: GroupSpec) -> Indicator:
     return Indicator(tuple(range(G.exponent)))
 
 
-def indicator_subgroup(G: GroupSpec, sigma: Indicator, elements=None):
+def indicator_subgroup(G: GroupSpec, sigma: Indicator):
     """The set of elements whose indicator dominates ``sigma``.
 
     Equivalently: exponent at most ``len(sigma)`` and ``height(p^i a) >=
     sigma_i`` for each finite entry.  Always a fully invariant subgroup.
-    ``elements``, when given, restricts the scan to those elements.
 
     >>> from .groups import make_group
     >>> G = make_group(2, [(2, 1), (4, 1)])
@@ -246,10 +245,7 @@ def indicator_subgroup(G: GroupSpec, sigma: Indicator, elements=None):
     inside = heights[min(sigma.length, e)] == e
     for k, s in enumerate(sigma.entries[:e]):
         inside &= heights[k] >= min(s, e)
-    if elements is None:
-        return _subgroup(G, np.flatnonzero(inside))
-    scan = np.unique(_indices_of(G, elements))
-    return _subgroup(G, scan[inside[scan]])
+    return _subgroup(G, np.flatnonzero(inside))
 
 
 def admissible_glb(

@@ -13,26 +13,23 @@ That normal form is what :func:`canonical_fi_form` recovers and validates.
 Enumeration reads the lattice off the indicators: every fully invariant
 subgroup is the cut ``G(sigma)`` of an admissible indicator (Kaplansky), so
 the nodes are the distinct cuts, one vectorised pass over the height table
-each.  The ``indicator-coverage`` claim checks that against an independent
-oracle: the smallest fully invariant subgroup containing a single element is
-its orbit under the full endomorphism ring, arbitrary ones are sums of those,
-and a pairwise-sum fixpoint over the orbits finds every node.
+each.  Every node is a block sum, so containment is read off the block
+shifts (entrywise ``>=``), and the covers are the strict containments with no
+node strictly between.  The ``indicator-coverage`` claim checks the nodes
+against an independent oracle: the smallest fully invariant subgroup
+containing a single element is its orbit under the full endomorphism ring,
+arbitrary ones are sums of those, and a pairwise-sum fixpoint over the orbits
+finds every node.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .endos import _cached_ring
-from .errors import (
-    CanonicalFormMismatchError,
-    InvalidInputError,
-    NotFullyInvariantError,
-    UnknownFormatError,
-)
+from .errors import InvalidInputError, NotFullyInvariantError, UnknownFormatError
 from .groups import Element, GroupSpec, Subgroup, subgroup_leq
 from .groups import (
     _block_order,
@@ -66,25 +63,16 @@ def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
     return True
 
 
-def _block_shifts_of(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
-    """Least p-valuation seen in each homocyclic block (n_i if block unused)."""
-    # zero coordinates count as their exponent, so an unused block gives n_i
-    lowest = _table(G).valuations[H.indices].min(axis=0)
-    starts = np.cumsum([0] + [m for _, m in G.components[:-1]])
-    return tuple(int(v) for v in np.minimum.reduceat(lowest, starts))
-
-
 def canonical_fi_form(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
     """The block-shift normal form of a fully invariant subgroup.
 
     Raises :class:`NotFullyInvariantError` when ``H`` is not fully invariant
     (either it is not a plain block sum, or its shifts break the chain
-    conditions).  If ``H`` arrived with a stored form that disagrees with the
-    recomputed one, that is data corruption: :class:`CanonicalFormMismatchError`.
+    conditions).
     """
     if H.group != G:
         raise InvalidInputError("subgroup belongs to a different group")
-    alpha = _block_shifts_of(G, H)
+    alpha = H.block_shifts
     # H lies in the block sum of its shifts, each the least valuation in its
     # block, so the two are equal exactly when their orders are
     if _block_order(G, alpha) != H.order:
@@ -94,10 +82,6 @@ def canonical_fi_form(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
     if not is_valid_fi_form(G, alpha):
         raise NotFullyInvariantError(
             f"block shifts {alpha} violate the chain conditions"
-        )
-    if H.fi_form is not None and tuple(H.fi_form) != alpha:
-        raise CanonicalFormMismatchError(
-            f"stored form {H.fi_form} != recomputed {alpha}"
         )
     return alpha
 
@@ -194,31 +178,29 @@ def _by_order(subs) -> list[Subgroup]:
     return sorted(subs, key=lambda H: (H.order, H.indices.tolist()))
 
 
+def _strictly_below(nodes) -> np.ndarray:
+    """``[i, j]``: node ``i`` lies in node ``j`` and ``i != j``.  The nodes are
+    distinct block sums, and one block sum lies in another iff its shifts are
+    entrywise at least the other's."""
+    alpha = np.array([H.block_shifts for H in nodes])
+    below = (alpha[:, None] >= alpha[None]).all(axis=-1)
+    return below & ~np.eye(len(nodes), dtype=bool)
+
+
 def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
     """The distinct cuts ``G(sigma)`` of the admissible indicators, each
-    labelled by the indicators that cut it out, then covers.  No ring budget
-    applies."""
+    labelled by the indicators that cut it out, then covers: the strict
+    containments with no node strictly between.  No ring budget applies."""
     by_cut: dict[Subgroup, list[Indicator]] = {}
     for sigma in _sorted_indicators(enumerate_admissible(G)):
         by_cut.setdefault(indicator_subgroup(G, sigma), []).append(sigma)
     subs = _by_order(by_cut)
-    # containment matrix -> transitive reduction (distinct nodes, so <= with
-    # i != j is already strict)
-    n = len(subs)
-    leq = [[subgroup_leq(subs[i], subs[j]) for j in range(n)] for i in range(n)]
-    edges = []
-    for i, j in itertools.permutations(range(n), 2):
-        if not leq[i][j]:
-            continue
-        between = any(
-            leq[i][k] and leq[k][j] for k in range(n) if k != i and k != j
-        )
-        if not between:
-            edges.append((i, j))
+    strict = _strictly_below(subs).astype(np.int64)
+    covers = (strict > 0) & (strict @ strict == 0)
     return FILattice(
         group=G,
         nodes=tuple(subs),
-        hasse_edges=tuple(sorted(edges)),
+        hasse_edges=tuple(map(tuple, np.argwhere(covers).tolist())),
         sigma_labels=tuple(tuple(by_cut[H]) for H in subs),
     )
 
@@ -240,16 +222,12 @@ def lattice_stats(L: FILattice) -> tuple[int, int]:
             depth[i] = max(depth[i], depth[j] + 1)
     longest = max(depth) if n else 0
 
-    strict = [
-        [subgroup_leq(L.nodes[i], L.nodes[j]) and i != j for j in range(n)]
-        for i in range(n)
-    ]
-    # filter out equalities (distinct nodes are never equal, so i != j suffices)
+    above = [np.flatnonzero(row).tolist() for row in _strictly_below(L.nodes)]
     match_right: list[int | None] = [None] * n
 
     def try_assign(u: int, seen: list[bool]) -> bool:
-        for v in range(n):
-            if strict[u][v] and not seen[v]:
+        for v in above[u]:
+            if not seen[v]:
                 seen[v] = True
                 if match_right[v] is None or try_assign(match_right[v], seen):
                     match_right[v] = u

@@ -257,7 +257,7 @@ def sigma_sum(G: GroupSpec, sigma: Indicator, matrix: FundMatrix | None = None) 
     return total
 
 
-def sigma_sum_verdicts(G: GroupSpec, matrix: FundMatrix | None = None, elements=None):
+def sigma_sum_verdicts(G: GroupSpec, matrix: FundMatrix | None = None):
     """For every admissible indicator: does the cell sum equal G(sigma)?
 
     Returns ``{sigma: (equal, sum_contained_in_G_sigma)}`` with explicit
@@ -268,7 +268,7 @@ def sigma_sum_verdicts(G: GroupSpec, matrix: FundMatrix | None = None, elements=
     M = matrix if matrix is not None else build_matrix(G)
     out = {}
     for sigma in _sorted_indicators(enumerate_admissible(G)):
-        target = indicator_subgroup(G, sigma, elements=elements)
+        target = indicator_subgroup(G, sigma)
         total = sigma_sum(G, sigma, matrix=M)
         out[sigma] = (total == target, subgroup_leq(total, target))
     return out

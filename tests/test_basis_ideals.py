@@ -20,7 +20,7 @@ from pgroups import dagger_subgroup, enumerate_fi_subgroups, enumerate_ideals
 from pgroups import make_group, run_claims, special_ideals, verify_galois_suite
 from pgroups import endos, groups
 from pgroups.endos import EndoRing, get_ring
-from pgroups.groups import _join, _join_closure, _members
+from pgroups.groups import _members
 from ring_family import FAMILY
 
 
@@ -35,8 +35,8 @@ def sweep_ideals(G):
     ring = get_ring(G)
     products = (endos._sandwich_products(ring, f) for f in members(ring))
     seeds = {prods.tobytes(): prods for prods in products}
-    sets = (endos._Additive()._pack(G, ring.endo_span(s)) for s in seeds.values())
-    found = [S.indices.tolist() for S in _join_closure(sets, _join)]
+    spans = (ring.endo_span(s) for s in seeds.values())
+    found = [S.tolist() for S in endos._sum_closure(ring, spans)]
     return sorted(found, key=lambda x: (len(x), x))
 
 

@@ -16,6 +16,7 @@ from pgroups import (
     MismatchedParentError,
     NonIncreasingExponentsError,
     NonPrimeError,
+    Subgroup,
     ZeroMultiplicityError,
     add,
     block_subgroup,
@@ -256,6 +257,15 @@ def test_subgroup_from_set_requires_zero(small24):
     assert H.order == 4
 
 
+def test_subgroup_constructor_checks_like_subgroup_from_set():
+    G = make_group(2, [(1, 1), (2, 1)])
+    with pytest.raises(InvalidInputError, match="zero element"):
+        Subgroup(G, [])
+    with pytest.raises(InvalidInputError, match="zero element"):
+        Subgroup(G, [G.element([1, 0])])
+    assert Subgroup(G, [G.element([1, 0]), G.zero()]).order == 2
+
+
 def test_subgroup_generated(small24):
     a = small24.generator(1)
     H = subgroup_generated(small24, [a])
@@ -267,7 +277,7 @@ def test_block_subgroup_orders(G2):
     # alpha = (1, 2) cuts <pa> (+) <p^2 b>: orders 2 and 4.
     H = block_subgroup(G2, (1, 2))
     assert H.order == 8
-    assert H.fi_form == (1, 2)
+    assert H.block_shifts == (1, 2)
 
 
 def test_full_and_zero(G2):
@@ -327,7 +337,7 @@ def test_fundamental_reference_orders(G2):
 
 def test_fundamental_carries_block_form(G2):
     H = fundamental_subgroup(G2, 1, 2)
-    assert H.fi_form == (1, 2)
+    assert H.block_shifts == (1, 2)
     assert H == block_subgroup(G2, (1, 2))
 
 

@@ -290,12 +290,11 @@ def test_sigma_sum_matches_brute_force(M2, G2):
 
 
 def test_sigma_sum_verdicts_against_recount(M2, G2):
-    elems = enumerate_elements(G2)
-    verdicts = sigma_sum_verdicts(G2, matrix=M2, elements=elems)
+    verdicts = sigma_sum_verdicts(G2, matrix=M2)
     assert len(verdicts) == 13
     for sigma, (equal, contained) in verdicts.items():
         total = brute_sum(G2, M2, sigma)
-        target = set(indicator_subgroup(G2, sigma, elements=elems))
+        target = set(indicator_subgroup(G2, sigma))
         assert equal == (total == target)
         assert contained == (total <= target)
         assert contained  # the one-sided inclusion never fails

@@ -90,15 +90,6 @@ def test_indicator_subgroup_matches_ind_of_scan(packed_group):
         assert [a.coords for a in got.elements] == expected, sigma
 
 
-def test_indicator_subgroup_scans_only_the_given_elements(packed_group):
-    G = packed_group
-    elements = enumerate_elements(G)
-    some = [a for i, a in enumerate(elements) if i % 3 == 0]
-    for sigma in enumerate_admissible(G):
-        got = indicator_subgroup(G, sigma, elements=some)
-        assert coord_set(got) == {a.coords for a in some if precedes(sigma, ind_of(a))}
-
-
 def test_height_table_matches_height_of_multiples(packed_group):
     G = packed_group
     table = _table(G)
