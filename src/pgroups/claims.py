@@ -4,11 +4,11 @@ Each runner is registered where it is defined: ``_claim(id)`` for a runner of
 one claim, which returns what it found and gets its report built, and
 ``_suite(*ids)`` for a runner that returns its reports itself.  Runners share
 a :class:`ClaimContext` that lazily materializes the expensive artifacts
-(admissible indicators, fundamental matrix, fully invariant lattice, the
-endomorphism ring and its ideal lattice) under the caller's budgets.  A budget
-overrun, or a ``_Skip`` raised by a runner whose claims do not apply to the
-group, downgrades every claim of that runner to ``skipped`` rather than
-failing the whole run.
+(admissible indicators and their table cuts, element classes, fundamental
+matrix, fully invariant lattice, the endomorphism ring and its ideal lattice)
+under the caller's budgets.  A budget overrun, or a ``_Skip`` raised by a
+runner whose claims do not apply to the group, downgrades every claim of that
+runner to ``skipped`` rather than failing the whole run.
 
 ``run_claims`` is the single entry point used by the CLI ``verify``
 subcommand and by the test suite.
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from time import perf_counter
 from typing import Callable, Optional, Union
 
@@ -27,6 +28,8 @@ from .errors import BudgetExceededError, GroupTooLargeError, InvalidInputError
 from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
     GroupSpec,
+    _block_leq,
+    _fundamental_shifts,
     _grid,
     _table,
     block_subgroup,
@@ -63,10 +66,10 @@ from .matrix import (
     verify_sigma_sum,
 )
 from .lattice import (
+    _shift_name,
     canonical_fi_form,
     check_fundamental_containment,
     enumerate_fi_subgroups,
-    subgroup_name,
     verify_indicator_coverage,
 )
 from .endos import (
@@ -111,41 +114,51 @@ TRANSITIVITY_MAX_ORDER = 64
 
 @dataclass
 class ClaimContext:
-    """Shared lazy state for one group under fixed budgets."""
+    """Shared lazy state for one group under fixed budgets: each artifact is
+    built on first use and kept."""
 
     group: GroupSpec
     max_ring: int = DEFAULT_MAX_RING_ORDER
     max_ideals: int = DEFAULT_MAX_IDEAL_RING_ORDER
-    _admissible: Optional[list] = field(default=None, repr=False)
-    _matrix: Optional[object] = field(default=None, repr=False)
-    _lattice: Optional[object] = field(default=None, repr=False)
-    _ideals: Optional[list] = field(default=None, repr=False)
 
+    @cached_property
     def admissible(self) -> list[Indicator]:
         """Admissible indicators in the fixed (length, entries) order."""
-        if self._admissible is None:
-            self._admissible = _sorted_indicators(enumerate_admissible(self.group))
-        return self._admissible
+        return _sorted_indicators(enumerate_admissible(self.group))
 
+    @cached_property
+    def cuts(self) -> dict:
+        """The table cut of each admissible indicator, scanned once."""
+        return {s: indicator_subgroup(self.group, s) for s in self.admissible}
+
+    @cached_property
+    def element_classes(self) -> tuple:
+        """Elements grouped by orbit steps and height-table column: ``keys``
+        (one row per class), ``kind[x]`` (x's class) and the class indicators."""
+        G = self.group
+        steps = _cached_ring(G).orbit_steps(slice(None))  # the shape only: no ring budget
+        keys, kind = np.unique(
+            np.hstack((steps, _table(G).heights.T)), axis=0, return_inverse=True
+        )
+        inds = [Indicator(tuple(h[h < G.exponent].tolist())) for h in keys[:, G.rank :]]
+        return keys, kind.reshape(-1), inds
+
+    @cached_property
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = build_matrix(self.group)
-        return self._matrix
+        return build_matrix(self.group)
 
     def ring(self):
         """The ring, refused over ``max_ring``: for work that walks End(G)."""
         return get_ring(self.group, max_ring=self.max_ring)
 
+    @cached_property
     def lattice(self):
-        if self._lattice is None:
-            self._lattice = enumerate_fi_subgroups(self.group)
-        return self._lattice
+        return enumerate_fi_subgroups(self.group)
 
+    @cached_property
     def ideals(self) -> list:
-        if self._ideals is None:
-            self.ring()  # refuses a ring over max_ring
-            self._ideals = enumerate_ideals(self.group, max_ring=self.max_ideals)
-        return self._ideals
+        self.ring()  # refuses a ring over max_ring
+        return enumerate_ideals(self.group, max_ring=self.max_ideals)
 
 
 def _report(ctx: ClaimContext, claim_id: str, witnesses: list, checked: str, note: str = "") -> ClaimReport:
@@ -205,9 +218,8 @@ def _claim(claim_id: str):
 @_claim("indicator-antitone")
 def _run_indicator_antitone(ctx: ClaimContext) -> _Found:
     """Refinement of indicators reverses containment of the cut-out subgroups."""
-    G = ctx.group
-    adm = ctx.admissible()
-    subs = {s: indicator_subgroup(G, s) for s in adm}
+    adm = ctx.admissible
+    subs = ctx.cuts
     wit = []
     for s, t in itertools.permutations(adm, 2):
         if precedes(s, t) and not subgroup_leq(subs[t], subs[s]):
@@ -228,41 +240,32 @@ def _run_min_admissible_bottom(ctx: ClaimContext) -> _Found:
     wit = []
     if not is_admissible(G, bottom):
         wit.append({"failure": "not admissible", "bottom": list(bottom.entries)})
-    for s in ctx.admissible():
+    for s in ctx.admissible:
         if not precedes(bottom, s):
             wit.append({"failure": "not below", "sigma": list(s.entries)})
     if indicator_subgroup(G, bottom).order != G.order:
         wit.append({"failure": "does not cut out G"})
-    return wit, f"{len(ctx.admissible())} admissible indicators"
+    return wit, f"{len(ctx.admissible)} admissible indicators"
 
 
 @_claim("admissible-minmax-closure")
 def _run_admissible_minmax_closure(ctx: ClaimContext) -> _Found:
     """Stated: pointwise min/max of admissible indicators stays admissible."""
     G = ctx.group
-    adm = ctx.admissible()
+    adm = ctx.admissible
     wit = []
     for s, t in itertools.combinations(adm, 2):
-        lo = ind_min(s, t)
-        if not is_admissible(G, lo):
-            wit.append(
-                {
-                    "op": "min",
-                    "sigma": list(s.entries),
-                    "tau": list(t.entries),
-                    "result": list(lo.entries),
-                }
-            )
-        hi = ind_max(s, t)
-        if not is_admissible(G, hi):
-            wit.append(
-                {
-                    "op": "max",
-                    "sigma": list(s.entries),
-                    "tau": list(t.entries),
-                    "result": list(hi.entries),
-                }
-            )
+        for op, combine in (("min", ind_min), ("max", ind_max)):
+            got = combine(s, t)
+            if not is_admissible(G, got):
+                wit.append(
+                    {
+                        "op": op,
+                        "sigma": list(s.entries),
+                        "tau": list(t.entries),
+                        "result": list(got.entries),
+                    }
+                )
     n = len(adm)
     return wit, f"{n * (n - 1) // 2} unordered pairs"
 
@@ -272,7 +275,7 @@ def _run_admissible_pair_bounds(ctx: ClaimContext) -> _Found:
     """Stated: every admissible pair has a greatest admissible lower bound
     and a least admissible upper bound."""
     G = ctx.group
-    adm = ctx.admissible()
+    adm = ctx.admissible
     universe = set(adm)
     wit = []
     for s, t in itertools.combinations(adm, 2):
@@ -289,7 +292,7 @@ def _run_segment_realizability(ctx: ClaimContext) -> _Found:
     """Stated: every contiguous segment of a realizable indicator is realizable."""
     G = ctx.group
     wit = []
-    realizable = [s for s in ctx.admissible() if is_realizable(G, s)]
+    realizable = [s for s in ctx.admissible if is_realizable(G, s)]
     for s in realizable:
         n = s.length
         for i in range(n):
@@ -308,11 +311,10 @@ def _run_indicator_subgroups_invariant(ctx: ClaimContext) -> _Found:
     G = ctx.group
     ring = _cached_ring(G)  # the shape only: no ring budget
     wit = []
-    for s in ctx.admissible():
-        H = indicator_subgroup(G, s)
+    for s, H in ctx.cuts.items():
         if not ring.is_fully_invariant(H):
             wit.append({"sigma": list(s.entries), "order": H.order})
-    return wit, f"{len(ctx.admissible())} admissible indicators"
+    return wit, f"{len(ctx.admissible)} admissible indicators"
 
 
 @_claim("fi-closure-indicator")
@@ -321,17 +323,16 @@ def _run_fi_closure_indicator(ctx: ClaimContext) -> _Found:
     subgroup cut out by a's own indicator.
 
     Elements are grouped by their orbit steps and their column of the height
-    table, whose entries below exp(G) are their indicator; the orbit and the
-    cut are built once per group of elements."""
+    table, whose entries below exp(G) are their indicator
+    (:meth:`ClaimContext.element_classes`); the orbit is built once per class,
+    and the cut is the context's table cut."""
     G = ctx.group
     t = _table(G)
-    steps = _cached_ring(G).orbit_steps(slice(None))  # the shape only: no ring budget
-    rows = np.hstack((steps, t.heights.T))
-    keys, kind = np.unique(rows, axis=0, return_inverse=True)
+    keys, kind, inds = ctx.element_classes
+    cuts = ctx.cuts  # an element's indicator is realizable, so admissible
     orders = {}  # key number -> (orbit order, cut order), where the two differ
     for k, key in enumerate(keys):
-        orbit, h = _grid(key[: G.rank], t.moduli, t.strides), key[G.rank :]
-        cut = indicator_subgroup(G, Indicator(tuple(h[h < G.exponent].tolist())))
+        orbit, cut = _grid(key[: G.rank], t.moduli, t.strides), cuts[inds[k]]
         if not np.array_equal(orbit, cut.indices):
             orders[k] = (orbit.size, cut.order)
     wit = [
@@ -357,10 +358,7 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> _Found:
     if G.order > TRANSITIVITY_MAX_ORDER:
         raise _Skip(f"|G| = {G.order} exceeds the quadratic-orbit bound {TRANSITIVITY_MAX_ORDER}")
     t = _table(G)
-    steps = _cached_ring(G).orbit_steps(slice(None))  # the shape only: no ring budget
-    keys, kind = np.unique(np.hstack((steps, t.heights.T)), axis=0, return_inverse=True)
-    kind = kind.reshape(-1)
-    inds = [Indicator(tuple(h[h < G.exponent].tolist())) for h in keys[:, G.rank :]]
+    keys, kind, inds = ctx.element_classes
     refines = np.array([[precedes(a, b) for b in inds] for a in inds])
     # [class, element]: the element lies in the class's orbit
     in_orbit = (t.coords[None] % keys[:, None, : G.rank] == 0).all(axis=2)
@@ -379,15 +377,16 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> _Found:
 @_claim("fundamental-order-iff")
 def _run_fundamental_order_iff(ctx: ClaimContext) -> _Found:
     """Stated: containment of two-parameter subgroups holds exactly when the
-    parameters are ordered (deeper height, smaller torsion bound)."""
+    parameters are ordered (deeper height, smaller torsion bound); read off
+    their block shifts."""
     G = ctx.group
     e = G.exponent
     cells = [(k, n) for k in range(e) for n in range(1, e + 1)]
-    subs = {c: fundamental_subgroup(G, *c) for c in cells}
+    shifts = {c: _fundamental_shifts(G, *c) for c in cells}
     wit = []
     for c1, c2 in itertools.product(cells, repeat=2):
         rule = c1[0] >= c2[0] and c1[1] <= c2[1]
-        actual = subgroup_leq(subs[c1], subs[c2])
+        actual = _block_leq(shifts[c1], shifts[c2])
         if rule != actual:
             wit.append(
                 {
@@ -414,15 +413,15 @@ def _run_fundamental_order_iff(ctx: ClaimContext) -> _Found:
     "sigma-sum-containment",
 )
 def _run_matrix_suite(ctx: ClaimContext) -> list[ClaimReport]:
-    M = ctx.matrix()
+    M = ctx.matrix
     G = ctx.group
     out = [check_monotone(M), check_distinct(M)]
     out.extend(check_join_meet(M))
     out.extend(check_quartering(M))
     out.append(check_alias(M))
     out.append(check_path_roundtrip(M))
-    out.append(path_chain_check(G, matrix=M))
-    out.extend(verify_sigma_sum(G, matrix=M))
+    out.append(path_chain_check(G, ctx.cuts, matrix=M))
+    out.extend(verify_sigma_sum(G, ctx.cuts, matrix=M))
     return out
 
 
@@ -430,18 +429,9 @@ def _run_matrix_suite(ctx: ClaimContext) -> list[ClaimReport]:
 def _run_path_realization(ctx: ClaimContext) -> _Found:
     """Stated: the column sequence of every rising path is the indicator of
     some element."""
-    G = ctx.group
-    M = ctx.matrix()
-    wit = []
-    paths = enumerate_rising_paths(M)
-    seen = set()
-    for path in paths:
-        sigma = path_to_indicator(path)
-        if sigma in seen:
-            continue
-        seen.add(sigma)
-        if not is_realizable(G, sigma):
-            wit.append({"columns": list(sigma.entries)})
+    paths = enumerate_rising_paths(ctx.matrix)
+    seen = dict.fromkeys(map(path_to_indicator, paths))  # in order of first use
+    wit = [{"columns": list(s.entries)} for s in seen if not is_realizable(ctx.group, s)]
     return wit, f"{len(paths)} paths, {len(seen)} distinct column sequences"
 
 
@@ -450,7 +440,7 @@ def _run_path_count_accounting(ctx: ClaimContext) -> _Found:
     """The bundled per-length path tally, against exhaustive enumeration."""
     if ctx.group.components != ((2, 1), (4, 1)):
         raise _Skip("tally is bundled for the Z(p^2)+Z(p^4) shape only")
-    computed = path_tally(ctx.matrix())
+    computed = path_tally(ctx.matrix)
     wit = []
     if computed != REFERENCE_PATH_TALLY or sum(computed.values()) != REFERENCE_PATH_TOTAL:
         wit.append(
@@ -486,7 +476,7 @@ def _run_reference_table_rows(ctx: ClaimContext) -> _Found:
                     "indicator": list(row.indicator),
                     "listed_name": row.listed_name,
                     "listed_shifts": list(row.listed_shifts),
-                    "computed_name": subgroup_name(G, cut),
+                    "computed_name": _shift_name(G, shifts),
                     "computed_shifts": list(shifts),
                 }
             )
@@ -567,7 +557,7 @@ def _run_fun_identities(ctx: ClaimContext) -> list[ClaimReport]:
     "fundamental-dagger-closed",
 )
 def _run_galois_suite(ctx: ClaimContext) -> list[ClaimReport]:
-    return verify_galois_suite(ctx.group, nodes=ctx.lattice().nodes, ideals=ctx.ideals())
+    return verify_galois_suite(ctx.group, nodes=ctx.lattice.nodes, ideals=ctx.ideals)
 
 
 @_claim("collision-recipe")
@@ -582,7 +572,7 @@ def _run_collision_recipe(ctx: ClaimContext) -> _Found:
             f" {ctx.max_ideals} needed to certify absence"
         )
     ctx.ring()
-    got = find_dagger_collision(G, ideals=ctx.ideals() if homocyclic else None)
+    got = find_dagger_collision(G, ideals=ctx.ideals if homocyclic else None)
     wit = []
     if homocyclic:
         if got is not None:
@@ -638,7 +628,7 @@ def _run_homocyclic_ideal_chain(ctx: ClaimContext) -> _Found:
     if len(G.components) > 1:
         raise _Skip("applies to homocyclic groups only")
     n = G.components[0][0]
-    ideals = ctx.ideals()
+    ideals = ctx.ideals
     wit = []
     if len(ideals) != n + 1:
         wit.append({"ideal_count": len(ideals), "expected": n + 1})
@@ -656,12 +646,12 @@ def _run_homocyclic_ideal_chain(ctx: ClaimContext) -> _Found:
 
 @_suite("indicator-coverage")
 def _run_indicator_coverage(ctx: ClaimContext) -> list[ClaimReport]:
-    return [verify_indicator_coverage(ctx.group, lattice=ctx.lattice())]
+    return [verify_indicator_coverage(ctx.group, ctx.cuts, lattice=ctx.lattice)]
 
 
 @_suite("fundamental-containment")
 def _run_fundamental_containment(ctx: ClaimContext) -> list[ClaimReport]:
-    return [check_fundamental_containment(ctx.group)]
+    return [check_fundamental_containment(ctx.group, ctx.cuts)]
 
 
 @_suite("descriptor-rule-as-stated", "descriptor-rule-empirical")
@@ -743,13 +733,10 @@ def run_claims(
     group_cap = DEFAULT_MAX_GROUP_ORDER if max_group is None else max_group
     if G.order > group_cap:
         raise GroupTooLargeError(f"|G| = {G.order} exceeds cap {group_cap}")
-    if ids is not None:
-        unknown = set(ids) - set(all_claim_ids())
-        if unknown:
-            raise InvalidInputError(f"unknown claim ids: {sorted(unknown)}")
-        wanted = set(ids)
-    else:
-        wanted = set(all_claim_ids())
+    wanted = set(all_claim_ids() if ids is None else ids)
+    unknown = wanted - set(all_claim_ids())
+    if unknown:
+        raise InvalidInputError(f"unknown claim ids: {sorted(unknown)}")
     ctx = ClaimContext(
         group=G,
         max_ring=DEFAULT_MAX_RING_ORDER if max_ring is None else max_ring,

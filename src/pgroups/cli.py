@@ -5,6 +5,10 @@ Subcommands: ``analyze`` (group summary plus the indicator/subgroup table),
 export), ``endo`` (ring summary), ``matrix`` (fundamental-matrix rendering),
 ``ulm`` (realizability verdict for an Ulm-sequence file).
 
+``analyze``, ``lattice`` and ``matrix`` are served from the group's shape: a
+fully invariant subgroup is its block-shift vector, so they build no subgroup
+and no table of the group's elements.
+
 Group and sequence inputs are JSON, given either as a file path or inline.
 Exit codes: 0 success, 1 refutation outside the shipped allowlist, 2 invalid
 input, 3 budget exceeded.  All output orderings are fixed, so identical
@@ -29,14 +33,9 @@ from .endos import (
     ring_order,
 )
 from .errors import BudgetExceededError, InvalidInputError, PGroupError
-from .groups import (
-    DEFAULT_MAX_GROUP_ORDER,
-    GroupSpec,
-    block_subgroup,
-    ulm_invariants,
-)
+from .groups import DEFAULT_MAX_GROUP_ORDER, GroupSpec, _block_order, ulm_invariants
 from .indicators import Indicator, _sorted_indicators
-from .lattice import canonical_fi_form, enumerate_fi_subgroups, hasse_export, subgroup_name
+from .lattice import _power, _shift_name, enumerate_fi_subgroups, hasse_export
 from .matrix import build_matrix
 from .reference import REFERENCE_LISTED_FI_COUNT, REFERENCE_TABLE
 from .reports import unexpected_refutations
@@ -66,26 +65,12 @@ def _group_from_arg(arg: str, max_group: int) -> GroupSpec:
     return GroupSpec.from_json(_load_json_arg(arg), max_order=max_group)
 
 
-def _coordinate_shifts(G: GroupSpec, alpha) -> list[tuple[str, int, int]]:
-    """(generator letter, shift, coordinate exponent) per cyclic summand."""
-    out = []
-    t = 0
-    for (n, m), a in zip(G.components, alpha):
-        for _ in range(m):
-            letter = _GENERATORS[t] if t < len(_GENERATORS) else f"x{t}"
-            out.append((letter, a, n))
-            t += 1
-    return out
-
-
 def _decomposition(G: GroupSpec, alpha) -> str:
     """Render block shifts as a generator sum, e.g. ``<pa> (+) <p^3b>``."""
-    parts = []
-    for letter, a, n in _coordinate_shifts(G, alpha):
-        if a >= n:
-            continue
-        prefix = "" if a == 0 else ("p" if a == 1 else f"p^{a}")
-        parts.append(f"<{prefix}{letter}>")
+    letters = [_GENERATORS[t] if t < len(_GENERATORS) else f"x{t}" for t in range(G.rank)]
+    shifts = [a for a, (_, m) in zip(alpha, G.components) for _ in range(m)]
+    coords = zip(letters, shifts, G.coordinate_exponents)
+    parts = [f"<{_power(a)}{letter}>" for letter, a, n in coords if a < n]
     return " (+) ".join(parts) if parts else "0"
 
 
@@ -101,23 +86,21 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _indicator_table(G: GroupSpec, cut_of: dict) -> list[str]:
-    """The three-column indicator table over ``cut_of`` (each admissible
-    indicator's cut); on the bundled reference shape each listed row is
-    compared as an explicit element set against the computed cut."""
+    """The three-column indicator table over ``cut_of`` (the block shifts of
+    each admissible indicator's cut); on the bundled reference shape each
+    listed row's shifts are compared with the computed cut's."""
     if G.components == ((2, 1), (4, 1)):
         rows = []
         mismatches = []
         for row in REFERENCE_TABLE:
             sigma = Indicator(row.indicator)
             cut = cut_of[sigma]
-            listed = block_subgroup(G, row.listed_shifts)
-            if cut == listed:
+            if cut == row.listed_shifts:
                 status = "exact match"
             else:
-                true_shifts = canonical_fi_form(G, cut)
                 status = (
-                    f"MISMATCH (computed: {subgroup_name(G, cut)}"
-                    f" = {_decomposition(G, true_shifts)})"
+                    f"MISMATCH (computed: {_shift_name(G, cut)}"
+                    f" = {_decomposition(G, cut)})"
                 )
                 mismatches.append(str(sigma))
             rows.append(
@@ -142,13 +125,7 @@ def _indicator_table(G: GroupSpec, cut_of: dict) -> list[str]:
     rows = []
     for sigma in _sorted_indicators(cut_of):
         cut = cut_of[sigma]
-        rows.append(
-            [
-                str(sigma),
-                subgroup_name(G, cut),
-                _decomposition(G, canonical_fi_form(G, cut)),
-            ]
-        )
+        rows.append([str(sigma), _shift_name(G, cut), _decomposition(G, cut)])
     return _render_table(["Indicator", "FI Subgroup", "Ind. Decomp"], rows)
 
 
@@ -160,7 +137,7 @@ def _matrix_text(G: GroupSpec) -> list[str]:
     ]
     rows = []
     for i in range(e, 0, -1):
-        rows.append([f"i={i}"] + [subgroup_name(G, M.entry(i, j)) for j in range(e)])
+        rows.append([f"i={i}"] + [_shift_name(G, M.cell_shifts(i, j)) for j in range(e)])
     lines = _render_table(headers, rows)
     lines.append("(*) marker column; cell (i, j) holds p^j G[p^i]")
     return lines
@@ -168,16 +145,18 @@ def _matrix_text(G: GroupSpec) -> list[str]:
 
 def _matrix_json(G: GroupSpec) -> str:
     M = build_matrix(G)
-    cells = [
-        {
-            "row": i,
-            "col": j,
-            "order": M.entry(i, j).order,
-            "shifts": list(canonical_fi_form(G, M.entry(i, j))),
-            "name": subgroup_name(G, M.entry(i, j)),
-        }
-        for i, j in M.cells()
-    ]
+    cells = []
+    for i, j in M.cells():
+        alpha = M.cell_shifts(i, j)
+        cells.append(
+            {
+                "row": i,
+                "col": j,
+                "order": _block_order(G, alpha),
+                "shifts": list(alpha),
+                "name": _shift_name(G, alpha),
+            }
+        )
     doc = {
         "group": G.to_json(),
         "display_cols": list(M.display_cols),
@@ -199,7 +178,7 @@ def cmd_analyze(args) -> int:
         + ", ".join(f"u_{k} = {u}" for k, u in enumerate(ulm_invariants(G)))
     )
     L = enumerate_fi_subgroups(G)
-    cut_of = {s: H for H, sigmas in zip(L.nodes, L.sigma_labels) for s in sigmas}
+    cut_of = {s: a for a, sigmas in zip(L.shifts, L.sigma_labels) for s in sigmas}
     lines.append(f"admissible indicators: {len(cut_of)}")
     lines.append("")
     lines.extend(_indicator_table(G, cut_of))
@@ -208,10 +187,10 @@ def cmd_analyze(args) -> int:
     if G.components == ((2, 1), (4, 1)):
         summary += f" (listed table rows: {REFERENCE_LISTED_FI_COUNT})"
     lines.append(summary)
-    by_order = sorted(L.nodes, key=lambda H: (H.order, canonical_fi_form(G, H)))
+    by_order = sorted(zip(L.orders, L.shifts))
     lines.append(
         "lattice members by order: "
-        + ", ".join(f"{subgroup_name(G, H)} ({H.order})" for H in by_order)
+        + ", ".join(f"{_shift_name(G, a)} ({order})" for order, a in by_order)
     )
     lines.append("")
     lines.append("fundamental matrix:")
@@ -267,11 +246,11 @@ def cmd_endo(args) -> int:
     L = enumerate_fi_subgroups(G)
     ideals_by_image = Counter(dagger_ideal(G, I) for I in ideals)
     rows = []
-    for H in L.nodes:
+    for alpha, H in zip(L.shifts, L.nodes):
         closed = dagger_subgroup(G, H)
         rows.append(
             [
-                subgroup_name(G, H),
+                _shift_name(G, alpha),
                 str(H.order),
                 str(ideals_by_image[H]),
                 str(closed.size),
@@ -325,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the group argument and the budget flags every group command takes
     budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("group", help="group JSON (inline or file path)")
     budgets.add_argument(
         "--max-group",
         type=_budget,
@@ -350,13 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[budgets],
         help="group summary, indicator table, lattice and matrix overview",
     )
-    p.add_argument("group", help="group JSON (inline or file path)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
         "verify", parents=[budgets], help="run claim checks, one JSON line each"
     )
-    p.add_argument("group", help="group JSON (inline or file path)")
     p.add_argument(
         "--claims",
         default="all",
@@ -373,20 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lattice", parents=[budgets], help="export the fully invariant lattice"
     )
-    p.add_argument("group", help="group JSON (inline or file path)")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser(
         "endo", parents=[budgets], help="endomorphism ring and ideal summary"
     )
-    p.add_argument("group", help="group JSON (inline or file path)")
     p.set_defaults(func=cmd_endo)
 
     p = sub.add_parser(
         "matrix", parents=[budgets], help="render the fundamental matrix"
     )
-    p.add_argument("group", help="group JSON (inline or file path)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_matrix)
 

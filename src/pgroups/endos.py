@@ -41,12 +41,13 @@ of the ideal's members, and the pullback with the whole-ring filter of the
 members whose rows lie in ``H``.  An ideal's packed member indices are built
 only for output, witnesses and these oracles.
 
-Each group has one cached :class:`EndoRing` shape.  The ring budget applies
-through :func:`get_ring`.  Only :func:`enumerate_endos`,
-:attr:`EndoRing.action` and the pullback oracle decode every member;
-``endo-height-exponent`` and ``endo-indicator-monotone``, exhaustive by
-statement, scan every (endomorphism, element) pair in one pass through
-:meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an image's
+Each group has one cached :class:`EndoRing` shape.  The daggers,
+:func:`special_ideals` and the ``verify_*`` helpers read only that shape; the
+ring budget applies through :func:`get_ring`, which their callers check.
+Only :func:`enumerate_endos`, :attr:`EndoRing.action` and the pullback oracle
+decode every member; ``endo-height-exponent`` and ``endo-indicator-monotone``,
+exhaustive by statement, scan every (endomorphism, element) pair in one pass
+through :meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an image's
 rank off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).
 
 Both directions, their closure behavior, and several identities about the
@@ -68,7 +69,7 @@ from .errors import (
     NotFullyInvariantError,
     RingTooLargeError,
 )
-from .groups import Element, GroupSpec, Subgroup, fundamental_subgroup
+from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts, fundamental_subgroup
 from .groups import _grid, _is_int, _join_closure, _members, _same_group, _span
 from .groups import _subgroup, _table
 from .reports import ClaimReport, _verdict
@@ -656,7 +657,7 @@ def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
     ``gcd(q_k, p^n)`` and by ``q_k / gcd(q_k, p^n)``."""
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    ring = get_ring(G)
+    ring = _cached_ring(G)
     scale = np.gcd(ring._endo_radix, G.p ** min(n, G.exponent))
     return _ideal(G, scale), _ideal(G, ring._endo_radix // scale)
 
@@ -676,7 +677,7 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
     """
     if H.group != G:
         raise MismatchedParentError("subgroup of a different group")
-    ring = get_ring(G)
+    ring = _cached_ring(G)
     if not ring.is_fully_invariant(H):
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not fully invariant"
@@ -730,6 +731,7 @@ def is_dagger_closed(x: Subgroup | Ideal) -> DaggerReport:
         )
     if isinstance(x, Ideal):
         G = x.group
+        get_ring(G)  # the witnesses read members of End(G)
         back = dagger_subgroup(G, dagger_ideal(G, x))
         if back == x:
             return DaggerReport(subject=f"ideal of size {x.size}", status="closed")
@@ -803,7 +805,7 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     * preimage of ``G[p^n]``  == ``E[p^n]``       (holds)
     """
     e = G.exponent
-    ring = get_ring(G)
+    ring = _cached_ring(G)
     wit: dict[str, list] = {k: [] for k in (
         "power-ideal-dagger",
         "power-subgroup-dagger",
@@ -818,14 +820,18 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
             wit["power-ideal-dagger"].append({"n": n})
         got = dagger_subgroup(G, powerG)
         if got != powerE:
-            extra = np.setdiff1d(got.indices, powerE.indices)
+            # got's least member outside powerE: got's step at the least
+            # significant digit where powerE's step does not divide it
+            k = np.flatnonzero(got.steps % powerE.steps)[-1:]
             wit["power-subgroup-dagger"].append(
                 {
                     "n": n,
                     "preimage_size": got.size,
                     "scaled_ring_size": powerE.size,
-                    "endo_outside_scaled_ring": ring.decode(extra[0]).tolist()
-                    if extra.size
+                    "endo_outside_scaled_ring": ring.decode(
+                        got.steps[k[0]] * ring._endo_strides[k[0]]
+                    ).tolist()
+                    if k.size
                     else None,
                 }
             )
@@ -912,7 +918,7 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         nodes = enumerate_fi_subgroups(G).nodes
     if ideals is None:
         ideals = enumerate_ideals(G)
-    ring = get_ring(G)
+    ring = _cached_ring(G)
     node_list = list(nodes)
     verdicts = []  # (claim id, witnesses, what was checked)
     wd_wit = _well_defined_witnesses(ring, node_list, ideals)
@@ -1050,13 +1056,11 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
     verdicts.append(("dagger-class-structure", class_wit[:5], checked))
 
     # fundamental subgroups are closed
-    fund_wit = []
     e = G.exponent
-    for n in range(1, e + 1):
-        for kappa in range(e):
-            H = fundamental_subgroup(G, kappa, n)
-            if dagger_ideal(G, dagger_subgroup(G, H)) != H:
-                fund_wit.append({"cell": [n, kappa]})
+    cells = [(n, kappa) for n in range(1, e + 1) for kappa in range(e)]
+    F = ring.block_steps([_fundamental_shifts(G, kappa, n) for n, kappa in cells])
+    back = ring.image_steps(ring.preimage_steps(F))
+    fund_wit = [{"cell": list(cells[i])} for i in np.flatnonzero(~_same(back, F))]
     checked = f"all {e * e} fundamental subgroups"
     verdicts.append(("fundamental-dagger-closed", fund_wit[:5], checked))
     return _reports(G, verdicts)

@@ -445,7 +445,10 @@ def _grid(steps, radix: np.ndarray, strides: np.ndarray) -> np.ndarray:
 
 
 def _indices_of(G: GroupSpec, elems: Iterable[Element]) -> np.ndarray:
-    """Packed indices of the given elements, in the given order."""
+    """Packed indices of the given elements of ``G``, in the given order."""
+    elems = list(elems)
+    if any(a.group != G for a in elems):
+        raise MismatchedParentError("element of a different group")
     t = _table(G)
     coords = np.array([e.coords for e in elems], dtype=np.int64)
     return coords.reshape(-1, G.rank) % t.moduli @ t.strides
@@ -475,7 +478,8 @@ class Subgroup:
     """A subgroup held as the sorted packed indices of its elements, packed
     with the group's own radix and strides (:func:`_table`).
 
-    ``Subgroup(G, elements)`` packs an ``Element`` sequence; like every
+    ``Subgroup(G, elements)`` packs a sequence of elements of ``G`` (an element
+    of another group raises :class:`MismatchedParentError`); like every
     constructor it checks the size cap and that 0 is a member, and the caller
     asserts closure.  ``indices`` is a read-only sorted int64 array; equality
     and hashing use the group and the index bytes.  ``elements`` decodes the
@@ -648,6 +652,13 @@ def _block_order(G: GroupSpec, alpha: tuple[int, ...]) -> int:
     return G.p ** sum((n - a) * m for a, (n, m) in zip(alpha, G.components))
 
 
+def _block_leq(alpha, beta) -> bool:
+    """The block sum with shifts ``alpha`` lies in the one with ``beta``: each
+    shift of ``alpha`` is at least that of ``beta``.  Exact for any subgroup
+    with block shifts ``alpha`` (:attr:`Subgroup.block_shifts`)."""
+    return all(a >= b for a, b in zip(alpha, beta))
+
+
 def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     """The subgroup ``p^alpha_1 B_1 (+) ... (+) p^alpha_k B_k``.
 
@@ -662,7 +673,7 @@ def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     size = _block_order(G, alpha)
     cap = DEFAULT_MAX_SUBGROUP_SIZE
     if size > cap:
-        raise GroupTooLargeError(f"subgroup of order {size} exceeds cap {cap}")
+        raise GroupTooLargeError(f"subgroup with {size} elements exceeds cap {cap}")
     steps = [G.p**a for a, (_, m) in zip(alpha, G.components) for _ in range(m)]
     t = _table(G)
     return _subgroup(G, _grid(steps, t.moduli, t.strides), tuple(alpha))

@@ -12,8 +12,9 @@ bounded indicators is a lattice whose meet pads the shorter argument with
 infinity and whose join truncates to the shorter length.
 
 :func:`ind_of` computes one element's indicator.  The subgroup ``G(sigma)``
-cut out by an indicator is read off the group's packed height table instead,
-one vectorised comparison per entry of ``sigma`` over all elements at once.
+cut out by an indicator is a block sum whose shifts :func:`cut_shifts` reads
+off the shape; :func:`indicator_subgroup`, the oracle, scans the packed height
+table instead, one vectorised comparison per entry of ``sigma``.
 """
 from __future__ import annotations
 
@@ -208,19 +209,24 @@ def is_realizable(G: GroupSpec, sigma: Indicator) -> bool:
 
 
 def enumerate_admissible(G: GroupSpec) -> set[Indicator]:
-    """All admissible indicators of ``G`` (always includes the empty one).
+    """All admissible indicators of ``G`` (always includes the empty one),
+    generated entry by entry: after ``v`` comes ``v + 1``, or any larger value
+    below exp(G) when the Ulm invariant ``u_v`` is nonzero.
 
     >>> from .groups import make_group
     >>> len(enumerate_admissible(make_group(2, [(2, 1), (4, 1)])))
     13
     """
     e = G.exponent
-    found: set[Indicator] = set()
-    for length in range(e + 1):
-        for entries in itertools.combinations(range(e), length):
-            cand = Indicator(entries)
-            if is_admissible(G, cand):
-                found.add(cand)
+    found: set[Indicator] = {TOP}
+    grown = [(v,) for v in range(e)]
+    while grown:
+        found.update(map(Indicator, grown))
+        grown = [
+            s + (w,)
+            for s in grown
+            for w in range(s[-1] + 1, e if ulm_invariant(G, s[-1]) else min(s[-1] + 2, e))
+        ]
     return found
 
 
@@ -246,6 +252,31 @@ def indicator_subgroup(G: GroupSpec, sigma: Indicator):
     for k, s in enumerate(sigma.entries[:e]):
         inside &= heights[k] >= min(s, e)
     return _subgroup(G, np.flatnonzero(inside))
+
+
+def cut_shifts(G: GroupSpec, sigma: Indicator) -> tuple[int, ...]:
+    """The block shifts of the cut ``G(sigma)``: per block of exponent ``n``,
+    the least ``v >= n - len(sigma)`` with ``v + k >= sigma_k`` for every
+    ``k < n - v`` (the heights of the ``p^k`` multiples of ``p^v`` times a
+    generator).
+
+    >>> from .groups import make_group
+    >>> cut_shifts(make_group(2, [(2, 1), (4, 1)]), Indicator((1, 3)))
+    (1, 2)
+    """
+    out = []
+    for n, _ in G.components:
+        v = max(0, n - sigma.length)
+        while any(v + k < s for k, s in enumerate(sigma.entries[: n - v])):
+            v += 1
+        out.append(v)
+    return tuple(out)
+
+
+def table_cuts(G: GroupSpec) -> dict:
+    """``{sigma: indicator_subgroup(G, sigma)}`` over the admissible
+    indicators in the fixed order: the oracle map the cut checks take."""
+    return {s: indicator_subgroup(G, s) for s in _sorted_indicators(enumerate_admissible(G))}
 
 
 def admissible_glb(

@@ -10,28 +10,31 @@ where the shifts satisfy ``a_i <= a_j <= a_i + (n_j - n_i)`` for ``i < j``
 (shifts may not decrease, and may not grow faster than the block exponents).
 That normal form is what :func:`canonical_fi_form` recovers and validates.
 
-Enumeration reads the lattice off the indicators: every fully invariant
-subgroup is the cut ``G(sigma)`` of an admissible indicator (Kaplansky), so
-the nodes are the distinct cuts, one vectorised pass over the height table
-each.  Every node is a block sum, so containment is read off the block
-shifts (entrywise ``>=``), and the covers are the strict containments with no
-node strictly between.  The ``indicator-coverage`` claim checks the nodes
-against an independent oracle: the smallest fully invariant subgroup
-containing a single element is its orbit under the full endomorphism ring,
-arbitrary ones are sums of those, and a pairwise-sum fixpoint over the orbits
-finds every node.
+Enumeration reads the lattice off the group's shape: every fully invariant
+subgroup is the cut ``G(sigma)`` of an admissible indicator (Kaplansky), whose
+block shifts are :func:`pgroups.indicators.cut_shifts`.  So a node is its shift
+vector: one node lies in another iff its shifts are entrywise at least the
+other's, and the covers are the strict containments with no node strictly
+between.  The ``indicator-coverage`` claim checks the nodes against the cuts
+scanned off the height table and against an independent oracle: the smallest
+fully invariant subgroup containing a single element is its orbit under the
+full endomorphism ring, arbitrary ones are sums of those, and a pairwise-sum
+fixpoint over the orbits finds every node.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .endos import _cached_ring
 from .errors import InvalidInputError, NotFullyInvariantError, UnknownFormatError
-from .groups import Element, GroupSpec, Subgroup, subgroup_leq
+from .groups import Element, GroupSpec, Subgroup, block_subgroup
 from .groups import (
+    _block_leq,
     _block_order,
     _fundamental_shifts,
     _grid,
@@ -40,7 +43,8 @@ from .groups import (
     _subgroup,
     _table,
 )
-from .indicators import Indicator, _sorted_indicators, enumerate_admissible, indicator_subgroup
+from .indicators import Indicator, _sorted_indicators, cut_shifts
+from .indicators import enumerate_admissible
 from .reports import ClaimReport, _verdict
 
 
@@ -50,17 +54,13 @@ def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
     Requires 0 <= a_i <= n_i per block, shifts non-decreasing, and the gap
     between consecutive shifts no larger than the gap between exponents.
     """
-    if len(alpha) != len(G.components):
-        return False
     exps = [n for n, _ in G.components]
-    for a, n in zip(alpha, exps):
-        if not 0 <= a <= n:
-            return False
-    for i in range(len(alpha) - 1):
-        lo, hi = alpha[i], alpha[i + 1]
-        if hi < lo or hi > lo + (exps[i + 1] - exps[i]):
-            return False
-    return True
+    steps = zip(alpha, alpha[1:], exps, exps[1:])
+    return (
+        len(alpha) == len(exps)
+        and all(0 <= a <= n for a, n in zip(alpha, exps))
+        and all(lo <= hi <= lo + m - n for lo, hi, n, m in steps)
+    )
 
 
 def canonical_fi_form(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
@@ -87,46 +87,40 @@ def canonical_fi_form(G: GroupSpec, H: Subgroup) -> tuple[int, ...]:
 
 
 def subgroup_name(G: GroupSpec, H: Subgroup) -> str:
-    """Stable display name: 0, G, p^k G, G[p^n], p^k G[p^n], or a block sum.
+    """Stable display name of a fully invariant subgroup (:func:`_shift_name`)."""
+    try:
+        return _shift_name(G, canonical_fi_form(G, H))
+    except NotFullyInvariantError:
+        return f"subgroup of order {H.order}"
+
+
+def _power(k: int) -> str:
+    """``p^k`` as names print it: empty for ``k = 0``, ``p`` for ``k = 1``."""
+    return "" if k == 0 else ("p" if k == 1 else f"p^{k}")
+
+
+def _shift_name(G: GroupSpec, alpha: tuple[int, ...]) -> str:
+    """Name of the block sum with shifts ``alpha``: 0, G, p^k G, G[p^n],
+    p^k G[p^n], or a block sum.
 
     Preference order keeps names minimal: the whole group and zero first,
     then pure powers, then pure torsion layers, then two-parameter forms,
     and finally an explicit block decomposition for fully invariant
     subgroups that are none of the above.
     """
-    try:
-        alpha = canonical_fi_form(G, H)
-    except NotFullyInvariantError:
-        return f"subgroup of order {H.order}"
     e = G.exponent
     exps = [n for n, _ in G.components]
     if all(a == ni for a, ni in zip(alpha, exps)):
         return "0"
     if all(a == 0 for a in alpha):
         return "G"
-    for kappa in range(1, e + 1):
-        if alpha == _fundamental_shifts(G, kappa, e):
-            return f"p^{kappa}G" if kappa > 1 else "pG"
-    for n in range(1, e + 1):
-        if alpha == _fundamental_shifts(G, 0, n):
-            return f"G[p^{n}]" if n > 1 else "G[p]"
-    for kappa in range(1, e + 1):
-        for n in range(1, e + 1):
-            if alpha == _fundamental_shifts(G, kappa, n):
-                k_str = f"p^{kappa}G" if kappa > 1 else "pG"
-                n_str = f"[p^{n}]" if n > 1 else "[p]"
-                return k_str + n_str
-    parts = []
-    for i, (a, ni) in enumerate(zip(alpha, exps), start=1):
-        if a == ni:
-            continue  # this block contributes nothing
-        if a == 0:
-            parts.append(f"B{i}")
-        elif a == 1:
-            parts.append(f"pB{i}")
-        else:
-            parts.append(f"p^{a}B{i}")
-    return " (+) ".join(parts)
+    tried = [(kappa, e) for kappa in range(1, e + 1)] + [(0, n) for n in range(1, e + 1)]
+    tried += itertools.product(range(1, e + 1), repeat=2)
+    for kappa, n in tried:
+        if alpha == _fundamental_shifts(G, kappa, n):
+            return f"{_power(kappa)}G" + ("" if n == e else f"[{_power(n)}]")
+    blocks = enumerate(zip(alpha, exps), start=1)
+    return " (+) ".join(f"{_power(a)}B{i}" for i, (a, ni) in blocks if a < ni)
 
 
 def fi_closure(G: GroupSpec, a: Element) -> Subgroup:
@@ -148,20 +142,30 @@ def fi_closure(G: GroupSpec, a: Element) -> Subgroup:
 class FILattice:
     """All fully invariant subgroups plus their covering relation.
 
-    ``nodes`` are sorted by (order, element list); ``hasse_edges`` hold index
-    pairs ``(i, j)`` meaning node i is covered by node j (transitive
-    reduction of containment); ``sigma_labels[i]`` lists every admissible
-    indicator that cuts out node i, sorted by (length, entries).
+    ``shifts[i]`` are node i's block shifts, sorted by (order, reversed
+    shifts), which is (order, element list); ``nodes`` builds the subgroups on
+    first use.  ``hasse_edges`` hold sorted index pairs ``(i, j)`` meaning node
+    i is covered by node j (transitive reduction of containment);
+    ``sigma_labels[i]`` lists every admissible indicator that cuts out node i,
+    sorted by (length, entries).
     """
 
     group: GroupSpec
-    nodes: tuple[Subgroup, ...]
+    shifts: tuple[tuple[int, ...], ...]
     hasse_edges: tuple[tuple[int, int], ...]
     sigma_labels: tuple[tuple[Indicator, ...], ...]
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.shifts)
+
+    @property
+    def orders(self) -> list[int]:
+        return [_block_order(self.group, a) for a in self.shifts]
+
+    @cached_property
+    def nodes(self) -> tuple[Subgroup, ...]:
+        return tuple(block_subgroup(self.group, a) for a in self.shifts)
 
     def index_of(self, H: Subgroup) -> int:
         for i, node in enumerate(self.nodes):
@@ -170,38 +174,32 @@ class FILattice:
         raise InvalidInputError("subgroup is not a lattice node")
 
     def names(self) -> list[str]:
-        return [subgroup_name(self.group, H) for H in self.nodes]
+        return [_shift_name(self.group, a) for a in self.shifts]
 
 
-def _by_order(subs) -> list[Subgroup]:
-    """Subgroups in lattice node order: by (order, indices)."""
-    return sorted(subs, key=lambda H: (H.order, H.indices.tolist()))
-
-
-def _strictly_below(nodes) -> np.ndarray:
-    """``[i, j]``: node ``i`` lies in node ``j`` and ``i != j``.  The nodes are
-    distinct block sums, and one block sum lies in another iff its shifts are
-    entrywise at least the other's."""
-    alpha = np.array([H.block_shifts for H in nodes])
+def _strictly_below(shifts) -> np.ndarray:
+    """``[i, j]``: block sum ``i`` lies in block sum ``j != i``, i.e. its
+    shifts are entrywise at least j's."""
+    alpha = np.array(shifts).reshape(len(shifts), -1)
     below = (alpha[:, None] >= alpha[None]).all(axis=-1)
-    return below & ~np.eye(len(nodes), dtype=bool)
+    return below & ~np.eye(len(alpha), dtype=bool)
 
 
 def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
-    """The distinct cuts ``G(sigma)`` of the admissible indicators, each
-    labelled by the indicators that cut it out, then covers: the strict
-    containments with no node strictly between.  No ring budget applies."""
-    by_cut: dict[Subgroup, list[Indicator]] = {}
+    """The distinct cuts ``G(sigma)`` of the admissible indicators, as block
+    shifts, each labelled by the indicators that cut it out, then covers: the
+    strict containments with no node strictly between.  No subgroup is built."""
+    by_cut: dict[tuple[int, ...], list[Indicator]] = {}
     for sigma in _sorted_indicators(enumerate_admissible(G)):
-        by_cut.setdefault(indicator_subgroup(G, sigma), []).append(sigma)
-    subs = _by_order(by_cut)
-    strict = _strictly_below(subs).astype(np.int64)
+        by_cut.setdefault(cut_shifts(G, sigma), []).append(sigma)
+    shifts = sorted(by_cut, key=lambda a: (_block_order(G, a), a[::-1]))
+    strict = _strictly_below(shifts).astype(np.int64)
     covers = (strict > 0) & (strict @ strict == 0)
     return FILattice(
         group=G,
-        nodes=tuple(subs),
+        shifts=tuple(shifts),
         hasse_edges=tuple(map(tuple, np.argwhere(covers).tolist())),
-        sigma_labels=tuple(tuple(by_cut[H]) for H in subs),
+        sigma_labels=tuple(tuple(by_cut[a]) for a in shifts),
     )
 
 
@@ -213,16 +211,13 @@ def lattice_stats(L: FILattice) -> tuple[int, int]:
     matching over strict containments).
     """
     n = L.node_count
-    children = [[] for _ in range(n)]
-    for i, j in L.hasse_edges:
-        children[i].append(j)
     depth = [1] * n
-    for i in sorted(range(n), key=lambda i: L.nodes[i].order, reverse=True):
-        for j in children[i]:
-            depth[i] = max(depth[i], depth[j] + 1)
+    # the covers are sorted and each goes up in order, to a higher index
+    for i, j in reversed(L.hasse_edges):
+        depth[i] = max(depth[i], depth[j] + 1)
     longest = max(depth) if n else 0
 
-    above = [np.flatnonzero(row).tolist() for row in _strictly_below(L.nodes)]
+    above = [np.flatnonzero(row).tolist() for row in _strictly_below(L.shifts)]
     match_right: list[int | None] = [None] * n
 
     def try_assign(u: int, seen: list[bool]) -> bool:
@@ -248,15 +243,16 @@ def hasse_export(L: FILattice, format: str = "json") -> str:
     JSON nodes carry the block-shift form (``alpha``), every indicator that
     cuts the node out (``sigmas``), and the order; edges are covering pairs.
     """
+    orders = L.orders
     if format == "json":
         nodes = []
-        for i, H in enumerate(L.nodes):
+        for i, alpha in enumerate(L.shifts):
             nodes.append(
                 {
                     "id": i,
-                    "alpha": list(canonical_fi_form(L.group, H)),
+                    "alpha": list(alpha),
                     "sigmas": [list(s.entries) for s in L.sigma_labels[i]],
-                    "order": H.order,
+                    "order": orders[i],
                 }
             )
         payload = {
@@ -266,10 +262,9 @@ def hasse_export(L: FILattice, format: str = "json") -> str:
         return json.dumps(payload, indent=2, sort_keys=True)
     if format == "dot":
         lines = ["digraph fi_lattice {", "  rankdir=BT;"]
-        names = L.names()
-        for i, H in enumerate(L.nodes):
+        for i, name in enumerate(L.names()):
             sigmas = ", ".join(str(s) for s in L.sigma_labels[i])
-            label = f"{names[i]}\\n|H| = {H.order}\\n{sigmas}"
+            label = f"{name}\\n|H| = {orders[i]}\\n{sigmas}"
             lines.append(f'  n{i} [label="{label}"];')
         for i, j in L.hasse_edges:
             lines.append(f"  n{i} -> n{j};")
@@ -278,14 +273,17 @@ def hasse_export(L: FILattice, format: str = "json") -> str:
     raise UnknownFormatError(f"unknown export format {format!r}")
 
 
-def verify_indicator_coverage(G: GroupSpec, lattice: FILattice | None = None) -> ClaimReport:
+def verify_indicator_coverage(
+    G: GroupSpec, cuts: dict, lattice: FILattice | None = None
+) -> ClaimReport:
     """Every fully invariant subgroup is cut out by an admissible indicator,
     and distinct admissible indicators cut out distinct subgroups exactly
     when the indicator is realizable.
 
-    The lattice is read off the cuts, so its nodes are checked against an
-    independent oracle: sums of single-element orbits, closed under pairwise
-    sums."""
+    The lattice is read off the shape, so its nodes are checked against
+    independent oracles: sums of single-element orbits, closed under pairwise
+    sums, and the table cuts ``cuts`` (:func:`pgroups.indicators.table_cuts`),
+    each of which must be the node its indicator labels."""
     from .indicators import is_realizable
 
     if lattice is None:
@@ -295,11 +293,16 @@ def verify_indicator_coverage(G: GroupSpec, lattice: FILattice | None = None) ->
     orbits = (_subgroup(G, _grid(s, t.moduli, t.strides)) for s in steps)
     sums = set(_join_closure(orbits, _join))
     nodes = set(lattice.nodes)
-    witnesses = [{"missing_subgroup_order": H.order} for H in _by_order(sums - nodes)]
-    witnesses += [{"extra_subgroup_order": H.order} for H in _by_order(nodes - sums)]
-    by_sigma = {s: indicator_subgroup(G, s) for s in enumerate_admissible(G)}
-    realizable = {s for s in by_sigma if is_realizable(G, s)}
-    distinct = len({by_sigma[s] for s in realizable})
+    witnesses = [{"missing_subgroup_order": n} for n in sorted(H.order for H in sums - nodes)]
+    witnesses += [{"extra_subgroup_order": n} for n in sorted(H.order for H in nodes - sums)]
+    node_of = {s: H for H, labels in zip(lattice.nodes, lattice.sigma_labels) for s in labels}
+    witnesses += [
+        {"indicator": list(s.entries), "cut_order": cut.order}
+        for s, cut in cuts.items()
+        if node_of.get(s) != cut
+    ]
+    realizable = {s for s in cuts if is_realizable(G, s)}
+    distinct = len({cuts[s] for s in realizable})
     if distinct != len(realizable):
         witnesses.append(
             {"realizable": len(realizable), "distinct_subgroups": distinct}
@@ -308,24 +311,21 @@ def verify_indicator_coverage(G: GroupSpec, lattice: FILattice | None = None) ->
         "indicator-coverage",
         G.describe(),
         witnesses[:5],
-        f"{len(by_sigma)} admissible indicators vs {len(sums)} nodes",
+        f"{len(cuts)} admissible indicators vs {len(sums)} nodes",
     )
 
 
-def check_fundamental_containment(G: GroupSpec) -> ClaimReport:
-    """Each indicator-cut subgroup sits inside the fundamental subgroup named
+def check_fundamental_containment(G: GroupSpec, cuts: dict) -> ClaimReport:
+    """Each table cut of ``cuts`` sits inside the fundamental subgroup named
     by its first entry and its length."""
-    from .groups import fundamental_subgroup
-
     witnesses = []
     count = 0
-    for sigma in enumerate_admissible(G):
+    for sigma, cut in cuts.items():
         if not sigma.entries:
             continue
         count += 1
-        cut = indicator_subgroup(G, sigma)
-        outer = fundamental_subgroup(G, sigma.entries[0], len(sigma.entries))
-        if not subgroup_leq(cut, outer):
+        outer = _fundamental_shifts(G, sigma.entries[0], sigma.length)
+        if not _block_leq(cut.block_shifts, outer):
             witnesses.append({"indicator": str(sigma)})
     return _verdict(
         "fundamental-containment",

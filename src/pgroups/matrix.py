@@ -14,6 +14,12 @@ Two distinguished column sets are tracked:
   column to the next marker column holding the same subgroup, when one
   exists.
 
+Every cell is a block sum, held by its block shifts, and the checks read
+them: one cell lies in another iff its shifts are entrywise at least the
+other's, a sum is the entrywise min, a meet the max.  ``FundMatrix.entry``
+builds a cell's subgroup for callers that need elements; the checks against
+indicator cuts use the cuts scanned off the height table.
+
 A rising path climbs one row per step with strictly increasing columns; its
 column sequence is an indicator, and the path is admissible under exactly
 the indicator gap condition.
@@ -21,7 +27,10 @@ the indicator gap condition.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     IndexOutOfRangeError,
@@ -29,25 +38,19 @@ from .errors import (
     NoAliasError,
     NotAdmissibleError,
 )
-from .groups import (
-    GroupSpec,
-    Subgroup,
-    fundamental_subgroup,
-    subgroup_leq,
-    subgroup_meet,
-    subgroup_sum,
-    zero_subgroup,
-)
+from .groups import GroupSpec, Subgroup, block_subgroup, subgroup_leq
+from .groups import _block_leq, _block_order, _fundamental_shifts
 from .indicators import Indicator, is_admissible
 from .reports import ClaimReport, _verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundMatrix:
-    """The full e x e grid of fundamental subgroups of one group."""
+    """The full e x e grid of fundamental subgroups of one group, held by the
+    block shifts of its cells (read-only, shape ``(e, e, k)``)."""
 
     group: GroupSpec
-    rows: tuple[tuple[Subgroup, ...], ...]  # rows[i-1][j] = cell (i, j)
+    shifts: np.ndarray  # shifts[i-1, j] = block shifts of cell (i, j)
     display_cols: tuple[int, ...]
     marker_cols: tuple[int, ...]
 
@@ -55,12 +58,16 @@ class FundMatrix:
     def exponent(self) -> int:
         return self.group.exponent
 
-    def entry(self, i: int, j: int) -> Subgroup:
-        """Cell ``(i, j)``: row ``i`` in ``[1, e]``, column ``j`` in ``[0, e-1]``."""
+    def cell_shifts(self, i: int, j: int) -> tuple[int, ...]:
+        """Cell ``(i, j)``'s shifts: row ``i`` in ``[1, e]``, column ``j`` in ``[0, e-1]``."""
         e = self.exponent
         if not (1 <= i <= e and 0 <= j < e):
             raise IndexOutOfRangeError(f"cell ({i},{j}) outside [1,{e}] x [0,{e - 1}]")
-        return self.rows[i - 1][j]
+        return tuple(self.shifts[i - 1, j].tolist())
+
+    def entry(self, i: int, j: int) -> Subgroup:
+        """Cell ``(i, j)`` as a block subgroup."""
+        return block_subgroup(self.group, self.cell_shifts(i, j))
 
     def cells(self) -> list[tuple[int, int]]:
         """All (row, column) index pairs, row-major from the bottom row."""
@@ -69,20 +76,30 @@ class FundMatrix:
 
 
 def build_matrix(G: GroupSpec) -> FundMatrix:
-    """Materialize the grid.  Every cell is computed blockwise, no scans.
+    """The grid's block shifts, read off the shape: no subgroup is built.
 
     >>> from .groups import make_group
     >>> M = build_matrix(make_group(2, [(2, 1), (4, 1)]))
-    >>> M.entry(3, 0).order      # elements killed by p^3
-    32
+    >>> M.cell_shifts(3, 0)      # elements killed by p^3
+    (0, 1)
     """
     e = G.exponent
-    rows = tuple(
-        tuple(fundamental_subgroup(G, j, i) for j in range(e)) for i in range(1, e + 1)
+    shifts = np.array(
+        [[_fundamental_shifts(G, j, i) for j in range(e)] for i in range(1, e + 1)],
+        dtype=np.int64,
     )
+    shifts.setflags(write=False)
     display = tuple(range(len(G.components)))
     markers = tuple(n - 1 for n, _ in G.components)
-    return FundMatrix(group=G, rows=rows, display_cols=display, marker_cols=markers)
+    return FundMatrix(group=G, shifts=shifts, display_cols=display, marker_cols=markers)
+
+
+def _formula_cells(a, b):
+    """The cells that the meet and join formulas give for cells ``a`` and
+    ``b``: ``(min rows, max cols)`` and ``(max rows, min cols)``.  A cell's
+    row and column may be arrays, one entry per pair of cells."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return (lo[0], hi[1]), (hi[0], lo[1])
 
 
 def entry_meet(M: FundMatrix, cell_a: tuple[int, int], cell_b: tuple[int, int]):
@@ -91,8 +108,7 @@ def entry_meet(M: FundMatrix, cell_a: tuple[int, int], cell_b: tuple[int, int]):
     Returns ``((i, j), subgroup)``.  This formula is exact: intersecting the
     two membership conditions conjoins them.
     """
-    (i, j), (k, l) = cell_a, cell_b
-    target = (min(i, k), max(j, l))
+    target = tuple(map(int, _formula_cells(cell_a, cell_b)[0]))
     return target, M.entry(*target)
 
 
@@ -102,8 +118,7 @@ def entry_join(M: FundMatrix, cell_a: tuple[int, int], cell_b: tuple[int, int]):
     Always an upper bound of both cells, but not always the exact sum —
     compare against :func:`pgroups.groups.subgroup_sum` before trusting it.
     """
-    (i, j), (k, l) = cell_a, cell_b
-    target = (max(i, k), min(j, l))
+    target = tuple(map(int, _formula_cells(cell_a, cell_b)[1]))
     return target, M.entry(*target)
 
 
@@ -115,7 +130,7 @@ def quartering(M: FundMatrix, i: int, j: int) -> dict[str, list[tuple[int, int]]
     ``other``: the remaining two quadrants.  The anchor cell itself sits in
     both ``se`` and ``nw``; every other cell lands in exactly one bucket.
     """
-    M.entry(i, j)  # validates indices
+    M.cell_shifts(i, j)  # validates indices
     buckets: dict[str, list[tuple[int, int]]] = {"se": [], "nw": [], "other": []}
     for k, l in M.cells():
         if k <= i and l >= j:
@@ -135,13 +150,13 @@ def alias(M: FundMatrix, i: int, j: int) -> int:
     the right holds the same subgroup (which does happen above the socle
     row).
     """
-    cell = M.entry(i, j)
+    cell = M.cell_shifts(i, j)
     if j in M.marker_cols:
         raise InvalidInputError(f"column {j} is already a marker column")
-    if cell.order == 1:
+    if _block_order(M.group, cell) == 1:
         raise NoAliasError(f"cell ({i},{j}) is the zero subgroup")
     for l in M.marker_cols:
-        if l > j and M.entry(i, l) == cell:
+        if l > j and M.cell_shifts(i, l) == cell:
             return l
     raise NoAliasError(f"no marker column right of {j} matches cell ({i},{j})")
 
@@ -230,10 +245,7 @@ def enumerate_rising_paths(M: FundMatrix) -> list[RisingPath]:
 
 def path_tally(M: FundMatrix) -> dict[int, int]:
     """Number of admissible rising paths per length."""
-    tally: dict[int, int] = {}
-    for P in enumerate_rising_paths(M):
-        tally[len(P)] = tally.get(len(P), 0) + 1
-    return tally
+    return dict(Counter(map(len, enumerate_rising_paths(M))))
 
 
 # --------------------------------------------------------------------------
@@ -248,47 +260,42 @@ def sigma_sum(G: GroupSpec, sigma: Indicator, matrix: FundMatrix | None = None) 
     The empty indicator yields the zero subgroup.
     """
     M = matrix if matrix is not None else build_matrix(G)
-    e = M.exponent
-    total = zero_subgroup(M.group)
-    for t, v in enumerate(sigma.entries):
-        if v >= e:
-            continue  # zero contribution by convention
-        total = subgroup_sum(total, M.entry(t + 1, v))
-    return total
+    zero = tuple(n for n, _ in M.group.components)
+    cells = [
+        M.cell_shifts(t + 1, v) for t, v in enumerate(sigma.entries) if v < M.exponent
+    ]
+    return block_subgroup(M.group, tuple(map(min, zip(zero, *cells))))
 
 
-def sigma_sum_verdicts(G: GroupSpec, matrix: FundMatrix | None = None):
-    """For every admissible indicator: does the cell sum equal G(sigma)?
+def sigma_sum_verdicts(G: GroupSpec, cuts: dict, matrix: FundMatrix | None = None):
+    """For every indicator of ``cuts`` (``{sigma: G(sigma)}``, the table cuts
+    of :func:`pgroups.indicators.table_cuts`): does the cell sum equal G(sigma)?
 
-    Returns ``{sigma: (equal, sum_contained_in_G_sigma)}`` with explicit
-    set comparisons on both sides.
+    Returns ``{sigma: (equal, sum_contained_in_G_sigma)}`` from explicit set
+    comparisons.
     """
-    from .indicators import _sorted_indicators, enumerate_admissible, indicator_subgroup
-
     M = matrix if matrix is not None else build_matrix(G)
     out = {}
-    for sigma in _sorted_indicators(enumerate_admissible(G)):
-        target = indicator_subgroup(G, sigma)
+    for sigma, target in cuts.items():
         total = sigma_sum(G, sigma, matrix=M)
         out[sigma] = (total == target, subgroup_leq(total, target))
     return out
 
 
 def verify_sigma_sum(
-    G: GroupSpec, matrix: FundMatrix | None = None
+    G: GroupSpec, cuts: dict, matrix: FundMatrix | None = None
 ) -> list[ClaimReport]:
-    """Two reports: exact equality of the cell sum with G(sigma) per
-    indicator, and the one-sided containment of the sum in G(sigma)."""
-    from .indicators import indicator_subgroup
-
+    """Two reports over the table cuts ``cuts``: exact equality of the cell
+    sum with G(sigma) per indicator, and the one-sided containment of the sum
+    in G(sigma)."""
     M = matrix if matrix is not None else build_matrix(G)
-    verdicts = sigma_sum_verdicts(G, matrix=M)
+    verdicts = sigma_sum_verdicts(G, cuts, matrix=M)
     name = G.describe()
     eq_witnesses = []
     cont_witnesses = []
     for sigma, (equal, contained) in verdicts.items():
         if not equal:
-            target = indicator_subgroup(G, sigma)
+            target = cuts[sigma]
             total = sigma_sum(G, sigma, matrix=M)
             missing = next(e for e in target if e not in total)
             eq_witnesses.append(
@@ -315,15 +322,12 @@ def verify_sigma_sum(
 def check_monotone(M: FundMatrix) -> ClaimReport:
     """Rows weakly shrink left-to-right; columns weakly grow with the bound."""
     e = M.exponent
-    witnesses = []
-    for i in range(1, e + 1):
-        for j in range(e - 1):
-            if not subgroup_leq(M.entry(i, j + 1), M.entry(i, j)):
-                witnesses.append({"cells": [[i, j + 1], [i, j]]})
-    for i in range(1, e):
-        for j in range(e):
-            if not subgroup_leq(M.entry(i, j), M.entry(i + 1, j)):
-                witnesses.append({"cells": [[i, j], [i + 1, j]]})
+    S = M.shifts
+    # [i-1, j]: cell (i, j+1) is not in cell (i, j), then cell (i, j) not in (i+1, j)
+    across = ~(S[:, 1:] >= S[:, :-1]).all(axis=-1)
+    up = ~(S[:-1] >= S[1:]).all(axis=-1)
+    witnesses = [{"cells": [[i + 1, j + 1], [i + 1, j]]} for i, j in np.argwhere(across).tolist()]
+    witnesses += [{"cells": [[i + 1, j], [i + 2, j]]} for i, j in np.argwhere(up).tolist()]
     return _verdict(
         "matrix-monotone",
         M.group.describe(),
@@ -337,7 +341,7 @@ def check_distinct(M: FundMatrix) -> ClaimReport:
     witnesses = []
     cells = [(i, j) for i in range(1, M.exponent + 1) for j in M.display_cols]
     for a, b in itertools.combinations(cells, 2):
-        if M.entry(*a) == M.entry(*b):
+        if M.cell_shifts(*a) == M.cell_shifts(*b):
             witnesses.append({"cells": [list(a), list(b)]})
     return _verdict(
         "matrix-distinct-entries",
@@ -348,28 +352,32 @@ def check_distinct(M: FundMatrix) -> ClaimReport:
 
 
 def check_join_meet(M: FundMatrix) -> list[ClaimReport]:
-    """Compare both index formulas against explicit subgroup sum/intersection
-    over every unordered pair of cells in the full grid."""
-    meet_witnesses = []
-    join_witnesses = []
+    """Compare both index formulas against the sum (shift min) and
+    intersection (shift max) of every unordered pair of cells."""
+    G, e = M.group, M.exponent
     cells = M.cells()
-    for a, b in itertools.combinations(cells, 2):
-        A, B = M.entry(*a), M.entry(*b)
-        _, formula_meet = entry_meet(M, a, b)
-        if formula_meet != subgroup_meet(A, B):
-            meet_witnesses.append({"cells": [list(a), list(b)]})
-        target, formula_join = entry_join(M, a, b)
-        explicit = subgroup_sum(A, B)
-        if formula_join != explicit:
-            join_witnesses.append(
-                {
-                    "cells": [list(a), list(b)],
-                    "formula_cell": list(target),
-                    "formula_order": formula_join.order,
-                    "sum_order": explicit.order,
-                }
-            )
-    name = M.group.describe()
+    S = M.shifts.reshape(e * e, -1)
+    a, b = np.triu_indices(e * e, 1)  # itertools.combinations order
+    # (row - 1, column) of both cells of each pair; the formulas commute with the shift
+    meet_cell, join_cell = _formula_cells(np.divmod(a, e), np.divmod(b, e))
+    meet_at = np.ravel_multi_index(meet_cell, (e, e))
+    join_at = np.ravel_multi_index(join_cell, (e, e))
+    sums = np.minimum(S[a], S[b])
+    meet_bad = (S[meet_at] != np.maximum(S[a], S[b])).any(axis=-1)
+    join_bad = (S[join_at] != sums).any(axis=-1)
+    meet_witnesses = [
+        {"cells": [list(cells[x]), list(cells[y])]} for x, y in zip(a[meet_bad], b[meet_bad])
+    ]
+    join_witnesses = [
+        {
+            "cells": [list(cells[x]), list(cells[y])],
+            "formula_cell": list(cells[t]),
+            "formula_order": _block_order(G, S[t].tolist()),
+            "sum_order": _block_order(G, total.tolist()),
+        }
+        for x, y, t, total in zip(a[join_bad], b[join_bad], join_at[join_bad], sums[join_bad])
+    ]
+    name = G.describe()
     checked = f"{len(cells) * (len(cells) - 1) // 2} cell pairs"
     return [
         _verdict("matrix-meet-formula", name, meet_witnesses, checked),
@@ -381,20 +389,21 @@ def check_quartering(M: FundMatrix) -> list[ClaimReport]:
     """SE cells must be contained, NW cells must contain, remaining cells are
     claimed incomparable; the first two always hold, the third is checked
     honestly and can fail when distant cells coincide."""
+    shifts = {c: M.cell_shifts(*c) for c in M.cells()}
     contain_witnesses = []
     incomp_witnesses = []
     for i, j in M.cells():
-        center = M.entry(i, j)
+        center = shifts[i, j]
         buckets = quartering(M, i, j)
         for k, l in buckets["se"]:
-            if not subgroup_leq(M.entry(k, l), center):
+            if not _block_leq(shifts[k, l], center):
                 contain_witnesses.append({"center": [i, j], "cell": [k, l], "bucket": "se"})
         for k, l in buckets["nw"]:
-            if not subgroup_leq(center, M.entry(k, l)):
+            if not _block_leq(center, shifts[k, l]):
                 contain_witnesses.append({"center": [i, j], "cell": [k, l], "bucket": "nw"})
         for k, l in buckets["other"]:
-            other = M.entry(k, l)
-            if subgroup_leq(other, center) or subgroup_leq(center, other):
+            other = shifts[k, l]
+            if _block_leq(other, center) or _block_leq(center, other):
                 incomp_witnesses.append({"center": [i, j], "cell": [k, l]})
     name = M.group.describe()
     e = M.exponent
@@ -413,7 +422,7 @@ def check_alias(M: FundMatrix) -> ClaimReport:
     for i, j in M.cells():
         if j in M.marker_cols:
             continue
-        if M.entry(i, j).order == 1:
+        if _block_order(M.group, M.cell_shifts(i, j)) == 1:
             continue
         total += 1
         try:
@@ -456,38 +465,30 @@ def check_path_roundtrip(M: FundMatrix) -> ClaimReport:
 
 
 def path_chain_check(
-    G: GroupSpec,
-    sigma: Indicator | None = None,
-    matrix: FundMatrix | None = None,
+    G: GroupSpec, cuts: dict, matrix: FundMatrix | None = None
 ) -> ClaimReport:
-    """Test whether G(sigma) sits inside every cell on sigma's rising path.
+    """Test whether each table cut G(sigma) of ``cuts`` sits inside every
+    cell on sigma's rising path.
 
     That containment direction fails in general (already on the smallest
     two-block groups); the true direction is the reverse one — every path
     cell sits inside G(sigma) — which is exactly the containment half of
-    :func:`verify_sigma_sum`.  With ``sigma=None`` all admissible indicators
-    are swept.
+    :func:`verify_sigma_sum`.
     """
-    from .indicators import _sorted_indicators, enumerate_admissible, indicator_subgroup
-
     M = matrix if matrix is not None else build_matrix(G)
-    targets = [sigma] if sigma is not None else _sorted_indicators(enumerate_admissible(G))
     witnesses = []
     checked = 0
-    for s in targets:
-        if s.length == 0:
-            continue  # no path, vacuous
-        sub = indicator_subgroup(G, s)
+    for s, sub in cuts.items():
         for t, v in enumerate(s.entries):
             checked += 1
-            cell = M.entry(t + 1, v)
-            if not subgroup_leq(sub, cell):
+            cell = M.cell_shifts(t + 1, v)
+            if not _block_leq(sub.block_shifts, cell):
                 witnesses.append(
                     {
                         "indicator": list(s.entries),
                         "cell": [t + 1, v],
                         "subgroup_order": sub.order,
-                        "cell_order": cell.order,
+                        "cell_order": _block_order(G, cell),
                     }
                 )
     return _verdict(

@@ -17,6 +17,7 @@ verbatim so it can be tested against materialized groups.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -100,6 +101,7 @@ def ord_cmp(a: Ordinal, b: Ordinal) -> int:
 # cardinals
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class CardinalValue:
     """A natural number or an aleph, with the obvious total order."""
@@ -126,15 +128,6 @@ class CardinalValue:
 
     def __lt__(self, other: "CardinalValue") -> bool:
         return self._key() < other._key()
-
-    def __le__(self, other: "CardinalValue") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "CardinalValue") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "CardinalValue") -> bool:
-        return self._key() >= other._key()
 
     def __str__(self) -> str:
         return str(self.value) if self.kind == "finite" else f"aleph_{self.value}"
@@ -194,6 +187,11 @@ def cardinal_repeat_omega(c: CardinalValue) -> CardinalValue:
     if c.is_zero:
         return ZERO
     return c if c.is_infinite else aleph(0)
+
+
+def _keyed_blocks(blocks) -> list[dict]:
+    """Each block's JSON, keyed first by its limit ordinal ``xi = w*i``."""
+    return [{"xi": Ordinal(i, 0).to_json(), **b.to_json()} for i, b in enumerate(blocks)]
 
 
 # --------------------------------------------------------------------------
@@ -310,12 +308,7 @@ class UlmSequence:
         return self.blocks[i].suffix_sum(0)
 
     def to_json(self) -> dict:
-        blocks = []
-        for i, b in enumerate(self.blocks):
-            entry = {"xi": Ordinal(i, 0).to_json()}
-            entry.update(b.to_json())
-            blocks.append(entry)
-        return {"lambda": self.length.to_json(), "blocks": blocks}
+        return {"lambda": self.length.to_json(), "blocks": _keyed_blocks(self.blocks)}
 
     @classmethod
     def from_json(cls, data: dict) -> "UlmSequence":
@@ -518,12 +511,7 @@ class BasicSequence:
         return [(Ordinal(i, 0), b) for i, b in enumerate(self.blocks)]
 
     def to_json(self) -> dict:
-        blocks = []
-        for i, b in enumerate(self.blocks):
-            entry = {"xi": Ordinal(i, 0).to_json()}
-            entry.update(b.to_json())
-            blocks.append(entry)
-        return {"blocks": blocks}
+        return {"blocks": _keyed_blocks(self.blocks)}
 
     @classmethod
     def from_json(cls, data: dict) -> "BasicSequence":
@@ -745,10 +733,11 @@ def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
 
     Descriptors carry the rank cap aleph_0, which filters nothing at finite
     scale (every image rank is finite), so the comparison isolates the
-    subgroup-parameter direction of the stated rule.
+    subgroup-parameter direction of the stated rule.  Subgroup containment
+    is read off the block shifts.
     """
     from .endos import dagger_subgroup, ideal_leq
-    from .groups import fundamental_subgroup, subgroup_leq
+    from .groups import _block_leq, _fundamental_shifts, block_subgroup
 
     e = G.exponent
     name = G.describe()
@@ -757,10 +746,8 @@ def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
         for k in range(e)
         for n in range(1, e + 1)
     ]
-    mats = {
-        d: fundamental_subgroup(G, d.kappa.r, d.n) for d in descs
-    }
-    ideals = {d: dagger_subgroup(G, mats[d]) for d in descs}
+    shifts = {d: _fundamental_shifts(G, d.kappa.r, d.n) for d in descs}
+    ideals = {d: dagger_subgroup(G, block_subgroup(G, shifts[d])) for d in descs}
     stated_wit = []
     empirical_wit = []
     checked = 0
@@ -776,7 +763,7 @@ def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
                 stated_wit.append(
                     {"a": str(a), "b": str(b), "stated": stated, "actual": truth}
                 )
-            preserving = subgroup_leq(mats[a], mats[b])
+            preserving = _block_leq(shifts[a], shifts[b])
             if truth != preserving:
                 empirical_wit.append(
                     {

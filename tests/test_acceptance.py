@@ -45,6 +45,7 @@ from pgroups import (
     sigma_sum_verdicts,
     subgroup_generated,
     subgroup_name,
+    table_cuts,
     ulm_sequence_of_group,
     unexpected_refutations,
     verify_fun_identities,
@@ -329,7 +330,7 @@ def test_criterion_7_sigma_sum_verdict(criterion):
     with criterion(7, "per-indicator sum report") as info:
         G = reference_group(2)
         M = build_matrix(G)
-        verdicts = sigma_sum_verdicts(G, matrix=M)
+        verdicts = sigma_sum_verdicts(G, table_cuts(G), matrix=M)
         admissible = enumerate_admissible(G)
         assert set(verdicts) == set(admissible)  # the mechanism covers every row
 
@@ -346,7 +347,7 @@ def test_criterion_7_sigma_sum_verdict(criterion):
         assert equal == oracle_equal
         assert contained == oracle_contained
 
-        equality_report, containment_report = verify_sigma_sum(G)
+        equality_report, containment_report = verify_sigma_sum(G, table_cuts(G))
         assert containment_report.status == "verified"
         assert (equality_report.status == "refuted") == any(
             not eq for eq, _ in verdicts.values()

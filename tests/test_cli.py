@@ -204,6 +204,46 @@ class TestMatrix:
         assert anchor[0]["name"] == "G" and anchor[0]["order"] == 64
 
 
+class TestShapeServing:
+    @pytest.mark.parametrize("command", ["analyze", "lattice", "matrix"])
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1, 17)], [(17, 1)], [(1, 20)], [(1, 1), (19, 1)]],
+        ids=["Z(2)^17", "Z(2^17)", "Z(2)^20", "Z(2)+Z(2^19)"],
+    )
+    def test_groups_above_the_subgroup_cap_are_served(self, capsys, command, pairs):
+        comps = [{"exponent": n, "multiplicity": m} for n, m in pairs]
+        group = json.dumps({"p": 2, "components": comps})
+        code, out, err = run(capsys, command, group)
+        assert (code, err) == (0, "")
+        assert out
+
+    DAGGER_CLAIMS = (
+        "descriptor-rule-as-stated",
+        "descriptor-rule-empirical",
+        "power-ideal-dagger",
+        "power-subgroup-dagger",
+        "socle-ideal-dagger",
+        "socle-subgroup-dagger",
+    )
+
+    @pytest.mark.parametrize("cap, ran", [("4194304", True), ("1000000", False)])
+    def test_max_ring_reaches_the_dagger_helpers(self, capsys, cap, ran):
+        group = (
+            '{"p": 2, "components": [{"exponent": 2, "multiplicity": 1},'
+            ' {"exponent": 3, "multiplicity": 2}]}'
+        )  # |End(G)| = 2^22
+        claims = ",".join(self.DAGGER_CLAIMS)
+        code, out, _ = run(capsys, "verify", group, "--claims", claims, "--max-ring", cap)
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["claim_id"] for r in reports] == list(self.DAGGER_CLAIMS)
+        for r in reports:
+            assert (r["status"] != "skipped") == ran, r
+            if not ran:
+                assert r["checked"] == "|End(G)| = 4194304 exceeds cap 1000000"
+
+
 class TestUlm:
     REJECT = json.dumps(
         {

@@ -266,6 +266,22 @@ def test_subgroup_constructor_checks_like_subgroup_from_set():
     assert Subgroup(G, [G.element([1, 0]), G.zero()]).order == 2
 
 
+@pytest.mark.parametrize(
+    "other, coords",
+    [
+        ((3, [(1, 1), (2, 1)]), (0, 5)),  # same rank: once reduced into G as (0, 1)
+        ((2, [(1, 1), (2, 1), (3, 1)]), (0, 0, 1)),  # another rank
+    ],
+)
+def test_subgroup_constructor_refuses_elements_of_another_group(other, coords):
+    G = make_group(2, [(1, 1), (2, 1)])
+    stranger = make_group(*other).element(coords)
+    with pytest.raises(MismatchedParentError):
+        Subgroup(G, [G.zero(), stranger])
+    with pytest.raises(MismatchedParentError):
+        subgroup_from_set(G, [G.zero(), stranger])
+
+
 def test_subgroup_generated(small24):
     a = small24.generator(1)
     H = subgroup_generated(small24, [a])

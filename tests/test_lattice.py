@@ -35,6 +35,7 @@ from pgroups import (
     subgroup_generated,
     subgroup_leq,
     subgroup_name,
+    table_cuts,
     verify_indicator_coverage,
 )
 
@@ -223,16 +224,16 @@ SRC = os.path.dirname(os.path.dirname(pgroups.__file__))
 
 
 def test_coverage_witnesses_ignore_the_hash_seed():
-    # a forged lattice: the cyclic subgroups of Z(4) + Z(16), most of them
-    # not fully invariant, so the report lists missing and extra nodes
+    # a forged lattice: the block sums of Z(4) + Z(16) with a first shift
+    # other than 1, so three fully invariant nodes are missing and four block
+    # sums that are not fully invariant are extra
     script = """
-from pgroups import FILattice, enumerate_elements, make_group, subgroup_generated
-from pgroups import verify_indicator_coverage
+import itertools
+from pgroups import FILattice, make_group, table_cuts, verify_indicator_coverage
 G = make_group(2, [(2, 1), (4, 1)])
-cyclic = {subgroup_generated(G, [a]) for a in enumerate_elements(G)}
-nodes = tuple(sorted(cyclic, key=lambda H: (H.order, H.indices.tolist())))
-forged = FILattice(G, nodes, (), ((),) * len(nodes))
-print(verify_indicator_coverage(G, lattice=forged).render())
+shifts = tuple(a for a in itertools.product(range(3), range(5)) if a[0] != 1)
+forged = FILattice(G, shifts, (), ((),) * len(shifts))
+print(verify_indicator_coverage(G, table_cuts(G), lattice=forged).render())
 """
     outputs = []
     for seed in ("1", "2"):
@@ -266,7 +267,7 @@ def test_label_multiplicities(G2):
 
 def test_indicator_coverage_report(G2, small248):
     for G in (G2, small248):
-        report = verify_indicator_coverage(G)
+        report = verify_indicator_coverage(G, table_cuts(G))
         assert report.claim_id == "indicator-coverage"
         assert report.status == "verified"
 
@@ -318,6 +319,6 @@ def test_hasse_unknown_format(G2):
 
 
 def test_fundamental_containment_report(G2):
-    report = check_fundamental_containment(G2)
+    report = check_fundamental_containment(G2, table_cuts(G2))
     assert report.claim_id == "fundamental-containment"
     assert report.status == "verified"

@@ -1,25 +1,36 @@
-"""The fully invariant lattice ordered by block shifts, against packed sets.
+"""Fully invariant subgroups served as block shifts, against packed sets.
 
-Every lattice node is a block sum ``p^a_1 B_1 (+) ... (+) p^a_k B_k``, so the
-lattice reads its containment off the node shifts (one block sum lies in
-another iff its shifts are entrywise at least the other's) and its covers off
-that matrix.  The oracles here are the packed ``subgroup_leq`` on every pair
-of nodes, the O(n^3) transitive reduction of that table, the chain and
-antichain statistics computed from it, and the valuations of a subgroup's
-members read off the group table.  They run over the benchmark's stream pool,
-its nine ``verify`` groups and every group of ``ring_family.FAMILY``.
+Every lattice node and every fundamental cell is a block sum
+``p^a_1 B_1 (+) ... (+) p^a_k B_k``, so the lattice, the fundamental matrix and
+the ``analyze``/``lattice``/``matrix`` commands work on shift vectors: a cut
+is :func:`cut_shifts`, one block sum lies in another iff its shifts are
+entrywise at least the other's, a sum is the entrywise min, a meet the max.
+The oracles here are the cuts scanned off the height table, the order of the
+nodes by their element lists, the packed ``subgroup_sum``, ``subgroup_meet``
+and ``subgroup_leq`` on every pair, the O(n^3) transitive reduction of the
+containment table, the chain and antichain statistics computed from it, the
+valuations of a subgroup's members read off the group table, and the
+``is_admissible`` filter of every candidate indicator.  They run over the
+benchmark's stream pool, its nine ``verify`` groups and every group of
+``ring_family.FAMILY``.
 """
 from __future__ import annotations
 
 import importlib.util
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
 
-from pgroups import block_subgroup, enumerate_fi_subgroups, lattice_stats, make_group
-from pgroups import subgroup_leq
-from pgroups.groups import _subgroup
+import pgroups
+from pgroups import block_subgroup, build_matrix, cut_shifts, enumerate_admissible
+from pgroups import enumerate_fi_subgroups, indicator_subgroup, indicator_universe
+from pgroups import is_admissible, lattice_stats, make_group
+from pgroups import subgroup_leq, subgroup_meet, subgroup_sum
+from pgroups.cli import main
+from pgroups.groups import Subgroup, _subgroup, _table
+from pgroups.indicators import table_cuts
 from pgroups.lattice import _strictly_below
 from ring_family import FAMILY
 
@@ -35,8 +46,10 @@ def _workloads():
     return module
 
 
+W = _workloads()
+
+
 def _groups():
-    W = _workloads()
     pairs = list(W.query_group_pool()) + list(W.SMALL_RING_GROUPS)
     out = {make_group(p, pairs): None for p, pairs in pairs}
     out.update(dict.fromkeys(FAMILY))
@@ -93,7 +106,7 @@ def test_the_pool_is_the_one_described():
 def test_shift_order_matches_packed_containment(G):
     L = enumerate_fi_subgroups(G)
     leq = packed_leq(L.nodes)
-    below = _strictly_below(L.nodes)
+    below = _strictly_below(L.shifts)
     n = L.node_count
     assert below.shape == (n, n)
     assert [[bool(below[i, j]) for j in range(n)] for i in range(n)] == [
@@ -109,3 +122,68 @@ def test_block_subgroup_holds_the_table_reading(G):
         H = block_subgroup(G, alpha)
         assert H.block_shifts == alpha
         assert _subgroup(G, H.indices).block_shifts == alpha
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
+def test_cut_shifts_are_the_table_cut(G):
+    for sigma in enumerate_admissible(G):
+        H = block_subgroup(G, cut_shifts(G, sigma))
+        assert H == indicator_subgroup(G, sigma), sigma
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
+def test_node_order_is_the_order_by_elements(G):
+    L = enumerate_fi_subgroups(G)
+    assert list(L.nodes) == sorted(L.nodes, key=lambda H: (H.order, H.indices.tolist()))
+    assert L.orders == [H.order for H in L.nodes]
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
+def test_shift_arithmetic_is_packed_arithmetic_on_cells(G):
+    M = build_matrix(G)
+    cells = {M.cell_shifts(i, j): M.entry(i, j) for i, j in M.cells()}
+    for (a, H), (b, K) in itertools.combinations(cells.items(), 2):
+        assert block_subgroup(G, tuple(map(min, a, b))) == subgroup_sum(H, K)
+        assert block_subgroup(G, tuple(map(max, a, b))) == subgroup_meet(H, K)
+        assert all(x >= y for x, y in zip(a, b)) == subgroup_leq(H, K)
+        assert all(y >= x for x, y in zip(a, b)) == subgroup_leq(K, H)
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
+def test_a_cut_lies_in_a_cell_iff_its_shifts_dominate(G):
+    M = build_matrix(G)
+    for sigma, cut in table_cuts(G).items():
+        for i, j in M.cells():
+            alpha = M.cell_shifts(i, j)
+            inside = all(c >= a for c, a in zip(cut.block_shifts, alpha))
+            assert inside == subgroup_leq(cut, M.entry(i, j)), (sigma, i, j)
+
+
+@pytest.mark.parametrize(
+    "G", [G for G in GROUPS if G.exponent <= 12], ids=lambda G: G.describe()
+)
+def test_admissible_indicators_are_generated_directly(G):
+    candidates = indicator_universe(G.exponent)
+    assert enumerate_admissible(G) == {s for s in candidates if is_admissible(G, s)}
+
+
+def test_shape_commands_read_no_element(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elements of the group were read")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pgroups") and getattr(module, "_table", None) is _table:
+            monkeypatch.setattr(module, "_table", refuse)
+    monkeypatch.setattr(Subgroup, "_hold", refuse)
+    assert pgroups.groups._table is refuse
+    for p, pairs in W.query_group_pool():
+        group = W.group_json(p, pairs)
+        for argv in (
+            ["analyze", group],
+            ["lattice", group],
+            ["lattice", group, "--format", "dot"],
+            ["matrix", group],
+            ["matrix", group, "--format", "json"],
+        ):
+            assert main(argv) == 0, argv
+    capsys.readouterr()

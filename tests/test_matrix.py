@@ -37,6 +37,7 @@ from pgroups import (
     subgroup_leq,
     subgroup_meet,
     subgroup_sum,
+    table_cuts,
     verify_sigma_sum,
 )
 
@@ -290,7 +291,7 @@ def test_sigma_sum_matches_brute_force(M2, G2):
 
 
 def test_sigma_sum_verdicts_against_recount(M2, G2):
-    verdicts = sigma_sum_verdicts(G2, matrix=M2)
+    verdicts = sigma_sum_verdicts(G2, table_cuts(G2), matrix=M2)
     assert len(verdicts) == 13
     for sigma, (equal, contained) in verdicts.items():
         total = brute_sum(G2, M2, sigma)
@@ -301,13 +302,13 @@ def test_sigma_sum_verdicts_against_recount(M2, G2):
 
 
 def test_sigma_sum_known_split(M2, G2):
-    verdicts = sigma_sum_verdicts(G2, matrix=M2)
+    verdicts = sigma_sum_verdicts(G2, table_cuts(G2), matrix=M2)
     equal_ones = {s.entries for s, (eq, _) in verdicts.items() if eq}
     assert equal_ones == {(), (0,), (1,), (2,), (3,), (1, 2)}
 
 
 def test_verify_sigma_sum_reports(G2):
-    eq, cont = verify_sigma_sum(G2)
+    eq, cont = verify_sigma_sum(G2, table_cuts(G2))
     assert eq.claim_id == "sigma-sum-equality"
     assert eq.status == "refuted"
     missing = {
@@ -323,11 +324,12 @@ def test_verify_sigma_sum_reports(G2):
 def test_path_chain_direction_fails(G2):
     # G(sigma) is not contained in the path cells; e.g. (0,1) cuts G[p^2]
     # but the first path cell is only G[p].
-    report = path_chain_check(G2, sigma=Indicator((0, 1)))
+    sigma = Indicator((0, 1))
+    report = path_chain_check(G2, {sigma: indicator_subgroup(G2, sigma)})
     assert report.status == "refuted"
     assert report.witnesses[0]["cell"] == [1, 0]
     # ... and the reverse containment is the verified sigma-sum half
-    _, cont = verify_sigma_sum(G2)
+    _, cont = verify_sigma_sum(G2, table_cuts(G2))
     assert cont.status == "verified"
 
 
