@@ -39,9 +39,8 @@ from .groups import (
 from .indicators import (
     Indicator,
     _endo_action_claims,
+    _pair_bounds,
     _sorted_indicators,
-    admissible_glb,
-    admissible_lub,
     enumerate_admissible,
     ind_max,
     ind_min,
@@ -76,6 +75,7 @@ from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
     _cached_ring,
+    _ideal_census,
     _image_ranks,
     dagger_ideal,
     enumerate_ideals,
@@ -273,15 +273,16 @@ def _run_admissible_minmax_closure(ctx: ClaimContext) -> _Found:
 @_claim("admissible-pair-bounds")
 def _run_admissible_pair_bounds(ctx: ClaimContext) -> _Found:
     """Stated: every admissible pair has a greatest admissible lower bound
-    and a least admissible upper bound."""
-    G = ctx.group
+    and a least admissible upper bound (:func:`admissible_glb` and
+    :func:`admissible_lub`, read off one precedes matrix by
+    :func:`pgroups.indicators._pair_bounds`)."""
     adm = ctx.admissible
-    universe = set(adm)
+    glb, lub = _pair_bounds(adm)
     wit = []
-    for s, t in itertools.combinations(adm, 2):
-        if admissible_glb(G, s, t, universe=universe) is None:
+    for (s, t), has_glb, has_lub in zip(itertools.combinations(adm, 2), glb, lub):
+        if not has_glb:
             wit.append({"missing": "glb", "sigma": list(s.entries), "tau": list(t.entries)})
-        if admissible_lub(G, s, t, universe=universe) is None:
+        if not has_lub:
             wit.append({"missing": "lub", "sigma": list(s.entries), "tau": list(t.entries)})
     n = len(adm)
     return wit, f"{n * (n - 1) // 2} unordered pairs"
@@ -557,7 +558,11 @@ def _run_fun_identities(ctx: ClaimContext) -> list[ClaimReport]:
     "fundamental-dagger-closed",
 )
 def _run_galois_suite(ctx: ClaimContext) -> list[ClaimReport]:
-    return verify_galois_suite(ctx.group, nodes=ctx.lattice.nodes, ideals=ctx.ideals)
+    ideals = ctx.ideals  # refuses a ring over max_ring or max_ideals first
+    census = _ideal_census(ctx.group, max_ring=ctx.max_ideals)
+    return verify_galois_suite(
+        ctx.group, nodes=ctx.lattice.nodes, ideals=ideals, census=census
+    )
 
 
 @_claim("collision-recipe")

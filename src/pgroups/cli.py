@@ -7,7 +7,8 @@ export), ``endo`` (ring summary), ``matrix`` (fundamental-matrix rendering),
 
 ``analyze``, ``lattice`` and ``matrix`` are served from the group's shape: a
 fully invariant subgroup is its block-shift vector, so they build no subgroup
-and no table of the group's elements.
+and no table of the group's elements.  ``endo`` is served the same way, from
+the block shift matrices of the ideals (:func:`pgroups.endos.ideal_shifts`).
 
 Group and sequence inputs are JSON, given either as a file path or inline.
 Exit codes: 0 success, 1 refutation outside the shipped allowlist, 2 invalid
@@ -27,9 +28,8 @@ from .claims import all_claim_ids, run_claims
 from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
-    dagger_ideal,
-    dagger_subgroup,
-    enumerate_ideals,
+    ideal_shifts,
+    pullback_size,
     ring_order,
 )
 from .errors import BudgetExceededError, InvalidInputError, PGroupError
@@ -241,21 +241,20 @@ def cmd_endo(args) -> int:
         )
         print("\n".join(lines))
         return 0
-    ideals = enumerate_ideals(G, max_ring=args.max_ideals)
-    lines.append(f"two-sided ideals: {len(ideals)}")
+    W = ideal_shifts(G)
+    lines.append(f"two-sided ideals: {len(W)}")
     L = enumerate_fi_subgroups(G)
-    ideals_by_image = Counter(dagger_ideal(G, I) for I in ideals)
-    rows = []
-    for alpha, H in zip(L.shifts, L.nodes):
-        closed = dagger_subgroup(G, H)
-        rows.append(
-            [
-                _shift_name(G, alpha),
-                str(H.order),
-                str(ideals_by_image[H]),
-                str(closed.size),
-            ]
-        )
+    # an ideal's image has the block shifts alpha_t = min_s w_st
+    ideals_by_image = Counter(map(tuple, W.min(axis=1).tolist()))
+    rows = [
+        [
+            _shift_name(G, alpha),
+            str(order),
+            str(ideals_by_image[alpha]),
+            str(pullback_size(G, alpha)),
+        ]
+        for alpha, order in zip(L.shifts, L.orders)
+    ]
     lines.append("")
     lines.extend(
         _render_table(

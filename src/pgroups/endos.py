@@ -32,14 +32,22 @@ Results are served from these shift forms:
 * ``H`` is fully invariant iff ``H.b`` lies in ``H`` for each basis matrix ``b``;
 * the orbit ``{a.f : f}`` of ``a`` is the span of the ``a.b``.
 
+The ideals themselves are listed from their closed shift system
+(:func:`ideal_shifts`): over the ``k`` homocyclic blocks, of exponents
+``e_s``, a two-sided ideal is a ``k x k`` block shift matrix ``w`` with
+``λ_st <= w_st <= e_t``, ``w_ut - w_st <= λ_us`` and ``w_su - w_st <= λ_tu``,
+where ``λ_st = max(0, e_t - e_s)``.  These are difference constraints,
+closed once and listed without backtracking (:func:`_difference_solutions`).
+
 The exhaustive paths stay as oracles, which ``dagger-well-defined`` checks
-the shift forms against on every ring within the ideal budget:
-:func:`enumerate_ideals` still finds the ideals by the census (the principal
-ideals of the multiples ``p^v b``, closed under sums one span at a time,
-:func:`_sum_closure`), the pushforward is compared with the span of the rows
-of the ideal's members, and the pullback with the whole-ring filter of the
-members whose rows lie in ``H``.  An ideal's packed member indices are built
-only for output, witnesses and these oracles.
+the shift forms against on every ring within the ideal budget: the census
+(:func:`_ideal_census`: the principal ideals of the multiples ``p^v b``,
+closed under sums one span at a time, :func:`_sum_closure`) must list the
+same ideals in the same order as :func:`enumerate_ideals`, the pushforward
+is compared with the span of the rows of the census ideals' members, and the
+pullback with the whole-ring filter of the members whose rows lie in ``H``.
+An ideal's packed member indices are built only for output, witnesses and
+these oracles.
 
 Each group has one cached :class:`EndoRing` shape.  The daggers,
 :func:`special_ideals` and the ``verify_*`` helpers read only that shape; the
@@ -616,19 +624,139 @@ def ideal_leq(I: Ideal, J: Ideal) -> bool:
     return bool((I.steps % J.steps == 0).all())
 
 
-def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
-    """All two-sided ideals: the principal ideals of the distinct multiples
-    ``p^v b`` of the basis matrices, then the pairwise-sum fixpoint, sorted
-    by (size, indices).  They reach every ideal, as ``e_ss f e_tt`` lies in
-    the ideal of ``f`` and is some ``c b``, which generates the ideal of
-    ``p^(v_p(c)) b``.  The census spans packed sets as large as End(G),
-    hence a budget of its own (default cap 2**12); it is the oracle that
-    ``dagger-well-defined`` checks the shift forms against."""
+def _difference_solutions(lo, hi, rows) -> np.ndarray:
+    """Every integer vector ``x`` with ``lo <= x <= hi`` and ``x_b - x_a <= c``
+    for each row ``(a, b, c)``, one per row of the result, in lexicographic
+    order.
+
+    The system is closed once: ``D[a, b]`` becomes the tightest bound on
+    ``x_b - x_a`` that it implies (Floyd–Warshall, with node ``n`` the
+    constant 0, so the box bounds are the edges to and from it); a negative
+    cycle means there is no solution.  In a closed system every value between
+    a variable's bounds, read off the values already assigned, extends to a
+    solution.  So the listing extends every partial solution by one variable
+    at a time and never backtracks: its cost grows with the number of
+    solutions.
+    """
+    n = len(lo)
+    # longer than any path of finite edges; every pair of variables has such
+    # a path through node n, so no closed bound keeps this value
+    unbounded = 1 + sum(map(abs, itertools.chain(lo, hi, (c for _, _, c in rows))))
+    D = np.full((n + 1, n + 1), unbounded, dtype=np.int64)
+    np.fill_diagonal(D, 0)
+    D[n, :n], D[:n, n] = hi, np.negative(lo)
+    for a, b, c in rows:
+        D[a, b] = min(D[a, b], c)
+    for m in range(n + 1):
+        D = np.minimum(D, D[:, m, None] + D[None, m, :])
+    if (np.diag(D) < 0).any():
+        return np.empty((0, n), dtype=np.int64)
+    x = np.empty((1, 0), dtype=np.int64)
+    low, high = -D[None, :n, n], D[None, n, :n]
+    for i in range(n):
+        counts = high[:, i] - low[:, i] + 1
+        keep = np.repeat(np.arange(len(x)), counts)
+        firsts = np.repeat(np.cumsum(counts) - counts, counts)
+        v = low[keep, i] + np.arange(len(keep)) - firsts
+        x = np.hstack((x[keep], v[:, None]))
+        low = np.maximum(low[keep], v[:, None] - D[None, :n, i])
+        high = np.minimum(high[keep], v[:, None] + D[None, i, :n])
+    return x
+
+
+def _block_lifts(G: GroupSpec) -> np.ndarray:
+    """``λ[s, t] = max(0, e_t - e_s)`` over the blocks: the least valuation
+    of an entry from block ``s`` to block ``t``."""
+    exps = np.array([n for n, _ in G.components])
+    return np.maximum(0, exps[None, :] - exps[:, None])
+
+
+def _ideal_system(G: GroupSpec) -> tuple:
+    """``(lo, hi, rows)`` of the two-sided ideals' shift matrices, variable
+    ``s k + t`` being ``w_st``: ``λ_st <= w_st <= e_t``, and the products
+    with the basis on the left, ``w_ut - w_st <= λ_us``, and on the right,
+    ``w_su - w_st <= λ_tu``, stay in the ideal."""
+    exps = [n for n, _ in G.components]
+    lam = _block_lifts(G).tolist()
+    k = len(exps)
+    pairs = list(itertools.product(range(k), repeat=2))
+    rows = [(s * k + t, u * k + t, lam[u][s]) for s, t in pairs for u in range(k)]
+    rows += [(s * k + t, s * k + u, lam[t][u]) for s, t in pairs for u in range(k)]
+    return [lam[s][t] for s, t in pairs], [exps[t] for _, t in pairs], rows
+
+
+def ideal_shifts(G: GroupSpec) -> np.ndarray:
+    """The block shift matrices of the two-sided ideals of End(G), shape
+    ``(ideals, k, k)``, in lexicographic order.
+
+    ``w[s, t]`` is the least valuation of an entry from block ``s`` to block
+    ``t`` over the ideal's members; the ideal is every endomorphism whose
+    entries have at least those valuations.  The matrices are the solutions of
+    :func:`_ideal_system`.  No ring is built: the cost follows the number of
+    ideals, which ``|End(G)|`` does not bound, so callers keep their own
+    budget.
+
+    >>> from .groups import make_group
+    >>> ideal_shifts(make_group(2, [(1, 1), (2, 1)])).tolist()[:2]
+    [[[0, 1], [0, 0]], [[0, 1], [0, 1]]]
+    """
+    k = len(G.components)
+    return _difference_solutions(*_ideal_system(G)).reshape(-1, k, k)
+
+
+def pullback_size(G: GroupSpec, alpha) -> int:
+    """The size of the ideal of endomorphisms mapping G into the block sum
+    with shifts ``alpha`` (:func:`dagger_subgroup`), in closed form: its
+    shift matrix is ``w_st = max(λ_st, α_t)``, and an entry from block ``s``
+    to block ``t`` takes ``p^(e_t - w_st)`` values."""
+    exps = np.array([n for n, _ in G.components])
+    mults = np.array([m for _, m in G.components])
+    w = np.maximum(_block_lifts(G), np.asarray(alpha)[None, :])
+    return G.p ** int((np.outer(mults, mults) * (exps[None, :] - w)).sum())
+
+
+def _check_ideal_budget(G: GroupSpec, max_ring: int | None) -> None:
     cap = DEFAULT_MAX_IDEAL_RING_ORDER if max_ring is None else max_ring
     if ring_order(G) > cap:
         raise RingTooLargeError(
             f"|End(G)| = {ring_order(G)} exceeds ideal-enumeration cap {cap}"
         )
+
+
+def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
+    """All two-sided ideals, read off their shift matrices
+    (:func:`ideal_shifts`): digit ``(s, t)`` steps by ``p^(w - λ)`` of its
+    blocks.  Sorted by (size, indices).  Two grids of one size compare as the
+    least member of either outside the other, which is one digit's smaller
+    step; the least such member sits at the last digit where the steps
+    differ, so the order is (size, steps from the last digit).
+
+    The ideal budget (default cap 2**12) is the census's
+    (:func:`_ideal_census`), the oracle that ``dagger-well-defined`` checks
+    this listing against."""
+    _check_ideal_budget(G, max_ring)
+    W = ideal_shifts(G)
+    exps = np.array([n for n, _ in G.components])
+    mults = [m for _, m in G.components]
+
+    def per_digit(blocks):
+        return np.repeat(np.repeat(blocks, mults, axis=1), mults, axis=2).reshape(len(W), -1)
+
+    shifts = per_digit(W - _block_lifts(G))
+    size = per_digit(exps[None, :] - W).sum(axis=1)
+    order = np.lexsort(np.vstack((shifts.T, size)))
+    return [_ideal(G, G.p ** shifts[i]) for i in order]
+
+
+def _ideal_census(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
+    """The ideal lattice by exhaustion, the oracle of :func:`enumerate_ideals`:
+    the principal ideals of the distinct multiples ``p^v b`` of the basis
+    matrices, then the pairwise-sum fixpoint, sorted by (size, indices).
+    They reach every ideal, as ``e_ss f e_tt`` lies in the ideal of ``f`` and
+    is some ``c b``, which generates the ideal of ``p^(v_p(c)) b``.  The
+    census spans packed sets as large as End(G), hence a budget of its own
+    (default cap 2**12)."""
+    _check_ideal_budget(G, max_ring)
     ring = _cached_ring(G)
     mults = np.unique(ring.basis_multiples().reshape(-1, G.rank, G.rank), axis=0)
     principal = (ring.endo_span(_sandwich_products(ring, f)) for f in mults)
@@ -842,19 +970,23 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     return _reports(G, [(cid, ws, f"all n in [0, {e}]") for cid, ws in wit.items()])
 
 
-def _well_defined_witnesses(ring: EndoRing, nodes, ideals) -> list:
-    """``dagger-well-defined``: both maps land where they should, and their
-    shift forms agree with the exhaustive oracles on every object.
+def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
+    """``dagger-well-defined``: the listing and both maps land where they
+    should, and their shift forms agree with the exhaustive oracles on every
+    object.
 
-    Each census ideal must be the grid of its steps, and its pushforward the
-    span of its members' rows and fully invariant.  Each node's pullback must
-    be the whole-ring filter of the endomorphisms whose rows lie in the node,
-    and closed under products with the basis on both sides.  Only the row
-    spans call :func:`_span`, one per ideal.
+    The listed ideals must be the census's, in the same order.  Each census
+    ideal must be the grid of its steps, and its pushforward the span of its
+    members' rows and fully invariant.  Each node's pullback must be the
+    whole-ring filter of the endomorphisms whose rows lie in the node, and
+    closed under products with the basis on both sides.  Only the row spans
+    call :func:`_span`, one per ideal.
     """
     G = ring.group
     wit = []
-    for I in ideals:
+    if list(ideals) != list(census):
+        wit.append({"failure": "listing", "listed": len(ideals), "census": len(census)})
+    for I in census:
         if not np.array_equal(ring.basis_grid(I.steps), I.indices):
             wit.append({"ideal_size": I.size, "failure": "not a grid"})
         down = dagger_ideal(G, I)
@@ -898,13 +1030,16 @@ def _pairwise(ufunc, A: np.ndarray) -> np.ndarray:
     return ufunc(A[:, None], A[None])
 
 
-def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimReport]:
+def verify_galois_suite(
+    G: GroupSpec, nodes=None, ideals=None, census=None
+) -> list[ClaimReport]:
     """Order/meet/join preservation, closure behavior, and class structure of
     the two dagger maps, exhaustively over the fully invariant lattice and
-    the full ideal lattice.
+    the full ideal lattice (``ideals``, by default :func:`enumerate_ideals`).
 
-    ``dagger-well-defined`` checks the shift forms against the census and
-    the definitions (:func:`_well_defined_witnesses`).  The other claims run
+    ``dagger-well-defined`` checks the listing and the shift forms against
+    the census (``census``, by default :func:`_ideal_census`) and the
+    definitions (:func:`_well_defined_witnesses`).  The other claims run
     on shift vectors: a node by the coordinate steps of its block shifts, an
     image by its coordinate steps, an ideal by its digit steps, with sums,
     meets and containment as entrywise gcd, lcm and divisibility, and the two
@@ -918,10 +1053,12 @@ def verify_galois_suite(G: GroupSpec, nodes=None, ideals=None) -> list[ClaimRepo
         nodes = enumerate_fi_subgroups(G).nodes
     if ideals is None:
         ideals = enumerate_ideals(G)
+    if census is None:
+        census = _ideal_census(G)
     ring = _cached_ring(G)
     node_list = list(nodes)
     verdicts = []  # (claim id, witnesses, what was checked)
-    wd_wit = _well_defined_witnesses(ring, node_list, ideals)
+    wd_wit = _well_defined_witnesses(ring, node_list, ideals, census)
     checked = f"{len(node_list)} subgroups, {len(ideals)} ideals"
     verdicts.append(("dagger-well-defined", wd_wit[:5], checked))
 

@@ -304,6 +304,25 @@ def admissible_lub(
     return least[0] if len(least) == 1 else None
 
 
+def _pair_bounds(adm: list[Indicator]) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair ``adm[i], adm[j]`` with ``i < j``, in row-major order:
+    whether :func:`admissible_glb` and :func:`admissible_lub` within ``adm``
+    exist, read off one precedes matrix.
+
+    Refinement is a partial order, so every lower bound of a common lower
+    bound ``r`` is one too: ``r`` is the greatest exactly when it has as many
+    lower bounds in ``adm`` as the pair has in common.  Dually for the least
+    upper bound.
+    """
+    P = np.array([[precedes(a, b) for b in adm] for a in adm], dtype=np.int64)
+    i, j = np.triu_indices(len(adm), 1)
+    below = P.sum(axis=0)[:, None] == (P.T @ P)[i, j]  # [r, pair]
+    above = P.sum(axis=1)[:, None] == (P @ P.T)[i, j]
+    glb = (P[:, i] & P[:, j] & below).any(axis=0)
+    lub = (P[i].T & P[j].T & above).any(axis=0)
+    return glb, lub
+
+
 def indicator_universe(bound: int) -> list[Indicator]:
     """Every indicator with entries < bound and length <= bound, sorted."""
     out = []

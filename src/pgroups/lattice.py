@@ -26,13 +26,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .endos import _cached_ring
 from .errors import InvalidInputError, NotFullyInvariantError, UnknownFormatError
-from .groups import Element, GroupSpec, Subgroup, block_subgroup
+from .groups import Element, GroupSpec, Subgroup, _is_int, block_subgroup
 from .groups import (
     _block_leq,
     _block_order,
@@ -101,26 +101,30 @@ def _power(k: int) -> str:
 
 def _shift_name(G: GroupSpec, alpha: tuple[int, ...]) -> str:
     """Name of the block sum with shifts ``alpha``: 0, G, p^k G, G[p^n],
-    p^k G[p^n], or a block sum.
+    p^k G[p^n] (:func:`_shift_names`), or else an explicit block
+    decomposition for fully invariant subgroups that are none of those."""
+    name = _shift_names(G).get(tuple(alpha))
+    if name is not None:
+        return name
+    blocks = enumerate(zip(alpha, (n for n, _ in G.components)), start=1)
+    return " (+) ".join(f"{_power(a)}B{i}" for i, (a, ni) in blocks if a < ni)
 
-    Preference order keeps names minimal: the whole group and zero first,
-    then pure powers, then pure torsion layers, then two-parameter forms,
-    and finally an explicit block decomposition for fully invariant
-    subgroups that are none of the above.
-    """
+
+@lru_cache(maxsize=64)
+def _shift_names(G: GroupSpec) -> dict[tuple[int, ...], str]:
+    """``{shifts: name}`` for the named block sums of ``G``, built once per
+    group.  Where several names fit, the first in preference order is kept,
+    which keeps names minimal: the whole group and zero first, then pure
+    powers, then pure torsion layers, then two-parameter forms."""
     e = G.exponent
-    exps = [n for n, _ in G.components]
-    if all(a == ni for a, ni in zip(alpha, exps)):
-        return "0"
-    if all(a == 0 for a in alpha):
-        return "G"
+    exps = tuple(n for n, _ in G.components)
+    names = {exps: "0", (0,) * len(exps): "G"}
     tried = [(kappa, e) for kappa in range(1, e + 1)] + [(0, n) for n in range(1, e + 1)]
     tried += itertools.product(range(1, e + 1), repeat=2)
     for kappa, n in tried:
-        if alpha == _fundamental_shifts(G, kappa, n):
-            return f"{_power(kappa)}G" + ("" if n == e else f"[{_power(n)}]")
-    blocks = enumerate(zip(alpha, exps), start=1)
-    return " (+) ".join(f"{_power(a)}B{i}" for i, (a, ni) in blocks if a < ni)
+        name = f"{_power(kappa)}G" + ("" if n == e else f"[{_power(n)}]")
+        names.setdefault(_fundamental_shifts(G, kappa, n), name)
+    return names
 
 
 def fi_closure(G: GroupSpec, a: Element) -> Subgroup:
@@ -147,13 +151,29 @@ class FILattice:
     first use.  ``hasse_edges`` hold sorted index pairs ``(i, j)`` meaning node
     i is covered by node j (transitive reduction of containment);
     ``sigma_labels[i]`` lists every admissible indicator that cuts out node i,
-    sorted by (length, entries).
+    sorted by (length, entries).  Each node's shifts must be a tuple of ints
+    in fully invariant form (:func:`is_valid_fi_form`), or construction raises
+    :class:`InvalidInputError`.
     """
 
     group: GroupSpec
     shifts: tuple[tuple[int, ...], ...]
     hasse_edges: tuple[tuple[int, int], ...]
     sigma_labels: tuple[tuple[Indicator, ...], ...]
+
+    def __post_init__(self):
+        k = len(self.group.components)
+        for i, alpha in enumerate(self.shifts):
+            if not (
+                isinstance(alpha, tuple)
+                and all(map(_is_int, alpha))
+                and is_valid_fi_form(self.group, alpha)
+            ):
+                raise InvalidInputError(
+                    f"lattice node {i} is not the block shifts of a fully"
+                    f" invariant subgroup: expected a tuple of {k} ints"
+                    " in fully invariant form"
+                )
 
     @property
     def node_count(self) -> int:

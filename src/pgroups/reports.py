@@ -9,6 +9,7 @@ outside that list signals an implementation bug (CLI exit code 1).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -78,11 +79,18 @@ def _verdict(
     )
 
 
-def load_allowlist() -> dict[str, str]:
-    """Claim ids permitted to be refuted, mapped to their rationale notes."""
+@functools.cache
+def _allowlist_entries() -> tuple[tuple[str, str], ...]:
+    """The shipped allowlist, read and parsed once per process."""
     raw = resources.files("pgroups").joinpath("allowlist.json").read_text("utf-8")
     data = json.loads(raw)
-    return {entry["id"]: entry["note"] for entry in data["allowed"]}
+    return tuple((entry["id"], entry["note"]) for entry in data["allowed"])
+
+
+def load_allowlist() -> dict[str, str]:
+    """Claim ids permitted to be refuted, mapped to their rationale notes: a
+    fresh dict on every call, so a caller's edits never reach the next."""
+    return dict(_allowlist_entries())
 
 
 def unexpected_refutations(reports, allowlist: dict[str, str] | None = None) -> list:

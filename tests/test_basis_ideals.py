@@ -1,9 +1,10 @@
 """Ideals built from the ring's r^2 basis against the whole-ring sweeps they
 replace.
 
-``enumerate_ideals`` seeds its census with the multiples ``p^v b`` of the
-basis matrices, and ``dagger_subgroup`` and ``special_ideals`` read each
-ideal off the basis one digit at a time (``EndoRing.basis_grid``).  The
+``enumerate_ideals`` lists the ideals from their shift system, its oracle
+``endos._ideal_census`` seeds with the multiples ``p^v b`` of the basis
+matrices, and ``dagger_subgroup`` and ``special_ideals`` read each ideal off
+the basis one digit at a time (``EndoRing.basis_grid``).  The
 oracles here are the definitions over every member of End(G): one principal
 ideal per member, the members whose rows lie in ``H``, and the members
 scaled by or killed by ``p^n``.  They must agree on every ring within the
@@ -66,13 +67,14 @@ def test_census_spans_one_ideal_per_basis_multiple(monkeypatch):
         return real(ring, f)
 
     monkeypatch.setattr(endos, "_sandwich_products", counting)
-    enumerate_ideals(G)
+    endos._ideal_census(G)
     assert len(calls) <= 14  # the sweep over every member made 1024
 
 
 def test_galois_suite_spans_only_its_oracle_rows(monkeypatch):
     G = make_group(2, [(2, 1), (4, 1)])
     nodes, ideals = enumerate_fi_subgroups(G).nodes, enumerate_ideals(G)
+    census = endos._ideal_census(G)
     real, calls = groups._span, []
 
     def counting(*args, **kwargs):
@@ -81,7 +83,7 @@ def test_galois_suite_spans_only_its_oracle_rows(monkeypatch):
 
     for module in (groups, endos):
         monkeypatch.setattr(module, "_span", counting)
-    verify_galois_suite(G, nodes=nodes, ideals=ideals)
+    verify_galois_suite(G, nodes=nodes, ideals=ideals, census=census)
     # one row span per ideal; the pair loops over packed sets made 1264
     assert len(calls) <= len(ideals) + len(nodes)
 
@@ -104,11 +106,12 @@ def test_dagger_well_defined_catches_a_shrunk_step(monkeypatch, closed_form):
 
 def test_dagger_well_defined_catches_a_census_set_off_its_grid():
     G = make_group(2, [(2, 1), (4, 1)])
-    nodes, ideals = enumerate_fi_subgroups(G).nodes, enumerate_ideals(G)
-    top = ideals[-1]
-    ideals[-1] = endos.Ideal(G, top.indices[:-1])  # End(G) less one member
-    assert ideals[-1] == top  # same steps, so only the member sets differ
-    reports = {r.claim_id: r for r in verify_galois_suite(G, nodes=nodes, ideals=ideals)}
+    nodes, census = enumerate_fi_subgroups(G).nodes, endos._ideal_census(G)
+    top = census[-1]
+    census[-1] = endos.Ideal(G, top.indices[:-1])  # End(G) less one member
+    assert census[-1] == top  # same steps, so only the member sets differ
+    suite = verify_galois_suite(G, nodes=nodes, ideals=enumerate_ideals(G), census=census)
+    reports = {r.claim_id: r for r in suite}
     assert reports["dagger-well-defined"].witnesses[0] == {
         "ideal_size": top.size,
         "failure": "not a grid",

@@ -136,6 +136,20 @@ class TestRegistry:
         assert set(allow) <= set(all_claim_ids())
         assert all(note for note in allow.values())
 
+    def test_allowlist_edits_do_not_reach_the_next_caller(self, monkeypatch):
+        import pgroups.reports
+
+        first = load_allowlist()
+        expected = dict(first)
+        first.clear()
+        first["indicator-antitone"] = "poisoned"
+        assert load_allowlist() == expected
+        # parsed once: the next callers read no package data
+        monkeypatch.setattr(pgroups.reports, "resources", None)
+        assert load_allowlist() == expected
+        bad = ClaimReport("indicator-antitone", "refuted", "G", witnesses=[{"x": 1}])
+        assert unexpected_refutations([bad]) == [bad]
+
     def test_unexpected_refutations_filters_by_allowlist(self):
         bad = ClaimReport(
             claim_id="indicator-antitone",

@@ -31,6 +31,8 @@ from pgroups import (
     subgroup_from_set,
     ulm_invariants,
 )
+from pgroups.indicators import _pair_bounds, _sorted_indicators
+from ring_family import FAMILY
 
 indicators = st.sets(st.integers(0, 5), max_size=5).map(
     lambda s: Indicator(tuple(sorted(s)))
@@ -372,3 +374,20 @@ def test_endo_monotone_exhaustive(small24):
     assert report.status == "verified"
     assert report.witnesses == []
     assert "32 endomorphisms" in report.checked
+
+
+# the family holds every ring within 2**12, the verify benchmark's nine groups
+# among them; the last group has pairs with no glb and pairs with no lub
+BOUND_GROUPS = FAMILY + [make_group(2, [(1, 1), (3, 1), (4, 1)])]
+
+
+@pytest.mark.parametrize("G", BOUND_GROUPS, ids=lambda G: G.describe())
+def test_pair_bounds_match_glb_and_lub(G):
+    adm = _sorted_indicators(enumerate_admissible(G))
+    universe = set(adm)
+    pairs = list(itertools.combinations(adm, 2))
+    glb, lub = _pair_bounds(adm)
+    assert glb.tolist() == [admissible_glb(G, s, t, universe=universe) is not None for s, t in pairs]
+    assert lub.tolist() == [admissible_lub(G, s, t, universe=universe) is not None for s, t in pairs]
+    if G is BOUND_GROUPS[-1]:
+        assert not glb.all() and not lub.all()

@@ -226,13 +226,17 @@ SRC = os.path.dirname(os.path.dirname(pgroups.__file__))
 def test_coverage_witnesses_ignore_the_hash_seed():
     # a forged lattice: the block sums of Z(4) + Z(16) with a first shift
     # other than 1, so three fully invariant nodes are missing and four block
-    # sums that are not fully invariant are extra
+    # sums that are not fully invariant are extra; FILattice refuses those,
+    # so the forgery sets its fields past the constructor
     script = """
 import itertools
 from pgroups import FILattice, make_group, table_cuts, verify_indicator_coverage
 G = make_group(2, [(2, 1), (4, 1)])
 shifts = tuple(a for a in itertools.product(range(3), range(5)) if a[0] != 1)
-forged = FILattice(G, shifts, (), ((),) * len(shifts))
+forged = object.__new__(FILattice)
+fields = {"group": G, "shifts": shifts, "hasse_edges": (), "sigma_labels": ((),) * len(shifts)}
+for name, value in fields.items():
+    object.__setattr__(forged, name, value)
 print(verify_indicator_coverage(G, table_cuts(G), lattice=forged).render())
 """
     outputs = []
@@ -244,6 +248,19 @@ print(verify_indicator_coverage(G, table_cuts(G), lattice=forged).render())
         outputs.append(done.stdout)
     assert json.loads(outputs[0])["status"] == "refuted"
     assert outputs[0] == outputs[1]
+
+
+def test_lattice_refuses_nodes_that_are_not_fi_shifts(G2, small24):
+    L = enumerate_fi_subgroups(G2)
+    # the positional call of the subgroup-holding lattice
+    with pytest.raises(InvalidInputError, match="lattice node 0"):
+        FILattice(G2, L.nodes, L.hasse_edges, L.sigma_labels)
+    for bad in ([1, 3], (1,), (1, 3, 4), (1.0, 3), (True, 3), (0, 4), (3, 4)):
+        with pytest.raises(InvalidInputError):
+            FILattice(G2, (bad,), (), ((),))
+    assert FILattice(G2, L.shifts, L.hasse_edges, L.sigma_labels) == L
+    with pytest.raises(InvalidInputError):
+        FILattice(small24, L.shifts, L.hasse_edges, L.sigma_labels)
 
 
 def test_label_multiplicities(G2):

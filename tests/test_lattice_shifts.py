@@ -10,7 +10,8 @@ nodes by their element lists, the packed ``subgroup_sum``, ``subgroup_meet``
 and ``subgroup_leq`` on every pair, the O(n^3) transitive reduction of the
 containment table, the chain and antichain statistics computed from it, the
 valuations of a subgroup's members read off the group table, and the
-``is_admissible`` filter of every candidate indicator.  They run over the
+``is_admissible`` filter of every candidate indicator, and the name search
+that the per-group name table replaced.  They run over the
 benchmark's stream pool, its nine ``verify`` groups and every group of
 ``ring_family.FAMILY``.
 """
@@ -29,9 +30,9 @@ from pgroups import enumerate_fi_subgroups, indicator_subgroup, indicator_univer
 from pgroups import is_admissible, lattice_stats, make_group
 from pgroups import subgroup_leq, subgroup_meet, subgroup_sum
 from pgroups.cli import main
-from pgroups.groups import Subgroup, _subgroup, _table
+from pgroups.groups import Subgroup, _fundamental_shifts, _subgroup, _table
 from pgroups.indicators import table_cuts
-from pgroups.lattice import _strictly_below
+from pgroups.lattice import _power, _shift_name, _strictly_below
 from ring_family import FAMILY
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -165,6 +166,31 @@ def test_a_cut_lies_in_a_cell_iff_its_shifts_dominate(G):
 def test_admissible_indicators_are_generated_directly(G):
     candidates = indicator_universe(G.exponent)
     assert enumerate_admissible(G) == {s for s in candidates if is_admissible(G, s)}
+
+
+def looped_shift_name(G, alpha):
+    """The name search that ``lattice._shift_names`` replaced: every named
+    form tried in preference order, for each name asked."""
+    e = G.exponent
+    exps = [n for n, _ in G.components]
+    if all(a == ni for a, ni in zip(alpha, exps)):
+        return "0"
+    if all(a == 0 for a in alpha):
+        return "G"
+    tried = [(kappa, e) for kappa in range(1, e + 1)] + [(0, n) for n in range(1, e + 1)]
+    tried += itertools.product(range(1, e + 1), repeat=2)
+    for kappa, n in tried:
+        if alpha == _fundamental_shifts(G, kappa, n):
+            return f"{_power(kappa)}G" + ("" if n == e else f"[{_power(n)}]")
+    blocks = enumerate(zip(alpha, exps), start=1)
+    return " (+) ".join(f"{_power(a)}B{i}" for i, (a, ni) in blocks if a < ni)
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
+def test_shift_name_table_matches_the_loop(G):
+    # every block sum, fully invariant or not, so the fallback is covered too
+    for alpha in itertools.product(*(range(n + 1) for n, _ in G.components)):
+        assert _shift_name(G, alpha) == looped_shift_name(G, alpha), alpha
 
 
 def test_shape_commands_read_no_element(monkeypatch, capsys):
