@@ -38,6 +38,7 @@ from .groups import (
 )
 from .indicators import (
     Indicator,
+    _cut_mask,
     _endo_action_claims,
     _pair_bounds,
     _sorted_indicators,
@@ -243,7 +244,8 @@ def _run_min_admissible_bottom(ctx: ClaimContext) -> _Found:
     for s in ctx.admissible:
         if not precedes(bottom, s):
             wit.append({"failure": "not below", "sigma": list(s.entries)})
-    if indicator_subgroup(G, bottom).order != G.order:
+    # the cut's order counted in the height table: no subgroup of order |G|
+    if np.count_nonzero(_cut_mask(G, bottom)) != G.order:
         wit.append({"failure": "does not cut out G"})
     return wit, f"{len(ctx.admissible)} admissible indicators"
 

@@ -28,6 +28,7 @@ from .claims import all_claim_ids, run_claims
 from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
+    _pushforward,
     ideal_shifts,
     pullback_size,
     ring_order,
@@ -244,8 +245,7 @@ def cmd_endo(args) -> int:
     W = ideal_shifts(G)
     lines.append(f"two-sided ideals: {len(W)}")
     L = enumerate_fi_subgroups(G)
-    # an ideal's image has the block shifts alpha_t = min_s w_st
-    ideals_by_image = Counter(map(tuple, W.min(axis=1).tolist()))
+    ideals_by_image = Counter(map(tuple, _pushforward(W).tolist()))
     rows = [
         [
             _shift_name(G, alpha),

@@ -17,50 +17,43 @@ Two order-preserving maps connect ideals and subgroups:
 End(G) is additively spanned by the ``r^2`` single-entry matrices of
 ``EndoRing.basis``, and an endomorphism's index is its digits over them.
 Every two-sided ideal holds ``e_ss f e_tt`` for each of its members ``f``, so
-it splits entrywise: it is the grid of one step per basis digit, its shift
-form (:class:`Ideal`).  A fully invariant subgroup is the block sum of its
-block shifts (:attr:`pgroups.groups.Subgroup.block_shifts`), so it splits by
-coordinate in the same way, into the multiples of one step per coordinate
-(:meth:`EndoRing.block_steps`).
-Results are served from these shift forms:
+it splits entrywise, uniformly over each homocyclic block: its shift form
+(:class:`Ideal`) is the ``k x k`` block shift matrix ``w`` of the least entry
+valuations, the twin of a fully invariant subgroup's block shifts ``alpha``
+(:attr:`pgroups.groups.Subgroup.block_shifts`).  With
+``λ_st = max(0, e_t - e_s)``, both lattices and both maps are served in
+these valuations:
 
-* ideal sums, meets and containment are the entrywise gcd, lcm and
-  divisibility of steps;
-* the pullback of ``H`` (:meth:`EndoRing.preimage_steps`), the pushforward of
-  ``I`` (:meth:`EndoRing.image_steps`), ``p^n E`` and ``E[p^n]`` are closed
-  forms in the steps;
-* ``H`` is fully invariant iff ``H.b`` lies in ``H`` for each basis matrix ``b``;
-* the orbit ``{a.f : f}`` of ``a`` is the span of the ``a.b``.
+* sums, meets and containment are the entrywise min, max and ``>=``;
+* the pullback of ``H`` is ``w_st = max(λ_st, alpha_t)`` (:func:`_pullback`),
+  the pushforward of ``I`` is ``alpha_t = min_s w_st`` (:func:`_pushforward`),
+  ``p^n E`` is ``min(λ_st + n, e_t)`` and ``E[p^n]`` is ``max(λ_st, e_t - n)``;
+* ``H`` is fully invariant iff ``H.b`` lies in ``H`` for each basis matrix ``b``.
 
-The ideals themselves are listed from their closed shift system
-(:func:`ideal_shifts`): over the ``k`` homocyclic blocks, of exponents
-``e_s``, a two-sided ideal is a ``k x k`` block shift matrix ``w`` with
+The ideals are listed from their closed shift system (:func:`ideal_shifts`):
 ``λ_st <= w_st <= e_t``, ``w_ut - w_st <= λ_us`` and ``w_su - w_st <= λ_tu``,
-where ``λ_st = max(0, e_t - e_s)``.  These are difference constraints,
-closed once and listed without backtracking (:func:`_difference_solutions`).
+difference constraints closed once and listed without backtracking
+(:func:`_difference_solutions`).
 
 The exhaustive paths stay as oracles, which ``dagger-well-defined`` checks
 the shift forms against on every ring within the ideal budget: the census
 (:func:`_ideal_census`: the principal ideals of the multiples ``p^v b``,
-closed under sums one span at a time, :func:`_sum_closure`) must list the
-same ideals in the same order as :func:`enumerate_ideals`, the pushforward
-is compared with the span of the rows of the census ideals' members, and the
-pullback with the whole-ring filter of the members whose rows lie in ``H``.
-An ideal's packed member indices are built only for output, witnesses and
-these oracles.
+closed under sums, :func:`_sum_closure`) must list the same ideals in the
+same order as :func:`enumerate_ideals`, each the grid of its shifts; the
+pushforward must be the span of the rows of their members, and the pullback
+the whole-ring filter of the members whose rows lie in ``H``.  Member
+indices, and the digit steps they are the grid of (:func:`_digit_steps`),
+are built only for output, witnesses and these oracles.
 
-Each group has one cached :class:`EndoRing` shape.  The daggers,
-:func:`special_ideals` and the ``verify_*`` helpers read only that shape; the
-ring budget applies through :func:`get_ring`, which their callers check.
-Only :func:`enumerate_endos`, :attr:`EndoRing.action` and the pullback oracle
-decode every member; ``endo-height-exponent`` and ``endo-indicator-monotone``,
-exhaustive by statement, scan every (endomorphism, element) pair in one pass
-through :meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an image's
-rank off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).
-
-Both directions, their closure behavior, and several identities about the
-power/socle ideals are checked mechanically by the ``verify_*`` helpers.
-Enumeration order of the ring is fixed (matrix positions row-major, entries
+Each group has one cached :class:`EndoRing` shape, which the ``verify_*``
+helpers and the full-invariance test read; the ring budget applies through
+:func:`get_ring`, which their callers check.  Only :func:`enumerate_endos`,
+:attr:`EndoRing.action` and the pullback oracle decode every member;
+``endo-height-exponent`` and ``endo-indicator-monotone``, exhaustive by
+statement, scan every (endomorphism, element) pair in one pass through
+:meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an image's rank
+off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).  The
+ring's enumeration order is fixed (matrix positions row-major, entries
 ascending), so every index used here is reproducible run to run.
 """
 from __future__ import annotations
@@ -79,7 +72,7 @@ from .errors import (
 )
 from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts, fundamental_subgroup
 from .groups import _grid, _is_int, _join_closure, _members, _same_group, _span
-from .groups import _subgroup, _table
+from .groups import _block_order, _subgroup, _table, block_subgroup
 from .reports import ClaimReport, _verdict
 
 #: Largest endomorphism ring that will be enumerated.
@@ -415,39 +408,6 @@ class EndoRing:
         """Sorted indices of the additive span of the ``steps_k basis[k]``."""
         return _grid(steps, self._endo_radix, self._endo_strides)
 
-    def image_steps(self, steps) -> np.ndarray:
-        """Coordinate steps of the pushforward of the ideal with these digit
-        steps, over any leading axes (``(..., r^2)`` to ``(..., r)``).
-
-        The ideal is the span of the ``steps_k basis[k]``, so its image is
-        the span of their rows; the one nonzero row of ``basis[(s, t)]`` is
-        ``lift_st`` in coordinate ``t``.  So coordinate ``t`` steps by the gcd
-        over ``s`` of ``steps_st lift_st`` and ``p^e_t``.
-        """
-        steps = np.asarray(steps)
-        w = steps.reshape(steps.shape[:-1] + (self.rank, self.rank))
-        lift = self._endo_lift.reshape(self.rank, self.rank)
-        return np.gcd(np.gcd.reduce(w * lift, axis=-2), self.moduli)
-
-    def block_steps(self, block_shifts) -> np.ndarray:
-        """Coordinate steps ``p^alpha_i`` of the block sum with these block
-        shifts, over any leading axes (``(..., k)`` to ``(..., r)``)."""
-        mults = [m for _, m in self.group.components]
-        shifts = np.asarray(block_shifts, dtype=np.int64)
-        return self.group.p ** np.repeat(shifts, mults, axis=-1)
-
-    def preimage_steps(self, coord_steps) -> np.ndarray:
-        """Digit steps of the pullback of the subgroup with these coordinate
-        steps, over any leading axes (``(..., r)`` to ``(..., r^2)``).
-
-        ``f`` maps G into that subgroup iff each entry ``f_st = d lift_st``
-        is a multiple of ``c_t``, i.e. digit ``d`` is a multiple of
-        ``c_t / gcd(c_t, lift_st)``: in valuations, ``w_st = max(λ_st, α_t)``.
-        """
-        c = np.asarray(coord_steps)[..., None, :]
-        lift = self._endo_lift.reshape(self.rank, self.rank)
-        return (c // np.gcd(c, lift)).reshape(c.shape[:-2] + (self.rank**2,))
-
     def is_fully_invariant(self, H: Subgroup) -> bool:
         """``H.b`` lies in ``H`` for every basis matrix ``b``; as ``H`` is a
         subgroup, that covers every sum of basis matrices, i.e. all of End(G)."""
@@ -487,39 +447,84 @@ def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
 # ideals
 
 
+@lru_cache(maxsize=64)
+def _blocks(G: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(e, m, λ)``, read-only: the blocks' exponents and multiplicities, and
+    ``λ[s, t] = max(0, e_t - e_s)``, the least valuation of an entry from
+    block ``s`` to block ``t``."""
+    exps, mults = np.array(G.components).T
+    out = exps, mults, np.maximum(0, exps[None, :] - exps[:, None])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _log_size(G: GroupSpec, w) -> np.ndarray:
+    """``log_p`` of the size of the ideals with shift matrices ``w``, over any
+    leading axes: an entry from block ``s`` to block ``t`` takes
+    ``p^(e_t - w_st)`` values, on each of ``m_s m_t`` coordinate pairs."""
+    exps, mults, _ = _blocks(G)
+    return (np.outer(mults, mults) * (exps - np.asarray(w))).sum(axis=(-2, -1))
+
+
+def _per_coordinate(G: GroupSpec, w) -> np.ndarray:
+    """Block matrices ``(..., k, k)`` repeated to coordinate pairs ``(..., r, r)``."""
+    mults = _blocks(G)[1]
+    return np.repeat(np.repeat(np.asarray(w), mults, axis=-2), mults, axis=-1)
+
+
+def _digit_steps(G: GroupSpec, w) -> np.ndarray:
+    """The step ``p^(w_st - λ_st)`` of each basis digit of the ideals with
+    shift matrices ``w`` (``(..., k, k)`` to ``(..., r^2)``): the ideal is the
+    grid of these steps (:meth:`EndoRing.basis_grid`).  Read only for member
+    indices, refutation witnesses and the oracles."""
+    d = _per_coordinate(G, np.asarray(w) - _blocks(G)[2])
+    return G.p ** d.reshape(d.shape[:-2] + (-1,))
+
+
 class Ideal:
-    """A two-sided ideal of End(G), held in its shift form: ``steps[k]`` is
-    the least positive multiple of digit ``k`` that its members take, a power
-    of p up to the digit radix (the radix itself where the digit is always 0).
+    """A two-sided ideal of End(G), held in its shift form: ``shifts[s, t]``
+    (read-only int64, ``k x k``) is the least valuation of an entry from block
+    ``s`` to block ``t`` over its members (``e_t`` for none), and the ideal is
+    every endomorphism whose entries have at least those valuations.  Equality
+    and hashing use the type, the group and the shifts; ``generators`` (as
+    indices) takes no part.  ``indices``, the sorted members (read-only int64),
+    are built on first use.  ``Ideal(group, indices)``, as the census and
+    :func:`ideal_generated` build it, reads the shifts off a member set and
+    keeps it; ``dagger-well-defined`` checks that set against its shifts' grid.
 
-    Every two-sided ideal is the grid of its steps over the basis digits
-    (:meth:`EndoRing.basis_grid`); in entry valuations this is the shift
-    matrix ``w_st = v_p(steps_st) + λ_st``.  Equality and hashing use the
-    type, the group and the steps.  ``generators`` records a generating set
-    (as indices); it takes no part in equality.
-
-    ``indices``, the sorted packed indices of the members (read-only int64),
-    are built from the steps on first use, for output, witnesses and the
-    oracles.  An ideal read off a set of members, ``Ideal(group, indices)``
-    as the census and :func:`ideal_generated` build it, keeps that set, and
-    ``dagger-well-defined`` checks it against the grid of its steps.
+    >>> from .groups import make_group
+    >>> G = make_group(2, [(1, 1), (2, 1)])
+    >>> I = principal_ideal(G, make_endo(G, [[0, 2], [0, 0]]))
+    >>> I.shifts.tolist(), I.size
+    ([[1, 1], [1, 1]], 4)
+    >>> Ideal(G, I.indices) == I
+    True
     """
 
-    __slots__ = ("group", "steps", "generators", "_key", "_indices")
+    __slots__ = ("group", "shifts", "generators", "_key", "_indices")
 
     def __init__(self, group: GroupSpec, indices, generators: tuple[int, ...] = ()):
         ring = _cached_ring(group)
-        held = np.array(indices, dtype=np.int64)
+        held = np.array(indices).reshape(-1)
+        if held.dtype.kind not in "iu" or not ((0 <= held) & (held < ring.size)).all():
+            raise InvalidInputError(f"ideal members must be integers in [0, {ring.size})")
+        held = held.astype(np.int64)
         held.setflags(write=False)
+        # p to each entry's least valuation over the members, then each block's least
         digits = held[:, None] // ring._endo_strides % ring._endo_radix
-        steps = np.gcd(np.gcd.reduce(digits, axis=0), ring._endo_radix)
-        self._hold(group, steps, generators)
+        least = np.gcd(np.gcd.reduce(digits, axis=0), ring._endo_radix) * ring._endo_lift
+        least = np.searchsorted(group.p ** np.arange(group.exponent + 1), least)
+        starts = np.cumsum(_blocks(group)[1]) - _blocks(group)[1]
+        least = np.minimum.reduceat(least.reshape(ring.rank, -1), starts, axis=0)
+        self._hold(group, np.minimum.reduceat(least, starts, axis=1), generators)
         self._indices = held
 
-    def _hold(self, group: GroupSpec, steps, generators=()) -> "Ideal":
+    def _hold(self, group: GroupSpec, shifts, generators=()) -> "Ideal":
         self.group = group
-        self._key = np.asarray(steps, dtype=np.int64).tobytes()
-        self.steps = np.frombuffer(self._key, dtype=np.int64)
+        self._key = np.asarray(shifts, dtype=np.int64).tobytes()
+        k = len(group.components)
+        self.shifts = np.frombuffer(self._key, dtype=np.int64).reshape(k, k)
         self.generators = tuple(generators)
         self._indices = None
         return self
@@ -537,13 +542,14 @@ class Ideal:
     @property
     def indices(self) -> np.ndarray:
         if self._indices is None:
-            self._indices = _cached_ring(self.group).basis_grid(self.steps)
+            steps = _digit_steps(self.group, self.shifts)
+            self._indices = _cached_ring(self.group).basis_grid(steps)
             self._indices.setflags(write=False)
         return self._indices
 
     @property
     def size(self) -> int:
-        return int(np.prod(_cached_ring(self.group)._endo_radix // self.steps))
+        return self.group.p ** int(_log_size(self.group, self.shifts))
 
     def endos(self) -> list[Endo]:
         return list(map(_cached_ring(self.group).endo_of_index, self.indices))
@@ -554,9 +560,8 @@ class Ideal:
     def __contains__(self, f) -> bool:
         if not (isinstance(f, Endo) and f.group == self.group):
             return False
-        ring = _cached_ring(self.group)
-        digits = np.array(f.matrix, dtype=np.int64).reshape(-1) // ring._endo_lift
-        return bool((digits % ring._endo_radix % self.steps == 0).all())
+        least = self.group.p ** _per_coordinate(self.group, self.shifts)
+        return bool((np.array(f.matrix, dtype=np.int64) % least == 0).all())
 
     def __repr__(self) -> str:
         return f"Ideal(size={self.size} of End({self.group.describe()}))"
@@ -568,9 +573,9 @@ class Ideal:
         }
 
 
-def _ideal(G: GroupSpec, steps, generators: tuple[int, ...] = ()) -> Ideal:
-    """The ideal with these digit steps."""
-    return Ideal.__new__(Ideal)._hold(G, steps, generators)
+def _ideal(G: GroupSpec, shifts, generators: tuple[int, ...] = ()) -> Ideal:
+    """The ideal with this block shift matrix."""
+    return Ideal.__new__(Ideal)._hold(G, shifts, generators)
 
 
 def _sandwich_products(ring: EndoRing, mat: np.ndarray) -> np.ndarray:
@@ -607,21 +612,21 @@ def principal_ideal(G: GroupSpec, f: Endo, max_ring: int | None = None) -> Ideal
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     """Elementwise sum ``I + J`` (already an ideal), generated by the
-    generators of both: the entrywise gcd of the steps."""
+    generators of both: the entrywise min of the shifts."""
     _same_group(I, J)
-    return _ideal(I.group, np.gcd(I.steps, J.steps), I.generators + J.generators)
+    return _ideal(I.group, np.minimum(I.shifts, J.shifts), I.generators + J.generators)
 
 
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
-    """``I`` meet ``J``: the entrywise lcm of the steps."""
+    """``I`` meet ``J``: the entrywise max of the shifts."""
     _same_group(I, J)
-    return _ideal(I.group, np.lcm(I.steps, J.steps))
+    return _ideal(I.group, np.maximum(I.shifts, J.shifts))
 
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
-    """``I <= J``: each step of ``J`` divides that of ``I``."""
+    """``I <= J``: each shift of ``I`` is at least that of ``J``."""
     _same_group(I, J)
-    return bool((I.steps % J.steps == 0).all())
+    return bool((I.shifts >= J.shifts).all())
 
 
 def _difference_solutions(lo, hi, rows) -> np.ndarray:
@@ -664,20 +669,12 @@ def _difference_solutions(lo, hi, rows) -> np.ndarray:
     return x
 
 
-def _block_lifts(G: GroupSpec) -> np.ndarray:
-    """``λ[s, t] = max(0, e_t - e_s)`` over the blocks: the least valuation
-    of an entry from block ``s`` to block ``t``."""
-    exps = np.array([n for n, _ in G.components])
-    return np.maximum(0, exps[None, :] - exps[:, None])
-
-
 def _ideal_system(G: GroupSpec) -> tuple:
     """``(lo, hi, rows)`` of the two-sided ideals' shift matrices, variable
     ``s k + t`` being ``w_st``: ``λ_st <= w_st <= e_t``, and the products
     with the basis on the left, ``w_ut - w_st <= λ_us``, and on the right,
     ``w_su - w_st <= λ_tu``, stay in the ideal."""
-    exps = [n for n, _ in G.components]
-    lam = _block_lifts(G).tolist()
+    exps, _, lam = (a.tolist() for a in _blocks(G))
     k = len(exps)
     pairs = list(itertools.product(range(k), repeat=2))
     rows = [(s * k + t, u * k + t, lam[u][s]) for s, t in pairs for u in range(k)]
@@ -704,15 +701,23 @@ def ideal_shifts(G: GroupSpec) -> np.ndarray:
     return _difference_solutions(*_ideal_system(G)).reshape(-1, k, k)
 
 
+def _pullback(G: GroupSpec, alpha) -> np.ndarray:
+    """``w_st = max(λ_st, alpha_t)``, ``(..., k)`` to ``(..., k, k)``: the
+    pullback of the block sum with shifts ``alpha`` holds the ``f`` whose
+    entries into block ``t`` have valuation at least ``alpha_t``."""
+    return np.maximum(_blocks(G)[2], np.asarray(alpha)[..., None, :])
+
+
+def _pushforward(w) -> np.ndarray:
+    """``alpha_t = min_s w_st``, ``(..., k, k)`` to ``(..., k)``: the images of
+    an ideal's members reach, in block ``t``, its least entry valuation."""
+    return np.asarray(w).min(axis=-2)
+
+
 def pullback_size(G: GroupSpec, alpha) -> int:
-    """The size of the ideal of endomorphisms mapping G into the block sum
-    with shifts ``alpha`` (:func:`dagger_subgroup`), in closed form: its
-    shift matrix is ``w_st = max(λ_st, α_t)``, and an entry from block ``s``
-    to block ``t`` takes ``p^(e_t - w_st)`` values."""
-    exps = np.array([n for n, _ in G.components])
-    mults = np.array([m for _, m in G.components])
-    w = np.maximum(_block_lifts(G), np.asarray(alpha)[None, :])
-    return G.p ** int((np.outer(mults, mults) * (exps[None, :] - w)).sum())
+    """The size of the pullback of the block sum with shifts ``alpha``
+    (:func:`dagger_subgroup`), read off its shift matrix (:func:`_pullback`)."""
+    return G.p ** int(_log_size(G, _pullback(G, alpha)))
 
 
 def _check_ideal_budget(G: GroupSpec, max_ring: int | None) -> None:
@@ -725,27 +730,18 @@ def _check_ideal_budget(G: GroupSpec, max_ring: int | None) -> None:
 
 def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
     """All two-sided ideals, read off their shift matrices
-    (:func:`ideal_shifts`): digit ``(s, t)`` steps by ``p^(w - λ)`` of its
-    blocks.  Sorted by (size, indices).  Two grids of one size compare as the
-    least member of either outside the other, which is one digit's smaller
-    step; the least such member sits at the last digit where the steps
-    differ, so the order is (size, steps from the last digit).
+    (:func:`ideal_shifts`), sorted by (size, indices).  Two grids of one size
+    compare as the least member of either outside the other, which sits in
+    the last entry where their shifts differ, so the order is (size, shifts
+    from the last entry).
 
     The ideal budget (default cap 2**12) is the census's
     (:func:`_ideal_census`), the oracle that ``dagger-well-defined`` checks
     this listing against."""
     _check_ideal_budget(G, max_ring)
     W = ideal_shifts(G)
-    exps = np.array([n for n, _ in G.components])
-    mults = [m for _, m in G.components]
-
-    def per_digit(blocks):
-        return np.repeat(np.repeat(blocks, mults, axis=1), mults, axis=2).reshape(len(W), -1)
-
-    shifts = per_digit(W - _block_lifts(G))
-    size = per_digit(exps[None, :] - W).sum(axis=1)
-    order = np.lexsort(np.vstack((shifts.T, size)))
-    return [_ideal(G, G.p ** shifts[i]) for i in order]
+    order = np.lexsort(np.vstack((W.reshape(len(W), -1).T, _log_size(G, W))))
+    return [_ideal(G, W[i]) for i in order]
 
 
 def _ideal_census(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
@@ -780,14 +776,19 @@ def _sum_closure(ring: EndoRing, spans) -> list[np.ndarray]:
 
 
 def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
-    """The pair ``(p^n E, E[p^n])``: scaled ring and p^n-torsion ideal.
-    With ``q_k`` the order of ``basis[k]``, they step digit ``k`` by
-    ``gcd(q_k, p^n)`` and by ``q_k / gcd(q_k, p^n)``."""
+    """The pair ``(p^n E, E[p^n])``: scaled ring and p^n-torsion ideal, with
+    the shift matrices ``min(λ_st + n, e_t)`` and ``max(λ_st, e_t - n)``.
+
+    >>> from .groups import make_group
+    >>> power, torsion = special_ideals(make_group(2, [(1, 1), (2, 1)]), 1)
+    >>> power.shifts.tolist(), torsion.shifts.tolist()
+    ([[1, 2], [1, 1]], [[0, 1], [0, 1]])
+    """
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    ring = _cached_ring(G)
-    scale = np.gcd(ring._endo_radix, G.p ** min(n, G.exponent))
-    return _ideal(G, scale), _ideal(G, ring._endo_radix // scale)
+    exps, _, lam = _blocks(G)
+    n = min(n, G.exponent)
+    return _ideal(G, np.minimum(lam + n, exps)), _ideal(G, np.maximum(lam, exps - n))
 
 
 # --------------------------------------------------------------------------
@@ -800,27 +801,40 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
 
     ``H`` must be fully invariant, otherwise the result would not be closed
     under right multiplication.  Then ``H`` is the block sum of its block
-    shifts, and the ideal is the closed form :meth:`EndoRing.preimage_steps`
-    of their coordinate steps.
+    shifts ``alpha``, and the ideal is ``w_st = max(λ_st, alpha_t)``
+    (:func:`_pullback`).
+
+    >>> from .groups import fundamental_subgroup, make_group
+    >>> G = make_group(2, [(1, 1), (2, 1)])
+    >>> dagger_subgroup(G, fundamental_subgroup(G, 1, 2)).shifts.tolist()  # pG
+    [[1, 1], [1, 1]]
     """
     if H.group != G:
         raise MismatchedParentError("subgroup of a different group")
-    ring = _cached_ring(G)
-    if not ring.is_fully_invariant(H):
+    if not _cached_ring(G).is_fully_invariant(H):
         raise NotFullyInvariantError(
             f"subgroup of order {H.order} is not fully invariant"
         )
-    return _ideal(G, ring.preimage_steps(ring.block_steps(H.block_shifts)))
+    return _ideal(G, _pullback(G, H.block_shifts))
+
+
+def _image_shifts(G: GroupSpec, I: Ideal) -> tuple[int, ...]:
+    """The block shifts of the pushforward of ``I`` (:func:`_pushforward`)."""
+    if I.group != G:
+        raise MismatchedParentError("ideal of a different group")
+    return tuple(_pushforward(I.shifts).tolist())
 
 
 def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
     """The subgroup generated by the images of the ideal's members: the
-    closed form :meth:`EndoRing.image_steps` of its steps."""
-    if I.group != G:
-        raise MismatchedParentError("ideal of a different group")
-    t = _table(G)
-    steps = _cached_ring(G).image_steps(I.steps)
-    return _subgroup(G, _grid(steps, t.moduli, t.strides))
+    block sum with shifts ``alpha_t = min_s w_st`` (:func:`_pushforward`).
+
+    >>> from .groups import make_group
+    >>> G = make_group(2, [(1, 1), (2, 1)])
+    >>> dagger_ideal(G, special_ideals(G, 1)[1]).block_shifts  # G[p]
+    (0, 1)
+    """
+    return block_subgroup(G, _image_shifts(G, I))
 
 
 @dataclass(frozen=True)
@@ -846,36 +860,29 @@ def is_dagger_closed(x: Subgroup | Ideal) -> DaggerReport:
     and witnesses list sample members of the difference.
     """
     if isinstance(x, Subgroup):
-        G = x.group
+        subject, G = f"subgroup of order {x.order}", x.group
         back = dagger_ideal(G, dagger_subgroup(G, x))
-        if back == x:
-            return DaggerReport(subject=f"subgroup of order {x.order}", status="closed")
-        lost = np.setdiff1d(x.indices, back.indices)
-        diff = np.concatenate((lost, np.setdiff1d(back.indices, x.indices)))
-        return DaggerReport(
-            subject=f"subgroup of order {x.order}",
-            status="not_closed",
-            witnesses=_table(G).coords[diff[:3]].tolist(),
-        )
-    if isinstance(x, Ideal):
-        G = x.group
+    elif isinstance(x, Ideal):
+        subject, G = f"ideal of size {x.size}", x.group
         get_ring(G)  # the witnesses read members of End(G)
         back = dagger_subgroup(G, dagger_ideal(G, x))
-        if back == x:
-            return DaggerReport(subject=f"ideal of size {x.size}", status="closed")
-        extra = np.setxor1d(back.indices, x.indices)
-        return DaggerReport(
-            subject=f"ideal of size {x.size}",
-            status="not_closed",
-            witnesses=_cached_ring(G).decode(extra[:3]).tolist(),
-        )
-    raise InvalidInputError(f"expected a Subgroup or Ideal, got {type(x).__name__}")
+    else:
+        raise InvalidInputError(f"expected a Subgroup or Ideal, got {type(x).__name__}")
+    if back == x:
+        return DaggerReport(subject=subject, status="closed")
+    diff = np.setxor1d(x.indices, back.indices)[:3]
+    ring_side = isinstance(x, Ideal)
+    members = _cached_ring(G).decode(diff) if ring_side else _table(G).coords[diff]
+    return DaggerReport(subject=subject, status="not_closed", witnesses=members.tolist())
 
 
 def dagger_inv_class(G: GroupSpec, H: Subgroup, ideals=None) -> list[Ideal]:
     """All enumerated ideals whose image subgroup is exactly ``H``."""
     pool = enumerate_ideals(G) if ideals is None else ideals
-    return [I for I in pool if dagger_ideal(G, I) == H]
+    # H is a pushforward only if it is the block sum of its shifts
+    block_sum = H.group == G and _block_order(G, H.block_shifts) == H.order
+    alpha = H.block_shifts if block_sum else None
+    return [I for I in pool if _image_shifts(G, I) == alpha]
 
 
 def find_dagger_collision(G: GroupSpec, ideals=None):
@@ -888,26 +895,21 @@ def find_dagger_collision(G: GroupSpec, ideals=None):
     Falls back to searching ``ideals``, by default every ideal when the ring
     is within the default ideal-enumeration cap.
     """
-    p = G.p
-    e = G.exponent
     if len(G.components) > 1:
-        r = G.rank
-        low = 0  # first coordinate: minimal exponent
-        high = r - 1  # last coordinate: maximal exponent
-        rows_f = [[0] * r for _ in range(r)]
-        rows_f[low][high] = p ** (e - 1)
-        rows_f[high][high] = p ** (e - 1)
-        rows_g = [[0] * r for _ in range(r)]
-        rows_g[high][high] = p ** (e - 1)
+        # the first coordinate has the minimal exponent, the last the maximal
+        rows_g = [[0] * G.rank for _ in range(G.rank)]
+        rows_g[-1][-1] = G.p ** (G.exponent - 1)
+        rows_f = [row[:] for row in rows_g]
+        rows_f[0][-1] = rows_g[-1][-1]
         I = ideal_generated(G, [make_endo(G, rows_f)])
         J = ideal_generated(G, [make_endo(G, rows_g)])
-        if I != J and dagger_ideal(G, I) == dagger_ideal(G, J):
+        if I != J and _image_shifts(G, I) == _image_shifts(G, J):
             return I, J
     if ideals is None and ring_order(G) <= DEFAULT_MAX_IDEAL_RING_ORDER:
         ideals = enumerate_ideals(G)
-    by_image: dict[Subgroup, Ideal] = {}
+    by_image: dict[tuple[int, ...], Ideal] = {}
     for I in ideals or ():
-        img = dagger_ideal(G, I)
+        img = _image_shifts(G, I)
         if img in by_image:
             return by_image[img], I
         by_image[img] = I
@@ -934,12 +936,8 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     """
     e = G.exponent
     ring = _cached_ring(G)
-    wit: dict[str, list] = {k: [] for k in (
-        "power-ideal-dagger",
-        "power-subgroup-dagger",
-        "socle-ideal-dagger",
-        "socle-subgroup-dagger",
-    )}
+    sides = itertools.product(("power", "socle"), ("ideal", "subgroup"))
+    wit: dict[str, list] = {f"{a}-{b}-dagger": [] for a, b in sides}
     for n in range(e + 1):
         powerE, torsionE = special_ideals(G, n)
         powerG = fundamental_subgroup(G, n, e)  # p^n G
@@ -950,17 +948,15 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
         if got != powerE:
             # got's least member outside powerE: got's step at the least
             # significant digit where powerE's step does not divide it
-            k = np.flatnonzero(got.steps % powerE.steps)[-1:]
+            steps = _digit_steps(G, got.shifts)
+            k = np.flatnonzero(steps % _digit_steps(G, powerE.shifts))[-1:]
+            outside = ring.decode(steps[k] * ring._endo_strides[k]).tolist()
             wit["power-subgroup-dagger"].append(
                 {
                     "n": n,
                     "preimage_size": got.size,
                     "scaled_ring_size": powerE.size,
-                    "endo_outside_scaled_ring": ring.decode(
-                        got.steps[k[0]] * ring._endo_strides[k[0]]
-                    ).tolist()
-                    if k.size
-                    else None,
+                    "endo_outside_scaled_ring": outside[0] if k.size else None,
                 }
             )
         if dagger_ideal(G, torsionE) != torsionG:
@@ -971,23 +967,19 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
 
 
 def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
-    """``dagger-well-defined``: the listing and both maps land where they
-    should, and their shift forms agree with the exhaustive oracles on every
-    object.
-
-    The listed ideals must be the census's, in the same order.  Each census
-    ideal must be the grid of its steps, and its pushforward the span of its
-    members' rows and fully invariant.  Each node's pullback must be the
-    whole-ring filter of the endomorphisms whose rows lie in the node, and
-    closed under products with the basis on both sides.  Only the row spans
-    call :func:`_span`, one per ideal.
-    """
+    """``dagger-well-defined``: the listing and both maps agree with the
+    exhaustive oracles on every object.  The listed ideals must be the
+    census's, in order; each census ideal the grid of its shifts, and its
+    pushforward the span of its members' rows and fully invariant; each
+    node's pullback the whole-ring filter of the endomorphisms whose rows lie
+    in the node, closed under products with the basis on both sides.  Only
+    the row spans call :func:`_span`, one per ideal."""
     G = ring.group
     wit = []
     if list(ideals) != list(census):
         wit.append({"failure": "listing", "listed": len(ideals), "census": len(census)})
     for I in census:
-        if not np.array_equal(ring.basis_grid(I.steps), I.indices):
+        if not np.array_equal(ring.basis_grid(_digit_steps(G, I.shifts)), I.indices):
             wit.append({"ideal_size": I.size, "failure": "not a grid"})
         down = dagger_ideal(G, I)
         rows = ring.decode(I.indices) @ ring._elem_strides
@@ -1006,7 +998,7 @@ def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
         # the basis on both sides lie in it, so do its products with every
         # sum of basis matrices
         basis = ring.basis
-        gens = up.steps[:, None, None] * basis % ring.moduli
+        gens = _digit_steps(G, up.shifts)[:, None, None] * basis % ring.moduli
         for side, A, B in (("right-mult", gens, basis), ("left-mult", basis, gens)):
             prod = np.einsum("ast,btu->absu", A, B) % ring.moduli
             packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
@@ -1016,9 +1008,9 @@ def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
 
 
 def _within(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``[i, j]``: the grid with steps ``A[i]`` lies in the one with steps
-    ``B[j]``, i.e. each step of ``B[j]`` divides that of ``A[i]``."""
-    return (A[:, None] % B[None] == 0).all(axis=-1)
+    """``[i, j]``: the object with (flattened) shifts ``A[i]`` lies in the one
+    with ``B[j]``: each shift is at least the other's, on both lattices."""
+    return (A[:, None] >= B[None]).all(axis=-1)
 
 
 def _same(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -1039,69 +1031,64 @@ def verify_galois_suite(
 
     ``dagger-well-defined`` checks the listing and the shift forms against
     the census (``census``, by default :func:`_ideal_census`) and the
-    definitions (:func:`_well_defined_witnesses`).  The other claims run
-    on shift vectors: a node by the coordinate steps of its block shifts, an
-    image by its coordinate steps, an ideal by its digit steps, with sums,
-    meets and containment as entrywise gcd, lcm and divisibility, and the two
-    maps as :meth:`EndoRing.image_steps` and :meth:`EndoRing.preimage_steps`.
-    Pairs are read off in row-major order, the order of ``itertools.product``
-    and ``combinations``.
+    definitions (:func:`_well_defined_witnesses`).  The other claims run in
+    valuations: a node by its block shifts, an ideal by its block shift
+    matrix (flattened), with sums, meets and containment as the entrywise
+    min, max and ``>=`` on both sides, and the two maps as :func:`_pullback`
+    and :func:`_pushforward`.  Pairs are read off in row-major order, the
+    order of ``itertools.product`` and ``combinations``.
     """
     from .lattice import enumerate_fi_subgroups
 
-    if nodes is None:
-        nodes = enumerate_fi_subgroups(G).nodes
-    if ideals is None:
-        ideals = enumerate_ideals(G)
-    if census is None:
-        census = _ideal_census(G)
+    node_list = list(enumerate_fi_subgroups(G).nodes if nodes is None else nodes)
+    ideals = enumerate_ideals(G) if ideals is None else ideals
+    census = _ideal_census(G) if census is None else census
     ring = _cached_ring(G)
-    node_list = list(nodes)
     verdicts = []  # (claim id, witnesses, what was checked)
     wd_wit = _well_defined_witnesses(ring, node_list, ideals, census)
     checked = f"{len(node_list)} subgroups, {len(ideals)} ideals"
     verdicts.append(("dagger-well-defined", wd_wit[:5], checked))
 
-    k, r = len(G.components), G.rank
-    C = ring.block_steps(np.array([H.block_shifts for H in node_list]).reshape(-1, k))
-    W = np.array([I.steps for I in ideals]).reshape(-1, r * r)
-    up, down = ring.preimage_steps(C), ring.image_steps(W)
+    k = len(G.components)
+
+    def pull(alpha) -> np.ndarray:  # _pullback, its matrices flattened
+        w = _pullback(G, alpha)
+        return w.reshape(w.shape[:-2] + (k * k,))
+
+    C = np.array([H.block_shifts for H in node_list]).reshape(-1, k)
+    W = np.array([I.shifts for I in ideals]).reshape(-1, k, k)
+    flat = W.reshape(-1, k * k)
+    up, down = pull(C), _pushforward(W)
     orders = [H.order for H in node_list]
-    sizes = [I.size for I in ideals]
+    sizes = [G.p ** int(x) for x in _log_size(G, W)]
 
-    def order_of(c) -> int:
-        return int(np.prod(ring.moduli // c))
-
-    def node_pairs(mask) -> list:
-        pairs = np.argwhere(mask)
-        return [{"pair": [orders[i], orders[j]], "side": "subgroup"} for i, j in pairs]
-
-    def ideal_pairs(mask) -> list:
-        pairs = np.argwhere(mask)
-        return [{"pair": [sizes[i], sizes[j]], "side": "ideal"} for i, j in pairs]
+    def pairs(mask, side: str) -> list:
+        of = orders if side == "subgroup" else sizes
+        return [{"pair": [of[i], of[j]], "side": side} for i, j in np.argwhere(mask)]
 
     # order preservation, both directions
-    order_wit = node_pairs(_within(C, C) & ~_within(up, up))
-    order_wit += ideal_pairs(_within(W, W) & ~_within(down, down))
+    order_wit = pairs(_within(C, C) & ~_within(up, up), "subgroup")
+    order_wit += pairs(_within(flat, flat) & ~_within(down, down), "ideal")
     verdicts.append(("dagger-order", order_wit[:5], "all ordered pairs on both sides"))
 
     # meet/join preservation over unordered pairs
     node_upper = np.triu(np.ones((len(C), len(C)), dtype=bool), 1)
     ideal_upper = np.triu(np.ones((len(W), len(W)), dtype=bool), 1)
     sum_wit, meet_wit = [], []
-    for op, wit in ((np.gcd, sum_wit), (np.lcm, meet_wit)):
-        pulled = ring.preimage_steps(_pairwise(op, C))
-        wit += node_pairs(~_same(pulled, _pairwise(op, up)) & node_upper)
-    image_of_sum = ring.image_steps(_pairwise(np.gcd, W))
-    sum_wit += ideal_pairs(~_same(image_of_sum, _pairwise(np.gcd, down)) & ideal_upper)
-    image_of_meet = ring.image_steps(_pairwise(np.lcm, W))
-    meet_of_images = _pairwise(np.lcm, down)
+    for op, wit in ((np.minimum, sum_wit), (np.maximum, meet_wit)):
+        pulled = pull(_pairwise(op, C))
+        wit += pairs(~_same(pulled, _pairwise(op, up)) & node_upper, "subgroup")
+    image_of_sum = _pushforward(_pairwise(np.minimum, W))
+    image_sums = _pairwise(np.minimum, down)
+    sum_wit += pairs(~_same(image_of_sum, image_sums) & ideal_upper, "ideal")
+    image_of_meet = _pushforward(_pairwise(np.maximum, W))
+    meet_of_images = _pairwise(np.maximum, down)
     meet_wit += [
         {
             "pair": [sizes[i], sizes[j]],
             "side": "ideal",
-            "image_of_meet_order": order_of(image_of_meet[i, j]),
-            "meet_of_images_order": order_of(meet_of_images[i, j]),
+            "image_of_meet_order": _block_order(G, image_of_meet[i, j].tolist()),
+            "meet_of_images_order": _block_order(G, meet_of_images[i, j].tolist()),
         }
         for i, j in np.argwhere(~_same(image_of_meet, meet_of_images) & ideal_upper)
     ]
@@ -1110,36 +1097,37 @@ def verify_galois_suite(
     verdicts.append(("dagger-intersection-preservation", meet_wit[:5], checked))
 
     # closure behavior
-    back_up = ring.image_steps(up)  # each node's double dagger
-    back_of = ring.preimage_steps(down)  # each ideal's double dagger
-    fi_closed, closed = _same(back_up, C), _same(back_of, W)
-    deflates = (back_up % C == 0).all(axis=1)
+    back_up = _pushforward(_pullback(G, C))  # each node's double dagger
+    back_of = pull(down)  # each ideal's double dagger
+    fi_closed, closed = _same(back_up, C), _same(back_of, flat)
+    deflates = (back_up >= C).all(axis=1)
     sub_defl_wit = [{"subgroup_order": orders[i]} for i in np.flatnonzero(~deflates)]
     fi_closed_wit = [
-        {"subgroup_order": orders[i], "closure_order": order_of(back_up[i])}
+        {"subgroup_order": orders[i], "closure_order": _block_order(G, back_up[i].tolist())}
         for i in np.flatnonzero(~fi_closed)
     ]
     checked = f"{len(node_list)} fully invariant subgroups"
     verdicts.append(("subgroup-double-dagger-deflation", sub_defl_wit, checked))
     verdicts.append(("fi-dagger-closed", fi_closed_wit, checked))
     ideal_defl_wit = []
-    for i in np.flatnonzero(~(back_of % W == 0).all(axis=1)):
-        sample = np.setdiff1d(ring.basis_grid(back_of[i]), ideals[i].indices)
+    for i in np.flatnonzero(~(back_of >= flat).all(axis=1)):
+        closure = back_of[i].reshape(k, k)
+        sample = np.setdiff1d(ring.basis_grid(_digit_steps(G, closure)), ideals[i].indices)
         ideal_defl_wit.append(
             {
                 "ideal_size": sizes[i],
-                "closure_size": int(np.prod(ring._endo_radix // back_of[i])),
+                "closure_size": G.p ** int(_log_size(G, closure)),
                 "endo_in_closure_only": ring.decode(sample[0]).tolist(),
             }
         )
-    inflates = (W % back_of == 0).all(axis=1)
+    inflates = (flat >= back_of).all(axis=1)
     ideal_infl_wit = [{"ideal_size": sizes[i]} for i in np.flatnonzero(~inflates)]
     triple_wit = [
         {"ideal_size": sizes[i], "side": "ideal"}
-        for i in np.flatnonzero(~_same(ring.image_steps(back_of), down))
+        for i in np.flatnonzero(~_same(_pushforward(_pullback(G, down)), down))
     ] + [
         {"subgroup_order": orders[i], "side": "subgroup"}
-        for i in np.flatnonzero(~_same(ring.preimage_steps(back_up), up))
+        for i in np.flatnonzero(~_same(pull(back_up), up))
     ]
     checked = f"{len(ideals)} ideals"
     verdicts.append(("ideal-double-dagger-deflation", ideal_defl_wit[:5], checked))
@@ -1150,24 +1138,19 @@ def verify_galois_suite(
     # closed-object equivalences and the lattice isomorphism between them
     image_of = _same(down[:, None], C[None])  # [ideal, node]: the node is its image
     is_image = image_of.any(axis=0)
-    is_preimage = _same(W[:, None], up[None]).any(axis=1)
+    is_preimage = _same(flat[:, None], up[None]).any(axis=1)
     equiv_wit = [
         {"subgroup_order": orders[i]} for i in np.flatnonzero(fi_closed != is_image)
     ]
     equiv_wit += [{"ideal_size": sizes[i]} for i in np.flatnonzero(closed != is_preimage)]
     checked = "closedness vs membership in the opposite map's range"
     verdicts.append(("dagger-closed-equivalences", equiv_wit[:5], checked))
-    k = np.flatnonzero(closed)
-    iso = _within(W[k], W[k]) != _within(down[k], down[k])
-    iso_wit = [{"pair": [sizes[k[i]], sizes[k[j]]]} for i, j in np.argwhere(iso)]
-    if len(k) != len(node_list):
-        iso_wit.append(
-            {
-                "closed_ideals": len(k),
-                "fully_invariant_subgroups": len(node_list),
-            }
-        )
-    checked = f"{len(k)} closed ideals vs {len(node_list)} subgroups"
+    c = np.flatnonzero(closed)
+    iso = _within(flat[c], flat[c]) != _within(down[c], down[c])
+    iso_wit = [{"pair": [sizes[c[i]], sizes[c[j]]]} for i, j in np.argwhere(iso)]
+    if len(c) != len(C):
+        iso_wit.append({"closed_ideals": len(c), "fully_invariant_subgroups": len(C)})
+    checked = f"{len(c)} closed ideals vs {len(node_list)} subgroups"
     verdicts.append(("closed-lattice-isomorphism", iso_wit[:5], checked))
 
     # preimage classes: closed under sums, with a unique closed maximum
@@ -1177,17 +1160,15 @@ def verify_galois_suite(
         if not cls.size:
             class_wit.append({"subgroup_order": H.order, "failure": "empty class"})
             continue
-        sums = ring.image_steps(_pairwise(np.gcd, W[cls]))
+        sums = _pushforward(_pairwise(np.minimum, W[cls]))
         leaves = int(np.triu(~_same(sums, C[h]), 1).sum())
         class_wit += [{"subgroup_order": H.order, "failure": "sum leaves class"}] * leaves
-        closed_members = cls[closed[cls]]
-        if len(closed_members) != 1:
-            class_wit.append(
-                {"subgroup_order": H.order, "closed_members": len(closed_members)}
-            )
+        tops = cls[closed[cls]]
+        if len(tops) != 1:
+            class_wit.append({"subgroup_order": H.order, "closed_members": len(tops)})
         else:
-            top, best = cls[np.argmax([sizes[i] for i in cls])], closed_members[0]
-            if top != best or not (W[cls] % W[best] == 0).all():
+            top, best = cls[np.argmax([sizes[i] for i in cls])], tops[0]
+            if top != best or not (flat[cls] >= flat[best]).all():
                 class_wit.append({"subgroup_order": H.order, "failure": "not maximum"})
     checked = f"{len(ideals)} ideals grouped by image"
     verdicts.append(("dagger-class-structure", class_wit[:5], checked))
@@ -1195,8 +1176,8 @@ def verify_galois_suite(
     # fundamental subgroups are closed
     e = G.exponent
     cells = [(n, kappa) for n in range(1, e + 1) for kappa in range(e)]
-    F = ring.block_steps([_fundamental_shifts(G, kappa, n) for n, kappa in cells])
-    back = ring.image_steps(ring.preimage_steps(F))
+    F = np.array([_fundamental_shifts(G, kappa, n) for n, kappa in cells])
+    back = _pushforward(_pullback(G, F))
     fund_wit = [{"cell": list(cells[i])} for i in np.flatnonzero(~_same(back, F))]
     checked = f"all {e * e} fundamental subgroups"
     verdicts.append(("fundamental-dagger-closed", fund_wit[:5], checked))

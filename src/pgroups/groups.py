@@ -27,7 +27,7 @@ the block sum of its shifts, so the lattice reads its order and containment
 off them.  :func:`_span` and :func:`_grid` build index sets in any digit radix:
 the ideal census in :mod:`pgroups.endos` spans and joins sets of End(G) indices
 with them, while the ideals themselves (:class:`pgroups.endos.Ideal`) are held
-by their steps.
+by their block shift matrices.
 """
 from __future__ import annotations
 

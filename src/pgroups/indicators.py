@@ -246,12 +246,18 @@ def indicator_subgroup(G: GroupSpec, sigma: Indicator):
     >>> indicator_subgroup(G, Indicator((1,))).order    # the socle
     4
     """
+    return _subgroup(G, np.flatnonzero(_cut_mask(G, sigma)))
+
+
+def _cut_mask(G: GroupSpec, sigma: Indicator) -> np.ndarray:
+    """``[x]``: element ``x`` lies in the cut ``G(sigma)``, read off the
+    height table without building the subgroup."""
     heights = _table(G).heights
     e = G.exponent  # stands for INF in the table, and is above every finite height
     inside = heights[min(sigma.length, e)] == e
     for k, s in enumerate(sigma.entries[:e]):
         inside &= heights[k] >= min(s, e)
-    return _subgroup(G, np.flatnonzero(inside))
+    return inside
 
 
 def cut_shifts(G: GroupSpec, sigma: Indicator) -> tuple[int, ...]:

@@ -48,18 +48,24 @@ from .indicators import enumerate_admissible
 from .reports import ClaimReport, _verdict
 
 
-def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
-    """Do these block shifts define a fully invariant subgroup?
-
-    Requires 0 <= a_i <= n_i per block, shifts non-decreasing, and the gap
-    between consecutive shifts no larger than the gap between exponents.
-    """
+def _fi_system(G: GroupSpec) -> tuple:
+    """``(lo, hi, rows)`` of the fully invariant block shifts, row ``(a, b, c)``
+    being ``a_b - a_a <= c`` (:func:`pgroups.endos._difference_solutions`):
+    ``0 <= a_i <= n_i`` and ``a_i <= a_(i+1) <= a_i + n_(i+1) - n_i``."""
     exps = [n for n, _ in G.components]
-    steps = zip(alpha, alpha[1:], exps, exps[1:])
+    rows = [(i + 1, i, 0) for i in range(len(exps) - 1)]
+    rows += [(i, i + 1, m - n) for i, (n, m) in enumerate(zip(exps, exps[1:]))]
+    return [0] * len(exps), exps, rows
+
+
+def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
+    """Do these block shifts define a fully invariant subgroup, i.e. solve
+    :func:`_fi_system`?"""
+    lo, hi, rows = _fi_system(G)
     return (
-        len(alpha) == len(exps)
-        and all(0 <= a <= n for a, n in zip(alpha, exps))
-        and all(lo <= hi <= lo + m - n for lo, hi, n, m in steps)
+        len(alpha) == len(lo)
+        and all(a <= x <= b for a, x, b in zip(lo, alpha, hi))
+        and all(alpha[b] - alpha[a] <= c for a, b, c in rows)
     )
 
 

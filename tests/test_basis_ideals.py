@@ -3,8 +3,9 @@ replace.
 
 ``enumerate_ideals`` lists the ideals from their shift system, its oracle
 ``endos._ideal_census`` seeds with the multiples ``p^v b`` of the basis
-matrices, and ``dagger_subgroup`` and ``special_ideals`` read each ideal off
-the basis one digit at a time (``EndoRing.basis_grid``).  The
+matrices, and ``dagger_subgroup`` and ``special_ideals`` give block shift
+matrices whose members are read off the basis one digit at a time
+(``EndoRing.basis_grid``).  The
 oracles here are the definitions over every member of End(G): one principal
 ideal per member, the members whose rows lie in ``H``, and the members
 scaled by or killed by ``p^n``.  They must agree on every ring within the
@@ -12,7 +13,8 @@ ideal budget for p in {2, 3, 5, 7}.
 
 The dagger suite serves its answers from the shift forms and keeps the
 census, the row spans and the whole-ring filter only as the oracles of
-``dagger-well-defined``, which must notice a wrong closed form.
+``dagger-well-defined``, which must notice a loosened pullback or
+pushforward law.
 """
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ import pytest
 from pgroups import dagger_subgroup, enumerate_fi_subgroups, enumerate_ideals
 from pgroups import make_group, run_claims, special_ideals, verify_galois_suite
 from pgroups import endos, groups
-from pgroups.endos import EndoRing, get_ring
+from pgroups.endos import get_ring
 from pgroups.groups import _members
 from ring_family import FAMILY
 
@@ -88,17 +90,18 @@ def test_galois_suite_spans_only_its_oracle_rows(monkeypatch):
     assert len(calls) <= len(ideals) + len(nodes)
 
 
-@pytest.mark.parametrize("closed_form", ["image_steps", "preimage_steps"])
-def test_dagger_well_defined_catches_a_shrunk_step(monkeypatch, closed_form):
+@pytest.mark.parametrize("law", ["_pushforward", "_pullback"])
+def test_dagger_well_defined_catches_a_loosened_law(monkeypatch, law):
     G = make_group(2, [(2, 1), (4, 1)])
-    real = getattr(EndoRing, closed_form)
+    real = getattr(endos, law)
 
-    def shrunk(ring, steps):
-        out = real(ring, steps).copy()
-        out[..., 0] = np.maximum(out[..., 0] // G.p, 1)  # the first step of each
+    def loosened(*args):
+        out = np.array(real(*args))
+        first = (Ellipsis, 0) if law == "_pushforward" else (Ellipsis, 0, 0)
+        out[first] = np.maximum(out[first] - 1, 0)  # the first shift of each
         return out
 
-    monkeypatch.setattr(EndoRing, closed_form, shrunk)
+    monkeypatch.setattr(endos, law, loosened)
     (report,) = run_claims(G, ids=["dagger-well-defined"])
     assert report.status == "refuted"
     assert report.checked == "9 subgroups, 32 ideals"
@@ -109,7 +112,7 @@ def test_dagger_well_defined_catches_a_census_set_off_its_grid():
     nodes, census = enumerate_fi_subgroups(G).nodes, endos._ideal_census(G)
     top = census[-1]
     census[-1] = endos.Ideal(G, top.indices[:-1])  # End(G) less one member
-    assert census[-1] == top  # same steps, so only the member sets differ
+    assert census[-1] == top  # same shifts, so only the member sets differ
     suite = verify_galois_suite(G, nodes=nodes, ideals=enumerate_ideals(G), census=census)
     reports = {r.claim_id: r for r in suite}
     assert reports["dagger-well-defined"].witnesses[0] == {

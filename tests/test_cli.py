@@ -218,6 +218,13 @@ class TestShapeServing:
         assert (code, err) == (0, "")
         assert out
 
+    def test_min_admissible_bottom_answers_above_the_subgroup_cap(self, capsys):
+        group = '{"p":2,"components":[{"exponent":1,"multiplicity":17}]}'
+        code, out, _ = run(capsys, "verify", group, "--claims", "min-admissible-bottom")
+        assert code == 0
+        (report,) = [json.loads(line) for line in out.splitlines()]
+        assert report["status"] == "verified", report
+
     DAGGER_CLAIMS = (
         "descriptor-rule-as-stated",
         "descriptor-rule-empirical",

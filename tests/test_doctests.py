@@ -29,4 +29,4 @@ def test_the_examples_are_found():
         doctest.testmod(importlib.import_module(f"pgroups.{name}"), report=False).attempted
         for name in MODULES
     )
-    assert attempted >= 43
+    assert attempted >= 61

@@ -52,6 +52,7 @@ from pgroups import (
     zero_endo,
     zero_subgroup,
 )
+from pgroups import endos
 from pgroups.groups import _members, _span
 from ring_family import FAMILY
 
@@ -279,6 +280,13 @@ def test_ideal_holds_no_endomorphism_of_another_group(small24):
     assert identity_endo(small24) in top
     assert identity_endo(make_group(3, [(1, 1), (2, 1)])) not in top
     assert "f" not in top
+
+
+@pytest.mark.parametrize("indices", [[-1], [32], [0.5], [True]], ids=repr)
+def test_ideal_rejects_indices_outside_the_ring(small24, indices):
+    # |End(Z(2) + Z(4))| = 32, so the indices run over [0, 32)
+    with pytest.raises(InvalidInputError):
+        endos.Ideal(small24, indices)
 
 
 def test_ideal_sum_meet_leq():

@@ -5,11 +5,11 @@ census and brute force.
 and lists its integer solutions.  Its clients and oracles here:
 
 * the ideal system (``endos._ideal_system``), whose listing
-  ``enumerate_ideals`` must equal the census ``endos._ideal_census`` step for
-  step and in order on every ring of ``ring_family.FAMILY``;
-* the fully invariant system ``0 <= a_i <= n_i``,
-  ``a_i <= a_(i+1) <= a_i + n_(i+1) - n_i``, whose solutions must be the
-  nodes of ``enumerate_fi_subgroups`` on the family and the stream pool;
+  ``enumerate_ideals`` must equal the census ``endos._ideal_census`` shift
+  for shift, member for member and in order on every ring of
+  ``ring_family.FAMILY``;
+* the fully invariant system ``lattice._fi_system``, whose solutions must be
+  the nodes of ``enumerate_fi_subgroups`` on the family and the stream pool;
 * small random systems, against the filter of every point of their box.
 
 ``pgroups endo`` is served from the listing, so it must never call the census
@@ -40,7 +40,7 @@ from pgroups import (
 from pgroups import endos, groups
 from pgroups.cli import main
 from pgroups.endos import _difference_solutions, _ideal_census, ideal_shifts, pullback_size
-from pgroups.lattice import FILattice, _shift_name
+from pgroups.lattice import FILattice, _fi_system, _shift_name
 from ring_family import FAMILY
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,22 +66,13 @@ def _ids(G):
 @pytest.mark.parametrize("G", FAMILY, ids=_ids)
 def test_listing_is_the_census(G):
     listed, census = enumerate_ideals(G), _ideal_census(G)
-    assert [I.steps.tolist() for I in listed] == [I.steps.tolist() for I in census]
+    assert [I.shifts.tolist() for I in listed] == [I.shifts.tolist() for I in census]
     assert [I.indices.tolist() for I in listed] == [I.indices.tolist() for I in census]
-
-
-def fi_system(G):
-    exps = [n for n, _ in G.components]
-    rows = []
-    for i in range(len(exps) - 1):
-        rows.append((i + 1, i, 0))  # a_i <= a_(i+1)
-        rows.append((i, i + 1, exps[i + 1] - exps[i]))  # a_(i+1) <= a_i + n_(i+1) - n_i
-    return [0] * len(exps), exps, rows
 
 
 @pytest.mark.parametrize("G", list(dict.fromkeys(FAMILY + POOL)), ids=_ids)
 def test_fi_system_lists_the_lattice_nodes(G):
-    solutions = {tuple(x) for x in _difference_solutions(*fi_system(G)).tolist()}
+    solutions = {tuple(x) for x in _difference_solutions(*_fi_system(G)).tolist()}
     assert solutions == set(enumerate_fi_subgroups(G).shifts)
 
 
