@@ -27,13 +27,14 @@ import numpy as np
 from .errors import BudgetExceededError, GroupTooLargeError, InvalidInputError
 from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
+    DEFAULT_MAX_SUBGROUP_SIZE,
     GroupSpec,
     _block_leq,
+    _block_order,
     _fundamental_shifts,
     _grid,
     _table,
     block_subgroup,
-    fundamental_subgroup,
     subgroup_leq,
 )
 from .indicators import (
@@ -78,7 +79,7 @@ from .endos import (
     _cached_ring,
     _ideal_census,
     _image_ranks,
-    dagger_ideal,
+    _image_shifts,
     enumerate_ideals,
     find_dagger_collision,
     get_ring,
@@ -129,8 +130,13 @@ class ClaimContext:
 
     @cached_property
     def cuts(self) -> dict:
-        """The table cut of each admissible indicator, scanned once."""
-        return {s: indicator_subgroup(self.group, s) for s in self.admissible}
+        """The table cut of each admissible indicator, scanned once.  The
+        bottom cut is G itself, so a group over the subgroup cap is refused
+        before any scan."""
+        G, cap = self.group, DEFAULT_MAX_SUBGROUP_SIZE
+        if G.order > cap:
+            raise GroupTooLargeError(f"subgroup with {G.order} elements exceeds cap {cap}")
+        return {s: indicator_subgroup(G, s) for s in self.admissible}
 
     @cached_property
     def element_classes(self) -> tuple:
@@ -311,10 +317,10 @@ def _run_segment_realizability(ctx: ClaimContext) -> _Found:
 @_claim("indicator-subgroups-invariant")
 def _run_indicator_subgroups_invariant(ctx: ClaimContext) -> _Found:
     """Every indicator subgroup is fully invariant."""
-    G = ctx.group
-    ring = _cached_ring(G)  # the shape only: no ring budget
+    cuts = ctx.cuts  # refused over the subgroup cap before the shape is built
+    ring = _cached_ring(ctx.group)  # the shape only: no ring budget
     wit = []
-    for s, H in ctx.cuts.items():
+    for s, H in cuts.items():
         if not ring.is_fully_invariant(H):
             wit.append({"sigma": list(s.entries), "order": H.order})
     return wit, f"{len(ctx.admissible)} admissible indicators"
@@ -330,9 +336,9 @@ def _run_fi_closure_indicator(ctx: ClaimContext) -> _Found:
     (:meth:`ClaimContext.element_classes`); the orbit is built once per class,
     and the cut is the context's table cut."""
     G = ctx.group
+    cuts = ctx.cuts  # an element's indicator is realizable, so admissible
     t = _table(G)
     keys, kind, inds = ctx.element_classes
-    cuts = ctx.cuts  # an element's indicator is realizable, so admissible
     orders = {}  # key number -> (orbit order, cut order), where the two differ
     for k, key in enumerate(keys):
         orbit, cut = _grid(key[: G.rank], t.moduli, t.strides), cuts[inds[k]]
@@ -411,20 +417,14 @@ def _run_fundamental_order_iff(ctx: ClaimContext) -> _Found:
     "quartering-incomparability",
     "alias-to-marker",
     "path-roundtrip",
-    "path-subgroup-chain",
-    "sigma-sum-equality",
-    "sigma-sum-containment",
 )
 def _run_matrix_suite(ctx: ClaimContext) -> list[ClaimReport]:
     M = ctx.matrix
-    G = ctx.group
     out = [check_monotone(M), check_distinct(M)]
     out.extend(check_join_meet(M))
     out.extend(check_quartering(M))
     out.append(check_alias(M))
     out.append(check_path_roundtrip(M))
-    out.append(path_chain_check(G, ctx.cuts, matrix=M))
-    out.extend(verify_sigma_sum(G, ctx.cuts, matrix=M))
     return out
 
 
@@ -592,7 +592,7 @@ def _run_collision_recipe(ctx: ClaimContext) -> _Found:
         I, J = got
         if I == J:
             wit.append({"failure": "pair not distinct"})
-        elif dagger_ideal(G, I) != dagger_ideal(G, J):
+        elif _image_shifts(G, I) != _image_shifts(G, J):
             wit.append({"failure": "images differ", "sizes": [I.size, J.size]})
     return wit, "constructed pair validated"
 
@@ -606,18 +606,17 @@ def _run_named_collision_pair(ctx: ClaimContext) -> _Found:
     f, g = reference_collision_generators(G)
     I = ideal_generated(G, [f], max_ring=ctx.max_ring)
     J = ideal_generated(G, [g], max_ring=ctx.max_ring)
-    socle = fundamental_subgroup(G, 0, 1)
-    img_i = dagger_ideal(G, I)
-    img_j = dagger_ideal(G, J)
+    socle = _fundamental_shifts(G, 0, 1)
     wit = []
-    for label, img in (("scalar p^3", img_i), ("diag(p, p^3)", img_j)):
+    for label, ideal in (("scalar p^3", I), ("diag(p, p^3)", J)):
+        img = _image_shifts(G, ideal)
         if img != socle:
             wit.append(
                 {
                     "generator": label,
-                    "image_shifts": list(canonical_fi_form(G, img)),
-                    "image_order": img.order,
-                    "socle_order": socle.order,
+                    "image_shifts": list(img),
+                    "image_order": _block_order(G, img),
+                    "socle_order": _block_order(G, socle),
                 }
             )
     return (
@@ -656,9 +655,16 @@ def _run_indicator_coverage(ctx: ClaimContext) -> list[ClaimReport]:
     return [verify_indicator_coverage(ctx.group, ctx.cuts, lattice=ctx.lattice)]
 
 
-@_suite("fundamental-containment")
+@_suite(
+    "fundamental-containment",
+    "path-subgroup-chain",
+    "sigma-sum-equality",
+    "sigma-sum-containment",
+)
 def _run_fundamental_containment(ctx: ClaimContext) -> list[ClaimReport]:
-    return [check_fundamental_containment(ctx.group, ctx.cuts)]
+    G, cuts, M = ctx.group, ctx.cuts, ctx.matrix
+    out = [check_fundamental_containment(G, cuts), path_chain_check(G, cuts, matrix=M)]
+    return out + verify_sigma_sum(G, cuts, matrix=M)
 
 
 @_suite("descriptor-rule-as-stated", "descriptor-rule-empirical")

@@ -70,7 +70,7 @@ from .errors import (
     NotFullyInvariantError,
     RingTooLargeError,
 )
-from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts, fundamental_subgroup
+from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts
 from .groups import _grid, _is_int, _join_closure, _members, _same_group, _span
 from .groups import _block_order, _subgroup, _table, block_subgroup
 from .reports import ClaimReport, _verdict
@@ -80,6 +80,11 @@ DEFAULT_MAX_RING_ORDER = 2**20
 
 #: Largest ring for which full ideal enumeration is attempted.
 DEFAULT_MAX_IDEAL_RING_ORDER = 2**12
+
+#: Most (endomorphism, element) pairs that one pass over the action covers:
+#: the whole table of :attr:`EndoRing.action`, or the chunked scan of
+#: ``endo-height-exponent`` and ``endo-indicator-monotone``.
+MAX_ACTION_ENTRIES = 2**26
 
 #: Bytes of the widest temporary in one block of :meth:`EndoRing.action_chunks`.
 _CHUNK_BYTES = 2**24
@@ -344,8 +349,8 @@ class EndoRing:
 
     @property
     def action(self) -> np.ndarray:
-        """Full (|E|, |G|) action table, refused above 2**26 entries."""
-        if self.size * self.group.order > 2**26:
+        """Full (|E|, |G|) action table, refused above ``MAX_ACTION_ENTRIES``."""
+        if self.size * self.group.order > MAX_ACTION_ENTRIES:
             raise RingTooLargeError("full action table over cap; use chunked access")
         return self._act_block(self.decode(np.arange(self.size)))
 
@@ -927,7 +932,7 @@ def _reports(G: GroupSpec, verdicts) -> list[ClaimReport]:
 
 def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     """Check, for every n up to exp(G), the four identities tying the power
-    and torsion ideals to the power and torsion subgroups:
+    and torsion ideals to the power and torsion subgroups, in block shifts:
 
     * image of ``p^n E``      == ``p^n G``        (holds)
     * preimage of ``p^n G``   == ``p^n E``        (fails off homocyclic groups)
@@ -935,19 +940,19 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
     * preimage of ``G[p^n]``  == ``E[p^n]``       (holds)
     """
     e = G.exponent
-    ring = _cached_ring(G)
     sides = itertools.product(("power", "socle"), ("ideal", "subgroup"))
     wit: dict[str, list] = {f"{a}-{b}-dagger": [] for a, b in sides}
     for n in range(e + 1):
         powerE, torsionE = special_ideals(G, n)
-        powerG = fundamental_subgroup(G, n, e)  # p^n G
-        torsionG = fundamental_subgroup(G, 0, n)  # G[p^n]
-        if dagger_ideal(G, powerE) != powerG:
+        powerG = _fundamental_shifts(G, n, e)  # p^n G
+        torsionG = _fundamental_shifts(G, 0, n)  # G[p^n]
+        if _image_shifts(G, powerE) != powerG:
             wit["power-ideal-dagger"].append({"n": n})
-        got = dagger_subgroup(G, powerG)
+        got = _ideal(G, _pullback(G, powerG))
         if got != powerE:
             # got's least member outside powerE: got's step at the least
             # significant digit where powerE's step does not divide it
+            ring = _cached_ring(G)
             steps = _digit_steps(G, got.shifts)
             k = np.flatnonzero(steps % _digit_steps(G, powerE.shifts))[-1:]
             outside = ring.decode(steps[k] * ring._endo_strides[k]).tolist()
@@ -959,9 +964,9 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
                     "endo_outside_scaled_ring": outside[0] if k.size else None,
                 }
             )
-        if dagger_ideal(G, torsionE) != torsionG:
+        if _image_shifts(G, torsionE) != torsionG:
             wit["socle-ideal-dagger"].append({"n": n})
-        if dagger_subgroup(G, torsionG) != torsionE:
+        if _ideal(G, _pullback(G, torsionG)) != torsionE:
             wit["socle-subgroup-dagger"].append({"n": n})
     return _reports(G, [(cid, ws, f"all n in [0, {e}]") for cid, ws in wit.items()])
 

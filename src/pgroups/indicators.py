@@ -28,6 +28,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidInputError,
     NotNormalizableError,
+    RingTooLargeError,
 )
 from .groups import Element, GroupSpec, INF, exponent, height, smul, ulm_invariant
 from .groups import _is_int, _subgroup, _table
@@ -320,10 +321,11 @@ def _pair_bounds(adm: list[Indicator]) -> tuple[np.ndarray, np.ndarray]:
     lower bounds in ``adm`` as the pair has in common.  Dually for the least
     upper bound.
     """
-    P = np.array([[precedes(a, b) for b in adm] for a in adm], dtype=np.int64)
+    P = np.array([[precedes(a, b) for b in adm] for a in adm], dtype=bool)
+    C = P.astype(np.int64)  # counts; the [r, pair] masks stay boolean
     i, j = np.triu_indices(len(adm), 1)
-    below = P.sum(axis=0)[:, None] == (P.T @ P)[i, j]  # [r, pair]
-    above = P.sum(axis=1)[:, None] == (P @ P.T)[i, j]
+    below = C.sum(axis=0)[:, None] == (C.T @ C)[i, j]  # [r, pair]
+    above = C.sum(axis=1)[:, None] == (C @ C.T)[i, j]
     glb = (P[:, i] & P[:, j] & below).any(axis=0)
     lub = (P[i].T & P[j].T & above).any(axis=0)
     return glb, lub
@@ -347,11 +349,18 @@ def _endo_action_claims(G: GroupSpec, max_ring: int | None = None) -> list:
     indicators, ``ind(a) precedes ind(a f)``, which is equivalent to
     ``height(p^k a) <= height(p^k af)`` for every k below exp(G) (the length
     condition falls out of the infinite height of vanished multiples).
+    The scan is refused above ``MAX_ACTION_ENTRIES`` pairs.
     """
-    from .endos import get_ring
+    from .endos import MAX_ACTION_ENTRIES, get_ring
     from .reports import _verdict
 
     ring = get_ring(G, max_ring=max_ring)
+    pairs = ring.size * G.order
+    if pairs > MAX_ACTION_ENTRIES:
+        raise RingTooLargeError(
+            f"{ring.size} endomorphisms x {G.order} elements = {pairs} pairs"
+            f" exceeds cap {MAX_ACTION_ENTRIES}"
+        )
     table = _table(G)
     h, ex = table.heights[: G.exponent], table.exponents
     fails = {"endo-height-exponent": [], "endo-indicator-monotone": []}

@@ -13,7 +13,7 @@ On top of those sit the realizability criterion for Ulm sequences, the
 block-shaped ("basic") presentations of transfinite direct sums and their
 translation to and from Ulm data, and symbolic descriptors for the ideals
 attached to two-parameter subgroups, with the stated comparison rule kept
-verbatim so it can be tested against materialized groups.
+verbatim so it can be tested against finite groups.
 """
 from __future__ import annotations
 
@@ -712,7 +712,7 @@ def descriptor_leq(a: SymbolicIdealDescriptor, b: SymbolicIdealDescriptor) -> bo
     ordinary way).
 
     Kept verbatim so :func:`verify_descriptor_rule` can test it against
-    materialized groups — which refute the direction (the attached map is
+    finite groups — which refute the direction (the attached map is
     order-preserving, not order-reversing; see the ``descriptor-rule-*``
     claims).  When the subgroup parameters are incomparable both ways, the
     answer would depend on the ambient group, so no context-free verdict
@@ -728,16 +728,16 @@ def descriptor_leq(a: SymbolicIdealDescriptor, b: SymbolicIdealDescriptor) -> bo
 
 
 def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
-    """Materialize every two-parameter subgroup pair with a context-free
-    symbolic verdict and compare against the true ideal containments.
+    """Compare every two-parameter subgroup pair with a context-free
+    symbolic verdict against the true containment of their pullback ideals.
 
     Descriptors carry the rank cap aleph_0, which filters nothing at finite
     scale (every image rank is finite), so the comparison isolates the
-    subgroup-parameter direction of the stated rule.  Subgroup containment
-    is read off the block shifts.
+    subgroup-parameter direction of the stated rule.  Both orders are read
+    off block shifts, the ideals' as the pullbacks' shift matrices.
     """
-    from .endos import dagger_subgroup, ideal_leq
-    from .groups import _block_leq, _fundamental_shifts, block_subgroup
+    from .endos import _ideal, _pullback, ideal_leq
+    from .groups import _block_leq, _fundamental_shifts
 
     e = G.exponent
     name = G.describe()
@@ -747,7 +747,7 @@ def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
         for n in range(1, e + 1)
     ]
     shifts = {d: _fundamental_shifts(G, d.kappa.r, d.n) for d in descs}
-    ideals = {d: dagger_subgroup(G, block_subgroup(G, shifts[d])) for d in descs}
+    ideals = {d: _ideal(G, _pullback(G, shifts[d])) for d in descs}
     stated_wit = []
     empirical_wit = []
     checked = 0

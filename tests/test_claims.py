@@ -301,3 +301,89 @@ class TestRunClaims:
         (report,) = run_claims(G, ids=["collision-recipe"], max_ideals=8192)
         assert calls == [8192]  # absence is certified by searching every ideal
         assert (report.status, report.checked) == ("verified", "exhaustive ideal enumeration")
+
+
+# the claims whose laws are closed forms in block shifts: the grid laws, the
+# power/socle identities, the descriptor rule and the two collision claims
+SHIFT_FORM_CLAIMS = [
+    "matrix-monotone",
+    "matrix-distinct-entries",
+    "matrix-meet-formula",
+    "matrix-join-formula",
+    "quartering-containments",
+    "quartering-incomparability",
+    "alias-to-marker",
+    "path-roundtrip",
+    "power-ideal-dagger",
+    "power-subgroup-dagger",
+    "socle-ideal-dagger",
+    "socle-subgroup-dagger",
+    "descriptor-rule-as-stated",
+    "descriptor-rule-empirical",
+    "named-collision-pair",
+    "collision-recipe",
+]
+
+
+class TestBudgetPaths:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_shift_form_claims_build_no_subgroup(self, monkeypatch, p):
+        """Every ``Subgroup`` passes through ``Subgroup._hold``; with it made
+        to raise, the shift-form claims still give the same reports."""
+        from pgroups import Subgroup
+
+        G = make_group(p, [(2, 1), (4, 1)])  # the bundled pair's shape
+        ids = sorted(SHIFT_FORM_CLAIMS)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a shift-form claim built a subgroup")
+
+        with monkeypatch.context() as m:
+            m.setattr(Subgroup, "_hold", refuse)
+            guarded = run_claims(G, ids=ids)
+        assert guarded == run_claims(G, ids=ids)
+        assert [r.claim_id for r in guarded] == ids
+        assert all(r.status != "skipped" for r in guarded)
+
+    def test_action_scan_has_a_pair_cap(self, monkeypatch, small24):
+        import pgroups.endos
+        from pgroups.endos import get_ring
+
+        ids = ["endo-height-exponent", "endo-indicator-monotone"]
+        pairs = 32 * 8  # |End(G)| x |G|
+        monkeypatch.setattr(pgroups.endos, "MAX_ACTION_ENTRIES", pairs)
+        assert all(r.status == "verified" for r in run_claims(small24, ids=ids))
+        monkeypatch.setattr(pgroups.endos, "MAX_ACTION_ENTRIES", pairs - 1)
+        for r in run_claims(small24, ids=ids):
+            assert r.status == "skipped"
+            assert r.checked == f"32 endomorphisms x 8 elements = {pairs} pairs exceeds cap {pairs - 1}"
+        with pytest.raises(pgroups.RingTooLargeError):
+            get_ring(small24).action
+
+    def test_cut_oracles_refuse_before_any_table(self, monkeypatch):
+        """Above the subgroup cap the cut oracles skip before cutting,
+        classing elements or building the ring's shape."""
+        import pgroups.claims
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a table before the subgroup cap")
+
+        for name in ("indicator_subgroup", "_table", "_cached_ring"):
+            monkeypatch.setattr(pgroups.claims, name, refuse)
+        ids = [
+            "fi-closure-indicator",
+            "fundamental-containment",
+            "indicator-antitone",
+            "indicator-coverage",
+            "indicator-subgroups-invariant",
+            "path-subgroup-chain",
+            "sigma-sum-containment",
+            "sigma-sum-equality",
+        ]
+        reports = run_claims(make_group(2, [(1, 17)]), ids=ids)
+        assert [r.claim_id for r in reports] == ids
+        for r in reports:
+            assert (r.status, r.checked) == (
+                "skipped",
+                "subgroup with 131072 elements exceeds cap 65536",
+            )

@@ -225,6 +225,61 @@ class TestShapeServing:
         (report,) = [json.loads(line) for line in out.splitlines()]
         assert report["status"] == "verified", report
 
+    MATRIX_CLAIMS = (
+        "matrix-monotone",
+        "matrix-distinct-entries",
+        "matrix-meet-formula",
+        "matrix-join-formula",
+        "quartering-containments",
+        "quartering-incomparability",
+        "alias-to-marker",
+        "path-roundtrip",
+    )
+    CUT_ORACLES = (
+        "indicator-antitone",
+        "indicator-subgroups-invariant",
+        "fi-closure-indicator",
+        "indicator-coverage",
+        "fundamental-containment",
+        "path-subgroup-chain",
+        "sigma-sum-equality",
+        "sigma-sum-containment",
+    )
+    ACTION_SCANS = ("endo-height-exponent", "endo-indicator-monotone")
+
+    @pytest.mark.parametrize(
+        "pairs, ring",
+        [([(17, 1)], 2**17), ([(1, 17)], 2**289), ([(1, 1), (19, 1)], 2**22)],
+        ids=["Z(2^17)", "Z(2)^17", "Z(2)+Z(2^19)"],
+    )
+    def test_verify_answers_above_the_subgroup_cap(self, capsys, pairs, ring):
+        """The shift-form claims answer at any group size; the table oracles
+        and the action scans report the budget that skipped them."""
+        comps = [{"exponent": n, "multiplicity": m} for n, m in pairs]
+        code, out, err = run(capsys, "verify", json.dumps({"p": 2, "components": comps}))
+        assert (code, err) == (0, "")
+        reports = {r["claim_id"]: r for r in map(json.loads, out.splitlines())}
+        order = 2 ** sum(n * m for n, m in pairs)
+        for cid in self.MATRIX_CLAIMS:
+            assert reports[cid]["status"] != "skipped", reports[cid]
+        for cid in self.DAGGER_CLAIMS:
+            if ring <= 2**20:
+                assert reports[cid]["status"] != "skipped", reports[cid]
+            else:
+                assert reports[cid]["checked"] == f"|End(G)| = {ring} exceeds cap 1048576"
+        for cid in self.CUT_ORACLES:
+            assert reports[cid]["status"] == "skipped"
+            assert reports[cid]["checked"] == f"subgroup with {order} elements exceeds cap 65536"
+        for cid in self.ACTION_SCANS:
+            assert reports[cid]["status"] == "skipped"
+            if ring <= 2**20:
+                assert reports[cid]["checked"] == (
+                    f"{ring} endomorphisms x {order} elements = {ring * order} pairs"
+                    " exceeds cap 67108864"
+                )
+            else:
+                assert reports[cid]["checked"] == f"|End(G)| = {ring} exceeds cap 1048576"
+
     DAGGER_CLAIMS = (
         "descriptor-rule-as-stated",
         "descriptor-rule-empirical",

@@ -370,30 +370,19 @@ def _check_ideal_sum_meet_leq(G, table_limit=None):
             assert report.witnesses == ring.decode(extra[:3]).tolist()
 
 
-def test_special_ideals_by_recount(small24):
-    ring = get_ring(small24)
-    endos = enumerate_endos(small24)
-    moduli = small24.coordinate_moduli
-    r = small24.rank
-    for n in range(3):
-        power, torsion = special_ideals(small24, n)
-        p_expected = {
-            ring.endo_index(
-                make_endo(small24, [[c * 2**n for c in row] for row in f.matrix])
-            )
-            for f in endos
-        }
-        t_expected = {
-            ring.endo_index(f)
-            for f in endos
-            if all(
-                f.matrix[s][t] * 2**n % moduli[t] == 0
-                for s in range(r)
-                for t in range(r)
-            )
-        }
-        assert set(power.indices) == p_expected
-        assert set(torsion.indices) == t_expected
+def test_special_ideals_by_recount():
+    """``p^n E`` is the set of the ``p^n f`` and ``E[p^n]`` the ``f`` with
+    ``p^n f = 0``, over every member of every ring of the family: the closed
+    shift forms that the power/socle identities read, against the ring."""
+    for G in FAMILY:
+        ring = get_ring(G)
+        mats = ring.decode(np.arange(ring.size))
+        for n in range(G.exponent + 1):
+            power, torsion = special_ideals(G, n)
+            scaled = mats * G.p**n % ring.moduli  # entry (s, t) lives mod p^e_t
+            assert np.array_equal(power.indices, np.unique(ring.pack_endos(scaled))), (G, n)
+            killed = np.flatnonzero((scaled == 0).all(axis=(1, 2)))
+            assert np.array_equal(torsion.indices, killed), (G, n)
 
 
 def test_enumerate_ideals_z2z4(small24):
