@@ -28,7 +28,8 @@ these valuations:
 * the pullback of ``H`` is ``w_st = max(λ_st, alpha_t)`` (:func:`_pullback`),
   the pushforward of ``I`` is ``alpha_t = min_s w_st`` (:func:`_pushforward`),
   ``p^n E`` is ``min(λ_st + n, e_t)`` and ``E[p^n]`` is ``max(λ_st, e_t - n)``;
-* ``H`` is fully invariant iff ``H.b`` lies in ``H`` for each basis matrix ``b``.
+* generation closes entry valuations in closed form (:func:`ideal_generated`);
+* ``H`` is fully invariant iff its shifts are a normal form (Kaplansky).
 
 The ideals are listed from their closed shift system (:func:`ideal_shifts`):
 ``λ_st <= w_st <= e_t``, ``w_ut - w_st <= λ_us`` and ``w_su - w_st <= λ_tu``,
@@ -37,23 +38,21 @@ difference constraints closed once and listed without backtracking
 
 The exhaustive paths stay as oracles, which ``dagger-well-defined`` checks
 the shift forms against on every ring within the ideal budget: the census
-(:func:`_ideal_census`: the principal ideals of the multiples ``p^v b``,
-closed under sums, :func:`_sum_closure`) must list the same ideals in the
-same order as :func:`enumerate_ideals`, each the grid of its shifts; the
-pushforward must be the span of the rows of their members, and the pullback
-the whole-ring filter of the members whose rows lie in ``H``.  Member
-indices, and the digit steps they are the grid of (:func:`_digit_steps`),
-are built only for output, witnesses and these oracles.
+(:func:`_ideal_census`: the spans of the principal ideals of the multiples
+``p^v b``, closed under sums, :func:`_sum_closure`) must list the same ideals
+in the same order as :func:`enumerate_ideals`, each the grid of its shifts;
+the pushforward must be the span of the rows of their members, and the
+pullback the whole-ring filter of the members whose rows lie in ``H``.
+Member sets are built only for output, witnesses, scans and these oracles.
 
-Each group has one cached :class:`EndoRing` shape, which the ``verify_*``
-helpers and the full-invariance test read; the ring budget applies through
-:func:`get_ring`, which their callers check.  Only :func:`enumerate_endos`,
-:attr:`EndoRing.action` and the pullback oracle decode every member;
-``endo-height-exponent`` and ``endo-indicator-monotone``, exhaustive by
-statement, scan every (endomorphism, element) pair in one pass through
-:meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an image's rank
-off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).  The
-ring's enumeration order is fixed (matrix positions row-major, entries
+Each group has one cached :class:`EndoRing` shape for the oracles and scans;
+the ring budget applies through :func:`get_ring`, which their callers check.
+Only :func:`enumerate_endos`, :attr:`EndoRing.action` and the pullback oracle
+decode every member; ``endo-height-exponent`` and ``endo-indicator-monotone``,
+exhaustive by statement, scan every (endomorphism, element) pair in one pass
+through :meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an
+image's rank off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).
+The ring's enumeration order is fixed (matrix positions row-major, entries
 ascending), so every index used here is reproducible run to run.
 """
 from __future__ import annotations
@@ -472,10 +471,14 @@ def _log_size(G: GroupSpec, w) -> np.ndarray:
     return (np.outer(mults, mults) * (exps - np.asarray(w))).sum(axis=(-2, -1))
 
 
-def _per_coordinate(G: GroupSpec, w) -> np.ndarray:
-    """Block matrices ``(..., k, k)`` repeated to coordinate pairs ``(..., r, r)``."""
-    mults = _blocks(G)[1]
-    return np.repeat(np.repeat(np.asarray(w), mults, axis=-2), mults, axis=-1)
+def _entry_shifts(G: GroupSpec, mats) -> np.ndarray:
+    """``[s, t]``: the least valuation of an entry from block ``s`` to block
+    ``t`` over the ``r x r`` matrices ``mats`` (``e_t`` if all are zero)."""
+    a = np.asarray(mats, dtype=np.int64).reshape(-1, G.rank, G.rank)
+    least = np.gcd(np.gcd.reduce(a, axis=0), G.coordinate_moduli)  # p^min(v, e_t)
+    least = np.searchsorted(G.p ** np.arange(G.exponent + 1), least)
+    starts = np.cumsum(_blocks(G)[1]) - _blocks(G)[1]
+    return np.minimum.reduceat(np.minimum.reduceat(least, starts, axis=0), starts, axis=1)
 
 
 def _digit_steps(G: GroupSpec, w) -> np.ndarray:
@@ -483,7 +486,8 @@ def _digit_steps(G: GroupSpec, w) -> np.ndarray:
     shift matrices ``w`` (``(..., k, k)`` to ``(..., r^2)``): the ideal is the
     grid of these steps (:meth:`EndoRing.basis_grid`).  Read only for member
     indices, refutation witnesses and the oracles."""
-    d = _per_coordinate(G, np.asarray(w) - _blocks(G)[2])
+    _, mults, lam = _blocks(G)
+    d = np.repeat(np.repeat(np.asarray(w) - lam, mults, axis=-2), mults, axis=-1)
     return G.p ** d.reshape(d.shape[:-2] + (-1,))
 
 
@@ -493,10 +497,9 @@ class Ideal:
     ``s`` to block ``t`` over its members (``e_t`` for none), and the ideal is
     every endomorphism whose entries have at least those valuations.  Equality
     and hashing use the type, the group and the shifts; ``generators`` (as
-    indices) takes no part.  ``indices``, the sorted members (read-only int64),
-    are built on first use.  ``Ideal(group, indices)``, as the census and
-    :func:`ideal_generated` build it, reads the shifts off a member set and
-    keeps it; ``dagger-well-defined`` checks that set against its shifts' grid.
+    :class:`Endo`) takes no part.  ``indices``, the sorted members (read-only
+    int64), are built on first use.  The census's ``Ideal(group, indices)``
+    reads the shifts off a member set, which ``dagger-well-defined`` checks.
 
     >>> from .groups import make_group
     >>> G = make_group(2, [(1, 1), (2, 1)])
@@ -509,20 +512,14 @@ class Ideal:
 
     __slots__ = ("group", "shifts", "generators", "_key", "_indices")
 
-    def __init__(self, group: GroupSpec, indices, generators: tuple[int, ...] = ()):
+    def __init__(self, group: GroupSpec, indices):
         ring = _cached_ring(group)
         held = np.array(indices).reshape(-1)
         if held.dtype.kind not in "iu" or not ((0 <= held) & (held < ring.size)).all():
             raise InvalidInputError(f"ideal members must be integers in [0, {ring.size})")
         held = held.astype(np.int64)
         held.setflags(write=False)
-        # p to each entry's least valuation over the members, then each block's least
-        digits = held[:, None] // ring._endo_strides % ring._endo_radix
-        least = np.gcd(np.gcd.reduce(digits, axis=0), ring._endo_radix) * ring._endo_lift
-        least = np.searchsorted(group.p ** np.arange(group.exponent + 1), least)
-        starts = np.cumsum(_blocks(group)[1]) - _blocks(group)[1]
-        least = np.minimum.reduceat(least.reshape(ring.rank, -1), starts, axis=0)
-        self._hold(group, np.minimum.reduceat(least, starts, axis=1), generators)
+        self._hold(group, _entry_shifts(group, ring.decode(held)))
         self._indices = held
 
     def _hold(self, group: GroupSpec, shifts, generators=()) -> "Ideal":
@@ -560,13 +557,12 @@ class Ideal:
         return list(map(_cached_ring(self.group).endo_of_index, self.indices))
 
     def generator_endos(self) -> list[Endo]:
-        return list(map(_cached_ring(self.group).endo_of_index, self.generators))
+        return list(self.generators)
 
     def __contains__(self, f) -> bool:
         if not (isinstance(f, Endo) and f.group == self.group):
             return False
-        least = self.group.p ** _per_coordinate(self.group, self.shifts)
-        return bool((np.array(f.matrix, dtype=np.int64) % least == 0).all())
+        return bool((_entry_shifts(self.group, f.matrix) >= self.shifts).all())
 
     def __repr__(self) -> str:
         return f"Ideal(size={self.size} of End({self.group.describe()}))"
@@ -574,11 +570,11 @@ class Ideal:
     def to_json(self) -> dict:
         return {
             "size": self.size,
-            "generators": [f.to_json() for f in self.generator_endos()],
+            "generators": [f.to_json() for f in self.generators],
         }
 
 
-def _ideal(G: GroupSpec, shifts, generators: tuple[int, ...] = ()) -> Ideal:
+def _ideal(G: GroupSpec, shifts, generators: tuple[Endo, ...] = ()) -> Ideal:
     """The ideal with this block shift matrix."""
     return Ideal.__new__(Ideal)._hold(G, shifts, generators)
 
@@ -596,23 +592,20 @@ def _sandwich_products(ring: EndoRing, mat: np.ndarray) -> np.ndarray:
     return np.unique(ring.pack_endos(prods))
 
 
-def ideal_generated(G: GroupSpec, gens, max_ring: int | None = None) -> Ideal:
-    """Two-sided ideal generated by the given endomorphisms."""
-    ring = get_ring(G, max_ring=max_ring)
-    gen_idx = []
-    seeds = [np.array([0], dtype=np.int64)]
-    for f in gens:
-        if f.group != G:
-            raise MismatchedParentError("generator endomorphism of a different group")
-        gen_idx.append(ring.endo_index(f))
-        mat = np.array(f.matrix, dtype=np.int64)
-        seeds.append(_sandwich_products(ring, mat))
-    closure = ring.endo_span(np.concatenate(seeds))
-    return Ideal(G, closure, generators=tuple(gen_idx))
+def ideal_generated(G: GroupSpec, gens) -> Ideal:
+    """Two-sided ideal generated by the given endomorphisms, with no ring: the
+    least closure ``w_st = min(e_t, min_uv λ_su + ν_uv + λ_vt)`` of their entry
+    valuations ``ν`` (:func:`_entry_shifts`) under :func:`_ideal_system`."""
+    gens = tuple(gens)
+    if any(f.group != G for f in gens):
+        raise MismatchedParentError("generator endomorphism of a different group")
+    exps, _, lam = _blocks(G)
+    left = (lam[:, :, None] + _entry_shifts(G, [f.matrix for f in gens])).min(axis=1)
+    return _ideal(G, np.minimum((left[:, :, None] + lam).min(axis=1), exps), gens)
 
 
-def principal_ideal(G: GroupSpec, f: Endo, max_ring: int | None = None) -> Ideal:
-    return ideal_generated(G, [f], max_ring=max_ring)
+def principal_ideal(G: GroupSpec, f: Endo) -> Ideal:
+    return ideal_generated(G, [f])
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -805,22 +798,25 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
     every row lies in ``H``.
 
     ``H`` must be fully invariant, otherwise the result would not be closed
-    under right multiplication.  Then ``H`` is the block sum of its block
-    shifts ``alpha``, and the ideal is ``w_st = max(λ_st, alpha_t)``
-    (:func:`_pullback`).
+    under right multiplication: the block sum of its block shifts ``alpha``
+    in normal form (:func:`pgroups.lattice.canonical_fi_form`).  Then the
+    ideal is ``w_st = max(λ_st, alpha_t)`` (:func:`_pullback`).
 
     >>> from .groups import fundamental_subgroup, make_group
     >>> G = make_group(2, [(1, 1), (2, 1)])
     >>> dagger_subgroup(G, fundamental_subgroup(G, 1, 2)).shifts.tolist()  # pG
     [[1, 1], [1, 1]]
     """
+    from .lattice import canonical_fi_form
+
     if H.group != G:
         raise MismatchedParentError("subgroup of a different group")
-    if not _cached_ring(G).is_fully_invariant(H):
-        raise NotFullyInvariantError(
-            f"subgroup of order {H.order} is not fully invariant"
-        )
-    return _ideal(G, _pullback(G, H.block_shifts))
+    try:
+        alpha = canonical_fi_form(G, H)
+    except NotFullyInvariantError:
+        msg = f"subgroup of order {H.order} is not fully invariant"
+        raise NotFullyInvariantError(msg) from None
+    return _ideal(G, _pullback(G, alpha))
 
 
 def _image_shifts(G: GroupSpec, I: Ideal) -> tuple[int, ...]:

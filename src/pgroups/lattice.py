@@ -194,9 +194,14 @@ class FILattice:
         return tuple(block_subgroup(self.group, a) for a in self.shifts)
 
     def index_of(self, H: Subgroup) -> int:
-        for i, node in enumerate(self.nodes):
-            if node == H:
-                return i
+        """The node equal to ``H``, looked up by its block shifts: no node is
+        built."""
+        G = self.group
+        # a node is the block sum of its shifts
+        if isinstance(H, Subgroup) and H.group == G:
+            alpha = H.block_shifts
+            if _block_order(G, alpha) == H.order and alpha in self.shifts:
+                return self.shifts.index(alpha)
         raise InvalidInputError("subgroup is not a lattice node")
 
     def names(self) -> list[str]:

@@ -21,6 +21,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     IncomparableContextError,
@@ -734,10 +736,12 @@ def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
     Descriptors carry the rank cap aleph_0, which filters nothing at finite
     scale (every image rank is finite), so the comparison isolates the
     subgroup-parameter direction of the stated rule.  Both orders are read
-    off block shifts, the ideals' as the pullbacks' shift matrices.
+    off block shifts, the ideals' as the pullbacks' shift matrices, all pairs
+    at once (:func:`pgroups.endos._within`); the stated rule is evaluated
+    pair by pair, in row-major order.
     """
-    from .endos import _ideal, _pullback, ideal_leq
-    from .groups import _block_leq, _fundamental_shifts
+    from .endos import _pullback, _within
+    from .groups import _fundamental_shifts
 
     e = G.exponent
     name = G.describe()
@@ -746,24 +750,26 @@ def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
         for k in range(e)
         for n in range(1, e + 1)
     ]
-    shifts = {d: _fundamental_shifts(G, d.kappa.r, d.n) for d in descs}
-    ideals = {d: _ideal(G, _pullback(G, shifts[d])) for d in descs}
+    shifts = np.array([_fundamental_shifts(G, d.kappa.r, d.n) for d in descs])
+    pulled = _pullback(G, shifts).reshape(len(descs), -1)
+    ideal_leq = _within(pulled, pulled).tolist()
+    subgroup_leq = _within(shifts, shifts).tolist()
     stated_wit = []
     empirical_wit = []
     checked = 0
-    for a in descs:
-        for b in descs:
+    for i, a in enumerate(descs):
+        for j, b in enumerate(descs):
             try:
                 stated = descriptor_leq(a, b)
             except IncomparableContextError:
                 continue
             checked += 1
-            truth = ideal_leq(ideals[a], ideals[b])
+            truth = ideal_leq[i][j]
             if stated != truth:
                 stated_wit.append(
                     {"a": str(a), "b": str(b), "stated": stated, "actual": truth}
                 )
-            preserving = _block_leq(shifts[a], shifts[b])
+            preserving = subgroup_leq[i][j]
             if truth != preserving:
                 empirical_wit.append(
                     {

@@ -630,5 +630,8 @@ def test_dagger_subgroup_requires_fi(small24):
     from pgroups import NotFullyInvariantError
 
     b_only = subgroup_generated(small24, [small24.generator(1)])
-    with pytest.raises(NotFullyInvariantError):
-        dagger_subgroup(small24, b_only)
+    with pytest.raises(NotFullyInvariantError, match="order 4 is not fully invariant"):
+        dagger_subgroup(small24, b_only)  # a block sum off the normal form
+    diagonal = subgroup_generated(small24, [small24.element([1, 2])])
+    with pytest.raises(NotFullyInvariantError, match="order 2 is not fully invariant"):
+        dagger_subgroup(small24, diagonal)  # no block sum

@@ -12,6 +12,13 @@ and lists its integer solutions.  Its clients and oracles here:
   the nodes of ``enumerate_fi_subgroups`` on the family and the stream pool;
 * small random systems, against the filter of every point of their box.
 
+``ideal_generated`` closes its generators' least entry valuations in closed
+form; it must equal the member set that their sandwich products span, on the
+whole family, and build no ring while it runs.  ``dagger_subgroup`` tests full
+invariance by the normal form (``canonical_fi_form``), which must accept
+exactly the subgroups that the basis scan ``EndoRing.is_fully_invariant``
+accepts.
+
 ``pgroups endo`` is served from the listing, so it must never call the census
 or the daggers, and must print what the census-based table printed.
 """
@@ -28,18 +35,37 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from pgroups import (
+    Endo,
+    NotFullyInvariantError,
     block_subgroup,
+    canonical_fi_form,
     dagger_ideal,
     dagger_subgroup,
+    enumerate_elements,
     enumerate_fi_subgroups,
     enumerate_ideals,
+    find_dagger_collision,
+    ideal_generated,
     make_group,
+    principal_ideal,
     run_claims,
+    subgroup_generated,
+    subgroup_sum,
 )
 from pgroups import endos, groups
 from pgroups.cli import main
-from pgroups.endos import _difference_solutions, _ideal_census, ideal_shifts, pullback_size
+from pgroups.endos import (
+    Ideal,
+    _cached_ring,
+    _difference_solutions,
+    _ideal_census,
+    _sandwich_products,
+    ideal_shifts,
+    pullback_size,
+)
 from pgroups.lattice import FILattice, _fi_system, _shift_name
 from ring_family import FAMILY
 
@@ -108,6 +134,79 @@ def test_pullback_size_is_the_dagger(G):
     for alpha in enumerate_fi_subgroups(G).shifts:
         H = block_subgroup(G, alpha)
         assert pullback_size(G, alpha) == dagger_subgroup(G, H).size
+
+
+def spanned_ideal(G, gens):
+    """The oracle of ``ideal_generated``: the member set that the sandwich
+    products of the generators span."""
+    ring = _cached_ring(G)
+    seeds = [np.zeros(1, dtype=np.int64)]
+    seeds += [_sandwich_products(ring, np.array(f.matrix)) for f in gens]
+    return Ideal(G, ring.endo_span(np.concatenate(seeds)))
+
+
+@pytest.mark.parametrize("G", FAMILY, ids=_ids)
+def test_generated_ideal_is_the_spanned_member_set(G):
+    ring = _cached_ring(G)
+    mults = np.unique(ring.basis_multiples().reshape(-1, G.rank, G.rank), axis=0)
+    singles = [[Endo(G, tuple(map(tuple, m)))] for m in mults.tolist()]
+    rng = random.Random(f"{G.describe()}-pairs")
+    pairs = [
+        [ring.endo_of_index(rng.randrange(ring.size)) for _ in range(2)] for _ in range(8)
+    ]
+    for gens in [[]] + singles + pairs:
+        got = ideal_generated(G, gens)
+        assert got.shifts.tolist() == spanned_ideal(G, gens).shifts.tolist(), gens
+        assert got.generator_endos() == gens
+
+
+def test_generation_and_the_pullback_build_no_ring(monkeypatch):
+    G = make_group(2, [(2, 1), (4, 1)])
+    f, g = endos.scalar_endo(G, 4), endos.make_endo(G, [[0, 0], [1, 2]])
+    nodes = enumerate_fi_subgroups(G).nodes
+
+    def answers():
+        I = ideal_generated(G, [f, g])
+        return [
+            ideal_generated(G, []).shifts.tolist(),
+            I.shifts.tolist(),
+            I.to_json(),
+            principal_ideal(G, g).shifts.tolist(),
+            [J.shifts.tolist() for J in find_dagger_collision(G)],
+            [dagger_subgroup(G, H).shifts.tolist() for H in nodes],
+        ]
+
+    expected = answers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form reached the ring")
+
+    for name in ("_cached_ring", "get_ring", "_sandwich_products"):
+        monkeypatch.setattr(endos, name, refuse)
+    assert answers() == expected
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(1, 2)], [(1, 1), (2, 1)], [(1, 1), (3, 1)], [(2, 1), (4, 1)], [(1, 2), (2, 1)]],
+    ids=str,
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_normal_form_decides_full_invariance(p, pairs):
+    G = make_group(p, pairs)
+    ring = _cached_ring(G)
+    cyclic = {subgroup_generated(G, [a]) for a in enumerate_elements(G)}
+    subgroups = cyclic | {subgroup_sum(H, K) for H, K in itertools.combinations(cyclic, 2)}
+    verdicts = set()
+    for H in subgroups:
+        try:
+            canonical_fi_form(G, H)
+            by_form = True
+        except NotFullyInvariantError:
+            by_form = False
+        assert by_form == ring.is_fully_invariant(H), H.block_shifts
+        verdicts.add(by_form)
+    assert verdicts == {True, False}
 
 
 def test_dagger_well_defined_catches_a_wrong_kernel_row(monkeypatch):

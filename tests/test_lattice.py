@@ -27,6 +27,7 @@ from pgroups import (
     enumerate_endos,
     enumerate_fi_subgroups,
     fi_closure,
+    fundamental_subgroup,
     hasse_export,
     indicator_subgroup,
     is_valid_fi_form,
@@ -158,6 +159,13 @@ def test_index_of(G2):
         assert lattice.index_of(H) == i
     with pytest.raises(InvalidInputError):
         lattice.index_of(subgroup_generated(G2, [G2.generator(1)]))
+    # looked up by its shifts: a node of order 4 in a group of order 2^20,
+    # whose larger nodes exceed the subgroup cap
+    big = make_group(2, [(1, 1), (19, 1)])
+    lattice = enumerate_fi_subgroups(big)
+    assert lattice.shifts[lattice.index_of(fundamental_subgroup(big, 0, 1))] == (0, 18)
+    with pytest.raises(InvalidInputError):
+        lattice.index_of(subgroup_generated(big, [big.generator(0)]))
 
 
 # --- Hasse edges and stats ---------------------------------------------------------

@@ -97,7 +97,7 @@ def test_ideal_helpers_keep_the_callers_cap():
     with pytest.raises(RingTooLargeError):
         get_ring(G)
     f = scalar_endo(G, 32)
-    I = ideal_generated(G, [f], max_ring=2**21)
+    I = ideal_generated(G, [f])
     assert I.size == 2
     assert I.to_json() == {"size": 2, "generators": [f.to_json()]}
     assert f in I
