@@ -29,23 +29,22 @@ from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
     DEFAULT_MAX_SUBGROUP_SIZE,
     GroupSpec,
-    _block_leq,
+    _bits,
     _block_order,
     _fundamental_shifts,
     _grid,
     _table,
     block_subgroup,
-    subgroup_leq,
 )
 from .indicators import (
     Indicator,
     _cut_mask,
     _endo_action_claims,
+    _padded,
     _pair_bounds,
+    _precedes_matrix,
     _sorted_indicators,
     enumerate_admissible,
-    ind_max,
-    ind_min,
     indicator_subgroup,
     is_admissible,
     is_realizable,
@@ -80,6 +79,7 @@ from .endos import (
     _ideal_census,
     _image_ranks,
     _image_shifts,
+    _within,
     enumerate_ideals,
     find_dagger_collision,
     get_ring,
@@ -224,13 +224,19 @@ def _claim(claim_id: str):
 
 @_claim("indicator-antitone")
 def _run_indicator_antitone(ctx: ClaimContext) -> _Found:
-    """Refinement of indicators reverses containment of the cut-out subgroups."""
+    """Refinement of indicators reverses containment of the cut-out subgroups.
+
+    The order is one matrix (:func:`pgroups.indicators._precedes_matrix`);
+    containment is read off the member bitmasks of the table cuts.  Pairs are
+    read in row-major order, the order of ``itertools.permutations``: a cut
+    contains itself, so the diagonal gives no witness."""
     adm = ctx.admissible
-    subs = ctx.cuts
-    wit = []
-    for s, t in itertools.permutations(adm, 2):
-        if precedes(s, t) and not subgroup_leq(subs[t], subs[s]):
-            wit.append({"sigma": list(s.entries), "tau": list(t.entries)})
+    bits = [_bits(ctx.cuts[s].indices) for s in adm]
+    wit = [
+        {"sigma": list(adm[i].entries), "tau": list(adm[j].entries)}
+        for i, j in np.argwhere(_precedes_matrix(adm)).tolist()
+        if bits[j] & ~bits[i]
+    ]
     return (
         wit,
         f"{len(adm) * (len(adm) - 1)} ordered admissible pairs",
@@ -261,23 +267,27 @@ def _run_admissible_minmax_closure(ctx: ClaimContext) -> _Found:
     """Stated: pointwise min/max of admissible indicators stays admissible.
 
     Both results keep entries below exp(G) and length at most exp(G), so they
-    are admissible exactly when they are among ``ctx.admissible``."""
+    are admissible exactly when they are among ``ctx.admissible``.  On the
+    padded rows (:func:`pgroups.indicators._padded`) they are the entrywise
+    min and max, looked up among the admissible rows by their bytes; pairs
+    are read in the order of ``itertools.combinations``, min before max."""
     adm = ctx.admissible
-    admissible = set(adm)
-    wit = []
-    for s, t in itertools.combinations(adm, 2):
-        for op, combine in (("min", ind_min), ("max", ind_max)):
-            got = combine(s, t)
-            if got not in admissible:
-                wit.append(
-                    {
-                        "op": op,
-                        "sigma": list(s.entries),
-                        "tau": list(t.entries),
-                        "result": list(got.entries),
-                    }
-                )
-    n = len(adm)
+    A, top = _padded(adm)
+    n, width = A.shape
+    i, j = np.triu_indices(n, 1)
+    # row 2k is the min of pair k, row 2k + 1 its max
+    got = np.stack((np.minimum(A[i], A[j]), np.maximum(A[i], A[j])), axis=1).reshape(-1, width)
+    row = np.dtype((np.void, A.itemsize * width))
+    outside = ~np.isin(got.view(row).reshape(-1), A.view(row).reshape(-1))
+    wit = [
+        {
+            "op": ("min", "max")[f % 2],
+            "sigma": list(adm[i[f // 2]].entries),
+            "tau": list(adm[j[f // 2]].entries),
+            "result": got[f][got[f] < top].tolist(),
+        }
+        for f in np.flatnonzero(outside)[:5].tolist()
+    ]
     return wit, f"{n * (n - 1) // 2} unordered pairs"
 
 
@@ -363,15 +373,16 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> _Found:
     """If ind(a) refines ind(b), some endomorphism maps a onto b.
 
     Elements fall into classes by their orbit steps and their column of the
-    height table, as for ``fi-closure-indicator``.  ``precedes`` is evaluated
-    once per pair of classes and each class's orbit tested against every
-    element, so the ``|G|^2`` pairs are one array, read in row-major order."""
+    height table, as for ``fi-closure-indicator``.  ``precedes`` is one matrix
+    over the classes (:func:`pgroups.indicators._precedes_matrix`) and each
+    class's orbit is tested against every element, so the ``|G|^2`` pairs
+    are one array, read in row-major order."""
     G = ctx.group
     if G.order > TRANSITIVITY_MAX_ORDER:
         raise _Skip(f"|G| = {G.order} exceeds the quadratic-orbit bound {TRANSITIVITY_MAX_ORDER}")
     t = _table(G)
     keys, kind, inds = ctx.element_classes
-    refines = np.array([[precedes(a, b) for b in inds] for a in inds])
+    refines = _precedes_matrix(inds)
     # [class, element]: the element lies in the class's orbit
     in_orbit = (t.coords[None] % keys[:, None, : G.rank] == 0).all(axis=2)
     missed = refines[kind[:, None], kind[None, :]] & ~in_orbit[kind]
@@ -390,24 +401,24 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> _Found:
 def _run_fundamental_order_iff(ctx: ClaimContext) -> _Found:
     """Stated: containment of two-parameter subgroups holds exactly when the
     parameters are ordered (deeper height, smaller torsion bound); read off
-    their block shifts."""
+    their block shifts, all pairs at once, in the order of
+    ``itertools.product``."""
     G = ctx.group
     e = G.exponent
     cells = [(k, n) for k in range(e) for n in range(1, e + 1)]
-    shifts = {c: _fundamental_shifts(G, *c) for c in cells}
-    wit = []
-    for c1, c2 in itertools.product(cells, repeat=2):
-        rule = c1[0] >= c2[0] and c1[1] <= c2[1]
-        actual = _block_leq(shifts[c1], shifts[c2])
-        if rule != actual:
-            wit.append(
-                {
-                    "left": list(c1),
-                    "right": list(c2),
-                    "parameter_rule": rule,
-                    "containment": actual,
-                }
-            )
+    kappa, n = np.array(cells).T
+    rule = (kappa[:, None] >= kappa[None]) & (n[:, None] <= n[None])
+    F = np.array([_fundamental_shifts(G, *c) for c in cells])
+    actual = _within(F, F)
+    wit = [
+        {
+            "left": list(cells[a]),
+            "right": list(cells[b]),
+            "parameter_rule": bool(rule[a, b]),
+            "containment": bool(actual[a, b]),
+        }
+        for a, b in np.argwhere(rule != actual)[:5].tolist()
+    ]
     return wit, f"{len(cells)}^2 parameter pairs"
 
 

@@ -70,8 +70,8 @@ from .errors import (
     RingTooLargeError,
 )
 from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts
-from .groups import _grid, _is_int, _join_closure, _members, _same_group, _span
-from .groups import _block_order, _subgroup, _table, block_subgroup
+from .groups import _bits, _grid, _is_int, _join_closure, _members, _same_group, _span
+from .groups import _block_order, _packing, _subgroup, _table, block_subgroup
 from .reports import ClaimReport, _verdict
 
 #: Largest endomorphism ring that will be enumerated.
@@ -222,9 +222,9 @@ def endo_add(f: Endo, g: Endo) -> Endo:
 def image(f: Endo) -> Subgroup:
     """The image subgroup ``G.f`` (a plain subgroup, not fully invariant in general):
     the span of f's rows."""
-    t = _table(f.group)
-    rows = np.array(f.matrix, dtype=np.int64) @ t.strides
-    return _subgroup(f.group, _span(rows, t.moduli, t.strides))
+    moduli, strides = _packing(f.group)
+    rows = np.array(f.matrix, dtype=np.int64) @ strides
+    return _subgroup(f.group, _span(rows, moduli, strides))
 
 
 def endo_rank(f: Endo) -> int:
@@ -343,8 +343,7 @@ class EndoRing:
 
     def _act_block(self, mats: np.ndarray) -> np.ndarray:
         """Packed images of every element under each matrix in ``mats``."""
-        prod = np.einsum("xs,cst->cxt", self.elem_coords, mats) % self.moduli
-        return prod @ self._elem_strides
+        return np.matmul(self.elem_coords, mats) % self.moduli @ self._elem_strides
 
     @property
     def action(self) -> np.ndarray:
@@ -586,10 +585,8 @@ def _sandwich_products(ring: EndoRing, mat: np.ndarray) -> np.ndarray:
     (bilinearity reduces arbitrary ``u f v`` to basis pairs).
     """
     basis = ring.basis
-    left = np.einsum("ast,tu->asu", basis, mat)
-    prods = np.einsum("asu,buv->absv", left, basis).reshape(-1, ring.rank, ring.rank)
-    prods %= ring.moduli[None, None, :]
-    return np.unique(ring.pack_endos(prods))
+    prods = np.matmul(np.matmul(basis, mat)[:, None], basis) % ring.moduli
+    return np.unique(ring.pack_endos(prods.reshape(-1, ring.rank, ring.rank)))
 
 
 def ideal_generated(G: GroupSpec, gens) -> Ideal:
@@ -745,7 +742,8 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
 def _ideal_census(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
     """The ideal lattice by exhaustion, the oracle of :func:`enumerate_ideals`:
     the principal ideals of the distinct multiples ``p^v b`` of the basis
-    matrices, then the pairwise-sum fixpoint, sorted by (size, indices).
+    matrices, then every sum of them (:func:`_sum_closure`), sorted by (size,
+    indices).
     They reach every ideal, as ``e_ss f e_tt`` lies in the ideal of ``f`` and
     is some ``c b``, which generates the ideal of ``p^(v_p(c)) b``.  The
     census spans packed sets as large as End(G), hence a budget of its own
@@ -761,16 +759,17 @@ def _ideal_census(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
 
 def _sum_closure(ring: EndoRing, spans) -> list[np.ndarray]:
     """Every sum of a nonempty set of the additive subgroups ``spans`` of
-    End(G) (sorted index arrays), in order of discovery (:func:`_join_closure`
-    over their bytes).  A sum spans the smaller set from the larger one."""
+    End(G) (sorted index arrays), in order of discovery: the closure over
+    these atoms (:func:`_join_closure`), joining each sum found only with the
+    spans it neither contains nor lies in, compared by member bitmasks.  A
+    sum spans the smaller set from the larger one."""
     radix, strides = ring._endo_radix, ring._endo_strides
 
-    def join(a: bytes, b: bytes) -> bytes:
-        small, large = (np.frombuffer(x, dtype=np.int64) for x in sorted((a, b), key=len))
-        return _span(small, radix, strides, span=large).tobytes()
+    def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        small, large = sorted((a, b), key=len)
+        return _span(small, radix, strides, span=large)
 
-    found = _join_closure((S.tobytes() for S in spans), join)
-    return [np.frombuffer(S, dtype=np.int64) for S in found]
+    return _join_closure(spans, join, _bits)
 
 
 def special_ideals(G: GroupSpec, n: int) -> tuple[Ideal, Ideal]:
@@ -1001,7 +1000,7 @@ def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
         basis = ring.basis
         gens = _digit_steps(G, up.shifts)[:, None, None] * basis % ring.moduli
         for side, A, B in (("right-mult", gens, basis), ("left-mult", basis, gens)):
-            prod = np.einsum("ast,btu->absu", A, B) % ring.moduli
+            prod = np.matmul(A[:, None], B) % ring.moduli
             packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
             if not np.isin(packed, ideal_idx).all():
                 wit.append({"subgroup_order": H.order, "failure": side})

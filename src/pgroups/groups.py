@@ -18,8 +18,10 @@ significant, so packed order is lexicographic coordinate order.  A
 :class:`Subgroup` is the sorted array of its packed elements.  One cached
 table per group (:func:`_table`) holds the coordinates of every element and
 the heights of their ``p^k`` multiples, which is all that sums,
-intersections, containment and indicator cuts need.  ``Element`` objects
-appear only where a caller asks for them.
+intersections, containment and indicator cuts need; packing itself needs
+only the moduli and strides (:func:`_packing`), so a block subgroup is built
+at any group order without it.  ``Element`` objects appear only where a
+caller asks for them.
 
 A subgroup also carries its block shifts (:attr:`Subgroup.block_shifts`), the
 least valuation met in each homocyclic block.  A fully invariant subgroup is
@@ -365,6 +367,18 @@ class _Table:
     exponents: np.ndarray
 
 
+@lru_cache(maxsize=64)
+def _packing(G: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(moduli, strides)`` of the packed indices of ``G``, read-only: all
+    that packing and unpacking need, at any group order."""
+    moduli = np.array(G.coordinate_moduli, dtype=np.int64)
+    strides = np.ones_like(moduli)
+    strides[:-1] = np.cumprod(moduli[:0:-1])[::-1]
+    for arr in (moduli, strides):
+        arr.setflags(write=False)
+    return moduli, strides
+
+
 @lru_cache(maxsize=32)
 def _table(G: GroupSpec) -> _Table:
     """The packed tables of ``G``; refused over the enumeration cap."""
@@ -373,9 +387,7 @@ def _table(G: GroupSpec) -> _Table:
             f"|G| = {G.order} exceeds enumeration cap {DEFAULT_MAX_GROUP_ORDER}"
         )
     p, e = G.p, G.exponent
-    moduli = np.array(G.coordinate_moduli, dtype=np.int64)
-    strides = np.ones_like(moduli)
-    strides[:-1] = np.cumprod(moduli[:0:-1])[::-1]
+    moduli, strides = _packing(G)
     exps = np.array(G.coordinate_exponents, dtype=np.int8)
     coords = np.arange(G.order, dtype=np.int64)[:, None] // strides % moduli
     divides = [coords % p**k == 0 for k in range(1, e + 1)]
@@ -386,7 +398,7 @@ def _table(G: GroupSpec) -> _Table:
         shifted = valuations + np.int8(k)
         heights[k] = np.where(shifted < exps, shifted, np.int8(e)).min(axis=1)
     exponents = (heights < e).sum(axis=0)
-    for arr in (moduli, strides, coords, valuations, heights, exponents):
+    for arr in (coords, valuations, heights, exponents):
         arr.setflags(write=False)
     return _Table(moduli, strides, coords, valuations, heights, exponents)
 
@@ -449,9 +461,9 @@ def _indices_of(G: GroupSpec, elems: Iterable[Element]) -> np.ndarray:
     elems = list(elems)
     if any(a.group != G for a in elems):
         raise MismatchedParentError("element of a different group")
-    t = _table(G)
+    moduli, strides = _packing(G)
     coords = np.array([e.coords for e in elems], dtype=np.int64)
-    return coords.reshape(-1, G.rank) % t.moduli @ t.strides
+    return coords.reshape(-1, G.rank) % moduli @ strides
 
 
 def _same_group(A, B) -> None:
@@ -460,17 +472,39 @@ def _same_group(A, B) -> None:
         raise MismatchedParentError(f"{type(A).__name__.lower()}s of different groups")
 
 
-def _join_closure(atoms: Iterable, join) -> list:
-    """Every join of a nonempty set of ``atoms``, in order of discovery.
-    Each set is joined once with every set found before it."""
-    found = list(dict.fromkeys(atoms))
-    seen = set(found)
-    for i, A in enumerate(found):  # runs on over the sets appended below
-        for B in found[:i]:
-            total = join(A, B)
-            if total not in seen:
-                seen.add(total)
-                found.append(total)
+def _bits(indices: np.ndarray) -> int:
+    """The members of a set of packed indices as the set bits of one integer."""
+    flags = np.zeros(int(indices.max()) + 1, dtype=bool)
+    flags[indices] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _join_closure(atoms: Iterable, join, mask) -> list:
+    """Every join of a nonempty set of ``atoms``, in order of discovery, each
+    once; ``mask(S)`` is the member bitmask of ``S`` (:func:`_bits`), which
+    decides equality and containment.
+
+    Each set found is joined only with the atoms comparable to it in neither
+    direction.  That reaches every join: ``a_1 + ... + a_k`` is found from
+    ``T = a_1 + ... + a_(k-1)``, since ``T + a_k`` is ``T`` itself or
+    ``a_k`` when the two are comparable, and is joined directly otherwise.
+    """
+    found, masks, seen = [], [], set()
+
+    def add(S, m: int) -> None:
+        if m not in seen:
+            seen.add(m)
+            found.append(S)
+            masks.append(m)
+
+    for A in atoms:
+        add(A, mask(A))
+    singles = list(zip(found, masks))
+    for S, s in zip(found, masks):  # runs on over the sets appended below
+        for A, a in singles:
+            if a & s not in (a, s):
+                total = join(S, A)
+                add(total, mask(total))
     return found
 
 
@@ -606,8 +640,8 @@ def _join(H: Subgroup, K: Subgroup) -> Subgroup:
     _same_group(H, K)
     if H.order < K.order:
         H, K = K, H
-    t = _table(H.group)
-    return _subgroup(H.group, _span(K.indices, t.moduli, t.strides, span=H.indices))
+    moduli, strides = _packing(H.group)
+    return _subgroup(H.group, _span(K.indices, moduli, strides, span=H.indices))
 
 
 def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
@@ -675,8 +709,7 @@ def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
     if size > cap:
         raise GroupTooLargeError(f"subgroup with {size} elements exceeds cap {cap}")
     steps = [G.p**a for a, (_, m) in zip(alpha, G.components) for _ in range(m)]
-    t = _table(G)
-    return _subgroup(G, _grid(steps, t.moduli, t.strides), tuple(alpha))
+    return _subgroup(G, _grid(steps, *_packing(G)), tuple(alpha))
 
 
 def full_subgroup(G: GroupSpec) -> Subgroup:

@@ -122,6 +122,27 @@ def precedes(sigma: Indicator, tau: Indicator) -> bool:
     return all(s <= t for s, t in zip(sigma.entries, tau.entries))
 
 
+def _padded(inds: list[Indicator]) -> tuple[np.ndarray, int]:
+    """``(A, top)``: ``A[i, k]`` is entry ``k`` of ``inds[i]``, and ``top``,
+    one above every entry, past its length.  ``top`` stands for the terminal
+    infinity, so on these rows :func:`precedes` is an entrywise ``<=``,
+    :func:`ind_min` the entrywise min and :func:`ind_max` the entrywise max
+    (a pad in either row absorbs the max, which truncates it)."""
+    width = max((s.length for s in inds), default=0)
+    top = 1 + max((s.entries[-1] for s in inds if s.entries), default=0)
+    A = np.full((len(inds), width), top, dtype=np.min_scalar_type(top))
+    for i, s in enumerate(inds):
+        A[i, : s.length] = s.entries
+    return A, top
+
+
+def _precedes_matrix(inds: list[Indicator]) -> np.ndarray:
+    """``[i, j]``: ``precedes(inds[i], inds[j])``, read off the padded rows
+    (:func:`_padded`) in one comparison."""
+    A = _padded(inds)[0]
+    return (A[:, None] <= A[None]).all(axis=-1)
+
+
 def ind_min(sigma: Indicator, tau: Indicator) -> Indicator:
     """Greatest lower bound: pointwise min with the shorter side padded by inf.
 
@@ -314,14 +335,14 @@ def admissible_lub(
 def _pair_bounds(adm: list[Indicator]) -> tuple[np.ndarray, np.ndarray]:
     """For each pair ``adm[i], adm[j]`` with ``i < j``, in row-major order:
     whether :func:`admissible_glb` and :func:`admissible_lub` within ``adm``
-    exist, read off one precedes matrix.
+    exist, read off one precedes matrix (:func:`_precedes_matrix`).
 
     Refinement is a partial order, so every lower bound of a common lower
     bound ``r`` is one too: ``r`` is the greatest exactly when it has as many
     lower bounds in ``adm`` as the pair has in common.  Dually for the least
     upper bound.
     """
-    P = np.array([[precedes(a, b) for b in adm] for a in adm], dtype=bool)
+    P = _precedes_matrix(adm)
     C = P.astype(np.int64)  # counts; the [r, pair] masks stay boolean
     i, j = np.triu_indices(len(adm), 1)
     below = C.sum(axis=0)[:, None] == (C.T @ C)[i, j]  # [r, pair]

@@ -18,8 +18,8 @@ other's, and the covers are the strict containments with no node strictly
 between.  The ``indicator-coverage`` claim checks the nodes against the cuts
 scanned off the height table and against an independent oracle: the smallest
 fully invariant subgroup containing a single element is its orbit under the
-full endomorphism ring, arbitrary ones are sums of those, and a pairwise-sum
-fixpoint over the orbits finds every node.
+full endomorphism ring, arbitrary ones are sums of those, and closing the
+orbits under sums (:func:`pgroups.groups._join_closure`) finds every node.
 """
 from __future__ import annotations
 
@@ -34,14 +34,15 @@ from .endos import _cached_ring
 from .errors import InvalidInputError, NotFullyInvariantError, UnknownFormatError
 from .groups import Element, GroupSpec, Subgroup, _is_int, block_subgroup
 from .groups import (
+    _bits,
     _block_leq,
     _block_order,
     _fundamental_shifts,
     _grid,
     _join,
     _join_closure,
+    _packing,
     _subgroup,
-    _table,
 )
 from .indicators import Indicator, _sorted_indicators, cut_shifts
 from .indicators import enumerate_admissible
@@ -312,17 +313,18 @@ def verify_indicator_coverage(
     when the indicator is realizable.
 
     The lattice is read off the shape, so its nodes are checked against
-    independent oracles: sums of single-element orbits, closed under pairwise
-    sums, and the table cuts ``cuts`` (:func:`pgroups.indicators.table_cuts`),
-    each of which must be the node its indicator labels."""
+    independent oracles: every sum of single-element orbits, closed over the
+    orbits with member bitmasks, and the table cuts ``cuts``
+    (:func:`pgroups.indicators.table_cuts`), each of which must be the node
+    its indicator labels."""
     from .indicators import is_realizable
 
     if lattice is None:
         lattice = enumerate_fi_subgroups(G)
     steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
-    t = _table(G)
-    orbits = (_subgroup(G, _grid(s, t.moduli, t.strides)) for s in steps)
-    sums = set(_join_closure(orbits, _join))
+    moduli, strides = _packing(G)
+    orbits = (_subgroup(G, _grid(s, moduli, strides)) for s in steps)
+    sums = set(_join_closure(orbits, _join, lambda H: _bits(H.indices)))
     nodes = set(lattice.nodes)
     witnesses = [{"missing_subgroup_order": n} for n in sorted(H.order for H in sums - nodes)]
     witnesses += [{"extra_subgroup_order": n} for n in sorted(H.order for H in nodes - sums)]

@@ -251,8 +251,9 @@ class TestRunClaims:
     def test_transitivity_matches_the_element_loop(self, monkeypatch, always):
         """The one-pass runner against the loop over element pairs it
         replaced, on every group of order <= 64 in the ring family.  With
-        ``precedes`` made to hold for every pair, both list the same refuting
-        pairs in the same order."""
+        ``precedes`` made to hold for every pair (the runner's precedes
+        matrix all true), both list the same refuting pairs in the same
+        order."""
         import pgroups.claims
         from pgroups.claims import ClaimContext, _run_indicator_transitivity
         from pgroups.endos import _cached_ring
@@ -261,7 +262,8 @@ class TestRunClaims:
         relation = pgroups.claims.precedes
         if always:
             relation = lambda a, b: True  # noqa: E731
-            monkeypatch.setattr(pgroups.claims, "precedes", relation)
+            everywhere = lambda inds: np.ones((len(inds),) * 2, dtype=bool)  # noqa: E731
+            monkeypatch.setattr(pgroups.claims, "_precedes_matrix", everywhere)
         groups = [G for G in FAMILY if G.order <= TRANSITIVITY_MAX_ORDER]
         assert len(groups) > 20
         for G in groups:
@@ -280,6 +282,88 @@ class TestRunClaims:
                 expected,
                 f"{G.order}^2 ordered pairs",
             )
+
+    @pytest.mark.parametrize("always", [False, True], ids=["precedes", "always"])
+    def test_antitone_matches_the_pair_loop(self, monkeypatch, always):
+        """The runner reads the precedes matrix and the cuts' bitmasks; the
+        loop over ordered pairs it replaced is the reference, on every family
+        group.  With ``precedes`` made to hold for every pair, both list the
+        same refuting pairs in the same order."""
+        import itertools
+
+        import pgroups.claims
+        from pgroups import subgroup_leq
+        from pgroups.claims import ClaimContext, _run_indicator_antitone
+        from ring_family import FAMILY
+
+        relation = pgroups.claims.precedes
+        if always:
+            relation = lambda a, b: True  # noqa: E731
+            everywhere = lambda inds: np.ones((len(inds),) * 2, dtype=bool)  # noqa: E731
+            monkeypatch.setattr(pgroups.claims, "_precedes_matrix", everywhere)
+        refuted = 0
+        for G in FAMILY:
+            ctx = ClaimContext(G)
+            cuts = ctx.cuts
+            expected = [
+                {"sigma": list(s.entries), "tau": list(t.entries)}
+                for s, t in itertools.permutations(ctx.admissible, 2)
+                if relation(s, t) and not subgroup_leq(cuts[t], cuts[s])
+            ]
+            assert _run_indicator_antitone(ctx)[0] == expected
+            refuted += bool(expected)
+        assert bool(refuted) == always
+
+    def test_minmax_and_fundamental_order_match_the_pair_loops(self):
+        """Both runners read whole arrays and build only the five witnesses a
+        report keeps; the loops over pairs they replaced are the reference,
+        on every family group, with refutations among them."""
+        import itertools
+
+        from pgroups import ind_max, ind_min
+        from pgroups.claims import (
+            ClaimContext,
+            _run_admissible_minmax_closure,
+            _run_fundamental_order_iff,
+        )
+        from pgroups.groups import _block_leq, _fundamental_shifts
+        from ring_family import FAMILY
+
+        refuted = set()
+        for G in FAMILY:
+            ctx = ClaimContext(G)
+            adm = ctx.admissible
+            minmax = [
+                {
+                    "op": op,
+                    "sigma": list(s.entries),
+                    "tau": list(t.entries),
+                    "result": list(got.entries),
+                }
+                for s, t in itertools.combinations(adm, 2)
+                for op, got in (("min", ind_min(s, t)), ("max", ind_max(s, t)))
+                if got not in set(adm)
+            ]
+            assert _run_admissible_minmax_closure(ctx)[0] == minmax[:5]
+            e = G.exponent
+            cells = [(k, n) for k in range(e) for n in range(1, e + 1)]
+            order = []
+            for c1, c2 in itertools.product(cells, repeat=2):
+                rule = c1[0] >= c2[0] and c1[1] <= c2[1]
+                actual = _block_leq(_fundamental_shifts(G, *c1), _fundamental_shifts(G, *c2))
+                if rule != actual:
+                    order.append(
+                        {
+                            "left": list(c1),
+                            "right": list(c2),
+                            "parameter_rule": rule,
+                            "containment": actual,
+                        }
+                    )
+            assert _run_fundamental_order_iff(ctx)[0] == order[:5]
+            refuted |= {"minmax"} if minmax else set()
+            refuted |= {"order"} if len(order) > 5 else set()
+        assert refuted == {"minmax", "order"}
 
     def test_homocyclic_chain_runs_on_homocyclic_groups(self, homocyclic44):
         (report,) = run_claims(homocyclic44, ids=["homocyclic-ideal-chain"])

@@ -374,3 +374,21 @@ def test_fundamental_antitone_in_kappa_monotone_in_n(small248):
             low = fundamental_subgroup(small248, kappa, n)
             high = fundamental_subgroup(small248, kappa, n + 1)
             assert subgroup_leq(low, high)
+
+
+def test_block_subgroups_build_no_group_table(monkeypatch):
+    """A block subgroup is a grid over the packing's moduli and strides, so it
+    never needs the table of every element: p^0 G[p] of Z(2) (+) Z(2^19) has
+    order 4, while the table would hold 2^20 rows."""
+    import pgroups.groups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the group table")
+
+    monkeypatch.setattr(pgroups.groups, "_table", refuse)
+    G = make_group(2, [(1, 1), (19, 1)])
+    H = fundamental_subgroup(G, 0, 1)
+    assert (H.order, H.block_shifts) == (4, (0, 18))
+    assert H.indices.tolist() == [0, 2**18, 2**19, 2**19 + 2**18]
+    Z = zero_subgroup(G)
+    assert (Z.order, Z.indices.tolist()) == (1, [0])

@@ -1,6 +1,7 @@
 """Indicator order, admissibility, realizability, and the cut-out subgroups."""
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,7 +32,7 @@ from pgroups import (
     subgroup_from_set,
     ulm_invariants,
 )
-from pgroups.indicators import _pair_bounds, _sorted_indicators
+from pgroups.indicators import _padded, _pair_bounds, _precedes_matrix, _sorted_indicators
 from ring_family import FAMILY
 
 indicators = st.sets(st.integers(0, 5), max_size=5).map(
@@ -391,3 +392,23 @@ def test_pair_bounds_match_glb_and_lub(G):
     assert lub.tolist() == [admissible_lub(G, s, t, universe=universe) is not None for s, t in pairs]
     if G is BOUND_GROUPS[-1]:
         assert not glb.all() and not lub.all()
+
+
+def test_precedes_matrix_is_precedes():
+    universe = indicator_universe(6)
+    P = _precedes_matrix(universe)
+    assert P.tolist() == [[precedes(s, t) for t in universe] for s in universe]
+
+
+def test_padded_min_and_max_are_ind_min_and_ind_max():
+    """On the padded rows the pointwise min is the entrywise min, and the max
+    truncated at the shorter length is the entrywise max."""
+    universe = indicator_universe(5)
+    A, top = _padded(universe)
+    assert top == 5 and A.shape == (len(universe), 5)
+    for i, s in enumerate(universe):
+        for j, t in enumerate(universe):
+            for got, want in ((np.minimum, ind_min), (np.maximum, ind_max)):
+                row = got(A[i], A[j])
+                assert row[row < top].tolist() == list(want(s, t).entries)
+                assert (row[(row < top).sum():] == top).all()
