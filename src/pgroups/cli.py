@@ -8,7 +8,10 @@ export), ``endo`` (ring summary), ``matrix`` (fundamental-matrix rendering),
 ``analyze``, ``lattice`` and ``matrix`` are served from the group's shape: a
 fully invariant subgroup is its block-shift vector, so they build no subgroup
 and no table of the group's elements.  ``endo`` is served the same way, from
-the block shift matrices of the ideals (:func:`pgroups.endos.ideal_shifts`).
+the block shift matrices of the ideals (:func:`pgroups.endos.ideal_shifts`),
+counted once per group (:func:`pgroups.endos._ideal_images`).  The lattice,
+the matrix and that count are kept per process in bounded caches; the budget
+flags are checked on every request before any of them is read.
 
 Group and sequence inputs are JSON, given either as a file path or inline.
 Exit codes: 0 success, 1 refutation outside the shipped allowlist, 2 invalid
@@ -21,15 +24,13 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from .claims import all_claim_ids, run_claims
 from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
-    _pushforward,
-    ideal_shifts,
+    _ideal_images,
     pullback_size,
     ring_order,
 )
@@ -242,15 +243,15 @@ def cmd_endo(args) -> int:
         )
         print("\n".join(lines))
         return 0
-    W = ideal_shifts(G)
-    lines.append(f"two-sided ideals: {len(W)}")
+    count, images = _ideal_images(G)
+    lines.append(f"two-sided ideals: {count}")
     L = enumerate_fi_subgroups(G)
-    ideals_by_image = Counter(map(tuple, _pushforward(W).tolist()))
+    ideals_by_image = dict(images)
     rows = [
         [
             _shift_name(G, alpha),
             str(order),
-            str(ideals_by_image[alpha]),
+            str(ideals_by_image.get(alpha, 0)),
             str(pullback_size(G, alpha)),
         ]
         for alpha, order in zip(L.shifts, L.orders)

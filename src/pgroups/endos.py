@@ -709,6 +709,18 @@ def _pushforward(w) -> np.ndarray:
     return np.asarray(w).min(axis=-2)
 
 
+@lru_cache(maxsize=32)
+def _ideal_images(G: GroupSpec) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """``(count, ((alpha, n), ...))``: the number of two-sided ideals, and for
+    each image ``alpha`` (block shifts, ascending) the number ``n`` of ideals
+    whose pushforward it is.  Kept per group, unlike :func:`ideal_shifts`,
+    whose listing grows with the ideal count: this summary has one entry per
+    fully invariant subgroup.  Callers check their ideal budget first."""
+    W = ideal_shifts(G)
+    images, counts = np.unique(_pushforward(W), axis=0, return_counts=True)
+    return len(W), tuple(zip(map(tuple, images.tolist()), counts.tolist()))
+
+
 def pullback_size(G: GroupSpec, alpha) -> int:
     """The size of the pullback of the block sum with shifts ``alpha``
     (:func:`dagger_subgroup`), read off its shift matrix (:func:`_pullback`)."""

@@ -720,7 +720,6 @@ def zero_subgroup(G: GroupSpec) -> Subgroup:
     return block_subgroup(G, tuple(n for n, _ in G.components))
 
 
-@lru_cache(maxsize=None)
 def ulm_invariant(G: GroupSpec, kappa: int) -> int:
     """Dimension of ``p^kappa G[p] / p^(kappa+1) G[p]`` over the p-element field.
 

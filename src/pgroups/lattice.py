@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,8 +154,9 @@ class FILattice:
     """All fully invariant subgroups plus their covering relation.
 
     ``shifts[i]`` are node i's block shifts, sorted by (order, reversed
-    shifts), which is (order, element list); ``nodes`` builds the subgroups on
-    first use.  ``hasse_edges`` hold sorted index pairs ``(i, j)`` meaning node
+    shifts), which is (order, element list); ``nodes`` builds the subgroups
+    on each access and keeps none, so a lattice holds no member set.
+    ``hasse_edges`` hold sorted index pairs ``(i, j)`` meaning node
     i is covered by node j (transitive reduction of containment);
     ``sigma_labels[i]`` lists every admissible indicator that cuts out node i,
     sorted by (length, entries).  Each node's shifts must be a tuple of ints
@@ -190,7 +191,7 @@ class FILattice:
     def orders(self) -> list[int]:
         return [_block_order(self.group, a) for a in self.shifts]
 
-    @cached_property
+    @property
     def nodes(self) -> tuple[Subgroup, ...]:
         return tuple(block_subgroup(self.group, a) for a in self.shifts)
 
@@ -217,10 +218,13 @@ def _strictly_below(shifts) -> np.ndarray:
     return below & ~np.eye(len(alpha), dtype=bool)
 
 
+@lru_cache(maxsize=32)
 def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
     """The distinct cuts ``G(sigma)`` of the admissible indicators, as block
     shifts, each labelled by the indicators that cut it out, then covers: the
-    strict containments with no node strictly between.  No subgroup is built."""
+    strict containments with no node strictly between.  No subgroup is built,
+    so the lattice is kept per group: its size follows the exponents, not
+    |G|."""
     by_cut: dict[tuple[int, ...], list[Indicator]] = {}
     for sigma in _sorted_indicators(enumerate_admissible(G)):
         by_cut.setdefault(cut_shifts(G, sigma), []).append(sigma)
@@ -325,10 +329,11 @@ def verify_indicator_coverage(
     moduli, strides = _packing(G)
     orbits = (_subgroup(G, _grid(s, moduli, strides)) for s in steps)
     sums = set(_join_closure(orbits, _join, lambda H: _bits(H.indices)))
-    nodes = set(lattice.nodes)
+    node_list = lattice.nodes
+    nodes = set(node_list)
     witnesses = [{"missing_subgroup_order": n} for n in sorted(H.order for H in sums - nodes)]
     witnesses += [{"extra_subgroup_order": n} for n in sorted(H.order for H in nodes - sums)]
-    node_of = {s: H for H, labels in zip(lattice.nodes, lattice.sigma_labels) for s in labels}
+    node_of = {s: H for H, labels in zip(node_list, lattice.sigma_labels) for s in labels}
     witnesses += [
         {"indicator": list(s.entries), "cut_order": cut.order}
         for s, cut in cuts.items()
