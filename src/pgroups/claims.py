@@ -3,10 +3,10 @@
 Each runner is registered where it is defined: ``_claim(id)`` for a runner of
 one claim, which returns what it found and gets its report built, and
 ``_suite(*ids)`` for a runner that returns its reports itself.  Runners share
-a :class:`ClaimContext` that lazily materializes the expensive artifacts
-(admissible indicators and their table cuts, element classes, fundamental
-matrix, fully invariant lattice, the endomorphism ring and its ideal lattice)
-under the caller's budgets.  A budget overrun, or a ``_Skip`` raised by a
+a :class:`ClaimContext` that lazily materializes the admissible indicators and
+their table cuts, the element classes and the ideal listing under the caller's
+budgets.  Only ``dagger-well-defined`` holds member sets of End(G), the
+oracles of the shift forms.  A budget overrun, or a ``_Skip`` raised by a
 runner whose claims do not apply to the group, downgrades every claim of that
 runner to ``skipped`` rather than failing the whole run.
 
@@ -76,9 +76,11 @@ from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
     _cached_ring,
+    _galois_reports,
     _ideal_census,
     _image_ranks,
     _image_shifts,
+    _well_defined_witnesses,
     _within,
     enumerate_ideals,
     find_dagger_collision,
@@ -88,7 +90,6 @@ from .endos import (
     ring_order,
     special_ideals,
     verify_fun_identities,
-    verify_galois_suite,
 )
 from .reports import ClaimReport, _verdict
 from .symbolic import (
@@ -116,8 +117,8 @@ TRANSITIVITY_MAX_ORDER = 64
 
 @dataclass
 class ClaimContext:
-    """Shared lazy state for one group under fixed budgets: each artifact is
-    built on first use and kept."""
+    """Shared lazy state for one request under fixed budgets: each artifact is
+    built on first use and kept (the lattice and matrix have process caches)."""
 
     group: GroupSpec
     max_ring: int = DEFAULT_MAX_RING_ORDER
@@ -150,17 +151,9 @@ class ClaimContext:
         inds = [Indicator(tuple(h[h < G.exponent].tolist())) for h in keys[:, G.rank :]]
         return keys, kind.reshape(-1), inds
 
-    @cached_property
-    def matrix(self):
-        return build_matrix(self.group)
-
     def ring(self):
         """The ring, refused over ``max_ring``: for work that walks End(G)."""
         return get_ring(self.group, max_ring=self.max_ring)
-
-    @cached_property
-    def lattice(self):
-        return enumerate_fi_subgroups(self.group)
 
     @cached_property
     def ideals(self) -> list:
@@ -433,20 +426,16 @@ def _run_fundamental_order_iff(ctx: ClaimContext) -> _Found:
     "path-roundtrip",
 )
 def _run_matrix_suite(ctx: ClaimContext) -> list[ClaimReport]:
-    M = ctx.matrix
-    out = [check_monotone(M), check_distinct(M)]
-    out.extend(check_join_meet(M))
-    out.extend(check_quartering(M))
-    out.append(check_alias(M))
-    out.append(check_path_roundtrip(M))
-    return out
+    M = build_matrix(ctx.group)
+    out = [check_monotone(M), check_distinct(M), *check_join_meet(M), *check_quartering(M)]
+    return out + [check_alias(M), check_path_roundtrip(M)]
 
 
 @_claim("path-realization")
 def _run_path_realization(ctx: ClaimContext) -> _Found:
     """Stated: the column sequence of every rising path is the indicator of
     some element."""
-    paths = enumerate_rising_paths(ctx.matrix)
+    paths = enumerate_rising_paths(build_matrix(ctx.group))
     seen = dict.fromkeys(map(path_to_indicator, paths))  # in order of first use
     wit = [{"columns": list(s.entries)} for s in seen if not is_realizable(ctx.group, s)]
     return wit, f"{len(paths)} paths, {len(seen)} distinct column sequences"
@@ -457,7 +446,7 @@ def _run_path_count_accounting(ctx: ClaimContext) -> _Found:
     """The bundled per-length path tally, against exhaustive enumeration."""
     if ctx.group.components != ((2, 1), (4, 1)):
         raise _Skip("tally is bundled for the Z(p^2)+Z(p^4) shape only")
-    computed = path_tally(ctx.matrix)
+    computed = path_tally(build_matrix(ctx.group))
     wit = []
     if computed != REFERENCE_PATH_TALLY or sum(computed.values()) != REFERENCE_PATH_TOTAL:
         wit.append(
@@ -558,8 +547,20 @@ def _run_fun_identities(ctx: ClaimContext) -> list[ClaimReport]:
     return verify_fun_identities(ctx.group)
 
 
+@_claim("dagger-well-defined")
+def _run_dagger_well_defined(ctx: ClaimContext) -> _Found:
+    """The ideal listing and both dagger maps agree with the census, the
+    listed ideals' members and the nodes as block subgroups
+    (:func:`pgroups.endos._well_defined_witnesses`)."""
+    G = ctx.group
+    ideals = ctx.ideals  # refuses a ring over max_ring or max_ideals first
+    census = _ideal_census(G, max_ring=ctx.max_ideals)
+    nodes = enumerate_fi_subgroups(G).nodes
+    wit = _well_defined_witnesses(_cached_ring(G), nodes, ideals, census)
+    return wit, f"{len(nodes)} subgroups, {len(ideals)} ideals"
+
+
 @_suite(
-    "dagger-well-defined",
     "dagger-order",
     "dagger-sum-preservation",
     "dagger-intersection-preservation",
@@ -575,10 +576,7 @@ def _run_fun_identities(ctx: ClaimContext) -> list[ClaimReport]:
 )
 def _run_galois_suite(ctx: ClaimContext) -> list[ClaimReport]:
     ideals = ctx.ideals  # refuses a ring over max_ring or max_ideals first
-    census = _ideal_census(ctx.group, max_ring=ctx.max_ideals)
-    return verify_galois_suite(
-        ctx.group, nodes=ctx.lattice.nodes, ideals=ideals, census=census
-    )
+    return _galois_reports(ctx.group, np.array([I.shifts for I in ideals]))
 
 
 @_claim("collision-recipe")
@@ -667,7 +665,7 @@ def _run_homocyclic_ideal_chain(ctx: ClaimContext) -> _Found:
 
 @_suite("indicator-coverage")
 def _run_indicator_coverage(ctx: ClaimContext) -> list[ClaimReport]:
-    return [verify_indicator_coverage(ctx.group, ctx.cuts, lattice=ctx.lattice)]
+    return [verify_indicator_coverage(ctx.group, ctx.cuts)]
 
 
 @_suite(
@@ -677,9 +675,9 @@ def _run_indicator_coverage(ctx: ClaimContext) -> list[ClaimReport]:
     "sigma-sum-containment",
 )
 def _run_fundamental_containment(ctx: ClaimContext) -> list[ClaimReport]:
-    G, cuts, M = ctx.group, ctx.cuts, ctx.matrix
-    out = [check_fundamental_containment(G, cuts), path_chain_check(G, cuts, matrix=M)]
-    return out + verify_sigma_sum(G, cuts, matrix=M)
+    G, cuts = ctx.group, ctx.cuts
+    out = [check_fundamental_containment(G, cuts), path_chain_check(G, cuts)]
+    return out + verify_sigma_sum(G, cuts)
 
 
 @_suite("descriptor-rule-as-stated", "descriptor-rule-empirical")

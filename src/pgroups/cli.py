@@ -15,14 +15,15 @@ flags are checked on every request before any of them is read.
 
 Group and sequence inputs are JSON, given either as a file path or inline.
 Exit codes: 0 success, 1 refutation outside the shipped allowlist, 2 invalid
-input, 3 budget exceeded.  All output orderings are fixed, so identical
-inputs produce byte-identical output.
+input, 3 budget exceeded, 4 output could not be written.  All output
+orderings are fixed, so identical inputs produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -378,13 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PGroupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # writing stdout failed; drop the rest, the exit flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: output could not be written: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

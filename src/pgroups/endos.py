@@ -746,9 +746,14 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
     (:func:`_ideal_census`), the oracle that ``dagger-well-defined`` checks
     this listing against."""
     _check_ideal_budget(G, max_ring)
+    return [_ideal(G, w) for w in _listed_shifts(G)]
+
+
+def _listed_shifts(G: GroupSpec) -> np.ndarray:
+    """:func:`ideal_shifts` in the order of :func:`enumerate_ideals`; the
+    caller checks the ideal budget."""
     W = ideal_shifts(G)
-    order = np.lexsort(np.vstack((W.reshape(len(W), -1).T, _log_size(G, W))))
-    return [_ideal(G, W[i]) for i in order]
+    return W[np.lexsort(np.vstack((W.reshape(len(W), -1).T, _log_size(G, W))))]
 
 
 def _ideal_census(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
@@ -932,6 +937,18 @@ def find_dagger_collision(G: GroupSpec, ideals=None):
 # mechanical verification of the correspondence
 
 
+def _least_outside(G: GroupSpec, w, v) -> list | None:
+    """The least member (as a matrix) of the ideal with shifts ``w`` outside
+    the one with ``v``, or None: ``w``'s step at the last (least significant)
+    digit where ``v``'s step does not divide it."""
+    steps = _digit_steps(G, w)
+    k = np.flatnonzero(steps % _digit_steps(G, v))
+    if not k.size:
+        return None
+    ring = _cached_ring(G)
+    return ring.decode(steps[k[-1]] * ring._endo_strides[k[-1]]).tolist()
+
+
 def _reports(G: GroupSpec, verdicts) -> list[ClaimReport]:
     """One report per ``(claim id, witnesses, what was checked)``."""
     return [_verdict(cid, G.describe(), ws, checked) for cid, ws, checked in verdicts]
@@ -957,18 +974,12 @@ def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
             wit["power-ideal-dagger"].append({"n": n})
         got = _ideal(G, _pullback(G, powerG))
         if got != powerE:
-            # got's least member outside powerE: got's step at the least
-            # significant digit where powerE's step does not divide it
-            ring = _cached_ring(G)
-            steps = _digit_steps(G, got.shifts)
-            k = np.flatnonzero(steps % _digit_steps(G, powerE.shifts))[-1:]
-            outside = ring.decode(steps[k] * ring._endo_strides[k]).tolist()
             wit["power-subgroup-dagger"].append(
                 {
                     "n": n,
                     "preimage_size": got.size,
                     "scaled_ring_size": powerE.size,
-                    "endo_outside_scaled_ring": outside[0] if k.size else None,
+                    "endo_outside_scaled_ring": _least_outside(G, got.shifts, powerE.shifts),
                 }
             )
         if _image_shifts(G, torsionE) != torsionG:
@@ -1034,44 +1045,37 @@ def _pairwise(ufunc, A: np.ndarray) -> np.ndarray:
     return ufunc(A[:, None], A[None])
 
 
-def verify_galois_suite(
-    G: GroupSpec, nodes=None, ideals=None, census=None
-) -> list[ClaimReport]:
+def verify_galois_suite(G: GroupSpec) -> list[ClaimReport]:
     """Order/meet/join preservation, closure behavior, and class structure of
     the two dagger maps, exhaustively over the fully invariant lattice and
-    the full ideal lattice (``ideals``, by default :func:`enumerate_ideals`).
+    the ideal lattice within the default ideal budget (:func:`_galois_reports`)."""
+    _check_ideal_budget(G, None)
+    return _galois_reports(G, _listed_shifts(G))
 
-    ``dagger-well-defined`` checks the listing and the shift forms against
-    the census (``census``, by default :func:`_ideal_census`) and the
-    definitions (:func:`_well_defined_witnesses`).  The other claims run in
-    valuations: a node by its block shifts, an ideal by its block shift
-    matrix (flattened), with sums, meets and containment as the entrywise
-    min, max and ``>=`` on both sides, and the two maps as :func:`_pullback`
-    and :func:`_pushforward`.  Pairs are read off in row-major order, the
-    order of ``itertools.product`` and ``combinations``.
+
+def _galois_reports(G: GroupSpec, W: np.ndarray) -> list[ClaimReport]:
+    """:func:`verify_galois_suite` over the ideals with shift matrices ``W``,
+    listed in the order of :func:`enumerate_ideals`, in valuations: a node by
+    its block shifts, an ideal by its block shift matrix (flattened), with
+    sums, meets and containment as the entrywise min, max and ``>=`` on both
+    sides, and the two maps as :func:`_pullback` and :func:`_pushforward`.
+    Pairs are read off in row-major order, the order of ``itertools.product``
+    and ``combinations``.
     """
     from .lattice import enumerate_fi_subgroups
 
-    node_list = list(enumerate_fi_subgroups(G).nodes if nodes is None else nodes)
-    ideals = enumerate_ideals(G) if ideals is None else ideals
-    census = _ideal_census(G) if census is None else census
-    ring = _cached_ring(G)
+    L = enumerate_fi_subgroups(G)
     verdicts = []  # (claim id, witnesses, what was checked)
-    wd_wit = _well_defined_witnesses(ring, node_list, ideals, census)
-    checked = f"{len(node_list)} subgroups, {len(ideals)} ideals"
-    verdicts.append(("dagger-well-defined", wd_wit[:5], checked))
-
     k = len(G.components)
 
     def pull(alpha) -> np.ndarray:  # _pullback, its matrices flattened
         w = _pullback(G, alpha)
         return w.reshape(w.shape[:-2] + (k * k,))
 
-    C = np.array([H.block_shifts for H in node_list]).reshape(-1, k)
-    W = np.array([I.shifts for I in ideals]).reshape(-1, k, k)
+    C = np.array(L.shifts).reshape(-1, k)
     flat = W.reshape(-1, k * k)
     up, down = pull(C), _pushforward(W)
-    orders = [H.order for H in node_list]
+    orders = L.orders
     sizes = [G.p ** int(x) for x in _log_size(G, W)]
 
     def pairs(mask, side: str) -> list:
@@ -1118,18 +1122,17 @@ def verify_galois_suite(
         {"subgroup_order": orders[i], "closure_order": _block_order(G, back_up[i].tolist())}
         for i in np.flatnonzero(~fi_closed)
     ]
-    checked = f"{len(node_list)} fully invariant subgroups"
+    checked = f"{len(C)} fully invariant subgroups"
     verdicts.append(("subgroup-double-dagger-deflation", sub_defl_wit, checked))
     verdicts.append(("fi-dagger-closed", fi_closed_wit, checked))
     ideal_defl_wit = []
     for i in np.flatnonzero(~(back_of >= flat).all(axis=1)):
         closure = back_of[i].reshape(k, k)
-        sample = np.setdiff1d(ring.basis_grid(_digit_steps(G, closure)), ideals[i].indices)
         ideal_defl_wit.append(
             {
                 "ideal_size": sizes[i],
                 "closure_size": G.p ** int(_log_size(G, closure)),
-                "endo_in_closure_only": ring.decode(sample[0]).tolist(),
+                "endo_in_closure_only": _least_outside(G, closure, W[i]),
             }
         )
     inflates = (flat >= back_of).all(axis=1)
@@ -1141,7 +1144,7 @@ def verify_galois_suite(
         {"subgroup_order": orders[i], "side": "subgroup"}
         for i in np.flatnonzero(~_same(pull(back_up), up))
     ]
-    checked = f"{len(ideals)} ideals"
+    checked = f"{len(W)} ideals"
     verdicts.append(("ideal-double-dagger-deflation", ideal_defl_wit[:5], checked))
     verdicts.append(("ideal-double-dagger-inflation", ideal_infl_wit[:5], checked))
     checked = "both composites on every object"
@@ -1162,27 +1165,27 @@ def verify_galois_suite(
     iso_wit = [{"pair": [sizes[c[i]], sizes[c[j]]]} for i, j in np.argwhere(iso)]
     if len(c) != len(C):
         iso_wit.append({"closed_ideals": len(c), "fully_invariant_subgroups": len(C)})
-    checked = f"{len(c)} closed ideals vs {len(node_list)} subgroups"
+    checked = f"{len(c)} closed ideals vs {len(C)} subgroups"
     verdicts.append(("closed-lattice-isomorphism", iso_wit[:5], checked))
 
     # preimage classes: closed under sums, with a unique closed maximum
     class_wit = []
-    for h, H in enumerate(node_list):
+    for h, order in enumerate(orders):
         cls = np.flatnonzero(image_of[:, h])
         if not cls.size:
-            class_wit.append({"subgroup_order": H.order, "failure": "empty class"})
+            class_wit.append({"subgroup_order": order, "failure": "empty class"})
             continue
         sums = _pushforward(_pairwise(np.minimum, W[cls]))
         leaves = int(np.triu(~_same(sums, C[h]), 1).sum())
-        class_wit += [{"subgroup_order": H.order, "failure": "sum leaves class"}] * leaves
+        class_wit += [{"subgroup_order": order, "failure": "sum leaves class"}] * leaves
         tops = cls[closed[cls]]
         if len(tops) != 1:
-            class_wit.append({"subgroup_order": H.order, "closed_members": len(tops)})
+            class_wit.append({"subgroup_order": order, "closed_members": len(tops)})
         else:
             top, best = cls[np.argmax([sizes[i] for i in cls])], tops[0]
             if top != best or not (flat[cls] >= flat[best]).all():
-                class_wit.append({"subgroup_order": H.order, "failure": "not maximum"})
-    checked = f"{len(ideals)} ideals grouped by image"
+                class_wit.append({"subgroup_order": order, "failure": "not maximum"})
+    checked = f"{len(W)} ideals grouped by image"
     verdicts.append(("dagger-class-structure", class_wit[:5], checked))
 
     # fundamental subgroups are closed

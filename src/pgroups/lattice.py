@@ -323,8 +323,7 @@ def verify_indicator_coverage(
     its indicator labels."""
     from .indicators import is_realizable
 
-    if lattice is None:
-        lattice = enumerate_fi_subgroups(G)
+    lattice = lattice or enumerate_fi_subgroups(G)
     steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
     moduli, strides = _packing(G)
     orbits = (_subgroup(G, _grid(s, moduli, strides)) for s in steps)

@@ -256,51 +256,45 @@ def path_tally(M: FundMatrix) -> dict[int, int]:
 # the indicator row-sum
 
 
-def sigma_sum(G: GroupSpec, sigma: Indicator, matrix: FundMatrix | None = None) -> Subgroup:
+def sigma_sum(G: GroupSpec, sigma: Indicator) -> Subgroup:
     """Sum of the cells selected by an indicator: row t+1 at column sigma_t.
 
     Entries at or beyond exp(G) would select the zero subgroup; such entries
     cannot occur in admissible indicators, so they simply contribute nothing.
     The empty indicator yields the zero subgroup.
     """
-    M = matrix if matrix is not None else build_matrix(G)
-    zero = tuple(n for n, _ in M.group.components)
-    cells = [
-        M.cell_shifts(t + 1, v) for t, v in enumerate(sigma.entries) if v < M.exponent
-    ]
-    return block_subgroup(M.group, tuple(map(min, zip(zero, *cells))))
+    M = build_matrix(G)
+    zero = tuple(n for n, _ in G.components)
+    cells = [M.cell_shifts(t + 1, v) for t, v in enumerate(sigma.entries) if v < G.exponent]
+    return block_subgroup(G, tuple(map(min, zip(zero, *cells))))
 
 
-def sigma_sum_verdicts(G: GroupSpec, cuts: dict, matrix: FundMatrix | None = None):
+def sigma_sum_verdicts(G: GroupSpec, cuts: dict):
     """For every indicator of ``cuts`` (``{sigma: G(sigma)}``, the table cuts
     of :func:`pgroups.indicators.table_cuts`): does the cell sum equal G(sigma)?
 
     Returns ``{sigma: (equal, sum_contained_in_G_sigma)}`` from explicit set
     comparisons.
     """
-    M = matrix if matrix is not None else build_matrix(G)
     out = {}
     for sigma, target in cuts.items():
-        total = sigma_sum(G, sigma, matrix=M)
+        total = sigma_sum(G, sigma)
         out[sigma] = (total == target, subgroup_leq(total, target))
     return out
 
 
-def verify_sigma_sum(
-    G: GroupSpec, cuts: dict, matrix: FundMatrix | None = None
-) -> list[ClaimReport]:
+def verify_sigma_sum(G: GroupSpec, cuts: dict) -> list[ClaimReport]:
     """Two reports over the table cuts ``cuts``: exact equality of the cell
     sum with G(sigma) per indicator, and the one-sided containment of the sum
     in G(sigma)."""
-    M = matrix if matrix is not None else build_matrix(G)
-    verdicts = sigma_sum_verdicts(G, cuts, matrix=M)
+    verdicts = sigma_sum_verdicts(G, cuts)
     name = G.describe()
     eq_witnesses = []
     cont_witnesses = []
     for sigma, (equal, contained) in verdicts.items():
         if not equal:
             target = cuts[sigma]
-            total = sigma_sum(G, sigma, matrix=M)
+            total = sigma_sum(G, sigma)
             missing = next(e for e in target if e not in total)
             eq_witnesses.append(
                 {
@@ -475,9 +469,7 @@ def check_path_roundtrip(M: FundMatrix) -> ClaimReport:
     )
 
 
-def path_chain_check(
-    G: GroupSpec, cuts: dict, matrix: FundMatrix | None = None
-) -> ClaimReport:
+def path_chain_check(G: GroupSpec, cuts: dict) -> ClaimReport:
     """Test whether each table cut G(sigma) of ``cuts`` sits inside every
     cell on sigma's rising path.
 
@@ -486,7 +478,7 @@ def path_chain_check(
     cell sits inside G(sigma) — which is exactly the containment half of
     :func:`verify_sigma_sum`.
     """
-    M = matrix if matrix is not None else build_matrix(G)
+    M = build_matrix(G)
     witnesses = []
     checked = 0
     for s, sub in cuts.items():

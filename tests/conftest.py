@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import pgroups
 from pgroups import make_group
 
 #: One line per acceptance criterion, filled in by tests/test_acceptance.py
@@ -18,6 +22,18 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in acceptance_lines:
         terminalreporter.write_line(line)
+
+
+def own_pgroups_env(**extra) -> dict:
+    """Environment for a ``python -m pgroups`` subprocess whose
+    ``PYTHONPATH`` puts this process's ``pgroups`` first, so it runs the same
+    code with or without an install; ``extra`` sets further variables."""
+    source_root = str(Path(pgroups.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,7 @@ from pgroups import (
     reference_collision_generators,
     reference_group,
     ring_order,
+    run_claims,
     sigma_sum_verdicts,
     subgroup_generated,
     subgroup_name,
@@ -58,6 +59,8 @@ from pgroups.reference import (
     ulm_accept_example,
     ulm_reject_example,
 )
+
+from conftest import own_pgroups_env
 
 RING_GATE = 2**12
 
@@ -224,6 +227,8 @@ def test_criterion_3_dagger_suite(criterion):
                 continue
             start = time.perf_counter()
             reports = verify_galois_suite(G) + verify_fun_identities(G)
+            assert len(reports) == 16
+            reports += run_claims(G, ids=["dagger-well-defined"])
             elapsed = time.perf_counter() - start
             worst = max(worst, elapsed)
             assert elapsed < 60.0, f"{G.describe()} took {elapsed:.1f}s"
@@ -330,7 +335,7 @@ def test_criterion_7_sigma_sum_verdict(criterion):
     with criterion(7, "per-indicator sum report") as info:
         G = reference_group(2)
         M = build_matrix(G)
-        verdicts = sigma_sum_verdicts(G, table_cuts(G), matrix=M)
+        verdicts = sigma_sum_verdicts(G, table_cuts(G))
         admissible = enumerate_admissible(G)
         assert set(verdicts) == set(admissible)  # the mechanism covers every row
 
@@ -393,6 +398,7 @@ def test_criterion_9_byte_determinism(criterion):
                 [sys.executable, "-m", "pgroups", "verify", spec],
                 capture_output=True,
                 check=True,
+                env=own_pgroups_env(),
             )
             for _ in range(2)
         ]

@@ -11,20 +11,36 @@ ideal per member, the members whose rows lie in ``H``, and the members
 scaled by or killed by ``p^n``.  They must agree on every ring within the
 ideal budget for p in {2, 3, 5, 7}.
 
-The dagger suite serves its answers from the shift forms and keeps the
-census, the row spans and the whole-ring filter only as the oracles of
-``dagger-well-defined``, which must notice a loosened pullback or
-pushforward law.
+The dagger suite answers from the shift forms alone and builds no member
+set.  The census, the row spans and the whole-ring filter are only the
+oracles of ``dagger-well-defined``, a claim of its own, which must notice a
+loosened pullback or pushforward law and a census set off its grid.
 """
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pgroups import dagger_subgroup, enumerate_fi_subgroups, enumerate_ideals
 from pgroups import make_group, run_claims, special_ideals, verify_galois_suite
-from pgroups import endos, groups
+from pgroups import claims, endos, groups
 from pgroups.endos import get_ring
 from pgroups.groups import _members
 from ring_family import FAMILY
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _verify_groups():
+    """The nine groups of the benchmark's ``verify`` workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [make_group(p, pairs) for p, pairs in module.SMALL_RING_GROUPS]
 
 
 def members(ring):
@@ -85,9 +101,27 @@ def test_galois_suite_spans_only_its_oracle_rows(monkeypatch):
 
     for module in (groups, endos):
         monkeypatch.setattr(module, "_span", counting)
-    verify_galois_suite(G, nodes=nodes, ideals=ideals, census=census)
+    assert len(verify_galois_suite(G)) == 12
+    assert calls == []
+    endos._well_defined_witnesses(endos._cached_ring(G), nodes, ideals, census)
     # one row span per ideal; the pair loops over packed sets made 1264
     assert len(calls) <= len(ideals) + len(nodes)
+
+
+def test_galois_suite_builds_no_member_set(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dagger suite built a member set")
+
+    banned = [groups.block_subgroup, groups._span, endos._ideal_census]
+    for name, module in list(sys.modules.items()):
+        if name == "pgroups" or name.startswith("pgroups."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in banned):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(endos.Ideal, "indices", property(refuse))
+    for G in _verify_groups():
+        ids = [r.claim_id for r in verify_galois_suite(G)]
+        assert len(ids) == 12 and "dagger-well-defined" not in ids, G.describe()
 
 
 @pytest.mark.parametrize("law", ["_pushforward", "_pullback"])
@@ -107,15 +141,12 @@ def test_dagger_well_defined_catches_a_loosened_law(monkeypatch, law):
     assert report.checked == "9 subgroups, 32 ideals"
 
 
-def test_dagger_well_defined_catches_a_census_set_off_its_grid():
+def test_dagger_well_defined_catches_a_census_set_off_its_grid(monkeypatch):
     G = make_group(2, [(2, 1), (4, 1)])
-    nodes, census = enumerate_fi_subgroups(G).nodes, endos._ideal_census(G)
+    census = endos._ideal_census(G)
     top = census[-1]
     census[-1] = endos.Ideal(G, top.indices[:-1])  # End(G) less one member
     assert census[-1] == top  # same shifts, so only the member sets differ
-    suite = verify_galois_suite(G, nodes=nodes, ideals=enumerate_ideals(G), census=census)
-    reports = {r.claim_id: r for r in suite}
-    assert reports["dagger-well-defined"].witnesses[0] == {
-        "ideal_size": top.size,
-        "failure": "not a grid",
-    }
+    monkeypatch.setattr(claims, "_ideal_census", lambda G, max_ring=None: census)
+    (report,) = run_claims(G, ids=["dagger-well-defined"])
+    assert report.witnesses[0] == {"ideal_size": top.size, "failure": "not a grid"}

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import pgroups
 from pgroups import all_claim_ids
 from pgroups.cli import build_parser, main
 from pgroups.symbolic import MAX_ULM_LENGTH
+
+from conftest import own_pgroups_env
 
 G24 = '{"p": 2, "components": [{"exponent": 1, "multiplicity": 1}, {"exponent": 2, "multiplicity": 1}]}'
 REFERENCE = (
@@ -519,6 +520,46 @@ class TestErrorPaths:
         assert "error:" in proc.stderr
 
 
+Z2 = '{"p": 2, "components": [{"exponent": 1, "multiplicity": 1}]}'
+Z2_Z2_19 = (
+    '{"p": 2, "components": [{"exponent": 1, "multiplicity": 1},'
+    ' {"exponent": 19, "multiplicity": 1}]}'
+)
+
+
+def served_into(stdout, *argv):
+    return subprocess.run(
+        [sys.executable, "-m", "pgroups", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=own_pgroups_env(),
+    )
+
+
+def assert_unwritable_output_exits_4(proc):
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: output could not be written: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_closed_pipe_exits_4_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = served_into(write_end, "lattice", Z2_Z2_19, "--format", "dot")
+    finally:
+        os.close(write_end)
+    assert_unwritable_output_exits_4(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_device_exits_4_without_traceback():
+    with open("/dev/full", "w") as full:
+        assert_unwritable_output_exits_4(served_into(full, "matrix", Z2))
+
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
@@ -548,16 +589,6 @@ def declared_console_script(name):
     except ModuleNotFoundError:
         return scripts_entry_by_line(text, name)
     return tomllib.loads(text)["project"]["scripts"][name]
-
-
-def own_pgroups_env():
-    """Environment whose ``PYTHONPATH`` puts this process's ``pgroups`` first."""
-    source_root = str(Path(pgroups.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [source_root, os.environ.get("PYTHONPATH")])
-    )
-    return env
 
 
 def test_scripts_entry_by_line_agrees_with_tomllib():

@@ -6,13 +6,11 @@ every endomorphism.
 """
 import itertools
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import pgroups
 from pgroups import (
     FILattice,
     InvalidInputError,
@@ -39,6 +37,8 @@ from pgroups import (
     table_cuts,
     verify_indicator_coverage,
 )
+
+from conftest import own_pgroups_env
 
 
 def brute_fi_subgroups(G):
@@ -228,9 +228,6 @@ def test_each_admissible_indicator_labels_one_node(fixture, request):
         assert all(indicator_subgroup(G, s) == H for s in node_labels)
 
 
-SRC = os.path.dirname(os.path.dirname(pgroups.__file__))
-
-
 def test_coverage_witnesses_ignore_the_hash_seed():
     # a forged lattice: the block sums of Z(4) + Z(16) with a first shift
     # other than 1, so three fully invariant nodes are missing and four block
@@ -249,9 +246,12 @@ print(verify_indicator_coverage(G, table_cuts(G), lattice=forged).render())
 """
     outputs = []
     for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
         done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", script],
+            env=own_pgroups_env(PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
         )
         outputs.append(done.stdout)
     assert json.loads(outputs[0])["status"] == "refuted"

@@ -287,11 +287,11 @@ def brute_sum(G, M, sigma):
 
 def test_sigma_sum_matches_brute_force(M2, G2):
     for sigma in enumerate_admissible(G2):
-        assert set(sigma_sum(G2, sigma, matrix=M2)) == brute_sum(G2, M2, sigma)
+        assert set(sigma_sum(G2, sigma)) == brute_sum(G2, M2, sigma)
 
 
 def test_sigma_sum_verdicts_against_recount(M2, G2):
-    verdicts = sigma_sum_verdicts(G2, table_cuts(G2), matrix=M2)
+    verdicts = sigma_sum_verdicts(G2, table_cuts(G2))
     assert len(verdicts) == 13
     for sigma, (equal, contained) in verdicts.items():
         total = brute_sum(G2, M2, sigma)
@@ -301,8 +301,8 @@ def test_sigma_sum_verdicts_against_recount(M2, G2):
         assert contained  # the one-sided inclusion never fails
 
 
-def test_sigma_sum_known_split(M2, G2):
-    verdicts = sigma_sum_verdicts(G2, table_cuts(G2), matrix=M2)
+def test_sigma_sum_known_split(G2):
+    verdicts = sigma_sum_verdicts(G2, table_cuts(G2))
     equal_ones = {s.entries for s, (eq, _) in verdicts.items() if eq}
     assert equal_ones == {(), (0,), (1,), (2,), (3,), (1, 2)}
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import gc
 import importlib.util
 import io
-import os
 import pkgutil
 import subprocess
 import sys
@@ -33,6 +32,8 @@ from pgroups.endos import Ideal, _ideal_images, _pushforward, ideal_shifts
 from pgroups.groups import Subgroup, make_group
 from pgroups.lattice import FILattice, enumerate_fi_subgroups
 from pgroups.matrix import build_matrix
+
+from conftest import own_pgroups_env
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -195,12 +196,11 @@ def test_verify_leaves_no_subgroup_in_the_cached_lattice():
 
 def _cold(*argv) -> tuple[int, str]:
     """The request served by a fresh process."""
-    source_root = str(Path(pgroups.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "pgroups", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=source_root),
+        env=own_pgroups_env(),
     )
     return proc.returncode, proc.stdout
 
