@@ -33,13 +33,14 @@ from .groups import (
     _block_order,
     _fundamental_shifts,
     _grid,
+    _orbit_steps,
     _table,
+    _within,
     block_subgroup,
 )
 from .indicators import (
     Indicator,
-    _cut_mask,
-    _endo_action_claims,
+    _cut_order,
     _padded,
     _pair_bounds,
     _precedes_matrix,
@@ -76,12 +77,12 @@ from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
     _cached_ring,
+    _endo_action_claims,
     _galois_reports,
     _ideal_census,
     _image_ranks,
     _image_shifts,
     _well_defined_witnesses,
-    _within,
     enumerate_ideals,
     find_dagger_collision,
     get_ring,
@@ -89,6 +90,7 @@ from .endos import (
     ideal_leq,
     ring_order,
     special_ideals,
+    verify_descriptor_rule,
     verify_fun_identities,
 )
 from .reports import ClaimReport, _verdict
@@ -99,7 +101,6 @@ from .symbolic import (
     basic_sequence_of_group,
     ulm_sequence_of_group,
     ulm_to_basic_seq,
-    verify_descriptor_rule,
 )
 from .reference import (
     REFERENCE_PATH_TALLY,
@@ -144,9 +145,9 @@ class ClaimContext:
         """Elements grouped by orbit steps and height-table column: ``keys``
         (one row per class), ``kind[x]`` (x's class) and the class indicators."""
         G = self.group
-        steps = _cached_ring(G).orbit_steps(slice(None))  # the shape only: no ring budget
+        t = _table(G)
         keys, kind = np.unique(
-            np.hstack((steps, _table(G).heights.T)), axis=0, return_inverse=True
+            np.hstack((_orbit_steps(G, t.coords), t.heights.T)), axis=0, return_inverse=True
         )
         inds = [Indicator(tuple(h[h < G.exponent].tolist())) for h in keys[:, G.rank :]]
         return keys, kind.reshape(-1), inds
@@ -249,8 +250,8 @@ def _run_min_admissible_bottom(ctx: ClaimContext) -> _Found:
     for s in ctx.admissible:
         if not precedes(bottom, s):
             wit.append({"failure": "not below", "sigma": list(s.entries)})
-    # the cut's order counted in the height table: no subgroup of order |G|
-    if np.count_nonzero(_cut_mask(G, bottom)) != G.order:
+    # the cut's order counted over the heights: no subgroup of order |G|
+    if _cut_order(G, bottom) != G.order:
         wit.append({"failure": "does not cut out G"})
     return wit, f"{len(ctx.admissible)} admissible indicators"
 

@@ -45,15 +45,18 @@ the pushforward must be the span of the rows of their members, and the
 pullback the whole-ring filter of the members whose rows lie in ``H``.
 Member sets are built only for output, witnesses, scans and these oracles.
 
-Each group has one cached :class:`EndoRing` shape for the oracles and scans;
-the ring budget applies through :func:`get_ring`, which their callers check.
-Only :func:`enumerate_endos`, :attr:`EndoRing.action` and the pullback oracle
-decode every member; ``endo-height-exponent`` and ``endo-indicator-monotone``,
-exhaustive by statement, scan every (endomorphism, element) pair in one pass
-through :meth:`EndoRing.action_chunks`.  ``rank-subadditivity`` reads an
-image's rank off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`).
-The ring's enumeration order is fixed (matrix positions row-major, entries
-ascending), so every index used here is reproducible run to run.
+Each group has one cached :class:`EndoRing`, the index space of End(G): its
+radix, strides and basis, ``O(r^2)`` numbers.  The ring budget applies
+through :func:`get_ring`, which the callers that walk End(G) check.  Only the
+action and :meth:`EndoRing.is_fully_invariant` read the group's elements,
+from its table, when called; ``endo-height-exponent`` and
+``endo-indicator-monotone``, exhaustive by statement, scan every
+(endomorphism, element) pair in one pass through :meth:`EndoRing.action_chunks`
+(:func:`_endo_action_claims`).  ``rank-subadditivity`` reads an image's rank
+off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`), and the
+descriptor rule compares the pullbacks' shift matrices
+(:func:`verify_descriptor_rule`).  The enumeration order is fixed (matrix
+positions row-major, entries ascending), so every index is reproducible.
 """
 from __future__ import annotations
 
@@ -64,6 +67,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    IncomparableContextError,
     InvalidInputError,
     MismatchedParentError,
     NotFullyInvariantError,
@@ -71,8 +75,11 @@ from .errors import (
 )
 from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts
 from .groups import _bits, _grid, _is_int, _join_closure, _members, _same_group, _span
-from .groups import _block_order, _packing, _subgroup, _table, block_subgroup
+from .groups import _block_order, _packing, _subgroup, _table, _within, block_subgroup
+from .indicators import ind_of
+from .lattice import canonical_fi_form, enumerate_fi_subgroups
 from .reports import ClaimReport, _verdict
+from .symbolic import Ordinal, SymbolicIdealDescriptor, descriptor_leq
 
 #: Largest endomorphism ring that will be enumerated.
 DEFAULT_MAX_RING_ORDER = 2**20
@@ -282,14 +289,14 @@ def _image_ranks(G: GroupSpec, mats) -> np.ndarray:
 
 
 class EndoRing:
-    """The shape of End(G): indexing, the additive basis and lookup tables.
+    """The index space of End(G): its indexing and additive basis.
 
-    Elements are addressed by their packed indices (see :mod:`pgroups.groups`),
-    endomorphisms by dense indices whose digit ``k`` is the multiple of
-    ``basis[k]``, one of the ``r^2`` single-entry matrices (with the forced
-    divisibility) that additively span the ring.  The shape checks no budget
-    and holds no table of members: matrices are decoded from indices on
-    demand (:meth:`decode`).
+    Endomorphisms are addressed by dense indices whose digit ``k`` is the
+    multiple of ``basis[k]``, one of the ``r^2`` single-entry matrices (with
+    the forced divisibility) that additively span the ring.  The shape checks
+    no budget and holds ``O(r^2)`` numbers: matrices are decoded from indices
+    on demand (:meth:`decode`), and the action reads the group's table
+    (:func:`pgroups.groups._table`) when it is called.
     """
 
     def __init__(self, G: GroupSpec):
@@ -297,9 +304,7 @@ class EndoRing:
         self.size = ring_order(G)
         exps = G.coordinate_exponents
         r = self.rank = G.rank
-        table = _table(G)
-        self.moduli, self._elem_strides = table.moduli, table.strides
-        self.elem_coords = table.coords
+        self.moduli = _packing(G)[0]
 
         # positions (s, t) row-major; digit radix min(e_s,e_t),
         # stored entry = digit * p^max(0, e_t - e_s)
@@ -312,14 +317,6 @@ class EndoRing:
         # exact below 2**63, which covers every ring that can be indexed
         self._endo_strides = np.append(np.cumprod(self._endo_radix[:0:-1])[::-1], 1)
         self.basis = np.diag(self._endo_lift).reshape(r * r, r, r)
-
-    # -- element indexing ---------------------------------------------------
-
-    def element_index(self, a: Element) -> int:
-        return int(np.dot(np.array(a.coords, dtype=np.int64), self._elem_strides))
-
-    def element_of_index(self, idx: int) -> Element:
-        return Element(self.group, tuple(self.elem_coords[idx].tolist()))
 
     # -- endo indexing ------------------------------------------------------
 
@@ -343,7 +340,8 @@ class EndoRing:
 
     def _act_block(self, mats: np.ndarray) -> np.ndarray:
         """Packed images of every element under each matrix in ``mats``."""
-        return np.matmul(self.elem_coords, mats) % self.moduli @ self._elem_strides
+        table = _table(self.group)
+        return np.matmul(table.coords, mats) % table.moduli @ table.strides
 
     @property
     def action(self) -> np.ndarray:
@@ -371,32 +369,7 @@ class EndoRing:
         """
         return self._act_block(self.decode(endo_indices))
 
-    def orbit_steps(self, elem_indices) -> np.ndarray:
-        """Per element ``a``, the step of each coordinate ``t`` of its orbit:
-        the gcd of ``p^e_t`` and the ``(a.b)_t`` over the additive basis,
-        which are the ``a_s p^max(0, e_t - e_s)``."""
-        lift = self._endo_lift.reshape(self.rank, self.rank)
-        coords = self.elem_coords[elem_indices]
-        steps = np.broadcast_to(self.moduli, coords.shape)
-        for s in range(self.rank):
-            steps = np.gcd(steps, coords[..., s, None] * lift[s])
-        return steps
-
-    def orbit_indices(self, elem_idx: int) -> np.ndarray:
-        """Sorted unique packed indices of ``{a.f : f}`` for one element.
-
-        This is the span of the ``a.b`` over the additive basis, hence the
-        smallest fully invariant subgroup containing ``a``.  Each ``a.b`` lies
-        in one coordinate, so the span splits by coordinate: coordinate ``t``
-        runs over the multiples of its step (:meth:`orbit_steps`).
-        """
-        return _grid(self.orbit_steps(elem_idx), self.moduli, self._elem_strides)
-
-    # -- subgroup helpers ---------------------------------------------------
-
-    def element_span(self, seed: np.ndarray) -> np.ndarray:
-        """Smallest subgroup (as sorted packed indices) containing ``seed``."""
-        return _span(seed, self.moduli, self._elem_strides)
+    # -- index sets ---------------------------------------------------------
 
     def endo_span(self, seed: np.ndarray) -> np.ndarray:
         """Smallest additively closed endo index set containing ``seed`` (and 0)."""
@@ -414,8 +387,9 @@ class EndoRing:
     def is_fully_invariant(self, H: Subgroup) -> bool:
         """``H.b`` lies in ``H`` for every basis matrix ``b``; as ``H`` is a
         subgroup, that covers every sum of basis matrices, i.e. all of End(G)."""
-        images = self.elem_coords[H.indices] @ self.basis % self.moduli
-        return bool(_members(images @ self._elem_strides, H.indices).all())
+        table = _table(self.group)
+        images = table.coords[H.indices] @ self.basis % table.moduli
+        return bool(_members(images @ table.strides, H.indices).all())
 
 
 @lru_cache(maxsize=32)
@@ -444,6 +418,72 @@ def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
     ring = get_ring(G, max_ring=max_ring)
     mats = ring.decode(np.arange(ring.size)).tolist()
     return [Endo(G, tuple(map(tuple, m))) for m in mats]
+
+
+def _endo_action_claims(G: GroupSpec, max_ring: int | None = None) -> list:
+    """``endo-height-exponent`` and ``endo-indicator-monotone`` from one scan
+    of every (endomorphism, element) pair; each keeps its first five failures
+    in scan order.
+
+    Endomorphisms never lower height nor raise exponent.  They also refine
+    indicators, ``ind(a) precedes ind(a f)``, which is equivalent to
+    ``height(p^k a) <= height(p^k af)`` for every k below exp(G) (the length
+    condition falls out of the infinite height of vanished multiples).
+    The scan is refused above ``MAX_ACTION_ENTRIES`` pairs.
+    """
+    ring = get_ring(G, max_ring=max_ring)
+    pairs = ring.size * G.order
+    if pairs > MAX_ACTION_ENTRIES:
+        raise RingTooLargeError(
+            f"{ring.size} endomorphisms x {G.order} elements = {pairs} pairs"
+            f" exceeds cap {MAX_ACTION_ENTRIES}"
+        )
+    table = _table(G)
+    h, ex = table.heights[: G.exponent], table.exponents
+    fails = {"endo-height-exponent": [], "endo-indicator-monotone": []}
+    for start, block in ring.action_chunks():
+        bad = {
+            "endo-height-exponent": (h[0, block] < h[0]) | (ex[block] > ex),
+            "endo-indicator-monotone": (h[:, block] < h[:, None]).any(axis=0),
+        }
+        for cid, mask in bad.items():
+            f_offs, xs = np.nonzero(mask)
+            for f_off, x in zip(f_offs, xs[: 5 - len(fails[cid])]):
+                fails[cid].append((start + int(f_off), int(x), int(block[f_off, x])))
+        if all(len(found) >= 5 for found in fails.values()):
+            break
+
+    coords = table.coords
+
+    def pair(f: int, x: int) -> dict:
+        return {"endomorphism": ring.decode(f).tolist(), "element": coords[x].tolist()}
+
+    def indicator(x: int) -> list:
+        return list(ind_of(Element(G, tuple(coords[x].tolist()))).entries)
+
+    heights = [
+        {**pair(f, x), "image": coords[y].tolist()} for f, x, y in fails["endo-height-exponent"]
+    ]
+    monotone = [
+        {**pair(f, x), "indicator": indicator(x), "image_indicator": indicator(y)}
+        for f, x, y in fails["endo-indicator-monotone"]
+    ]
+    n, m = ring.size, G.order
+    verdicts = [
+        ("endo-height-exponent", heights, f"{n} endomorphisms x {m} elements"),
+        ("endo-indicator-monotone", monotone, f"{m} elements x {n} endomorphisms"),
+    ]
+    return _reports(G, verdicts)
+
+
+def check_endo_monotone(G: GroupSpec, max_ring: int | None = None):
+    """Exhaustively confirm that applying an endomorphism refines indicators:
+    ``ind(a) precedes ind(a f)`` for every element/endomorphism pair.
+
+    Vectorizes over the ring's action table (see :func:`_endo_action_claims`).
+    Returns a claim report; refutation would carry the offending pair.
+    """
+    return _endo_action_claims(G, max_ring)[1]
 
 
 # --------------------------------------------------------------------------
@@ -709,6 +749,62 @@ def _pushforward(w) -> np.ndarray:
     return np.asarray(w).min(axis=-2)
 
 
+def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
+    """Compare every two-parameter subgroup pair with a context-free
+    symbolic verdict against the true containment of their pullback ideals.
+
+    Descriptors carry the rank cap aleph_0, which filters nothing at finite
+    scale (every image rank is finite), so the comparison isolates the
+    subgroup-parameter direction of the stated rule.  Both orders are read
+    off block shifts, the ideals' as the pullbacks' shift matrices, all pairs
+    at once (:func:`pgroups.groups._within`); the stated rule is evaluated
+    pair by pair, in row-major order.
+    """
+    e = G.exponent
+    descs = [
+        SymbolicIdealDescriptor(kappa=Ordinal(0, k), n=n)
+        for k in range(e)
+        for n in range(1, e + 1)
+    ]
+    shifts = np.array([_fundamental_shifts(G, d.kappa.r, d.n) for d in descs])
+    pulled = _pullback(G, shifts).reshape(len(descs), -1)
+    ideal_leq = _within(pulled, pulled).tolist()
+    subgroup_leq = _within(shifts, shifts).tolist()
+    stated_wit = []
+    empirical_wit = []
+    count = 0
+    for i, a in enumerate(descs):
+        for j, b in enumerate(descs):
+            try:
+                stated = descriptor_leq(a, b)
+            except IncomparableContextError:
+                continue
+            count += 1
+            truth = ideal_leq[i][j]
+            if stated != truth:
+                stated_wit.append(
+                    {"a": str(a), "b": str(b), "stated": stated, "actual": truth}
+                )
+            preserving = subgroup_leq[i][j]
+            if truth != preserving:
+                empirical_wit.append(
+                    {
+                        "a": str(a),
+                        "b": str(b),
+                        "subgroup_leq": preserving,
+                        "ideal_leq": truth,
+                    }
+                )
+    checked = f"{count} comparable descriptor pairs"
+    return _reports(
+        G,
+        [
+            ("descriptor-rule-as-stated", stated_wit[:5], checked),
+            ("descriptor-rule-empirical", empirical_wit[:5], checked),
+        ],
+    )
+
+
 @lru_cache(maxsize=32)
 def _ideal_images(G: GroupSpec) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
     """``(count, ((alpha, n), ...))``: the number of two-sided ideals, and for
@@ -823,8 +919,6 @@ def dagger_subgroup(G: GroupSpec, H: Subgroup) -> Ideal:
     >>> dagger_subgroup(G, fundamental_subgroup(G, 1, 2)).shifts.tolist()  # pG
     [[1, 1], [1, 1]]
     """
-    from .lattice import canonical_fi_form
-
     if H.group != G:
         raise MismatchedParentError("subgroup of a different group")
     try:
@@ -998,6 +1092,7 @@ def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
     in the node, closed under products with the basis on both sides.  Only
     the row spans call :func:`_span`, one per ideal."""
     G = ring.group
+    moduli, strides = _packing(G)
     wit = []
     if list(ideals) != list(census):
         wit.append({"failure": "listing", "listed": len(ideals), "census": len(census)})
@@ -1005,12 +1100,12 @@ def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
         if not np.array_equal(ring.basis_grid(_digit_steps(G, I.shifts)), I.indices):
             wit.append({"ideal_size": I.size, "failure": "not a grid"})
         down = dagger_ideal(G, I)
-        rows = ring.decode(I.indices) @ ring._elem_strides
-        if not np.array_equal(ring.element_span(rows.reshape(-1)), down.indices):
+        rows = ring.decode(I.indices) @ strides
+        if not np.array_equal(_span(rows.reshape(-1), moduli, strides), down.indices):
             wit.append({"ideal_size": I.size, "failure": "pushforward"})
         if not ring.is_fully_invariant(down):
             wit.append({"ideal_size": I.size})
-    every_row = ring.decode(np.arange(ring.size)) @ ring._elem_strides
+    every_row = ring.decode(np.arange(ring.size)) @ strides
     for H in nodes:
         up = dagger_subgroup(G, H)
         ideal_idx = up.indices
@@ -1028,12 +1123,6 @@ def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
             if not np.isin(packed, ideal_idx).all():
                 wit.append({"subgroup_order": H.order, "failure": side})
     return wit
-
-
-def _within(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``[i, j]``: the object with (flattened) shifts ``A[i]`` lies in the one
-    with ``B[j]``: each shift is at least the other's, on both lattices."""
-    return (A[:, None] >= B[None]).all(axis=-1)
 
 
 def _same(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -1062,8 +1151,6 @@ def _galois_reports(G: GroupSpec, W: np.ndarray) -> list[ClaimReport]:
     Pairs are read off in row-major order, the order of ``itertools.product``
     and ``combinations``.
     """
-    from .lattice import enumerate_fi_subgroups
-
     L = enumerate_fi_subgroups(G)
     verdicts = []  # (claim id, witnesses, what was checked)
     k = len(G.components)

@@ -17,16 +17,19 @@ Elements are packed as mixed-radix integers, first coordinate most
 significant, so packed order is lexicographic coordinate order.  A
 :class:`Subgroup` is the sorted array of its packed elements.  One cached
 table per group (:func:`_table`) holds the coordinates of every element and
-the heights of their ``p^k`` multiples, which is all that sums,
-intersections, containment and indicator cuts need; packing itself needs
-only the moduli and strides (:func:`_packing`), so a block subgroup is built
-at any group order without it.  ``Element`` objects appear only where a
-caller asks for them.
+the heights of their ``p^k`` multiples, and is the only per-element table;
+scans that keep none read the same heights block by block
+(:func:`_height_chunks`).  Packing needs only the moduli and strides
+(:func:`_packing`), and an element's orbit under End(G) only the exponents
+(:func:`_orbit_steps`), so block subgroups and orbits are built at any group
+order without the table.  ``Element`` objects appear only where a caller
+asks for them.
 
 A subgroup also carries its block shifts (:attr:`Subgroup.block_shifts`), the
 least valuation met in each homocyclic block.  A fully invariant subgroup is
 the block sum of its shifts, so the lattice reads its order and containment
-off them.  :func:`_span` and :func:`_grid` build index sets in any digit radix:
+off them (:func:`_block_leq`, :func:`_within`).  :func:`_span` and
+:func:`_grid` build index sets in any digit radix:
 the ideal census in :mod:`pgroups.endos` spans and joins sets of End(G) indices
 with them, while the ideals themselves (:class:`pgroups.endos.Ideal`) are held
 by their block shift matrices.
@@ -55,6 +58,9 @@ DEFAULT_MAX_GROUP_ORDER = 2**20
 
 #: Largest explicit element set a single Subgroup may hold.
 DEFAULT_MAX_SUBGROUP_SIZE = 2**16
+
+#: Bytes of the temporaries of one block of :func:`_height_chunks`.
+_SCAN_BYTES = 2**22
 
 
 class _Infinity:
@@ -379,9 +385,11 @@ def _packing(G: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     return moduli, strides
 
 
-@lru_cache(maxsize=32)
-def _table(G: GroupSpec) -> _Table:
-    """The packed tables of ``G``; refused over the enumeration cap."""
+def _height_rows(G: GroupSpec, start: int, stop: int) -> tuple:
+    """``(coords, valuations, heights)`` of the packed elements ``start`` to
+    ``stop - 1``, laid out as in :class:`_Table`: the one height routine of
+    the table and of the chunked scans (:func:`_height_chunks`), refused over
+    the enumeration cap."""
     if G.order > DEFAULT_MAX_GROUP_ORDER:
         raise GroupTooLargeError(
             f"|G| = {G.order} exceeds enumeration cap {DEFAULT_MAX_GROUP_ORDER}"
@@ -389,18 +397,35 @@ def _table(G: GroupSpec) -> _Table:
     p, e = G.p, G.exponent
     moduli, strides = _packing(G)
     exps = np.array(G.coordinate_exponents, dtype=np.int8)
-    coords = np.arange(G.order, dtype=np.int64)[:, None] // strides % moduli
+    coords = np.arange(start, stop, dtype=np.int64)[:, None] // strides % moduli
     divides = [coords % p**k == 0 for k in range(1, e + 1)]
     valuations = np.minimum(np.sum(divides, axis=0, dtype=np.int8), exps)
-    heights = np.empty((e + 1, G.order), dtype=np.int8)
+    heights = np.empty((e + 1, stop - start), dtype=np.int8)
     for k in range(e + 1):
         # p^k x has valuation v + k in a coordinate, or vanishes there
         shifted = valuations + np.int8(k)
         heights[k] = np.where(shifted < exps, shifted, np.int8(e)).min(axis=1)
-    exponents = (heights < e).sum(axis=0)
+    return coords, valuations, heights
+
+
+@lru_cache(maxsize=32)
+def _table(G: GroupSpec) -> _Table:
+    """The packed tables of ``G``; refused over the enumeration cap."""
+    coords, valuations, heights = _height_rows(G, 0, G.order)
+    exponents = (heights < G.exponent).sum(axis=0)
     for arr in (coords, valuations, heights, exponents):
         arr.setflags(write=False)
-    return _Table(moduli, strides, coords, valuations, heights, exponents)
+    return _Table(*_packing(G), coords, valuations, heights, exponents)
+
+
+def _height_chunks(G: GroupSpec):
+    """Yield the ``heights`` of :func:`_table` block by block of consecutive
+    elements, each block's temporaries within ``_SCAN_BYTES``, for scans that
+    keep no table."""
+    # per coordinate of an element: two int64 temporaries and e divisibility flags
+    step = max(1, _SCAN_BYTES // (G.rank * (16 + G.exponent)))
+    for start in range(0, G.order, step):
+        yield _height_rows(G, start, min(start + step, G.order))[2]
 
 
 def _members(x: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
@@ -454,6 +479,22 @@ def _grid(steps, radix: np.ndarray, strides: np.ndarray) -> np.ndarray:
     for q, stride, step in zip(radix, strides, steps):
         out = (out[:, None] + np.arange(0, q, step) * stride).reshape(-1)
     return out
+
+
+def _orbit_steps(G: GroupSpec, coords) -> np.ndarray:
+    """Per element ``a`` (a row of ``coords``), the step of each coordinate
+    ``t`` of its orbit under End(G), read off the exponents: the gcd of
+    ``p^e_t`` and the ``a_s p^max(0, e_t - e_s)``, the images of ``a`` under
+    the single-entry endomorphisms.  Each image lies in one coordinate, so the
+    orbit, the smallest fully invariant subgroup containing ``a``, is the grid
+    of these steps (:func:`_grid`)."""
+    exps = G.coordinate_exponents
+    lift = np.array([[G.p ** max(0, et - es) for et in exps] for es in exps], dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.int64)
+    steps = np.broadcast_to(_packing(G)[0], coords.shape)
+    for s in range(G.rank):
+        steps = np.gcd(steps, coords[..., s, None] * lift[s])
+    return steps
 
 
 def _indices_of(G: GroupSpec, elems: Iterable[Element]) -> np.ndarray:
@@ -691,6 +732,12 @@ def _block_leq(alpha, beta) -> bool:
     shift of ``alpha`` is at least that of ``beta``.  Exact for any subgroup
     with block shifts ``alpha`` (:attr:`Subgroup.block_shifts`)."""
     return all(a >= b for a, b in zip(alpha, beta))
+
+
+def _within(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``[i, j]``: the object with (flattened) shifts ``A[i]`` lies in the one
+    with ``B[j]`` (:func:`_block_leq`), for block sums and ideals alike."""
+    return (A[:, None] >= B[None]).all(axis=-1)
 
 
 def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:

@@ -14,7 +14,11 @@ infinity and whose join truncates to the shorter length.
 :func:`ind_of` computes one element's indicator.  The subgroup ``G(sigma)``
 cut out by an indicator is a block sum whose shifts :func:`cut_shifts` reads
 off the shape; :func:`indicator_subgroup`, the oracle, scans the packed height
-table instead, one vectorised comparison per entry of ``sigma``.
+table instead, one vectorised comparison per entry of ``sigma``, and
+:func:`_cut_order` counts a cut over the heights block by block, keeping no
+table.  The pair bounds (:func:`_pair_bounds`) are read off one precedes
+matrix in blocks of pairs.  The module builds on :mod:`pgroups.groups` alone;
+the action of End(G) on indicators is checked in :mod:`pgroups.endos`.
 """
 from __future__ import annotations
 
@@ -24,14 +28,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    InvalidInputError,
-    NotNormalizableError,
-    RingTooLargeError,
-)
+from .errors import IndexOutOfRangeError, InvalidInputError, NotNormalizableError
 from .groups import Element, GroupSpec, INF, exponent, height, smul, ulm_invariant
-from .groups import _is_int, _subgroup, _table
+from .groups import _height_chunks, _is_int, _subgroup, _table
+
+#: Bytes of one ``[indicator, pair]`` mask in a block of :func:`_pair_bounds`.
+_PAIR_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -268,18 +270,25 @@ def indicator_subgroup(G: GroupSpec, sigma: Indicator):
     >>> indicator_subgroup(G, Indicator((1,))).order    # the socle
     4
     """
-    return _subgroup(G, np.flatnonzero(_cut_mask(G, sigma)))
+    return _subgroup(G, np.flatnonzero(_cut_mask(_table(G).heights, G.exponent, sigma)))
 
 
-def _cut_mask(G: GroupSpec, sigma: Indicator) -> np.ndarray:
-    """``[x]``: element ``x`` lies in the cut ``G(sigma)``, read off the
-    height table without building the subgroup."""
-    heights = _table(G).heights
-    e = G.exponent  # stands for INF in the table, and is above every finite height
+def _cut_mask(heights: np.ndarray, e: int, sigma: Indicator) -> np.ndarray:
+    """``[x]``: element ``x`` lies in the cut ``G(sigma)``, read off
+    ``heights[k, x]``, the heights of its ``p^k`` multiples laid out as in the
+    group's table (``e = exp(G)`` standing for INF), without building the
+    subgroup."""
     inside = heights[min(sigma.length, e)] == e
     for k, s in enumerate(sigma.entries[:e]):
         inside &= heights[k] >= min(s, e)
     return inside
+
+
+def _cut_order(G: GroupSpec, sigma: Indicator) -> int:
+    """The order of the cut ``G(sigma)``, counted over the heights block by
+    block (:func:`pgroups.groups._height_chunks`): no table is kept."""
+    e = G.exponent
+    return sum(int(np.count_nonzero(_cut_mask(h, e, sigma))) for h in _height_chunks(G))
 
 
 def cut_shifts(G: GroupSpec, sigma: Indicator) -> tuple[int, ...]:
@@ -340,15 +349,20 @@ def _pair_bounds(adm: list[Indicator]) -> tuple[np.ndarray, np.ndarray]:
     Refinement is a partial order, so every lower bound of a common lower
     bound ``r`` is one too: ``r`` is the greatest exactly when it has as many
     lower bounds in ``adm`` as the pair has in common.  Dually for the least
-    upper bound.
+    upper bound.  The ``[r, pair]`` masks are built for one block of pairs at
+    a time, each within ``_PAIR_BLOCK_BYTES``.
     """
     P = _precedes_matrix(adm)
     C = P.astype(np.int64)  # counts; the [r, pair] masks stay boolean
+    lower, upper = C.T @ C, C @ C.T  # [i, j]: common lower / upper bounds
+    n_lower, n_upper = C.sum(axis=0)[:, None], C.sum(axis=1)[:, None]
     i, j = np.triu_indices(len(adm), 1)
-    below = C.sum(axis=0)[:, None] == (C.T @ C)[i, j]  # [r, pair]
-    above = C.sum(axis=1)[:, None] == (C @ C.T)[i, j]
-    glb = (P[:, i] & P[:, j] & below).any(axis=0)
-    lub = (P[i].T & P[j].T & above).any(axis=0)
+    glb, lub = np.empty(i.size, dtype=bool), np.empty(i.size, dtype=bool)
+    step = max(1, _PAIR_BLOCK_BYTES // len(adm))
+    for start in range(0, i.size, step):
+        a, b = i[start : start + step], j[start : start + step]
+        glb[start : start + step] = (P[:, a] & P[:, b] & (n_lower == lower[a, b])).any(axis=0)
+        lub[start : start + step] = (P[a].T & P[b].T & (n_upper == upper[a, b])).any(axis=0)
     return glb, lub
 
 
@@ -359,81 +373,3 @@ def indicator_universe(bound: int) -> list[Indicator]:
         for entries in itertools.combinations(range(bound), length):
             out.append(Indicator(entries))
     return _sorted_indicators(out)
-
-
-def _endo_action_claims(G: GroupSpec, max_ring: int | None = None) -> list:
-    """``endo-height-exponent`` and ``endo-indicator-monotone`` from one scan
-    of every (endomorphism, element) pair; each keeps its first five failures
-    in scan order.
-
-    Endomorphisms never lower height nor raise exponent.  They also refine
-    indicators, ``ind(a) precedes ind(a f)``, which is equivalent to
-    ``height(p^k a) <= height(p^k af)`` for every k below exp(G) (the length
-    condition falls out of the infinite height of vanished multiples).
-    The scan is refused above ``MAX_ACTION_ENTRIES`` pairs.
-    """
-    from .endos import MAX_ACTION_ENTRIES, get_ring
-    from .reports import _verdict
-
-    ring = get_ring(G, max_ring=max_ring)
-    pairs = ring.size * G.order
-    if pairs > MAX_ACTION_ENTRIES:
-        raise RingTooLargeError(
-            f"{ring.size} endomorphisms x {G.order} elements = {pairs} pairs"
-            f" exceeds cap {MAX_ACTION_ENTRIES}"
-        )
-    table = _table(G)
-    h, ex = table.heights[: G.exponent], table.exponents
-    fails = {"endo-height-exponent": [], "endo-indicator-monotone": []}
-    for start, block in ring.action_chunks():
-        bad = {
-            "endo-height-exponent": (h[0, block] < h[0]) | (ex[block] > ex),
-            "endo-indicator-monotone": (h[:, block] < h[:, None]).any(axis=0),
-        }
-        for cid, mask in bad.items():
-            f_offs, xs = np.nonzero(mask)
-            for f_off, x in zip(f_offs, xs[: 5 - len(fails[cid])]):
-                fails[cid].append((start + int(f_off), int(x), int(block[f_off, x])))
-        if all(len(found) >= 5 for found in fails.values()):
-            break
-
-    def pair(f: int, x: int) -> dict:
-        return {
-            "endomorphism": ring.decode(f).tolist(),
-            "element": ring.elem_coords[x].tolist(),
-        }
-
-    return [
-        _verdict(
-            "endo-height-exponent",
-            G.describe(),
-            [
-                {**pair(f, x), "image": ring.elem_coords[y].tolist()}
-                for f, x, y in fails["endo-height-exponent"]
-            ],
-            f"{ring.size} endomorphisms x {G.order} elements",
-        ),
-        _verdict(
-            "endo-indicator-monotone",
-            G.describe(),
-            [
-                {
-                    **pair(f, x),
-                    "indicator": list(ind_of(ring.element_of_index(x)).entries),
-                    "image_indicator": list(ind_of(ring.element_of_index(y)).entries),
-                }
-                for f, x, y in fails["endo-indicator-monotone"]
-            ],
-            f"{G.order} elements x {ring.size} endomorphisms",
-        ),
-    ]
-
-
-def check_endo_monotone(G: GroupSpec, max_ring: int | None = None):
-    """Exhaustively confirm that applying an endomorphism refines indicators:
-    ``ind(a) precedes ind(a f)`` for every element/endomorphism pair.
-
-    Vectorizes over the ring's action table (see :func:`_endo_action_claims`).
-    Returns a claim report; refutation would carry the offending pair.
-    """
-    return _endo_action_claims(G, max_ring)[1]

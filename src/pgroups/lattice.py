@@ -18,8 +18,11 @@ other's, and the covers are the strict containments with no node strictly
 between.  The ``indicator-coverage`` claim checks the nodes against the cuts
 scanned off the height table and against an independent oracle: the smallest
 fully invariant subgroup containing a single element is its orbit under the
-full endomorphism ring, arbitrary ones are sums of those, and closing the
-orbits under sums (:func:`pgroups.groups._join_closure`) finds every node.
+full endomorphism ring, read off the exponents with no ring
+(:func:`pgroups.groups._orbit_steps`, also :func:`fi_closure`); arbitrary ones
+are sums of those, and closing the orbits under sums
+(:func:`pgroups.groups._join_closure`) finds every node.  The module builds
+on :mod:`pgroups.groups` and :mod:`pgroups.indicators` only.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .endos import _cached_ring
 from .errors import InvalidInputError, NotFullyInvariantError, UnknownFormatError
 from .groups import Element, GroupSpec, Subgroup, _is_int, block_subgroup
 from .groups import (
@@ -41,11 +43,14 @@ from .groups import (
     _grid,
     _join,
     _join_closure,
+    _orbit_steps,
     _packing,
     _subgroup,
+    _table,
+    _within,
 )
-from .indicators import Indicator, _sorted_indicators, cut_shifts
-from .indicators import enumerate_admissible
+from .indicators import Indicator, _sorted_indicators, cut_shifts, enumerate_admissible
+from .indicators import is_realizable
 from .reports import ClaimReport, _verdict
 
 
@@ -145,8 +150,7 @@ def fi_closure(G: GroupSpec, a: Element) -> Subgroup:
     """
     if a.group != G:
         raise InvalidInputError("element belongs to a different group")
-    ring = _cached_ring(G)
-    return _subgroup(G, ring.orbit_indices(ring.element_index(a)))
+    return _subgroup(G, _grid(_orbit_steps(G, a.coords), *_packing(G)))
 
 
 @dataclass(frozen=True)
@@ -214,8 +218,7 @@ def _strictly_below(shifts) -> np.ndarray:
     """``[i, j]``: block sum ``i`` lies in block sum ``j != i``, i.e. its
     shifts are entrywise at least j's."""
     alpha = np.array(shifts).reshape(len(shifts), -1)
-    below = (alpha[:, None] >= alpha[None]).all(axis=-1)
-    return below & ~np.eye(len(alpha), dtype=bool)
+    return _within(alpha, alpha) & ~np.eye(len(alpha), dtype=bool)
 
 
 @lru_cache(maxsize=32)
@@ -321,10 +324,8 @@ def verify_indicator_coverage(
     orbits with member bitmasks, and the table cuts ``cuts``
     (:func:`pgroups.indicators.table_cuts`), each of which must be the node
     its indicator labels."""
-    from .indicators import is_realizable
-
     lattice = lattice or enumerate_fi_subgroups(G)
-    steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
+    steps = np.unique(_orbit_steps(G, _table(G).coords), axis=0)
     moduli, strides = _packing(G)
     orbits = (_subgroup(G, _grid(s, moduli, strides)) for s in steps)
     sums = set(_join_closure(orbits, _join, lambda H: _bits(H.indices)))

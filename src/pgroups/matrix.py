@@ -39,10 +39,9 @@ from .errors import (
     NoAliasError,
     NotAdmissibleError,
 )
-from .endos import _within
 from .groups import GroupSpec, Subgroup, block_subgroup, subgroup_leq
-from .groups import _block_leq, _block_order, _fundamental_shifts
-from .indicators import Indicator, is_admissible
+from .groups import _block_leq, _block_order, _fundamental_shifts, _within
+from .indicators import Indicator, enumerate_admissible, is_admissible
 from .reports import ClaimReport, _verdict
 
 
@@ -234,8 +233,6 @@ def enumerate_rising_paths(M: FundMatrix) -> list[RisingPath]:
 
     Deterministic order: by length, then start row, then columns.
     """
-    from .indicators import enumerate_admissible
-
     e = M.exponent
     paths = []
     for sigma in enumerate_admissible(M.group):
@@ -388,7 +385,7 @@ def check_quartering(M: FundMatrix) -> list[ClaimReport]:
     claimed incomparable; the first two always hold, the third is checked
     honestly and can fail when distant cells coincide.
 
-    Containment is one :func:`pgroups.endos._within` over the stacked cell
+    Containment is one :func:`pgroups.groups._within` over the stacked cell
     shifts.  Witnesses follow the centers in :meth:`FundMatrix.cells` order,
     then each center's ``se``, ``nw`` and ``other`` cells in
     :func:`quartering` order."""
@@ -445,8 +442,6 @@ def check_alias(M: FundMatrix) -> ClaimReport:
 def check_path_roundtrip(M: FundMatrix) -> ClaimReport:
     """indicator -> path -> indicator is the identity for every admissible
     indicator and every start row; path -> indicator -> path likewise."""
-    from .indicators import enumerate_admissible
-
     witnesses = []
     count = 0
     for P in enumerate_rising_paths(M):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .endos import make_endo, scalar_endo
+from .errors import InvalidInputError
 from .groups import GroupSpec, make_group
 from .symbolic import (
     TAIL_ALL_ZERO,
@@ -110,9 +112,6 @@ def reference_collision_generators(G: GroupSpec):
     Listed with both images equal to the socle; recomputation gives the
     scalar ideal the image ``p^3 G`` instead (``named-collision-pair``).
     """
-    from .endos import make_endo, scalar_endo
-    from .errors import InvalidInputError
-
     if len(G.components) != 2 or G.components[0][1] != 1 or G.components[1][1] != 1:
         raise InvalidInputError("collision pair is defined for rank-2 reference shapes")
     p = G.p

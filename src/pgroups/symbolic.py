@@ -21,8 +21,6 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from .errors import (
     BudgetExceededError,
     IncomparableContextError,
@@ -713,8 +711,8 @@ def descriptor_leq(a: SymbolicIdealDescriptor, b: SymbolicIdealDescriptor) -> bo
     ``a`` contains the subgroup of ``b``, with rank caps compared the
     ordinary way).
 
-    Kept verbatim so :func:`verify_descriptor_rule` can test it against
-    finite groups — which refute the direction (the attached map is
+    Kept verbatim so :func:`pgroups.endos.verify_descriptor_rule` can test it
+    against finite groups — which refute the direction (the attached map is
     order-preserving, not order-reversing; see the ``descriptor-rule-*``
     claims).  When the subgroup parameters are incomparable both ways, the
     answer would depend on the ambient group, so no context-free verdict
@@ -727,72 +725,6 @@ def descriptor_leq(a: SymbolicIdealDescriptor, b: SymbolicIdealDescriptor) -> bo
             f"{a} vs {b}: containment depends on the ambient group"
         )
     return a_contains_b and a.mu <= b.mu
-
-
-def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
-    """Compare every two-parameter subgroup pair with a context-free
-    symbolic verdict against the true containment of their pullback ideals.
-
-    Descriptors carry the rank cap aleph_0, which filters nothing at finite
-    scale (every image rank is finite), so the comparison isolates the
-    subgroup-parameter direction of the stated rule.  Both orders are read
-    off block shifts, the ideals' as the pullbacks' shift matrices, all pairs
-    at once (:func:`pgroups.endos._within`); the stated rule is evaluated
-    pair by pair, in row-major order.
-    """
-    from .endos import _pullback, _within
-    from .groups import _fundamental_shifts
-
-    e = G.exponent
-    name = G.describe()
-    descs = [
-        SymbolicIdealDescriptor(kappa=Ordinal(0, k), n=n)
-        for k in range(e)
-        for n in range(1, e + 1)
-    ]
-    shifts = np.array([_fundamental_shifts(G, d.kappa.r, d.n) for d in descs])
-    pulled = _pullback(G, shifts).reshape(len(descs), -1)
-    ideal_leq = _within(pulled, pulled).tolist()
-    subgroup_leq = _within(shifts, shifts).tolist()
-    stated_wit = []
-    empirical_wit = []
-    checked = 0
-    for i, a in enumerate(descs):
-        for j, b in enumerate(descs):
-            try:
-                stated = descriptor_leq(a, b)
-            except IncomparableContextError:
-                continue
-            checked += 1
-            truth = ideal_leq[i][j]
-            if stated != truth:
-                stated_wit.append(
-                    {"a": str(a), "b": str(b), "stated": stated, "actual": truth}
-                )
-            preserving = subgroup_leq[i][j]
-            if truth != preserving:
-                empirical_wit.append(
-                    {
-                        "a": str(a),
-                        "b": str(b),
-                        "subgroup_leq": preserving,
-                        "ideal_leq": truth,
-                    }
-                )
-    return [
-        _verdict(
-            "descriptor-rule-as-stated",
-            name,
-            stated_wit[:5],
-            f"{checked} comparable descriptor pairs",
-        ),
-        _verdict(
-            "descriptor-rule-empirical",
-            name,
-            empirical_wit[:5],
-            f"{checked} comparable descriptor pairs",
-        ),
-    ]
 
 
 def check_ulm_position_indexing(G: GroupSpec) -> ClaimReport:

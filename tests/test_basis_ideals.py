@@ -27,7 +27,7 @@ from pgroups import dagger_subgroup, enumerate_fi_subgroups, enumerate_ideals
 from pgroups import make_group, run_claims, special_ideals, verify_galois_suite
 from pgroups import claims, endos, groups
 from pgroups.endos import get_ring
-from pgroups.groups import _members
+from pgroups.groups import _members, _packing
 from ring_family import FAMILY
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -64,7 +64,7 @@ def test_basis_ideals_match_the_whole_ring(G):
     assert [I.indices.tolist() for I in enumerate_ideals(G)] == sweep_ideals(G)
     ring = get_ring(G)
     mats = members(ring)
-    rows = mats @ ring._elem_strides
+    rows = mats @ _packing(G)[1]
     for H in enumerate_fi_subgroups(G).nodes:
         inside = np.flatnonzero(_members(rows, H.indices).all(axis=1))
         assert np.array_equal(dagger_subgroup(G, H).indices, inside)

@@ -256,7 +256,7 @@ class TestRunClaims:
         order."""
         import pgroups.claims
         from pgroups.claims import ClaimContext, _run_indicator_transitivity
-        from pgroups.endos import _cached_ring
+        from pgroups.groups import _grid, _orbit_steps, _packing
         from ring_family import FAMILY
 
         relation = pgroups.claims.precedes
@@ -267,13 +267,12 @@ class TestRunClaims:
         groups = [G for G in FAMILY if G.order <= TRANSITIVITY_MAX_ORDER]
         assert len(groups) > 20
         for G in groups:
-            ring = _cached_ring(G)
             elements = enumerate_elements(G)
             inds = [ind_of(a) for a in elements]
             expected = []
             for i, a in enumerate(elements):
                 in_orbit = np.zeros(len(elements), dtype=bool)
-                in_orbit[ring.orbit_indices(i)] = True
+                in_orbit[_grid(_orbit_steps(G, a.coords), *_packing(G))] = True
                 for j, b in enumerate(elements):
                     if relation(inds[i], inds[j]) and not in_orbit[j]:
                         expected.append({"from": list(a.coords), "to": list(b.coords)})

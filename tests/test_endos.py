@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pgroups import (
+    Element,
     Endo,
     InvalidInputError,
     MismatchedParentError,
@@ -53,7 +54,8 @@ from pgroups import (
     zero_subgroup,
 )
 from pgroups import endos
-from pgroups.groups import _members, _span
+from pgroups.groups import _grid, _indices_of, _members, _orbit_steps, _packing, _span
+from pgroups.groups import _subgroup, _table
 from ring_family import FAMILY
 
 
@@ -193,10 +195,10 @@ def test_ring_budget():
 
 class TestRingTables:
     def test_element_index_roundtrip(self, small248):
-        ring = get_ring(small248)
+        coords = _table(small248).coords
         for i, x in enumerate(enumerate_elements(small248)):
-            assert ring.element_index(x) == i
-            assert ring.element_of_index(i) == x
+            assert _indices_of(small248, [x]).tolist() == [i]
+            assert Element(small248, tuple(coords[i].tolist())) == x
 
     def test_endo_index_roundtrip(self, small24):
         ring = get_ring(small24)
@@ -210,8 +212,8 @@ class TestRingTables:
         for i in range(ring.size):
             f = ring.endo_of_index(i)
             row = ring.action_row(i)
-            expected = [ring.element_index(apply(x, f)) for x in elements]
-            assert row.tolist() == expected
+            expected = _indices_of(small24, [apply(x, f) for x in elements])
+            assert row.tolist() == expected.tolist()
 
     def test_action_rows_blocks(self, small24):
         ring = get_ring(small24)
@@ -221,12 +223,11 @@ class TestRingTables:
             assert rows[k].tolist() == ring.action_row(int(i)).tolist()
 
     def test_orbit_is_endomorphic_images(self, small24):
-        ring = get_ring(small24)
         elements = enumerate_elements(small24)
         endos = enumerate_endos(small24)
         for x in elements:
-            got = set(ring.orbit_indices(ring.element_index(x)).tolist())
-            expected = {ring.element_index(apply(x, f)) for f in endos}
+            got = set(_grid(_orbit_steps(small24, x.coords), *_packing(small24)).tolist())
+            expected = set(_indices_of(small24, [apply(x, f) for f in endos]).tolist())
             assert got == expected
 
     def test_is_fully_invariant(self, small24):
@@ -344,13 +345,14 @@ def _check_ideal_sum_meet_leq(G, table_limit=None):
     # these ideal lattices are chains exactly on the homocyclic groups
     assert (incomparable > 0) == (len(G.components) > 1)
 
-    every_row = ring.decode(np.arange(ring.size)) @ ring._elem_strides
+    moduli, strides = _packing(G)
+    every_row = ring.decode(np.arange(ring.size)) @ strides
 
     def pullback(H):  # the members whose rows lie in H
         return np.flatnonzero(_members(every_row, H.indices).all(axis=1))
 
     def pushforward(indices):  # the span of the members' rows
-        return ring.element_span((ring.decode(indices) @ ring._elem_strides).reshape(-1))
+        return _span((ring.decode(indices) @ strides).reshape(-1), moduli, strides)
 
     for H in enumerate_fi_subgroups(G).nodes:
         up = dagger_subgroup(G, H).indices
@@ -551,10 +553,9 @@ def test_dagger_ideal_matches_generated_images_on_all_ideals(form_group):
 
 def test_orbits_are_endomorphic_images(form_group):
     G = form_group
-    ring = get_ring(G)
     endos = enumerate_endos(G)
     for x in enumerate_elements(G):
-        got = {ring.element_of_index(i) for i in ring.orbit_indices(ring.element_index(x))}
+        got = set(_subgroup(G, _grid(_orbit_steps(G, x.coords), *_packing(G))))
         assert got == {apply(x, f) for f in endos}
 
 
@@ -582,12 +583,11 @@ def test_element_span_matches_subgroup_generated(form_group):
     import random
 
     G = form_group
-    ring = get_ring(G)
     elements = enumerate_elements(G)
     rng = random.Random(20231103)
     for _ in range(40):
         seed = [rng.randrange(len(elements)) for _ in range(rng.randrange(5))]
-        got = ring.element_span(np.array(seed, dtype=np.int64))
+        got = _span(np.array(seed, dtype=np.int64), *_packing(G))
         expected = subgroup_generated(G, [elements[i] for i in seed])
         assert [elements[i] for i in got] == list(expected.elements)
 

@@ -1,11 +1,13 @@
 """Indicator order, admissibility, realizability, and the cut-out subgroups."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pgroups import (
+    GroupTooLargeError,
     INF,
     IndexOutOfRangeError,
     Indicator,
@@ -28,11 +30,15 @@ from pgroups import (
     make_group,
     min_admissible,
     precedes,
+    run_claims,
     smul,
     subgroup_from_set,
     ulm_invariants,
 )
-from pgroups.indicators import _padded, _pair_bounds, _precedes_matrix, _sorted_indicators
+from pgroups import indicators as indicators_module
+from pgroups import groups as groups_module
+from pgroups.indicators import _cut_order, _padded, _pair_bounds, _precedes_matrix
+from pgroups.indicators import _sorted_indicators
 from ring_family import FAMILY
 
 indicators = st.sets(st.integers(0, 5), max_size=5).map(
@@ -307,6 +313,49 @@ def test_cut_of_min_admissible_is_everything(G2):
     assert indicator_subgroup(G2, min_admissible(G2)).order == G2.order
 
 
+@pytest.mark.parametrize("G", FAMILY[:12], ids=lambda G: G.describe())
+def test_cut_order_counts_block_by_block(G, monkeypatch):
+    """The chunked count of a cut, in blocks of a few elements that need not
+    divide |G|, is the order of the cut scanned off the whole table."""
+    monkeypatch.setattr(groups_module, "_SCAN_BYTES", 5 * G.rank * (16 + G.exponent))
+    for sigma in enumerate_admissible(G):
+        assert _cut_order(G, sigma) == indicator_subgroup(G, sigma).order
+
+
+def test_cut_order_keeps_the_enumeration_cap():
+    G = make_group(2, [(21, 1)])
+    with pytest.raises(GroupTooLargeError, match="2097152 exceeds enumeration cap 1048576"):
+        _cut_order(G, min_admissible(G))
+
+
+#: The two reports on Z(2) (+) Z(2^19), as the whole-table scans rendered them.
+BOTTOM_AND_PAIR_BOUNDS = [
+    '{"checked":"58996 unordered pairs","claim_id":"admissible-pair-bounds",'
+    '"group":"Z(2) (+) Z(2^19)","status":"refuted","witnesses":['
+    '{"missing":"glb","sigma":[1],"tau":[2,3]},{"missing":"glb","sigma":[1],"tau":[3,4]},'
+    '{"missing":"glb","sigma":[1],"tau":[4,5]},{"missing":"glb","sigma":[1],"tau":[5,6]},'
+    '{"missing":"glb","sigma":[1],"tau":[6,7]}]}',
+    '{"checked":"344 admissible indicators","claim_id":"min-admissible-bottom",'
+    '"group":"Z(2) (+) Z(2^19)","status":"verified","witnesses":[]}',
+]
+
+
+def test_bottom_and_pair_bounds_keep_no_table():
+    """``min-admissible-bottom`` counts its cut block by block and
+    ``admissible-pair-bounds`` reads its pairs block by block, so on a group
+    of 2**20 elements with 344 admissible indicators neither holds a table
+    of the elements or of the pairs; building both took a 145 MB peak."""
+    G = make_group(2, [(1, 1), (19, 1)])
+    tracemalloc.start()
+    try:
+        reports = run_claims(G, ids=["min-admissible-bottom", "admissible-pair-bounds"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert [r.render() for r in reports] == BOTTOM_AND_PAIR_BOUNDS
+
+
 def test_cut_of_top_is_zero(G2):
     assert indicator_subgroup(G2, TOP).order == 1
 
@@ -383,7 +432,7 @@ BOUND_GROUPS = FAMILY + [make_group(2, [(1, 1), (3, 1), (4, 1)])]
 
 
 @pytest.mark.parametrize("G", BOUND_GROUPS, ids=lambda G: G.describe())
-def test_pair_bounds_match_glb_and_lub(G):
+def test_pair_bounds_match_glb_and_lub(G, monkeypatch):
     adm = _sorted_indicators(enumerate_admissible(G))
     universe = set(adm)
     pairs = list(itertools.combinations(adm, 2))
@@ -392,6 +441,10 @@ def test_pair_bounds_match_glb_and_lub(G):
     assert lub.tolist() == [admissible_lub(G, s, t, universe=universe) is not None for s, t in pairs]
     if G is BOUND_GROUPS[-1]:
         assert not glb.all() and not lub.all()
+    # blocks of seven pairs, the last one short, give the same arrays
+    monkeypatch.setattr(indicators_module, "_PAIR_BLOCK_BYTES", 7 * len(adm))
+    blocked = _pair_bounds(adm)
+    assert blocked[0].tolist() == glb.tolist() and blocked[1].tolist() == lub.tolist()
 
 
 def test_precedes_matrix_is_precedes():

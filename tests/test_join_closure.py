@@ -16,7 +16,8 @@ import pytest
 
 from pgroups import make_group
 from pgroups.endos import _cached_ring, _sandwich_products
-from pgroups.groups import _bits, _grid, _join, _join_closure, _packing, _span, _subgroup
+from pgroups.groups import _bits, _grid, _join, _join_closure, _orbit_steps, _packing, _span
+from pgroups.groups import _subgroup, _table
 from ring_family import FAMILY
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,7 +56,7 @@ def census_atoms(G):
 
 
 def orbit_atoms(G):
-    steps = np.unique(_cached_ring(G).orbit_steps(slice(None)), axis=0)
+    steps = np.unique(_orbit_steps(G, _table(G).coords), axis=0)
     return [_subgroup(G, _grid(s, *_packing(G))) for s in steps]
 
 

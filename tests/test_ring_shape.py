@@ -1,15 +1,20 @@
 """One cached ring shape per group: member matrices are built on demand, and
 the ring budget applies only to work that walks End(G)."""
+import importlib.util
 import itertools
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pgroups
 from pgroups import (
     RingTooLargeError,
     dagger_ideal,
     enumerate_fi_subgroups,
+    enumerate_ideals,
     get_ring,
     ideal_generated,
     identity_endo,
@@ -17,8 +22,10 @@ from pgroups import (
     make_group,
     run_claims,
     scalar_endo,
+    special_ideals,
 )
-from pgroups.endos import _CHUNK_BYTES, _cached_ring, ring_order
+from pgroups.endos import _CHUNK_BYTES, DEFAULT_MAX_IDEAL_RING_ORDER, _cached_ring, ring_order
+from pgroups.groups import _table
 from pgroups.lattice import is_valid_fi_form
 
 #: Rings above the default 2**20 cap on small groups.
@@ -136,3 +143,72 @@ def test_small_rings_act_in_one_block(p, pairs):
     blocks = list(ring.action_chunks())
     assert len(blocks) == 1
     assert np.array_equal(blocks[0][1], ring.action)
+
+
+def _small_ring_groups():
+    """The nine groups of the benchmark's ``verify`` workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [make_group(p, pairs) for p, pairs in module.SMALL_RING_GROUPS]
+
+
+#: The claims whose runners open the ring shape but read no element.
+SHAPE_CLAIMS = [
+    "power-ideal-dagger",
+    "power-subgroup-dagger",
+    "socle-ideal-dagger",
+    "socle-subgroup-dagger",
+    "descriptor-rule-as-stated",
+    "descriptor-rule-empirical",
+    "rank-subadditivity",
+    "collision-recipe",
+    "named-collision-pair",
+    "dagger-order",
+    "dagger-sum-preservation",
+    "dagger-intersection-preservation",
+    "subgroup-double-dagger-deflation",
+    "fi-dagger-closed",
+    "ideal-double-dagger-deflation",
+    "ideal-double-dagger-inflation",
+    "dagger-triple",
+    "dagger-closed-equivalences",
+    "closed-lattice-isomorphism",
+    "dagger-class-structure",
+    "fundamental-dagger-closed",
+]
+
+
+def _shape_answers(G) -> tuple:
+    """The ring shape's arrays, the member indices of the ideals (every ideal
+    within the ideal budget, else the power and torsion ideals of at most
+    2**12 members) and the rendered reports of ``SHAPE_CLAIMS``."""
+    ring = get_ring(G)
+    shape = {k: np.asarray(v).tolist() for k, v in vars(ring).items() if k != "group"}
+    if ring_order(G) <= DEFAULT_MAX_IDEAL_RING_ORDER:
+        ideals = enumerate_ideals(G)
+    else:
+        ideals = [I for n in range(G.exponent + 1) for I in special_ideals(G, n)]
+        ideals = [I for I in ideals if I.size <= 2**12]
+    members = [I.indices.tolist() for I in ideals]
+    return shape, members, [r.render() for r in run_claims(G, ids=SHAPE_CLAIMS)]
+
+
+def test_ring_shape_reads_no_element(monkeypatch):
+    """The ring is the index space of End(G): opening it, listing ideal
+    members and the claims that only gate on it read no table of the group's
+    elements, from the nine ``verify`` groups up to Z(2^20)."""
+    groups = _small_ring_groups() + [make_group(2, [(20, 1)])]
+    expected = [_shape_answers(G) for G in groups]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elements of the group were read")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pgroups") and getattr(module, "_table", None) is _table:
+            monkeypatch.setattr(module, "_table", refuse)
+    assert pgroups.groups._table is refuse
+    _cached_ring.cache_clear()
+    for G, answers in zip(groups, expected):
+        assert _shape_answers(G) == answers, G.describe()

@@ -656,7 +656,7 @@ class TestDescriptor:
             descriptor_leq(a, b)
 
     def test_rule_refuted_by_materialization(self, small24):
-        from pgroups.symbolic import verify_descriptor_rule
+        from pgroups import verify_descriptor_rule
 
         stated, empirical = verify_descriptor_rule(small24)
         assert stated.claim_id == "descriptor-rule-as-stated"
