@@ -159,7 +159,7 @@ class ClaimContext:
     @cached_property
     def ideals(self) -> list:
         self.ring()  # refuses a ring over max_ring
-        return enumerate_ideals(self.group, max_ring=self.max_ideals)
+        return enumerate_ideals(self.group, max_ideals=self.max_ideals)
 
 
 def _report(ctx: ClaimContext, claim_id: str, witnesses: list, checked: str, note: str = "") -> ClaimReport:
@@ -555,7 +555,7 @@ def _run_dagger_well_defined(ctx: ClaimContext) -> _Found:
     (:func:`pgroups.endos._well_defined_witnesses`)."""
     G = ctx.group
     ideals = ctx.ideals  # refuses a ring over max_ring or max_ideals first
-    census = _ideal_census(G, max_ring=ctx.max_ideals)
+    census = _ideal_census(G, max_ideals=ctx.max_ideals)
     nodes = enumerate_fi_subgroups(G).nodes
     wit = _well_defined_witnesses(_cached_ring(G), nodes, ideals, census)
     return wit, f"{len(nodes)} subgroups, {len(ideals)} ideals"

@@ -61,7 +61,7 @@ positions row-major, entries ascending), so every index is reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,7 +75,8 @@ from .errors import (
 )
 from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts
 from .groups import _bits, _grid, _is_int, _join_closure, _members, _same_group, _span
-from .groups import _block_order, _packing, _subgroup, _table, _within, block_subgroup
+from .groups import _block_order, _packing, _subgroup, _table, _valuations, _within
+from .groups import block_subgroup
 from .indicators import ind_of
 from .lattice import canonical_fi_form, enumerate_fi_subgroups
 from .reports import ClaimReport, _verdict
@@ -320,9 +321,6 @@ class EndoRing:
 
     # -- endo indexing ------------------------------------------------------
 
-    def endo_index(self, f: Endo) -> int:
-        return int(self.pack_endos(np.array([f.matrix], dtype=np.int64))[0])
-
     def pack_endos(self, mats: np.ndarray) -> np.ndarray:
         digits = mats.reshape(mats.shape[0], -1) // self._endo_lift[None, :]
         return digits @ self._endo_strides
@@ -476,16 +474,6 @@ def _endo_action_claims(G: GroupSpec, max_ring: int | None = None) -> list:
     return _reports(G, verdicts)
 
 
-def check_endo_monotone(G: GroupSpec, max_ring: int | None = None):
-    """Exhaustively confirm that applying an endomorphism refines indicators:
-    ``ind(a) precedes ind(a f)`` for every element/endomorphism pair.
-
-    Vectorizes over the ring's action table (see :func:`_endo_action_claims`).
-    Returns a claim report; refutation would carry the offending pair.
-    """
-    return _endo_action_claims(G, max_ring)[1]
-
-
 # --------------------------------------------------------------------------
 # ideals
 
@@ -514,8 +502,7 @@ def _entry_shifts(G: GroupSpec, mats) -> np.ndarray:
     """``[s, t]``: the least valuation of an entry from block ``s`` to block
     ``t`` over the ``r x r`` matrices ``mats`` (``e_t`` if all are zero)."""
     a = np.asarray(mats, dtype=np.int64).reshape(-1, G.rank, G.rank)
-    least = np.gcd(np.gcd.reduce(a, axis=0), G.coordinate_moduli)  # p^min(v, e_t)
-    least = np.searchsorted(G.p ** np.arange(G.exponent + 1), least)
+    least = _valuations(G, np.gcd.reduce(a, axis=0))
     starts = np.cumsum(_blocks(G)[1]) - _blocks(G)[1]
     return np.minimum.reduceat(np.minimum.reduceat(least, starts, axis=0), starts, axis=1)
 
@@ -594,9 +581,6 @@ class Ideal:
 
     def endos(self) -> list[Endo]:
         return list(map(_cached_ring(self.group).endo_of_index, self.indices))
-
-    def generator_endos(self) -> list[Endo]:
-        return list(self.generators)
 
     def __contains__(self, f) -> bool:
         if not (isinstance(f, Endo) and f.group == self.group):
@@ -823,15 +807,15 @@ def pullback_size(G: GroupSpec, alpha) -> int:
     return G.p ** int(_log_size(G, _pullback(G, alpha)))
 
 
-def _check_ideal_budget(G: GroupSpec, max_ring: int | None) -> None:
-    cap = DEFAULT_MAX_IDEAL_RING_ORDER if max_ring is None else max_ring
+def _check_ideal_budget(G: GroupSpec, max_ideals: int | None) -> None:
+    cap = DEFAULT_MAX_IDEAL_RING_ORDER if max_ideals is None else max_ideals
     if ring_order(G) > cap:
         raise RingTooLargeError(
             f"|End(G)| = {ring_order(G)} exceeds ideal-enumeration cap {cap}"
         )
 
 
-def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
+def enumerate_ideals(G: GroupSpec, max_ideals: int | None = None) -> list[Ideal]:
     """All two-sided ideals, read off their shift matrices
     (:func:`ideal_shifts`), sorted by (size, indices).  Two grids of one size
     compare as the least member of either outside the other, which sits in
@@ -841,7 +825,7 @@ def enumerate_ideals(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
     The ideal budget (default cap 2**12) is the census's
     (:func:`_ideal_census`), the oracle that ``dagger-well-defined`` checks
     this listing against."""
-    _check_ideal_budget(G, max_ring)
+    _check_ideal_budget(G, max_ideals)
     return [_ideal(G, w) for w in _listed_shifts(G)]
 
 
@@ -852,7 +836,7 @@ def _listed_shifts(G: GroupSpec) -> np.ndarray:
     return W[np.lexsort(np.vstack((W.reshape(len(W), -1).T, _log_size(G, W))))]
 
 
-def _ideal_census(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
+def _ideal_census(G: GroupSpec, max_ideals: int | None = None) -> list[Ideal]:
     """The ideal lattice by exhaustion, the oracle of :func:`enumerate_ideals`:
     the principal ideals of the distinct multiples ``p^v b`` of the basis
     matrices, then every sum of them (:func:`_sum_closure`), sorted by (size,
@@ -861,7 +845,7 @@ def _ideal_census(G: GroupSpec, max_ring: int | None = None) -> list[Ideal]:
     is some ``c b``, which generates the ideal of ``p^(v_p(c)) b``.  The
     census spans packed sets as large as End(G), hence a budget of its own
     (default cap 2**12)."""
-    _check_ideal_budget(G, max_ring)
+    _check_ideal_budget(G, max_ideals)
     ring = _cached_ring(G)
     mults = np.unique(ring.basis_multiples().reshape(-1, G.rank, G.rank), axis=0)
     principal = (ring.endo_span(_sandwich_products(ring, f)) for f in mults)
@@ -946,54 +930,6 @@ def dagger_ideal(G: GroupSpec, I: Ideal) -> Subgroup:
     (0, 1)
     """
     return block_subgroup(G, _image_shifts(G, I))
-
-
-@dataclass(frozen=True)
-class DaggerReport:
-    """Closure verdict for one subgroup or ideal under the double dagger."""
-
-    subject: str
-    status: str  # "closed" | "not_closed"
-    witnesses: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "status": self.status,
-            "witnesses": self.witnesses,
-        }
-
-
-def is_dagger_closed(x: Subgroup | Ideal) -> DaggerReport:
-    """Does the double dagger reproduce ``x``?
-
-    For subgroups the closure can only shrink; for ideals it can only grow,
-    and witnesses list sample members of the difference.
-    """
-    if isinstance(x, Subgroup):
-        subject, G = f"subgroup of order {x.order}", x.group
-        back = dagger_ideal(G, dagger_subgroup(G, x))
-    elif isinstance(x, Ideal):
-        subject, G = f"ideal of size {x.size}", x.group
-        get_ring(G)  # the witnesses read members of End(G)
-        back = dagger_subgroup(G, dagger_ideal(G, x))
-    else:
-        raise InvalidInputError(f"expected a Subgroup or Ideal, got {type(x).__name__}")
-    if back == x:
-        return DaggerReport(subject=subject, status="closed")
-    diff = np.setxor1d(x.indices, back.indices)[:3]
-    ring_side = isinstance(x, Ideal)
-    members = _cached_ring(G).decode(diff) if ring_side else _table(G).coords[diff]
-    return DaggerReport(subject=subject, status="not_closed", witnesses=members.tolist())
-
-
-def dagger_inv_class(G: GroupSpec, H: Subgroup, ideals=None) -> list[Ideal]:
-    """All enumerated ideals whose image subgroup is exactly ``H``."""
-    pool = enumerate_ideals(G) if ideals is None else ideals
-    # H is a pushforward only if it is the block sum of its shifts
-    block_sum = H.group == G and _block_order(G, H.block_shifts) == H.order
-    alpha = H.block_shifts if block_sum else None
-    return [I for I in pool if _image_shifts(G, I) == alpha]
 
 
 def find_dagger_collision(G: GroupSpec, ideals=None):
@@ -1134,17 +1070,11 @@ def _pairwise(ufunc, A: np.ndarray) -> np.ndarray:
     return ufunc(A[:, None], A[None])
 
 
-def verify_galois_suite(G: GroupSpec) -> list[ClaimReport]:
-    """Order/meet/join preservation, closure behavior, and class structure of
-    the two dagger maps, exhaustively over the fully invariant lattice and
-    the ideal lattice within the default ideal budget (:func:`_galois_reports`)."""
-    _check_ideal_budget(G, None)
-    return _galois_reports(G, _listed_shifts(G))
-
-
 def _galois_reports(G: GroupSpec, W: np.ndarray) -> list[ClaimReport]:
-    """:func:`verify_galois_suite` over the ideals with shift matrices ``W``,
-    listed in the order of :func:`enumerate_ideals`, in valuations: a node by
+    """The dagger suite: order/meet/join preservation, closure behavior and
+    class structure of the two dagger maps, exhaustively over the fully
+    invariant lattice and the ideals with shift matrices ``W``, listed in the
+    order of :func:`enumerate_ideals`, in valuations: a node by
     its block shifts, an ideal by its block shift matrix (flattened), with
     sums, meets and containment as the entrywise min, max and ``>=`` on both
     sides, and the two maps as :func:`_pullback` and :func:`_pushforward`.

@@ -385,6 +385,13 @@ def _packing(G: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     return moduli, strides
 
 
+def _valuations(G: GroupSpec, x) -> np.ndarray:
+    """``min(v_p(x_i), e_i)`` per coordinate, ``x`` over any leading axes:
+    ``gcd(x_i, p^e_i)`` is that power of ``p``, located among the powers up to
+    ``p^e``."""
+    return np.searchsorted(G.p ** np.arange(G.exponent + 1), np.gcd(x, _packing(G)[0]))
+
+
 def _height_rows(G: GroupSpec, start: int, stop: int) -> tuple:
     """``(coords, valuations, heights)`` of the packed elements ``start`` to
     ``stop - 1``, laid out as in :class:`_Table`: the one height routine of
@@ -394,12 +401,11 @@ def _height_rows(G: GroupSpec, start: int, stop: int) -> tuple:
         raise GroupTooLargeError(
             f"|G| = {G.order} exceeds enumeration cap {DEFAULT_MAX_GROUP_ORDER}"
         )
-    p, e = G.p, G.exponent
+    e = G.exponent
     moduli, strides = _packing(G)
     exps = np.array(G.coordinate_exponents, dtype=np.int8)
     coords = np.arange(start, stop, dtype=np.int64)[:, None] // strides % moduli
-    divides = [coords % p**k == 0 for k in range(1, e + 1)]
-    valuations = np.minimum(np.sum(divides, axis=0, dtype=np.int8), exps)
+    valuations = _valuations(G, coords).astype(np.int8)
     heights = np.empty((e + 1, stop - start), dtype=np.int8)
     for k in range(e + 1):
         # p^k x has valuation v + k in a coordinate, or vanishes there
@@ -422,8 +428,9 @@ def _height_chunks(G: GroupSpec):
     """Yield the ``heights`` of :func:`_table` block by block of consecutive
     elements, each block's temporaries within ``_SCAN_BYTES``, for scans that
     keep no table."""
-    # per coordinate of an element: two int64 temporaries and e divisibility flags
-    step = max(1, _SCAN_BYTES // (G.rank * (16 + G.exponent)))
+    # per element: three int64 temporaries per coordinate (the coordinate, its
+    # gcd with the modulus, its valuation) and e + 1 int8 heights
+    step = max(1, _SCAN_BYTES // (24 * G.rank + G.exponent + 1))
     for start in range(0, G.order, step):
         yield _height_rows(G, start, min(start + step, G.order))[2]
 
@@ -639,15 +646,6 @@ def _subgroup(G: GroupSpec, indices: np.ndarray, shifts=None) -> Subgroup:
     return Subgroup.__new__(Subgroup)._hold(G, indices, shifts)
 
 
-def subgroup_from_set(G: GroupSpec, elems: Iterable[Element]) -> Subgroup:
-    """Freeze an element set into a Subgroup with canonical ordering.
-
-    The caller asserts closure; this only sorts, dedupes, caps, and checks
-    the zero element is present.
-    """
-    return Subgroup(G, elems)
-
-
 def subgroup_generated(G: GroupSpec, generators: Iterable[Element]) -> Subgroup:
     """Additive closure of a generating set (cyclic multiples + sums)."""
     cap = DEFAULT_MAX_SUBGROUP_SIZE
@@ -673,7 +671,7 @@ def subgroup_generated(G: GroupSpec, generators: Iterable[Element]) -> Subgroup:
             raise GroupTooLargeError(
                 f"generated subgroup exceeded cap {cap} during closure"
             )
-    return subgroup_from_set(G, closed)
+    return Subgroup(G, closed)
 
 
 def _join(H: Subgroup, K: Subgroup) -> Subgroup:

@@ -310,12 +310,6 @@ def cut_shifts(G: GroupSpec, sigma: Indicator) -> tuple[int, ...]:
     return tuple(out)
 
 
-def table_cuts(G: GroupSpec) -> dict:
-    """``{sigma: indicator_subgroup(G, sigma)}`` over the admissible
-    indicators in the fixed order: the oracle map the cut checks take."""
-    return {s: indicator_subgroup(G, s) for s in _sorted_indicators(enumerate_admissible(G))}
-
-
 def admissible_glb(
     G: GroupSpec, sigma: Indicator, tau: Indicator, universe: set[Indicator] | None = None
 ) -> Indicator | None:

@@ -199,17 +199,6 @@ class FILattice:
     def nodes(self) -> tuple[Subgroup, ...]:
         return tuple(block_subgroup(self.group, a) for a in self.shifts)
 
-    def index_of(self, H: Subgroup) -> int:
-        """The node equal to ``H``, looked up by its block shifts: no node is
-        built."""
-        G = self.group
-        # a node is the block sum of its shifts
-        if isinstance(H, Subgroup) and H.group == G:
-            alpha = H.block_shifts
-            if _block_order(G, alpha) == H.order and alpha in self.shifts:
-                return self.shifts.index(alpha)
-        raise InvalidInputError("subgroup is not a lattice node")
-
     def names(self) -> list[str]:
         return [_shift_name(self.group, a) for a in self.shifts]
 
@@ -322,7 +311,7 @@ def verify_indicator_coverage(
     The lattice is read off the shape, so its nodes are checked against
     independent oracles: every sum of single-element orbits, closed over the
     orbits with member bitmasks, and the table cuts ``cuts``
-    (:func:`pgroups.indicators.table_cuts`), each of which must be the node
+    (:attr:`pgroups.claims.ClaimContext.cuts`), each of which must be the node
     its indicator labels."""
     lattice = lattice or enumerate_fi_subgroups(G)
     steps = np.unique(_orbit_steps(G, _table(G).coords), axis=0)

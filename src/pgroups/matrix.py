@@ -40,7 +40,7 @@ from .errors import (
     NotAdmissibleError,
 )
 from .groups import GroupSpec, Subgroup, block_subgroup, subgroup_leq
-from .groups import _block_leq, _block_order, _fundamental_shifts, _within
+from .groups import _block_leq, _block_order, _fundamental_shifts, _packing, _within
 from .indicators import Indicator, enumerate_admissible, is_admissible
 from .reports import ClaimReport, _verdict
 
@@ -268,7 +268,7 @@ def sigma_sum(G: GroupSpec, sigma: Indicator) -> Subgroup:
 
 def sigma_sum_verdicts(G: GroupSpec, cuts: dict):
     """For every indicator of ``cuts`` (``{sigma: G(sigma)}``, the table cuts
-    of :func:`pgroups.indicators.table_cuts`): does the cell sum equal G(sigma)?
+    of :attr:`pgroups.claims.ClaimContext.cuts`): does the cell sum equal G(sigma)?
 
     Returns ``{sigma: (equal, sum_contained_in_G_sigma)}`` from explicit set
     comparisons.
@@ -283,27 +283,27 @@ def sigma_sum_verdicts(G: GroupSpec, cuts: dict):
 def verify_sigma_sum(G: GroupSpec, cuts: dict) -> list[ClaimReport]:
     """Two reports over the table cuts ``cuts``: exact equality of the cell
     sum with G(sigma) per indicator, and the one-sided containment of the sum
-    in G(sigma)."""
-    verdicts = sigma_sum_verdicts(G, cuts)
+    in G(sigma).  An equality witness names the least element of G(sigma)
+    missing from the sum, in packed (lexicographic) order."""
     name = G.describe()
+    moduli, strides = _packing(G)
     eq_witnesses = []
     cont_witnesses = []
-    for sigma, (equal, contained) in verdicts.items():
-        if not equal:
-            target = cuts[sigma]
-            total = sigma_sum(G, sigma)
-            missing = next(e for e in target if e not in total)
+    for sigma, target in cuts.items():
+        total = sigma_sum(G, sigma)
+        if total != target:
+            missing = np.setdiff1d(target.indices, total.indices)[0]
             eq_witnesses.append(
                 {
                     "indicator": list(sigma.entries),
                     "sum_order": total.order,
                     "subgroup_order": target.order,
-                    "element_missing_from_sum": list(missing.coords),
+                    "element_missing_from_sum": (missing // strides % moduli).tolist(),
                 }
             )
-        if not contained:
+        if not subgroup_leq(total, target):
             cont_witnesses.append({"indicator": list(sigma.entries)})
-    checked = f"{len(verdicts)} admissible indicators"
+    checked = f"{len(cuts)} admissible indicators"
     return [
         _verdict("sigma-sum-equality", name, eq_witnesses, checked),
         _verdict("sigma-sum-containment", name, cont_witnesses, checked),

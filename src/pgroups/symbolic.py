@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -88,13 +88,6 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if b.q > 0:
         return Ordinal(a.q + b.q, b.r)
     return Ordinal(a.q, a.r + b.r)
-
-
-def ord_cmp(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0, or 1 as ``a`` is below, equal to, or above ``b``."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
 
 
 # --------------------------------------------------------------------------
@@ -227,12 +220,9 @@ class UlmBlock:
             return self.tail_value  # type: ignore[return-value]
         raise InvalidInputError("position beyond a partial block")
 
-    def suffix_sum(self, j: int) -> CardinalValue:
-        """Sum of all values from offset j to the end of the omega-segment."""
-        return self.suffix_sums()[j]
-
     def suffix_sums(self) -> list[CardinalValue]:
-        """``suffix_sum(j)`` for every head offset ``j``, ``len(head)`` included."""
+        """The sum of the values from head offset ``j`` to the end of the
+        omega-segment, for every ``j``, ``len(head)`` included."""
         tail = cardinal_repeat_omega(self.tail_value) if self.tail == TAIL_CONSTANT else ZERO
         return [cardinal_add(h, tail) for h in _suffix_sums(list(self.head))]
 
@@ -305,7 +295,7 @@ class UlmSequence:
 
     def block_total(self, i: int) -> CardinalValue:
         """Sum of all values in block ``i``."""
-        return self.blocks[i].suffix_sum(0)
+        return self.blocks[i].suffix_sums()[0]
 
     def to_json(self) -> dict:
         return {"lambda": self.length.to_json(), "blocks": _keyed_blocks(self.blocks)}
@@ -507,9 +497,6 @@ class BasicSequence:
         if not self.blocks:
             raise ShapeViolationError("at least one block is required")
 
-    def indexed(self) -> list[tuple[Ordinal, BasicGroupSpec]]:
-        return [(Ordinal(i, 0), b) for i, b in enumerate(self.blocks)]
-
     def to_json(self) -> dict:
         return {"blocks": _keyed_blocks(self.blocks)}
 
@@ -541,23 +528,7 @@ def basic_sequence_of_group(G: GroupSpec) -> BasicSequence:
     return BasicSequence(blocks=(BasicGroupSpec(pairs=pairs),))
 
 
-def _normalize_blocks(
-    seq: Union[BasicSequence, Iterable[tuple[Ordinal, BasicGroupSpec]]],
-) -> BasicSequence:
-    if isinstance(seq, BasicSequence):
-        return seq
-    pairs = list(seq)
-    for i, (xi, _) in enumerate(pairs):
-        if xi != Ordinal(i, 0):
-            raise InvalidInputError(
-                f"blocks must be indexed consecutively from 0 by w; got {xi} at slot {i}"
-            )
-    return BasicSequence(blocks=tuple(b for _, b in pairs))
-
-
-def check_basic_sequence_admissible(
-    seq: Union[BasicSequence, Iterable[tuple[Ordinal, BasicGroupSpec]]],
-) -> ClaimReport:
+def check_basic_sequence_admissible(seq: BasicSequence) -> ClaimReport:
     """Shape rules are enforced, the rank inequality is reported.
 
     Every block before the last must be unbounded (a bounded block would
@@ -566,7 +537,6 @@ def check_basic_sequence_admissible(
     have at least as many summands as all later blocks combined, since the
     later levels embed below it.
     """
-    seq = _normalize_blocks(seq)
     blocks = seq.blocks
     for i, b in enumerate(blocks):
         if b.is_empty:
@@ -602,12 +572,9 @@ def _dense_multiplicities(b: BasicGroupSpec) -> tuple[CardinalValue, ...]:
     return tuple(b.multiplicity_of(n) for n in range(1, top + 1))
 
 
-def basic_seq_to_ulm(
-    seq: Union[BasicSequence, Iterable[tuple[Ordinal, BasicGroupSpec]]],
-) -> UlmSequence:
+def basic_seq_to_ulm(seq: BasicSequence) -> UlmSequence:
     """Multiplicity of exponent ``n`` in the block at ``xi`` lands at position
     ``xi + (n - 1)`` of the Ulm sequence; constant tails carry over unchanged."""
-    seq = _normalize_blocks(seq)
     verdict = check_basic_sequence_admissible(seq)
     if verdict.status == "refuted":
         raise NotAdmissibleError(f"inadmissible blocks: {verdict.witnesses}")

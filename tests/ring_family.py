@@ -1,7 +1,8 @@
 """Every endomorphism ring within the ideal budget, for p in {2, 3, 5, 7}.
 
 Shared by the tier-1 oracles that check a basis-built computation against the
-whole-ring definition it replaces on each ring of the family.
+whole-ring definition it replaces on each ring of the family, with the claim
+ids of the dagger suite, which ``run_claims`` reaches through one runner.
 """
 import itertools
 
@@ -35,3 +36,20 @@ def _family():
 
 
 FAMILY = _family()
+
+#: The twelve claims of the dagger suite; ``dagger-well-defined``, its census
+#: oracle, is a claim of its own.
+DAGGER_SUITE = [
+    "dagger-order",
+    "dagger-sum-preservation",
+    "dagger-intersection-preservation",
+    "subgroup-double-dagger-deflation",
+    "fi-dagger-closed",
+    "ideal-double-dagger-deflation",
+    "ideal-double-dagger-inflation",
+    "dagger-triple",
+    "dagger-closed-equivalences",
+    "closed-lattice-isomorphism",
+    "dagger-class-structure",
+    "fundamental-dagger-closed",
+]

@@ -17,12 +17,12 @@ from itertools import product
 import pytest
 
 from pgroups import (
+    ClaimContext,
     Indicator,
     Ordinal,
     add,
     apply,
     build_matrix,
-    check_endo_monotone,
     check_join_meet,
     check_quartering,
     check_ulm_criterion,
@@ -46,11 +46,9 @@ from pgroups import (
     sigma_sum_verdicts,
     subgroup_generated,
     subgroup_name,
-    table_cuts,
     ulm_sequence_of_group,
     unexpected_refutations,
     verify_fun_identities,
-    verify_galois_suite,
     verify_sigma_sum,
 )
 from pgroups.cli import main
@@ -61,6 +59,7 @@ from pgroups.reference import (
 )
 
 from conftest import own_pgroups_env
+from ring_family import DAGGER_SUITE
 
 RING_GATE = 2**12
 
@@ -226,7 +225,7 @@ def test_criterion_3_dagger_suite(criterion):
                 skipped.append(G.describe())
                 continue
             start = time.perf_counter()
-            reports = verify_galois_suite(G) + verify_fun_identities(G)
+            reports = run_claims(G, ids=DAGGER_SUITE) + verify_fun_identities(G)
             assert len(reports) == 16
             reports += run_claims(G, ids=["dagger-well-defined"])
             elapsed = time.perf_counter() - start
@@ -274,7 +273,7 @@ def test_criterion_5_indicator_monotone(criterion):
     with criterion(5, "indicator monotonicity under endomorphisms") as info:
         G = reference_group(2)
         start = time.perf_counter()
-        report = check_endo_monotone(G)
+        (report,) = run_claims(G, ids=["endo-indicator-monotone"])
         elapsed = time.perf_counter() - start
         assert report.status == "verified"
         assert "1024 endomorphisms" in report.checked
@@ -335,7 +334,8 @@ def test_criterion_7_sigma_sum_verdict(criterion):
     with criterion(7, "per-indicator sum report") as info:
         G = reference_group(2)
         M = build_matrix(G)
-        verdicts = sigma_sum_verdicts(G, table_cuts(G))
+        cuts = ClaimContext(G).cuts
+        verdicts = sigma_sum_verdicts(G, cuts)
         admissible = enumerate_admissible(G)
         assert set(verdicts) == set(admissible)  # the mechanism covers every row
 
@@ -352,7 +352,7 @@ def test_criterion_7_sigma_sum_verdict(criterion):
         assert equal == oracle_equal
         assert contained == oracle_contained
 
-        equality_report, containment_report = verify_sigma_sum(G, table_cuts(G))
+        equality_report, containment_report = verify_sigma_sum(G, cuts)
         assert containment_report.status == "verified"
         assert (equality_report.status == "refuted") == any(
             not eq for eq, _ in verdicts.values()

@@ -24,11 +24,11 @@ import numpy as np
 import pytest
 
 from pgroups import dagger_subgroup, enumerate_fi_subgroups, enumerate_ideals
-from pgroups import make_group, run_claims, special_ideals, verify_galois_suite
+from pgroups import make_group, run_claims, special_ideals
 from pgroups import claims, endos, groups
 from pgroups.endos import get_ring
 from pgroups.groups import _members, _packing
-from ring_family import FAMILY
+from ring_family import DAGGER_SUITE, FAMILY
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -101,7 +101,7 @@ def test_galois_suite_spans_only_its_oracle_rows(monkeypatch):
 
     for module in (groups, endos):
         monkeypatch.setattr(module, "_span", counting)
-    assert len(verify_galois_suite(G)) == 12
+    assert len(run_claims(G, ids=DAGGER_SUITE)) == 12
     assert calls == []
     endos._well_defined_witnesses(endos._cached_ring(G), nodes, ideals, census)
     # one row span per ideal; the pair loops over packed sets made 1264
@@ -120,7 +120,7 @@ def test_galois_suite_builds_no_member_set(monkeypatch):
                     monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(endos.Ideal, "indices", property(refuse))
     for G in _verify_groups():
-        ids = [r.claim_id for r in verify_galois_suite(G)]
+        ids = [r.claim_id for r in run_claims(G, ids=DAGGER_SUITE)]
         assert len(ids) == 12 and "dagger-well-defined" not in ids, G.describe()
 
 
@@ -147,6 +147,6 @@ def test_dagger_well_defined_catches_a_census_set_off_its_grid(monkeypatch):
     top = census[-1]
     census[-1] = endos.Ideal(G, top.indices[:-1])  # End(G) less one member
     assert census[-1] == top  # same shifts, so only the member sets differ
-    monkeypatch.setattr(claims, "_ideal_census", lambda G, max_ring=None: census)
+    monkeypatch.setattr(claims, "_ideal_census", lambda G, max_ideals=None: census)
     (report,) = run_claims(G, ids=["dagger-well-defined"])
     assert report.witnesses[0] == {"ideal_size": top.size, "failure": "not a grid"}

@@ -374,9 +374,9 @@ class TestRunClaims:
 
         calls = []
 
-        def spy(G, max_ring=None):
-            calls.append(max_ring)
-            return enumerate_ideals(G, max_ring=max_ring)
+        def spy(G, max_ideals=None):
+            calls.append(max_ideals)
+            return enumerate_ideals(G, max_ideals=max_ideals)
 
         for module in (pgroups.claims, pgroups.endos):
             monkeypatch.setattr(module, "enumerate_ideals", spy)

@@ -19,7 +19,6 @@ from pgroups import (
     block_subgroup,
     compose,
     dagger_ideal,
-    dagger_inv_class,
     dagger_subgroup,
     endo_add,
     endo_rank,
@@ -36,27 +35,25 @@ from pgroups import (
     ideal_sum,
     identity_endo,
     image,
-    is_dagger_closed,
     make_endo,
     make_group,
     principal_ideal,
     reference_collision_generators,
     ring_order,
+    run_claims,
     scalar_endo,
     smul,
     special_ideals,
-    subgroup_from_set,
     subgroup_generated,
     subgroup_name,
     verify_fun_identities,
-    verify_galois_suite,
     zero_endo,
     zero_subgroup,
 )
 from pgroups import endos
 from pgroups.groups import _grid, _indices_of, _members, _orbit_steps, _packing, _span
 from pgroups.groups import _subgroup, _table
-from ring_family import FAMILY
+from ring_family import DAGGER_SUITE, FAMILY
 
 
 def oracle_apply(a, f):
@@ -204,7 +201,7 @@ class TestRingTables:
         ring = get_ring(small24)
         for i in range(ring.size):
             f = ring.endo_of_index(i)
-            assert ring.endo_index(f) == i
+            assert ring.pack_endos(np.array([f.matrix])).tolist() == [i]
 
     def test_action_row_matches_apply(self, small24):
         ring = get_ring(small24)
@@ -312,7 +309,7 @@ def add_endo_indices(ring, a, b):
 def _check_ideal_sum_meet_leq(G, table_limit=None):
     """The shift-form operations against packed-set arithmetic on member
     indices: sum, meet, order and enumeration order of the ideals of ``G``,
-    both daggers and ``is_dagger_closed`` on every fully invariant subgroup
+    and both daggers and their composites on every fully invariant subgroup
     and every ideal.
 
     A sum is checked against the :func:`add_endo_indices` table of all pairwise
@@ -358,18 +355,13 @@ def _check_ideal_sum_meet_leq(G, table_limit=None):
         up = dagger_subgroup(G, H).indices
         assert np.array_equal(up, pullback(H))
         closed = np.array_equal(pushforward(up), H.indices)
-        assert is_dagger_closed(H).status == ("closed" if closed else "not_closed")
+        assert (dagger_ideal(G, dagger_subgroup(G, H)) == H) == closed
     for I in ideals:
         down = dagger_ideal(G, I)
         assert np.array_equal(down.indices, pushforward(I.indices))
         back = pullback(down)
-        report = is_dagger_closed(I)
-        if np.array_equal(back, I.indices):
-            assert report.status == "closed"
-        else:
-            assert report.status == "not_closed"
-            extra = np.setxor1d(back, I.indices)
-            assert report.witnesses == ring.decode(extra[:3]).tolist()
+        assert np.array_equal(dagger_subgroup(G, down).indices, back)
+        assert (dagger_subgroup(G, down) == I) == np.array_equal(back, I.indices)
 
 
 def test_special_ideals_by_recount():
@@ -466,13 +458,14 @@ def test_subgroup_side_closure(small24):
     # H -> H-dagger -> image lands back on H for fully invariant H
     for alpha in [(0, 0), (1, 1), (0, 1), (1, 2)]:
         H = block_subgroup(small24, alpha)
-        report = is_dagger_closed(H)
-        assert report.status == "closed"
+        assert dagger_ideal(small24, dagger_subgroup(small24, H)) == H
 
 
 def test_ideal_side_closure_split(small24):
     closed_sizes = sorted(
-        I.size for I in enumerate_ideals(small24) if is_dagger_closed(I).status == "closed"
+        I.size
+        for I in enumerate_ideals(small24)
+        if dagger_subgroup(small24, dagger_ideal(small24, I)) == I
     )
     assert closed_sizes == [1, 4, 16, 32]
 
@@ -484,12 +477,15 @@ def test_double_dagger_only_grows(small24):
 
 
 def test_dagger_inv_class(small24):
-    ideals = enumerate_ideals(small24)
+    # the ideals whose image is the socle: three of them, closed under sums,
+    # with a unique closed maximum (dagger-class-structure)
     socle = block_subgroup(small24, (0, 1))
-    cls = dagger_inv_class(small24, socle, ideals=ideals)
+    cls = [I for I in enumerate_ideals(small24) if dagger_ideal(small24, I) == socle]
     assert len(cls) == 3
-    for I in cls:
-        assert dagger_ideal(small24, I) == socle
+    for I, J in itertools.combinations(cls, 2):
+        assert dagger_ideal(small24, ideal_sum(I, J)) == socle
+    (report,) = run_claims(small24, ids=["dagger-class-structure"])
+    assert report.status == "verified"
 
 
 def test_collision_construction(small24):
@@ -613,7 +609,7 @@ def test_fun_identities_homocyclic(homocyclic44):
 
 
 def test_galois_suite(small24):
-    reports = {r.claim_id: r for r in verify_galois_suite(small24)}
+    reports = {r.claim_id: r for r in run_claims(small24, ids=DAGGER_SUITE)}
     assert len(reports) == 12  # dagger-well-defined is a claim of its own
     expected_refuted = {"ideal-double-dagger-deflation"}
     for cid, r in reports.items():
@@ -621,7 +617,7 @@ def test_galois_suite(small24):
 
 
 def test_galois_closed_lattice_isomorphism(small39):
-    reports = {r.claim_id: r for r in verify_galois_suite(small39)}
+    reports = {r.claim_id: r for r in run_claims(small39, ids=DAGGER_SUITE)}
     assert reports["closed-lattice-isomorphism"].status == "verified"
     assert reports["dagger-intersection-preservation"].status == "verified"
 

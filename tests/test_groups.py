@@ -28,7 +28,6 @@ from pgroups import (
     make_group,
     neg,
     smul,
-    subgroup_from_set,
     subgroup_generated,
     subgroup_leq,
     subgroup_meet,
@@ -252,8 +251,8 @@ def test_subgroup_from_set_requires_zero(small24):
     # closure is the caller's promise; absence of zero is always caught
     a = small24.generator(1)
     with pytest.raises(InvalidInputError):
-        subgroup_from_set(small24, [a])
-    H = subgroup_from_set(small24, [small24.zero(), a, smul(2, a), smul(3, a)])
+        Subgroup(small24, {a})
+    H = Subgroup(small24, {small24.zero(), a, smul(2, a), smul(3, a)})
     assert H.order == 4
 
 
@@ -279,7 +278,7 @@ def test_subgroup_constructor_refuses_elements_of_another_group(other, coords):
     with pytest.raises(MismatchedParentError):
         Subgroup(G, [G.zero(), stranger])
     with pytest.raises(MismatchedParentError):
-        subgroup_from_set(G, [G.zero(), stranger])
+        Subgroup(G, {G.zero(), stranger})
 
 
 def test_subgroup_generated(small24):

@@ -157,7 +157,7 @@ def test_generated_ideal_is_the_spanned_member_set(G):
     for gens in [[]] + singles + pairs:
         got = ideal_generated(G, gens)
         assert got.shifts.tolist() == spanned_ideal(G, gens).shifts.tolist(), gens
-        assert got.generator_endos() == gens
+        assert list(got.generators) == gens
 
 
 def test_generation_and_the_pullback_build_no_ring(monkeypatch):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgroups import (
+    REFERENCE_ADMISSIBLE_COUNT,
     GroupTooLargeError,
     INF,
     IndexOutOfRangeError,
     Indicator,
     InvalidInputError,
     TOP,
-    check_endo_monotone,
     admissible_glb,
     admissible_lub,
     enumerate_admissible,
@@ -32,7 +32,6 @@ from pgroups import (
     precedes,
     run_claims,
     smul,
-    subgroup_from_set,
     ulm_invariants,
 )
 from pgroups import indicators as indicators_module
@@ -223,8 +222,8 @@ def test_enumerate_admissible_against_recount(fixture, request):
 
 
 def test_admissible_count_on_example(G2, G3):
-    assert len(enumerate_admissible(G2)) == 13
-    assert len(enumerate_admissible(G3)) == 13
+    assert len(enumerate_admissible(G2)) == REFERENCE_ADMISSIBLE_COUNT
+    assert len(enumerate_admissible(G3)) == REFERENCE_ADMISSIBLE_COUNT
 
 
 def test_admissible_count_small(small28, small248):
@@ -420,7 +419,7 @@ def test_admissible_lub_can_vanish():
 
 
 def test_endo_monotone_exhaustive(small24):
-    report = check_endo_monotone(small24)
+    (report,) = run_claims(small24, ids=["endo-indicator-monotone"])
     assert report.status == "verified"
     assert report.witnesses == []
     assert "32 endomorphisms" in report.checked

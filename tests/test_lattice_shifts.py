@@ -25,13 +25,13 @@ from pathlib import Path
 import pytest
 
 import pgroups
-from pgroups import block_subgroup, build_matrix, cut_shifts, enumerate_admissible
+from pgroups import ClaimContext, block_subgroup, build_matrix, cut_shifts
+from pgroups import enumerate_admissible
 from pgroups import enumerate_fi_subgroups, indicator_subgroup, indicator_universe
 from pgroups import is_admissible, lattice_stats, make_group
 from pgroups import subgroup_leq, subgroup_meet, subgroup_sum
 from pgroups.cli import main
 from pgroups.groups import Subgroup, _fundamental_shifts, _subgroup, _table
-from pgroups.indicators import table_cuts
 from pgroups.lattice import _power, _shift_name, _strictly_below
 from ring_family import FAMILY
 
@@ -153,7 +153,7 @@ def test_shift_arithmetic_is_packed_arithmetic_on_cells(G):
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
 def test_a_cut_lies_in_a_cell_iff_its_shifts_dominate(G):
     M = build_matrix(G)
-    for sigma, cut in table_cuts(G).items():
+    for sigma, cut in ClaimContext(G).cuts.items():
         for i, j in M.cells():
             alpha = M.cell_shifts(i, j)
             inside = all(c >= a for c, a in zip(cut.block_shifts, alpha))

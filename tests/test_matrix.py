@@ -4,6 +4,8 @@ import itertools
 import pytest
 
 from pgroups import (
+    REFERENCE_ADMISSIBLE_COUNT,
+    ClaimContext,
     IndexOutOfRangeError,
     Indicator,
     InvalidInputError,
@@ -37,7 +39,6 @@ from pgroups import (
     subgroup_leq,
     subgroup_meet,
     subgroup_sum,
-    table_cuts,
     verify_sigma_sum,
 )
 
@@ -291,8 +292,8 @@ def test_sigma_sum_matches_brute_force(M2, G2):
 
 
 def test_sigma_sum_verdicts_against_recount(M2, G2):
-    verdicts = sigma_sum_verdicts(G2, table_cuts(G2))
-    assert len(verdicts) == 13
+    verdicts = sigma_sum_verdicts(G2, ClaimContext(G2).cuts)
+    assert len(verdicts) == REFERENCE_ADMISSIBLE_COUNT
     for sigma, (equal, contained) in verdicts.items():
         total = brute_sum(G2, M2, sigma)
         target = set(indicator_subgroup(G2, sigma))
@@ -302,13 +303,13 @@ def test_sigma_sum_verdicts_against_recount(M2, G2):
 
 
 def test_sigma_sum_known_split(G2):
-    verdicts = sigma_sum_verdicts(G2, table_cuts(G2))
+    verdicts = sigma_sum_verdicts(G2, ClaimContext(G2).cuts)
     equal_ones = {s.entries for s, (eq, _) in verdicts.items() if eq}
     assert equal_ones == {(), (0,), (1,), (2,), (3,), (1, 2)}
 
 
 def test_verify_sigma_sum_reports(G2):
-    eq, cont = verify_sigma_sum(G2, table_cuts(G2))
+    eq, cont = verify_sigma_sum(G2, ClaimContext(G2).cuts)
     assert eq.claim_id == "sigma-sum-equality"
     assert eq.status == "refuted"
     missing = {
@@ -329,7 +330,7 @@ def test_path_chain_direction_fails(G2):
     assert report.status == "refuted"
     assert report.witnesses[0]["cell"] == [1, 0]
     # ... and the reverse containment is the verified sigma-sum half
-    _, cont = verify_sigma_sum(G2, table_cuts(G2))
+    _, cont = verify_sigma_sum(G2, ClaimContext(G2).cuts)
     assert cont.status == "verified"
 
 

@@ -35,7 +35,6 @@ from pgroups import (
     make_group,
     precedes,
     smul,
-    subgroup_from_set,
     subgroup_generated,
     subgroup_leq,
     subgroup_meet,
@@ -124,7 +123,7 @@ def test_constructions_agree_and_hash_alike(packed_group):
         members = list(H.elements)
         built = [
             Subgroup(G, list(reversed(members))),
-            subgroup_from_set(G, members + members[:2]),
+            Subgroup(G, members + members[:2]),
             _subgroup(G, np.array(H.indices)),
             subgroup_generated(G, members),
         ]
