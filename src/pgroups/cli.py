@@ -15,8 +15,8 @@ flags are checked on every request before any of them is read.
 
 Group and sequence inputs are JSON, given either as a file path or inline.
 Exit codes: 0 success, 1 refutation outside the shipped allowlist, 2 invalid
-input, 3 budget exceeded, 4 output could not be written.  All output
-orderings are fixed, so identical inputs produce byte-identical output.
+input, 3 budget exceeded or out of memory, 4 output could not be written.  All
+output orderings are fixed, so identical inputs produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="include wall-clock seconds per claim (breaks byte-stability)",
+        help="include the wall-clock seconds of each claim's runner, shared by the"
+        " claims it checks together (breaks byte-stability)",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
         return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # budgets too loose for this machine's memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except PGroupError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,26 +36,20 @@ The ideals are listed from their closed shift system (:func:`ideal_shifts`):
 difference constraints closed once and listed without backtracking
 (:func:`_difference_solutions`).
 
-The exhaustive paths stay as oracles, which ``dagger-well-defined`` checks
-the shift forms against on every ring within the ideal budget: the census
-(:func:`_ideal_census`: the spans of the principal ideals of the multiples
-``p^v b``, closed under sums, :func:`_sum_closure`) must list the same ideals
-in the same order as :func:`enumerate_ideals`, each the grid of its shifts;
-the pushforward must be the span of the rows of their members, and the
-pullback the whole-ring filter of the members whose rows lie in ``H``.
-Member sets are built only for output, witnesses, scans and these oracles.
+The exhaustive census stays as an oracle (:func:`_ideal_census`: the spans
+of the principal ideals of the multiples ``p^v b``, closed under sums,
+:func:`_sum_closure`), which the ``dagger-well-defined`` claim of
+:mod:`pgroups.claims` checks the shift forms against on every ring within the
+ideal budget.  Member sets are built only for output, witnesses, scans and
+that oracle.
 
 Each group has one cached :class:`EndoRing`, the index space of End(G): its
 radix, strides and basis, ``O(r^2)`` numbers.  The ring budget applies
 through :func:`get_ring`, which the callers that walk End(G) check.  Only the
-action and :meth:`EndoRing.is_fully_invariant` read the group's elements,
-from its table, when called; ``endo-height-exponent`` and
-``endo-indicator-monotone``, exhaustive by statement, scan every
-(endomorphism, element) pair in one pass through :meth:`EndoRing.action_chunks`
-(:func:`_endo_action_claims`).  ``rank-subadditivity`` reads an image's rank
-off the ``r x r`` matrix whose rows span it (:func:`_image_ranks`), and the
-descriptor rule compares the pullbacks' shift matrices
-(:func:`verify_descriptor_rule`).  The enumeration order is fixed (matrix
+action (:meth:`EndoRing.action_chunks` and its kin) and
+:meth:`EndoRing.is_fully_invariant` read the group's elements, from its
+table, when called.  An image's rank is read off the ``r x r`` matrix whose
+rows span it (:func:`_image_ranks`).  The enumeration order is fixed (matrix
 positions row-major, entries ascending), so every index is reproducible.
 """
 from __future__ import annotations
@@ -67,20 +61,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    IncomparableContextError,
     InvalidInputError,
     MismatchedParentError,
     NotFullyInvariantError,
     RingTooLargeError,
 )
-from .groups import Element, GroupSpec, Subgroup, _fundamental_shifts
+from .groups import Element, GroupSpec, Subgroup, block_subgroup
 from .groups import _bits, _grid, _is_int, _join_closure, _members, _same_group, _span
-from .groups import _block_order, _packing, _subgroup, _table, _valuations, _within
-from .groups import block_subgroup
-from .indicators import ind_of
-from .lattice import canonical_fi_form, enumerate_fi_subgroups
-from .reports import ClaimReport, _verdict
-from .symbolic import Ordinal, SymbolicIdealDescriptor, descriptor_leq
+from .groups import _packing, _subgroup, _table, _valuations
+from .lattice import canonical_fi_form
 
 #: Largest endomorphism ring that will be enumerated.
 DEFAULT_MAX_RING_ORDER = 2**20
@@ -418,62 +407,6 @@ def enumerate_endos(G: GroupSpec, max_ring: int | None = None) -> list[Endo]:
     return [Endo(G, tuple(map(tuple, m))) for m in mats]
 
 
-def _endo_action_claims(G: GroupSpec, max_ring: int | None = None) -> list:
-    """``endo-height-exponent`` and ``endo-indicator-monotone`` from one scan
-    of every (endomorphism, element) pair; each keeps its first five failures
-    in scan order.
-
-    Endomorphisms never lower height nor raise exponent.  They also refine
-    indicators, ``ind(a) precedes ind(a f)``, which is equivalent to
-    ``height(p^k a) <= height(p^k af)`` for every k below exp(G) (the length
-    condition falls out of the infinite height of vanished multiples).
-    The scan is refused above ``MAX_ACTION_ENTRIES`` pairs.
-    """
-    ring = get_ring(G, max_ring=max_ring)
-    pairs = ring.size * G.order
-    if pairs > MAX_ACTION_ENTRIES:
-        raise RingTooLargeError(
-            f"{ring.size} endomorphisms x {G.order} elements = {pairs} pairs"
-            f" exceeds cap {MAX_ACTION_ENTRIES}"
-        )
-    table = _table(G)
-    h, ex = table.heights[: G.exponent], table.exponents
-    fails = {"endo-height-exponent": [], "endo-indicator-monotone": []}
-    for start, block in ring.action_chunks():
-        bad = {
-            "endo-height-exponent": (h[0, block] < h[0]) | (ex[block] > ex),
-            "endo-indicator-monotone": (h[:, block] < h[:, None]).any(axis=0),
-        }
-        for cid, mask in bad.items():
-            f_offs, xs = np.nonzero(mask)
-            for f_off, x in zip(f_offs, xs[: 5 - len(fails[cid])]):
-                fails[cid].append((start + int(f_off), int(x), int(block[f_off, x])))
-        if all(len(found) >= 5 for found in fails.values()):
-            break
-
-    coords = table.coords
-
-    def pair(f: int, x: int) -> dict:
-        return {"endomorphism": ring.decode(f).tolist(), "element": coords[x].tolist()}
-
-    def indicator(x: int) -> list:
-        return list(ind_of(Element(G, tuple(coords[x].tolist()))).entries)
-
-    heights = [
-        {**pair(f, x), "image": coords[y].tolist()} for f, x, y in fails["endo-height-exponent"]
-    ]
-    monotone = [
-        {**pair(f, x), "indicator": indicator(x), "image_indicator": indicator(y)}
-        for f, x, y in fails["endo-indicator-monotone"]
-    ]
-    n, m = ring.size, G.order
-    verdicts = [
-        ("endo-height-exponent", heights, f"{n} endomorphisms x {m} elements"),
-        ("endo-indicator-monotone", monotone, f"{m} elements x {n} endomorphisms"),
-    ]
-    return _reports(G, verdicts)
-
-
 # --------------------------------------------------------------------------
 # ideals
 
@@ -733,62 +666,6 @@ def _pushforward(w) -> np.ndarray:
     return np.asarray(w).min(axis=-2)
 
 
-def verify_descriptor_rule(G: GroupSpec) -> list[ClaimReport]:
-    """Compare every two-parameter subgroup pair with a context-free
-    symbolic verdict against the true containment of their pullback ideals.
-
-    Descriptors carry the rank cap aleph_0, which filters nothing at finite
-    scale (every image rank is finite), so the comparison isolates the
-    subgroup-parameter direction of the stated rule.  Both orders are read
-    off block shifts, the ideals' as the pullbacks' shift matrices, all pairs
-    at once (:func:`pgroups.groups._within`); the stated rule is evaluated
-    pair by pair, in row-major order.
-    """
-    e = G.exponent
-    descs = [
-        SymbolicIdealDescriptor(kappa=Ordinal(0, k), n=n)
-        for k in range(e)
-        for n in range(1, e + 1)
-    ]
-    shifts = np.array([_fundamental_shifts(G, d.kappa.r, d.n) for d in descs])
-    pulled = _pullback(G, shifts).reshape(len(descs), -1)
-    ideal_leq = _within(pulled, pulled).tolist()
-    subgroup_leq = _within(shifts, shifts).tolist()
-    stated_wit = []
-    empirical_wit = []
-    count = 0
-    for i, a in enumerate(descs):
-        for j, b in enumerate(descs):
-            try:
-                stated = descriptor_leq(a, b)
-            except IncomparableContextError:
-                continue
-            count += 1
-            truth = ideal_leq[i][j]
-            if stated != truth:
-                stated_wit.append(
-                    {"a": str(a), "b": str(b), "stated": stated, "actual": truth}
-                )
-            preserving = subgroup_leq[i][j]
-            if truth != preserving:
-                empirical_wit.append(
-                    {
-                        "a": str(a),
-                        "b": str(b),
-                        "subgroup_leq": preserving,
-                        "ideal_leq": truth,
-                    }
-                )
-    checked = f"{count} comparable descriptor pairs"
-    return _reports(
-        G,
-        [
-            ("descriptor-rule-as-stated", stated_wit[:5], checked),
-            ("descriptor-rule-empirical", empirical_wit[:5], checked),
-        ],
-    )
-
-
 @lru_cache(maxsize=32)
 def _ideal_images(G: GroupSpec) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
     """``(count, ((alpha, n), ...))``: the number of two-sided ideals, and for
@@ -961,256 +838,3 @@ def find_dagger_collision(G: GroupSpec, ideals=None):
             return by_image[img], I
         by_image[img] = I
     return None
-
-
-# --------------------------------------------------------------------------
-# mechanical verification of the correspondence
-
-
-def _least_outside(G: GroupSpec, w, v) -> list | None:
-    """The least member (as a matrix) of the ideal with shifts ``w`` outside
-    the one with ``v``, or None: ``w``'s step at the last (least significant)
-    digit where ``v``'s step does not divide it."""
-    steps = _digit_steps(G, w)
-    k = np.flatnonzero(steps % _digit_steps(G, v))
-    if not k.size:
-        return None
-    ring = _cached_ring(G)
-    return ring.decode(steps[k[-1]] * ring._endo_strides[k[-1]]).tolist()
-
-
-def _reports(G: GroupSpec, verdicts) -> list[ClaimReport]:
-    """One report per ``(claim id, witnesses, what was checked)``."""
-    return [_verdict(cid, G.describe(), ws, checked) for cid, ws, checked in verdicts]
-
-
-def verify_fun_identities(G: GroupSpec) -> list[ClaimReport]:
-    """Check, for every n up to exp(G), the four identities tying the power
-    and torsion ideals to the power and torsion subgroups, in block shifts:
-
-    * image of ``p^n E``      == ``p^n G``        (holds)
-    * preimage of ``p^n G``   == ``p^n E``        (fails off homocyclic groups)
-    * image of ``E[p^n]``     == ``G[p^n]``       (holds)
-    * preimage of ``G[p^n]``  == ``E[p^n]``       (holds)
-    """
-    e = G.exponent
-    sides = itertools.product(("power", "socle"), ("ideal", "subgroup"))
-    wit: dict[str, list] = {f"{a}-{b}-dagger": [] for a, b in sides}
-    for n in range(e + 1):
-        powerE, torsionE = special_ideals(G, n)
-        powerG = _fundamental_shifts(G, n, e)  # p^n G
-        torsionG = _fundamental_shifts(G, 0, n)  # G[p^n]
-        if _image_shifts(G, powerE) != powerG:
-            wit["power-ideal-dagger"].append({"n": n})
-        got = _ideal(G, _pullback(G, powerG))
-        if got != powerE:
-            wit["power-subgroup-dagger"].append(
-                {
-                    "n": n,
-                    "preimage_size": got.size,
-                    "scaled_ring_size": powerE.size,
-                    "endo_outside_scaled_ring": _least_outside(G, got.shifts, powerE.shifts),
-                }
-            )
-        if _image_shifts(G, torsionE) != torsionG:
-            wit["socle-ideal-dagger"].append({"n": n})
-        if _ideal(G, _pullback(G, torsionG)) != torsionE:
-            wit["socle-subgroup-dagger"].append({"n": n})
-    return _reports(G, [(cid, ws, f"all n in [0, {e}]") for cid, ws in wit.items()])
-
-
-def _well_defined_witnesses(ring: EndoRing, nodes, ideals, census) -> list:
-    """``dagger-well-defined``: the listing and both maps agree with the
-    exhaustive oracles on every object.  The listed ideals must be the
-    census's, in order; each census ideal the grid of its shifts, and its
-    pushforward the span of its members' rows and fully invariant; each
-    node's pullback the whole-ring filter of the endomorphisms whose rows lie
-    in the node, closed under products with the basis on both sides.  Only
-    the row spans call :func:`_span`, one per ideal."""
-    G = ring.group
-    moduli, strides = _packing(G)
-    wit = []
-    if list(ideals) != list(census):
-        wit.append({"failure": "listing", "listed": len(ideals), "census": len(census)})
-    for I in census:
-        if not np.array_equal(ring.basis_grid(_digit_steps(G, I.shifts)), I.indices):
-            wit.append({"ideal_size": I.size, "failure": "not a grid"})
-        down = dagger_ideal(G, I)
-        rows = ring.decode(I.indices) @ strides
-        if not np.array_equal(_span(rows.reshape(-1), moduli, strides), down.indices):
-            wit.append({"ideal_size": I.size, "failure": "pushforward"})
-        if not ring.is_fully_invariant(down):
-            wit.append({"ideal_size": I.size})
-    every_row = ring.decode(np.arange(ring.size)) @ strides
-    for H in nodes:
-        up = dagger_subgroup(G, H)
-        ideal_idx = up.indices
-        inside = np.flatnonzero(_members(every_row, H.indices).all(axis=1))
-        if not np.array_equal(ideal_idx, inside):
-            wit.append({"subgroup_order": H.order, "failure": "pullback"})
-        # the grid is spanned by the steps_k basis[k]; if their products with
-        # the basis on both sides lie in it, so do its products with every
-        # sum of basis matrices
-        basis = ring.basis
-        gens = _digit_steps(G, up.shifts)[:, None, None] * basis % ring.moduli
-        for side, A, B in (("right-mult", gens, basis), ("left-mult", basis, gens)):
-            prod = np.matmul(A[:, None], B) % ring.moduli
-            packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
-            if not np.isin(packed, ideal_idx).all():
-                wit.append({"subgroup_order": H.order, "failure": side})
-    return wit
-
-
-def _same(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return (A == B).all(axis=-1)
-
-
-def _pairwise(ufunc, A: np.ndarray) -> np.ndarray:
-    """``[i, j]``: ``ufunc(A[i], A[j])``."""
-    return ufunc(A[:, None], A[None])
-
-
-def _galois_reports(G: GroupSpec, W: np.ndarray) -> list[ClaimReport]:
-    """The dagger suite: order/meet/join preservation, closure behavior and
-    class structure of the two dagger maps, exhaustively over the fully
-    invariant lattice and the ideals with shift matrices ``W``, listed in the
-    order of :func:`enumerate_ideals`, in valuations: a node by
-    its block shifts, an ideal by its block shift matrix (flattened), with
-    sums, meets and containment as the entrywise min, max and ``>=`` on both
-    sides, and the two maps as :func:`_pullback` and :func:`_pushforward`.
-    Pairs are read off in row-major order, the order of ``itertools.product``
-    and ``combinations``.
-    """
-    L = enumerate_fi_subgroups(G)
-    verdicts = []  # (claim id, witnesses, what was checked)
-    k = len(G.components)
-
-    def pull(alpha) -> np.ndarray:  # _pullback, its matrices flattened
-        w = _pullback(G, alpha)
-        return w.reshape(w.shape[:-2] + (k * k,))
-
-    C = np.array(L.shifts).reshape(-1, k)
-    flat = W.reshape(-1, k * k)
-    up, down = pull(C), _pushforward(W)
-    orders = L.orders
-    sizes = [G.p ** int(x) for x in _log_size(G, W)]
-
-    def pairs(mask, side: str) -> list:
-        of = orders if side == "subgroup" else sizes
-        return [{"pair": [of[i], of[j]], "side": side} for i, j in np.argwhere(mask)]
-
-    # order preservation, both directions
-    order_wit = pairs(_within(C, C) & ~_within(up, up), "subgroup")
-    order_wit += pairs(_within(flat, flat) & ~_within(down, down), "ideal")
-    verdicts.append(("dagger-order", order_wit[:5], "all ordered pairs on both sides"))
-
-    # meet/join preservation over unordered pairs
-    node_upper = np.triu(np.ones((len(C), len(C)), dtype=bool), 1)
-    ideal_upper = np.triu(np.ones((len(W), len(W)), dtype=bool), 1)
-    sum_wit, meet_wit = [], []
-    for op, wit in ((np.minimum, sum_wit), (np.maximum, meet_wit)):
-        pulled = pull(_pairwise(op, C))
-        wit += pairs(~_same(pulled, _pairwise(op, up)) & node_upper, "subgroup")
-    image_of_sum = _pushforward(_pairwise(np.minimum, W))
-    image_sums = _pairwise(np.minimum, down)
-    sum_wit += pairs(~_same(image_of_sum, image_sums) & ideal_upper, "ideal")
-    image_of_meet = _pushforward(_pairwise(np.maximum, W))
-    meet_of_images = _pairwise(np.maximum, down)
-    meet_wit += [
-        {
-            "pair": [sizes[i], sizes[j]],
-            "side": "ideal",
-            "image_of_meet_order": _block_order(G, image_of_meet[i, j].tolist()),
-            "meet_of_images_order": _block_order(G, meet_of_images[i, j].tolist()),
-        }
-        for i, j in np.argwhere(~_same(image_of_meet, meet_of_images) & ideal_upper)
-    ]
-    checked = "all unordered pairs on both sides"
-    verdicts.append(("dagger-sum-preservation", sum_wit[:5], checked))
-    verdicts.append(("dagger-intersection-preservation", meet_wit[:5], checked))
-
-    # closure behavior
-    back_up = _pushforward(_pullback(G, C))  # each node's double dagger
-    back_of = pull(down)  # each ideal's double dagger
-    fi_closed, closed = _same(back_up, C), _same(back_of, flat)
-    deflates = (back_up >= C).all(axis=1)
-    sub_defl_wit = [{"subgroup_order": orders[i]} for i in np.flatnonzero(~deflates)]
-    fi_closed_wit = [
-        {"subgroup_order": orders[i], "closure_order": _block_order(G, back_up[i].tolist())}
-        for i in np.flatnonzero(~fi_closed)
-    ]
-    checked = f"{len(C)} fully invariant subgroups"
-    verdicts.append(("subgroup-double-dagger-deflation", sub_defl_wit, checked))
-    verdicts.append(("fi-dagger-closed", fi_closed_wit, checked))
-    ideal_defl_wit = []
-    for i in np.flatnonzero(~(back_of >= flat).all(axis=1)):
-        closure = back_of[i].reshape(k, k)
-        ideal_defl_wit.append(
-            {
-                "ideal_size": sizes[i],
-                "closure_size": G.p ** int(_log_size(G, closure)),
-                "endo_in_closure_only": _least_outside(G, closure, W[i]),
-            }
-        )
-    inflates = (flat >= back_of).all(axis=1)
-    ideal_infl_wit = [{"ideal_size": sizes[i]} for i in np.flatnonzero(~inflates)]
-    triple_wit = [
-        {"ideal_size": sizes[i], "side": "ideal"}
-        for i in np.flatnonzero(~_same(_pushforward(_pullback(G, down)), down))
-    ] + [
-        {"subgroup_order": orders[i], "side": "subgroup"}
-        for i in np.flatnonzero(~_same(pull(back_up), up))
-    ]
-    checked = f"{len(W)} ideals"
-    verdicts.append(("ideal-double-dagger-deflation", ideal_defl_wit[:5], checked))
-    verdicts.append(("ideal-double-dagger-inflation", ideal_infl_wit[:5], checked))
-    checked = "both composites on every object"
-    verdicts.append(("dagger-triple", triple_wit[:5], checked))
-
-    # closed-object equivalences and the lattice isomorphism between them
-    image_of = _same(down[:, None], C[None])  # [ideal, node]: the node is its image
-    is_image = image_of.any(axis=0)
-    is_preimage = _same(flat[:, None], up[None]).any(axis=1)
-    equiv_wit = [
-        {"subgroup_order": orders[i]} for i in np.flatnonzero(fi_closed != is_image)
-    ]
-    equiv_wit += [{"ideal_size": sizes[i]} for i in np.flatnonzero(closed != is_preimage)]
-    checked = "closedness vs membership in the opposite map's range"
-    verdicts.append(("dagger-closed-equivalences", equiv_wit[:5], checked))
-    c = np.flatnonzero(closed)
-    iso = _within(flat[c], flat[c]) != _within(down[c], down[c])
-    iso_wit = [{"pair": [sizes[c[i]], sizes[c[j]]]} for i, j in np.argwhere(iso)]
-    if len(c) != len(C):
-        iso_wit.append({"closed_ideals": len(c), "fully_invariant_subgroups": len(C)})
-    checked = f"{len(c)} closed ideals vs {len(C)} subgroups"
-    verdicts.append(("closed-lattice-isomorphism", iso_wit[:5], checked))
-
-    # preimage classes: closed under sums, with a unique closed maximum
-    class_wit = []
-    for h, order in enumerate(orders):
-        cls = np.flatnonzero(image_of[:, h])
-        if not cls.size:
-            class_wit.append({"subgroup_order": order, "failure": "empty class"})
-            continue
-        sums = _pushforward(_pairwise(np.minimum, W[cls]))
-        leaves = int(np.triu(~_same(sums, C[h]), 1).sum())
-        class_wit += [{"subgroup_order": order, "failure": "sum leaves class"}] * leaves
-        tops = cls[closed[cls]]
-        if len(tops) != 1:
-            class_wit.append({"subgroup_order": order, "closed_members": len(tops)})
-        else:
-            top, best = cls[np.argmax([sizes[i] for i in cls])], tops[0]
-            if top != best or not (flat[cls] >= flat[best]).all():
-                class_wit.append({"subgroup_order": order, "failure": "not maximum"})
-    checked = f"{len(W)} ideals grouped by image"
-    verdicts.append(("dagger-class-structure", class_wit[:5], checked))
-
-    # fundamental subgroups are closed
-    e = G.exponent
-    cells = [(n, kappa) for n in range(1, e + 1) for kappa in range(e)]
-    F = np.array([_fundamental_shifts(G, kappa, n) for n, kappa in cells])
-    back = _pushforward(_pullback(G, F))
-    fund_wit = [{"cell": list(cells[i])} for i in np.flatnonzero(~_same(back, F))]
-    checked = f"all {e * e} fundamental subgroups"
-    verdicts.append(("fundamental-dagger-closed", fund_wit[:5], checked))
-    return _reports(G, verdicts)

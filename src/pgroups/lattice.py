@@ -15,12 +15,12 @@ subgroup is the cut ``G(sigma)`` of an admissible indicator (Kaplansky), whose
 block shifts are :func:`pgroups.indicators.cut_shifts`.  So a node is its shift
 vector: one node lies in another iff its shifts are entrywise at least the
 other's, and the covers are the strict containments with no node strictly
-between.  The ``indicator-coverage`` claim checks the nodes against the cuts
-scanned off the height table and against an independent oracle: the smallest
-fully invariant subgroup containing a single element is its orbit under the
-full endomorphism ring, read off the exponents with no ring
-(:func:`pgroups.groups._orbit_steps`, also :func:`fi_closure`); arbitrary ones
-are sums of those, and closing the orbits under sums
+between.  The ``indicator-coverage`` claim (:mod:`pgroups.claims`) checks
+the nodes against the cuts scanned off the height table and against an
+independent oracle: the smallest fully invariant subgroup containing a single
+element is its orbit under the full endomorphism ring, read off the exponents
+with no ring (:func:`pgroups.groups._orbit_steps`, also :func:`fi_closure`);
+arbitrary ones are sums of those, and closing the orbits under sums
 (:func:`pgroups.groups._join_closure`) finds every node.  The module builds
 on :mod:`pgroups.groups` and :mod:`pgroups.indicators` only.
 """
@@ -35,23 +35,9 @@ import numpy as np
 
 from .errors import InvalidInputError, NotFullyInvariantError, UnknownFormatError
 from .groups import Element, GroupSpec, Subgroup, _is_int, block_subgroup
-from .groups import (
-    _bits,
-    _block_leq,
-    _block_order,
-    _fundamental_shifts,
-    _grid,
-    _join,
-    _join_closure,
-    _orbit_steps,
-    _packing,
-    _subgroup,
-    _table,
-    _within,
-)
+from .groups import _block_order, _fundamental_shifts, _grid, _orbit_steps, _packing
+from .groups import _subgroup, _within
 from .indicators import Indicator, _sorted_indicators, cut_shifts, enumerate_admissible
-from .indicators import is_realizable
-from .reports import ClaimReport, _verdict
 
 
 def _fi_system(G: GroupSpec) -> tuple:
@@ -299,64 +285,3 @@ def hasse_export(L: FILattice, format: str = "json") -> str:
         lines.append("}")
         return "\n".join(lines)
     raise UnknownFormatError(f"unknown export format {format!r}")
-
-
-def verify_indicator_coverage(
-    G: GroupSpec, cuts: dict, lattice: FILattice | None = None
-) -> ClaimReport:
-    """Every fully invariant subgroup is cut out by an admissible indicator,
-    and distinct admissible indicators cut out distinct subgroups exactly
-    when the indicator is realizable.
-
-    The lattice is read off the shape, so its nodes are checked against
-    independent oracles: every sum of single-element orbits, closed over the
-    orbits with member bitmasks, and the table cuts ``cuts``
-    (:attr:`pgroups.claims.ClaimContext.cuts`), each of which must be the node
-    its indicator labels."""
-    lattice = lattice or enumerate_fi_subgroups(G)
-    steps = np.unique(_orbit_steps(G, _table(G).coords), axis=0)
-    moduli, strides = _packing(G)
-    orbits = (_subgroup(G, _grid(s, moduli, strides)) for s in steps)
-    sums = set(_join_closure(orbits, _join, lambda H: _bits(H.indices)))
-    node_list = lattice.nodes
-    nodes = set(node_list)
-    witnesses = [{"missing_subgroup_order": n} for n in sorted(H.order for H in sums - nodes)]
-    witnesses += [{"extra_subgroup_order": n} for n in sorted(H.order for H in nodes - sums)]
-    node_of = {s: H for H, labels in zip(node_list, lattice.sigma_labels) for s in labels}
-    witnesses += [
-        {"indicator": list(s.entries), "cut_order": cut.order}
-        for s, cut in cuts.items()
-        if node_of.get(s) != cut
-    ]
-    realizable = {s for s in cuts if is_realizable(G, s)}
-    distinct = len({cuts[s] for s in realizable})
-    if distinct != len(realizable):
-        witnesses.append(
-            {"realizable": len(realizable), "distinct_subgroups": distinct}
-        )
-    return _verdict(
-        "indicator-coverage",
-        G.describe(),
-        witnesses[:5],
-        f"{len(cuts)} admissible indicators vs {len(sums)} nodes",
-    )
-
-
-def check_fundamental_containment(G: GroupSpec, cuts: dict) -> ClaimReport:
-    """Each table cut of ``cuts`` sits inside the fundamental subgroup named
-    by its first entry and its length."""
-    witnesses = []
-    count = 0
-    for sigma, cut in cuts.items():
-        if not sigma.entries:
-            continue
-        count += 1
-        outer = _fundamental_shifts(G, sigma.entries[0], sigma.length)
-        if not _block_leq(cut.block_shifts, outer):
-            witnesses.append({"indicator": str(sigma)})
-    return _verdict(
-        "fundamental-containment",
-        G.describe(),
-        witnesses,
-        f"{count} nonempty admissible indicators",
-    )

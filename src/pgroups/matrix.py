@@ -14,11 +14,11 @@ Two distinguished column sets are tracked:
   column to the next marker column holding the same subgroup, when one
   exists.
 
-Every cell is a block sum, held by its block shifts, and the checks read
-them: one cell lies in another iff its shifts are entrywise at least the
-other's, a sum is the entrywise min, a meet the max.  ``FundMatrix.entry``
-builds a cell's subgroup for callers that need elements; the checks against
-indicator cuts use the cuts scanned off the height table.
+Every cell is a block sum, held by its block shifts: one cell lies in
+another iff its shifts are entrywise at least the other's, a sum is the
+entrywise min, a meet the max.  ``FundMatrix.entry`` builds a cell's
+subgroup for callers that need elements.  The claims about the grid are
+checked in :mod:`pgroups.claims`.
 
 A rising path climbs one row per step with strictly increasing columns; its
 column sequence is an indicator, and the path is admissible under exactly
@@ -39,10 +39,9 @@ from .errors import (
     NoAliasError,
     NotAdmissibleError,
 )
-from .groups import GroupSpec, Subgroup, block_subgroup, subgroup_leq
-from .groups import _block_leq, _block_order, _fundamental_shifts, _packing, _within
+from .groups import GroupSpec, Subgroup, block_subgroup
+from .groups import _block_order, _fundamental_shifts
 from .indicators import Indicator, enumerate_admissible, is_admissible
-from .reports import ClaimReport, _verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,235 +263,3 @@ def sigma_sum(G: GroupSpec, sigma: Indicator) -> Subgroup:
     zero = tuple(n for n, _ in G.components)
     cells = [M.cell_shifts(t + 1, v) for t, v in enumerate(sigma.entries) if v < G.exponent]
     return block_subgroup(G, tuple(map(min, zip(zero, *cells))))
-
-
-def sigma_sum_verdicts(G: GroupSpec, cuts: dict):
-    """For every indicator of ``cuts`` (``{sigma: G(sigma)}``, the table cuts
-    of :attr:`pgroups.claims.ClaimContext.cuts`): does the cell sum equal G(sigma)?
-
-    Returns ``{sigma: (equal, sum_contained_in_G_sigma)}`` from explicit set
-    comparisons.
-    """
-    out = {}
-    for sigma, target in cuts.items():
-        total = sigma_sum(G, sigma)
-        out[sigma] = (total == target, subgroup_leq(total, target))
-    return out
-
-
-def verify_sigma_sum(G: GroupSpec, cuts: dict) -> list[ClaimReport]:
-    """Two reports over the table cuts ``cuts``: exact equality of the cell
-    sum with G(sigma) per indicator, and the one-sided containment of the sum
-    in G(sigma).  An equality witness names the least element of G(sigma)
-    missing from the sum, in packed (lexicographic) order."""
-    name = G.describe()
-    moduli, strides = _packing(G)
-    eq_witnesses = []
-    cont_witnesses = []
-    for sigma, target in cuts.items():
-        total = sigma_sum(G, sigma)
-        if total != target:
-            missing = np.setdiff1d(target.indices, total.indices)[0]
-            eq_witnesses.append(
-                {
-                    "indicator": list(sigma.entries),
-                    "sum_order": total.order,
-                    "subgroup_order": target.order,
-                    "element_missing_from_sum": (missing // strides % moduli).tolist(),
-                }
-            )
-        if not subgroup_leq(total, target):
-            cont_witnesses.append({"indicator": list(sigma.entries)})
-    checked = f"{len(cuts)} admissible indicators"
-    return [
-        _verdict("sigma-sum-equality", name, eq_witnesses, checked),
-        _verdict("sigma-sum-containment", name, cont_witnesses, checked),
-    ]
-
-
-# --------------------------------------------------------------------------
-# claim checks over the grid
-
-
-def check_monotone(M: FundMatrix) -> ClaimReport:
-    """Rows weakly shrink left-to-right; columns weakly grow with the bound."""
-    e = M.exponent
-    S = M.shifts
-    # [i-1, j]: cell (i, j+1) is not in cell (i, j), then cell (i, j) not in (i+1, j)
-    across = ~(S[:, 1:] >= S[:, :-1]).all(axis=-1)
-    up = ~(S[:-1] >= S[1:]).all(axis=-1)
-    witnesses = [{"cells": [[i + 1, j + 1], [i + 1, j]]} for i, j in np.argwhere(across).tolist()]
-    witnesses += [{"cells": [[i + 1, j], [i + 2, j]]} for i, j in np.argwhere(up).tolist()]
-    return _verdict(
-        "matrix-monotone",
-        M.group.describe(),
-        witnesses,
-        f"{e * e} cells, all adjacent comparisons",
-    )
-
-
-def check_distinct(M: FundMatrix) -> ClaimReport:
-    """Pairwise distinctness of cells over the display columns."""
-    witnesses = []
-    cells = [(i, j) for i in range(1, M.exponent + 1) for j in M.display_cols]
-    for a, b in itertools.combinations(cells, 2):
-        if M.cell_shifts(*a) == M.cell_shifts(*b):
-            witnesses.append({"cells": [list(a), list(b)]})
-    return _verdict(
-        "matrix-distinct-entries",
-        M.group.describe(),
-        witnesses,
-        f"{len(cells)} display cells, all pairs",
-    )
-
-
-def check_join_meet(M: FundMatrix) -> list[ClaimReport]:
-    """Compare both index formulas against the sum (shift min) and
-    intersection (shift max) of every unordered pair of cells."""
-    G, e = M.group, M.exponent
-    cells = M.cells()
-    S = M.shifts.reshape(e * e, -1)
-    a, b = np.triu_indices(e * e, 1)  # itertools.combinations order
-    # (row - 1, column) of both cells of each pair; the formulas commute with the shift
-    meet_cell, join_cell = _formula_cells(np.divmod(a, e), np.divmod(b, e))
-    meet_at = np.ravel_multi_index(meet_cell, (e, e))
-    join_at = np.ravel_multi_index(join_cell, (e, e))
-    sums = np.minimum(S[a], S[b])
-    meet_bad = (S[meet_at] != np.maximum(S[a], S[b])).any(axis=-1)
-    join_bad = (S[join_at] != sums).any(axis=-1)
-    meet_witnesses = [
-        {"cells": [list(cells[x]), list(cells[y])]} for x, y in zip(a[meet_bad], b[meet_bad])
-    ]
-    join_witnesses = [
-        {
-            "cells": [list(cells[x]), list(cells[y])],
-            "formula_cell": list(cells[t]),
-            "formula_order": _block_order(G, S[t].tolist()),
-            "sum_order": _block_order(G, total.tolist()),
-        }
-        for x, y, t, total in zip(a[join_bad], b[join_bad], join_at[join_bad], sums[join_bad])
-    ]
-    name = G.describe()
-    checked = f"{len(cells) * (len(cells) - 1) // 2} cell pairs"
-    return [
-        _verdict("matrix-meet-formula", name, meet_witnesses, checked),
-        _verdict("matrix-join-formula", name, join_witnesses, checked),
-    ]
-
-
-def check_quartering(M: FundMatrix) -> list[ClaimReport]:
-    """SE cells must be contained, NW cells must contain, remaining cells are
-    claimed incomparable; the first two always hold, the third is checked
-    honestly and can fail when distant cells coincide.
-
-    Containment is one :func:`pgroups.groups._within` over the stacked cell
-    shifts.  Witnesses follow the centers in :meth:`FundMatrix.cells` order,
-    then each center's ``se``, ``nw`` and ``other`` cells in
-    :func:`quartering` order."""
-    e = M.exponent
-    cells = M.cells()
-    row, col = np.divmod(np.arange(e * e), e)  # (row - 1, column) of each cell
-    S = M.shifts.reshape(e * e, -1)
-    inside = _within(S, S)  # [x, y]: cell x lies in cell y
-    # [center, cell]
-    se = (row[None] <= row[:, None]) & (col[None] >= col[:, None])
-    nw = (row[None] >= row[:, None]) & (col[None] <= col[:, None])
-    contain_bad = np.stack((se & ~inside.T, nw & ~inside), axis=1)
-    incomp_bad = ~se & ~nw & (inside | inside.T)
-    buckets = ("se", "nw")
-    contain_witnesses = [
-        {"center": list(cells[c]), "cell": list(cells[x]), "bucket": buckets[b]}
-        for c, b, x in np.argwhere(contain_bad)[:5].tolist()
-    ]
-    incomp_witnesses = [
-        {"center": list(cells[c]), "cell": list(cells[x])}
-        for c, x in np.argwhere(incomp_bad)[:5].tolist()
-    ]
-    name = M.group.describe()
-    checked = f"{e * e} centers, full grid per center"
-    return [
-        _verdict("quartering-containments", name, contain_witnesses, checked),
-        _verdict("quartering-incomparability", name, incomp_witnesses, checked),
-    ]
-
-
-def check_alias(M: FundMatrix) -> ClaimReport:
-    """Every nonzero non-marker cell should alias to a marker column on its
-    right; cells where no marker column matches are witnesses."""
-    witnesses = []
-    total = 0
-    for i, j in M.cells():
-        if j in M.marker_cols:
-            continue
-        if _block_order(M.group, M.cell_shifts(i, j)) == 1:
-            continue
-        total += 1
-        try:
-            alias(M, i, j)
-        except NoAliasError:
-            witnesses.append({"cell": [i, j]})
-    return _verdict(
-        "alias-to-marker",
-        M.group.describe(),
-        witnesses,
-        f"{total} nonzero non-marker cells",
-    )
-
-
-def check_path_roundtrip(M: FundMatrix) -> ClaimReport:
-    """indicator -> path -> indicator is the identity for every admissible
-    indicator and every start row; path -> indicator -> path likewise."""
-    witnesses = []
-    count = 0
-    for P in enumerate_rising_paths(M):
-        count += 1
-        sigma = path_to_indicator(P)
-        back = indicator_to_path(M, sigma, start_row=P.start_row)
-        if back != P:
-            witnesses.append({"columns": list(P.columns), "start_row": P.start_row})
-    for sigma in enumerate_admissible(M.group):
-        if sigma.length == 0:
-            continue
-        P = indicator_to_path(M, sigma)
-        if path_to_indicator(P) != sigma:
-            witnesses.append({"indicator": list(sigma.entries)})
-    return _verdict(
-        "path-roundtrip",
-        M.group.describe(),
-        witnesses,
-        f"{count} paths and all admissible indicators",
-    )
-
-
-def path_chain_check(G: GroupSpec, cuts: dict) -> ClaimReport:
-    """Test whether each table cut G(sigma) of ``cuts`` sits inside every
-    cell on sigma's rising path.
-
-    That containment direction fails in general (already on the smallest
-    two-block groups); the true direction is the reverse one — every path
-    cell sits inside G(sigma) — which is exactly the containment half of
-    :func:`verify_sigma_sum`.
-    """
-    M = build_matrix(G)
-    witnesses = []
-    checked = 0
-    for s, sub in cuts.items():
-        for t, v in enumerate(s.entries):
-            checked += 1
-            cell = M.cell_shifts(t + 1, v)
-            if not _block_leq(sub.block_shifts, cell):
-                witnesses.append(
-                    {
-                        "indicator": list(s.entries),
-                        "cell": [t + 1, v],
-                        "subgroup_order": sub.order,
-                        "cell_order": _block_order(G, cell),
-                    }
-                )
-    return _verdict(
-        "path-subgroup-chain",
-        G.describe(),
-        witnesses[:5],
-        f"{checked} path cells",
-        "reverse containment (cells inside G(sigma)) is the verified half",
-    )

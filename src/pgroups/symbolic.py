@@ -678,10 +678,10 @@ def descriptor_leq(a: SymbolicIdealDescriptor, b: SymbolicIdealDescriptor) -> bo
     ``a`` contains the subgroup of ``b``, with rank caps compared the
     ordinary way).
 
-    Kept verbatim so :func:`pgroups.endos.verify_descriptor_rule` can test it
-    against finite groups — which refute the direction (the attached map is
-    order-preserving, not order-reversing; see the ``descriptor-rule-*``
-    claims).  When the subgroup parameters are incomparable both ways, the
+    Kept verbatim so the ``descriptor-rule-*`` claims (:mod:`pgroups.claims`)
+    can test it against finite groups — which refute the direction (the
+    attached map is order-preserving, not order-reversing).  When the
+    subgroup parameters are incomparable both ways, the
     answer would depend on the ambient group, so no context-free verdict
     exists.
     """
@@ -692,37 +692,3 @@ def descriptor_leq(a: SymbolicIdealDescriptor, b: SymbolicIdealDescriptor) -> bo
             f"{a} vs {b}: containment depends on the ambient group"
         )
     return a_contains_b and a.mu <= b.mu
-
-
-def check_ulm_position_indexing(G: GroupSpec) -> ClaimReport:
-    """Positions of the nonzero Ulm values vs the component exponents.
-
-    As stated, the multiplicity of the ``p^n`` component should appear at
-    position ``n``; the actual nonzero values sit one step earlier, at
-    ``n - 1`` (the value at position ``kappa`` counts summands of exponent
-    ``kappa + 1``).  Expect a refutation on every group, with the shifted
-    indexing confirmed in the witnesses.
-    """
-    u = ulm_invariants(G)
-    stated_wit = []
-    shifted_ok = True
-    for n, m in G.components:
-        stated = u[n] if n < len(u) else 0
-        if stated != m:
-            stated_wit.append(
-                {"exponent": n, "stated_position_value": stated, "multiplicity": m}
-            )
-        if u[n - 1] != m:
-            shifted_ok = False
-    note = (
-        "values sit at position (exponent - 1), confirming the off-by-one"
-        if shifted_ok
-        else "shifted indexing fails too"
-    )
-    return _verdict(
-        "ulm-position-indexing",
-        G.describe(),
-        stated_wit[:5],
-        f"{len(G.components)} components",
-        note if stated_wit else "",
-    )

@@ -53,3 +53,12 @@ DAGGER_SUITE = [
     "dagger-class-structure",
     "fundamental-dagger-closed",
 ]
+
+#: The four identities tying the power and torsion ideals to the power and
+#: torsion subgroups.
+FUN_IDENTITIES = [
+    "power-ideal-dagger",
+    "power-subgroup-dagger",
+    "socle-ideal-dagger",
+    "socle-subgroup-dagger",
+]

@@ -17,14 +17,11 @@ from itertools import product
 import pytest
 
 from pgroups import (
-    ClaimContext,
     Indicator,
     Ordinal,
     add,
     apply,
     build_matrix,
-    check_join_meet,
-    check_quartering,
     check_ulm_criterion,
     dagger_ideal,
     entry_join,
@@ -43,13 +40,10 @@ from pgroups import (
     reference_group,
     ring_order,
     run_claims,
-    sigma_sum_verdicts,
     subgroup_generated,
     subgroup_name,
     ulm_sequence_of_group,
     unexpected_refutations,
-    verify_fun_identities,
-    verify_sigma_sum,
 )
 from pgroups.cli import main
 from pgroups.reference import (
@@ -59,7 +53,7 @@ from pgroups.reference import (
 )
 
 from conftest import own_pgroups_env
-from ring_family import DAGGER_SUITE
+from ring_family import DAGGER_SUITE, FUN_IDENTITIES
 
 RING_GATE = 2**12
 
@@ -225,7 +219,7 @@ def test_criterion_3_dagger_suite(criterion):
                 skipped.append(G.describe())
                 continue
             start = time.perf_counter()
-            reports = run_claims(G, ids=DAGGER_SUITE) + verify_fun_identities(G)
+            reports = run_claims(G, ids=DAGGER_SUITE + FUN_IDENTITIES)
             assert len(reports) == 16
             reports += run_claims(G, ids=["dagger-well-defined"])
             elapsed = time.perf_counter() - start
@@ -306,12 +300,14 @@ def test_criterion_6_matrix_laws(criterion):
                 join_deviations[G.describe()] = deviations
                 # the overshoot must be the one the package itself reports
                 # under an allowlisted claim id
-                _, join_report = check_join_meet(M)
+                (join_report,) = run_claims(G, ids=["matrix-join-formula"])
                 assert join_report.claim_id == "matrix-join-formula"
                 assert join_report.status == "refuted"
                 assert join_report.claim_id in load_allowlist()
 
-            containments, incomparability = check_quartering(M)
+            containments, incomparability = run_claims(
+                G, ids=["quartering-containments", "quartering-incomparability"]
+            )
             assert containments.status == "verified"
             if incomparability.status == "refuted":
                 assert incomparability.claim_id in load_allowlist()
@@ -334,10 +330,16 @@ def test_criterion_7_sigma_sum_verdict(criterion):
     with criterion(7, "per-indicator sum report") as info:
         G = reference_group(2)
         M = build_matrix(G)
-        cuts = ClaimContext(G).cuts
-        verdicts = sigma_sum_verdicts(G, cuts)
+        # both reports list every failing indicator; the checked text counts them
+        containment_report, equality_report = run_claims(
+            G, ids=["sigma-sum-equality", "sigma-sum-containment"]
+        )
         admissible = enumerate_admissible(G)
-        assert set(verdicts) == set(admissible)  # the mechanism covers every row
+        unequal = {tuple(w["indicator"]) for w in equality_report.witnesses}
+        outside = {tuple(w["indicator"]) for w in containment_report.witnesses}
+        verdicts = {s: (s.entries not in unequal, s.entries not in outside) for s in admissible}
+        # the mechanism covers every row
+        assert equality_report.checked == f"{len(admissible)} admissible indicators"
 
         # independent oracle for sigma = (1, 3): sum the two addressed cells
         # by hand and compare against the cut as plain coordinate sets
@@ -352,7 +354,6 @@ def test_criterion_7_sigma_sum_verdict(criterion):
         assert equal == oracle_equal
         assert contained == oracle_contained
 
-        equality_report, containment_report = verify_sigma_sum(G, cuts)
         assert containment_report.status == "verified"
         assert (equality_report.status == "refuted") == any(
             not eq for eq, _ in verdicts.values()

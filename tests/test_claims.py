@@ -22,6 +22,8 @@ from pgroups import (
 )
 from pgroups.claims import _RUNNERS, TRANSITIVITY_MAX_ORDER
 
+from ring_family import DAGGER_SUITE
+
 # frozen verdicts for Z(2) (+) Z(4): statements whose source formulation
 # disagrees with exhaustive computation on this group
 SMALL24_REFUTED = [
@@ -129,6 +131,37 @@ class TestRegistry:
         for runner in _RUNNERS:
             reports = run_claims(small24, ids=list(runner.ids))
             assert [r.claim_id for r in reports] == sorted(runner.ids)
+
+    def test_runners_group_only_claims_that_share_work(self):
+        # a runner's time is every one of its claims' --timings number, so a
+        # check that shares nothing beyond the context and process caches is
+        # a runner of its own
+        shared = {r.ids for r in _RUNNERS if len(r.ids) > 1}
+        assert shared == {
+            ("matrix-meet-formula", "matrix-join-formula"),
+            ("quartering-containments", "quartering-incomparability"),
+            ("sigma-sum-equality", "sigma-sum-containment"),
+            ("endo-height-exponent", "endo-indicator-monotone"),
+            (
+                "power-ideal-dagger",
+                "power-subgroup-dagger",
+                "socle-ideal-dagger",
+                "socle-subgroup-dagger",
+            ),
+            ("descriptor-rule-as-stated", "descriptor-rule-empirical"),
+            tuple(DAGGER_SUITE),
+        }
+        alone = {r.ids[0] for r in _RUNNERS if len(r.ids) == 1}
+        assert alone >= {
+            "matrix-monotone",
+            "matrix-distinct-entries",
+            "alias-to-marker",
+            "path-roundtrip",
+            "fundamental-containment",
+            "path-subgroup-chain",
+            "dagger-well-defined",
+        }
+        assert len(alone) + sum(map(len, shared)) == 53
 
     def test_allowlist_names_real_claims(self):
         allow = load_allowlist()
@@ -277,10 +310,10 @@ class TestRunClaims:
                     if relation(inds[i], inds[j]) and not in_orbit[j]:
                         expected.append({"from": list(a.coords), "to": list(b.coords)})
             assert bool(expected) == always
-            assert _run_indicator_transitivity(ClaimContext(G)) == (
-                expected,
-                f"{G.order}^2 ordered pairs",
-            )
+            # the runner keeps the five witnesses its report lists
+            assert list(_run_indicator_transitivity(ClaimContext(G))) == [
+                (expected[:5], f"{G.order}^2 ordered pairs")
+            ]
 
     @pytest.mark.parametrize("always", [False, True], ids=["precedes", "always"])
     def test_antitone_matches_the_pair_loop(self, monkeypatch, always):
@@ -309,7 +342,8 @@ class TestRunClaims:
                 for s, t in itertools.permutations(ctx.admissible, 2)
                 if relation(s, t) and not subgroup_leq(cuts[t], cuts[s])
             ]
-            assert _run_indicator_antitone(ctx)[0] == expected
+            (found,) = _run_indicator_antitone(ctx)
+            assert found[0] == expected[:5]
             refuted += bool(expected)
         assert bool(refuted) == always
 
@@ -343,7 +377,8 @@ class TestRunClaims:
                 for op, got in (("min", ind_min(s, t)), ("max", ind_max(s, t)))
                 if got not in set(adm)
             ]
-            assert _run_admissible_minmax_closure(ctx)[0] == minmax[:5]
+            (found,) = _run_admissible_minmax_closure(ctx)
+            assert found[0] == minmax[:5]
             e = G.exponent
             cells = [(k, n) for k in range(e) for n in range(1, e + 1)]
             order = []
@@ -359,7 +394,8 @@ class TestRunClaims:
                             "containment": actual,
                         }
                     )
-            assert _run_fundamental_order_iff(ctx)[0] == order[:5]
+            (found,) = _run_fundamental_order_iff(ctx)
+            assert found[0] == order[:5]
             refuted |= {"minmax"} if minmax else set()
             refuted |= {"order"} if len(order) > 5 else set()
         assert refuted == {"minmax", "order"}
@@ -429,14 +465,18 @@ class TestBudgetPaths:
         assert all(r.status != "skipped" for r in guarded)
 
     def test_action_scan_has_a_pair_cap(self, monkeypatch, small24):
+        import pgroups.claims
         import pgroups.endos
         from pgroups.endos import get_ring
 
         ids = ["endo-height-exponent", "endo-indicator-monotone"]
         pairs = 32 * 8  # |End(G)| x |G|
-        monkeypatch.setattr(pgroups.endos, "MAX_ACTION_ENTRIES", pairs)
+        # the full table (endos) and the claims' scan (claims) read one cap
+        for module in (pgroups.endos, pgroups.claims):
+            monkeypatch.setattr(module, "MAX_ACTION_ENTRIES", pairs)
         assert all(r.status == "verified" for r in run_claims(small24, ids=ids))
-        monkeypatch.setattr(pgroups.endos, "MAX_ACTION_ENTRIES", pairs - 1)
+        for module in (pgroups.endos, pgroups.claims):
+            monkeypatch.setattr(module, "MAX_ACTION_ENTRIES", pairs - 1)
         for r in run_claims(small24, ids=ids):
             assert r.status == "skipped"
             assert r.checked == f"32 endomorphisms x 8 elements = {pairs} pairs exceeds cap {pairs - 1}"

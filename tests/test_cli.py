@@ -560,6 +560,35 @@ def test_full_device_exits_4_without_traceback():
         assert_unwritable_output_exits_4(served_into(full, "matrix", Z2))
 
 
+def test_running_out_of_memory_exits_3_without_traceback():
+    """All three caps far above what the machine holds: listing the ideals of
+    Z(2) + Z(4) + ... + Z(2^6) needs more than the child's own 500 MB
+    address-space limit, set before it imports anything."""
+    pytest.importorskip("resource")
+    group = json.dumps(
+        {"p": 2, "components": [{"exponent": e, "multiplicity": 1} for e in range(1, 7)]}
+    )
+    caps = str(10**31)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (500 * 2**20, 500 * 2**20))\n"
+        "from pgroups.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["endo", group, "--max-group", caps, "--max-ring", caps, "--max-ideals", caps]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=own_pgroups_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1
+
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 

@@ -46,14 +46,13 @@ from pgroups import (
     special_ideals,
     subgroup_generated,
     subgroup_name,
-    verify_fun_identities,
     zero_endo,
     zero_subgroup,
 )
 from pgroups import endos
 from pgroups.groups import _grid, _indices_of, _members, _orbit_steps, _packing, _span
 from pgroups.groups import _subgroup, _table
-from ring_family import DAGGER_SUITE, FAMILY
+from ring_family import DAGGER_SUITE, FAMILY, FUN_IDENTITIES
 
 
 def oracle_apply(a, f):
@@ -592,7 +591,7 @@ def test_element_span_matches_subgroup_generated(form_group):
 
 
 def test_fun_identities_split(small24):
-    reports = {r.claim_id: r for r in verify_fun_identities(small24)}
+    reports = {r.claim_id: r for r in run_claims(small24, ids=FUN_IDENTITIES)}
     assert reports["power-ideal-dagger"].status == "verified"
     assert reports["socle-ideal-dagger"].status == "verified"
     assert reports["socle-subgroup-dagger"].status == "verified"
@@ -604,7 +603,9 @@ def test_fun_identities_split(small24):
 
 
 def test_fun_identities_homocyclic(homocyclic44):
-    for r in verify_fun_identities(homocyclic44):
+    reports = run_claims(homocyclic44, ids=FUN_IDENTITIES)
+    assert len(reports) == 4
+    for r in reports:
         assert r.status == "verified", r.claim_id
 
 

@@ -15,7 +15,6 @@ from pgroups import (
     REFERENCE_ADMISSIBLE_COUNT,
     REFERENCE_FI_NODE_COUNT,
     REFERENCE_LATTICE_STATS,
-    ClaimContext,
     FILattice,
     InvalidInputError,
     NotFullyInvariantError,
@@ -23,7 +22,6 @@ from pgroups import (
     apply,
     block_subgroup,
     canonical_fi_form,
-    check_fundamental_containment,
     enumerate_admissible,
     enumerate_elements,
     enumerate_endos,
@@ -34,10 +32,10 @@ from pgroups import (
     is_valid_fi_form,
     lattice_stats,
     make_group,
+    run_claims,
     subgroup_generated,
     subgroup_leq,
     subgroup_name,
-    verify_indicator_coverage,
 )
 
 from conftest import own_pgroups_env
@@ -220,17 +218,20 @@ def test_coverage_witnesses_ignore_the_hash_seed():
     # a forged lattice: the block sums of Z(4) + Z(16) with a first shift
     # other than 1, so three fully invariant nodes are missing and four block
     # sums that are not fully invariant are extra; FILattice refuses those,
-    # so the forgery sets its fields past the constructor
+    # so the forgery sets its fields past the constructor, and the claim
+    # reads it in place of the lattice
     script = """
 import itertools
-from pgroups import ClaimContext, FILattice, make_group, verify_indicator_coverage
+from pgroups import FILattice, claims, make_group, run_claims
 G = make_group(2, [(2, 1), (4, 1)])
 shifts = tuple(a for a in itertools.product(range(3), range(5)) if a[0] != 1)
 forged = object.__new__(FILattice)
 fields = {"group": G, "shifts": shifts, "hasse_edges": (), "sigma_labels": ((),) * len(shifts)}
 for name, value in fields.items():
     object.__setattr__(forged, name, value)
-print(verify_indicator_coverage(G, ClaimContext(G).cuts, lattice=forged).render())
+claims.enumerate_fi_subgroups = lambda group: forged
+(report,) = run_claims(G, ids=["indicator-coverage"])
+print(report.render())
 """
     outputs = []
     for seed in ("1", "2"):
@@ -280,7 +281,7 @@ def test_label_multiplicities(G2):
 
 def test_indicator_coverage_report(G2, small248):
     for G in (G2, small248):
-        report = verify_indicator_coverage(G, ClaimContext(G).cuts)
+        (report,) = run_claims(G, ids=["indicator-coverage"])
         assert report.claim_id == "indicator-coverage"
         assert report.status == "verified"
 
@@ -332,6 +333,6 @@ def test_hasse_unknown_format(G2):
 
 
 def test_fundamental_containment_report(G2):
-    report = check_fundamental_containment(G2, ClaimContext(G2).cuts)
+    (report,) = run_claims(G2, ids=["fundamental-containment"])
     assert report.claim_id == "fundamental-containment"
     assert report.status == "verified"

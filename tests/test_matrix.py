@@ -5,7 +5,6 @@ import pytest
 
 from pgroups import (
     REFERENCE_ADMISSIBLE_COUNT,
-    ClaimContext,
     IndexOutOfRangeError,
     Indicator,
     InvalidInputError,
@@ -15,12 +14,6 @@ from pgroups import (
     add,
     alias,
     build_matrix,
-    check_alias,
-    check_distinct,
-    check_join_meet,
-    check_monotone,
-    check_path_roundtrip,
-    check_quartering,
     entry_join,
     entry_meet,
     enumerate_admissible,
@@ -29,23 +22,30 @@ from pgroups import (
     indicator_subgroup,
     indicator_to_path,
     make_group,
-    path_chain_check,
     path_tally,
     path_to_indicator,
     quartering,
+    run_claims,
     sigma_sum,
-    sigma_sum_verdicts,
     smul,
     subgroup_leq,
     subgroup_meet,
     subgroup_sum,
-    verify_sigma_sum,
 )
 
 
 @pytest.fixture(scope="module")
 def M2(G2):
     return build_matrix(G2)
+
+
+def claim_reports(G, *ids):
+    """``{claim id: report}`` of ``run_claims`` on these ids."""
+    return {r.claim_id: r for r in run_claims(G, ids=list(ids))}
+
+
+def claim_report(G, claim_id):
+    return claim_reports(G, claim_id)[claim_id]
 
 
 def brute_cell(G, i, j):
@@ -86,8 +86,8 @@ def test_marker_columns_three_blocks(small248):
 
 
 def test_monotone_everywhere(M2, small248):
-    assert check_monotone(M2).status == "verified"
-    assert check_monotone(build_matrix(small248)).status == "verified"
+    assert claim_report(M2.group, "matrix-monotone").status == "verified"
+    assert claim_report(small248, "matrix-monotone").status == "verified"
 
 
 def test_distinctness_fails_by_recount(M2):
@@ -98,7 +98,7 @@ def test_distinctness_fails_by_recount(M2):
         for a, b in itertools.combinations(cells, 2)
         if set(M2.entry(*a)) == set(M2.entry(*b))
     ]
-    report = check_distinct(M2)
+    report = claim_report(M2.group, "matrix-distinct-entries")
     assert (report.status == "refuted") == bool(collisions)
     assert len(report.witnesses) == len(collisions)
     # the socle row repeats: G[p] = pG[p] because u_0 = 0
@@ -138,7 +138,8 @@ def test_join_overshoot_witness(M2):
 
 
 def test_check_join_meet_reports(M2):
-    meet_rep, join_rep = check_join_meet(M2)
+    reports = claim_reports(M2.group, "matrix-meet-formula", "matrix-join-formula")
+    meet_rep, join_rep = reports["matrix-meet-formula"], reports["matrix-join-formula"]
     assert meet_rep.claim_id == "matrix-meet-formula"
     assert meet_rep.status == "verified"
     assert join_rep.claim_id == "matrix-join-formula"
@@ -158,7 +159,8 @@ def test_quartering_buckets_partition(M2):
 
 
 def test_quartering_containments_hold(M2):
-    contain, incomp = check_quartering(M2)
+    reports = claim_reports(M2.group, "quartering-containments", "quartering-incomparability")
+    contain, incomp = reports["quartering-containments"], reports["quartering-incomparability"]
     assert contain.claim_id == "quartering-containments"
     assert contain.status == "verified"
     # distant cells can still coincide, so blanket incomparability fails
@@ -209,7 +211,7 @@ def test_check_alias_matches_recount(M2, small28):
             ]
             if not hits:
                 failures.append([i, j])
-        report = check_alias(M)
+        report = claim_report(M.group, "alias-to-marker")
         assert (report.status == "refuted") == bool(failures)
         assert [w["cell"] for w in report.witnesses] == failures
         assert report.checked == f"{total} nonzero non-marker cells"
@@ -236,7 +238,7 @@ def test_path_indicator_roundtrip_all(M2):
         if sigma.length == 0:
             continue
         assert path_to_indicator(indicator_to_path(M2, sigma)) == sigma
-    assert check_path_roundtrip(M2).status == "verified"
+    assert claim_report(M2.group, "path-roundtrip").status == "verified"
 
 
 def test_inadmissible_paths_rejected(M2):
@@ -291,8 +293,21 @@ def test_sigma_sum_matches_brute_force(M2, G2):
         assert set(sigma_sum(G2, sigma)) == brute_sum(G2, M2, sigma)
 
 
+def sigma_sum_verdicts(G):
+    """``{sigma: (equal, contained)}`` over the admissible indicators, read
+    off the two ``sigma-sum-*`` reports, which list every failing indicator;
+    the equality report's ``checked`` text gives their count."""
+    reports = claim_reports(G, "sigma-sum-equality", "sigma-sum-containment")
+    eq, cont = reports["sigma-sum-equality"], reports["sigma-sum-containment"]
+    admissible = enumerate_admissible(G)
+    assert eq.checked == cont.checked == f"{len(admissible)} admissible indicators"
+    unequal = {tuple(w["indicator"]) for w in eq.witnesses}
+    outside = {tuple(w["indicator"]) for w in cont.witnesses}
+    return {s: (s.entries not in unequal, s.entries not in outside) for s in admissible}
+
+
 def test_sigma_sum_verdicts_against_recount(M2, G2):
-    verdicts = sigma_sum_verdicts(G2, ClaimContext(G2).cuts)
+    verdicts = sigma_sum_verdicts(G2)
     assert len(verdicts) == REFERENCE_ADMISSIBLE_COUNT
     for sigma, (equal, contained) in verdicts.items():
         total = brute_sum(G2, M2, sigma)
@@ -303,13 +318,14 @@ def test_sigma_sum_verdicts_against_recount(M2, G2):
 
 
 def test_sigma_sum_known_split(G2):
-    verdicts = sigma_sum_verdicts(G2, ClaimContext(G2).cuts)
+    verdicts = sigma_sum_verdicts(G2)
     equal_ones = {s.entries for s, (eq, _) in verdicts.items() if eq}
     assert equal_ones == {(), (0,), (1,), (2,), (3,), (1, 2)}
 
 
 def test_verify_sigma_sum_reports(G2):
-    eq, cont = verify_sigma_sum(G2, ClaimContext(G2).cuts)
+    reports = claim_reports(G2, "sigma-sum-equality", "sigma-sum-containment")
+    eq, cont = reports["sigma-sum-equality"], reports["sigma-sum-containment"]
     assert eq.claim_id == "sigma-sum-equality"
     assert eq.status == "refuted"
     missing = {
@@ -325,13 +341,12 @@ def test_verify_sigma_sum_reports(G2):
 def test_path_chain_direction_fails(G2):
     # G(sigma) is not contained in the path cells; e.g. (0,1) cuts G[p^2]
     # but the first path cell is only G[p].
-    sigma = Indicator((0, 1))
-    report = path_chain_check(G2, {sigma: indicator_subgroup(G2, sigma)})
+    report = claim_report(G2, "path-subgroup-chain")
     assert report.status == "refuted"
-    assert report.witnesses[0]["cell"] == [1, 0]
+    cells = [w["cell"] for w in report.witnesses if w["indicator"] == [0, 1]]
+    assert cells[0] == [1, 0]
     # ... and the reverse containment is the verified sigma-sum half
-    _, cont = verify_sigma_sum(G2, ClaimContext(G2).cuts)
-    assert cont.status == "verified"
+    assert claim_report(G2, "sigma-sum-containment").status == "verified"
 
 
 # --- a second shape, for contrast -------------------------------------------------
@@ -341,5 +356,5 @@ def test_grid_on_three_blocks(small248):
     M = build_matrix(small248)
     for i, j in M.cells():
         assert set(M.entry(i, j)) == brute_cell(small248, i, j)
-    meet_rep, _ = check_join_meet(M)
+    meet_rep = claim_report(M.group, "matrix-meet-formula")
     assert meet_rep.status == "verified"

@@ -30,11 +30,11 @@ from pgroups import (
     cardinal_sum,
     check_basic_sequence_admissible,
     check_ulm_criterion,
-    check_ulm_position_indexing,
     descriptor_leq,
     finite,
     make_group,
     ord_add,
+    run_claims,
     ulm_invariants,
     ulm_sequence_of_group,
     ulm_to_basic_seq,
@@ -637,9 +637,8 @@ class TestDescriptor:
             descriptor_leq(a, b)
 
     def test_rule_refuted_by_materialization(self, small24):
-        from pgroups import verify_descriptor_rule
-
-        stated, empirical = verify_descriptor_rule(small24)
+        ids = ["descriptor-rule-as-stated", "descriptor-rule-empirical"]
+        stated, empirical = run_claims(small24, ids=ids)
         assert stated.claim_id == "descriptor-rule-as-stated"
         assert stated.status == "refuted"
         assert empirical.claim_id == "descriptor-rule-empirical"
@@ -649,12 +648,12 @@ class TestDescriptor:
 
 
 def test_ulm_position_indexing_is_shifted(G2, small24):
-    report = check_ulm_position_indexing(G2)
+    (report,) = run_claims(G2, ids=["ulm-position-indexing"])
     assert report.status == "refuted"
     assert report.checked == "2 components"
     assert len(report.witnesses) == 2
     assert "off-by-one" in report.note
     # on Z(2) + Z(4) the exponent-1 slot matches by accident; exponent 2 does not
-    small = check_ulm_position_indexing(small24)
+    (small,) = run_claims(small24, ids=["ulm-position-indexing"])
     assert small.status == "refuted"
     assert [w["exponent"] for w in small.witnesses] == [2]
