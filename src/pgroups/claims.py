@@ -47,7 +47,6 @@ from .groups import (
     _grid,
     _join,
     _join_closure,
-    _members,
     _orbit_steps,
     _packing,
     _span,
@@ -632,7 +631,9 @@ def _run_endo_action(ctx: ClaimContext) -> Iterator[_Found]:
     indicators, ``ind(a) precedes ind(a f)``, which is equivalent to
     ``height(p^k a) <= height(p^k af)`` for every k below exp(G) (the length
     condition falls out of the infinite height of vanished multiples).
-    The scan is refused above ``MAX_ACTION_ENTRIES`` pairs.
+    The scan is refused above ``MAX_ACTION_ENTRIES`` pairs.  An element's
+    heights are its class's (:meth:`ClaimContext.element_classes`), so each
+    claim is read off one table over pairs of classes.
     """
     G = ctx.group
     ring = ctx.ring()
@@ -642,23 +643,24 @@ def _run_endo_action(ctx: ClaimContext) -> Iterator[_Found]:
             f"{ring.size} endomorphisms x {G.order} elements = {pairs} pairs"
             f" exceeds cap {MAX_ACTION_ENTRIES}"
         )
-    table = _table(G)
-    h, ex = table.heights[: G.exponent], table.exponents
+    keys, kind, _ = ctx.element_classes
+    col, e = keys[:, G.rank :], G.exponent  # each class's column of heights
+    ex = (col < e).sum(axis=1)
+    # [a, b]: an image of class a of an element of class b fails the claim
+    height_fails = (col[:, None, 0] < col[None, :, 0]) | (ex[:, None] > ex[None, :])
+    monotone_fails = (col[:, None, :e] < col[None, :, :e]).any(axis=2)
     # (endomorphism, element, image) of each claim's failures
     heights, monotone = [], []
     for start, block in ring.action_chunks():
-        bad = (
-            (heights, (h[0, block] < h[0]) | (ex[block] > ex)),
-            (monotone, (h[:, block] < h[:, None]).any(axis=0)),
-        )
-        for fails, mask in bad:
-            f_offs, xs = np.nonzero(mask)
+        image = kind[block]
+        for fails, failing in ((heights, height_fails), (monotone, monotone_fails)):
+            f_offs, xs = np.nonzero(failing[image, kind])
             for f_off, x in zip(f_offs, xs[: 5 - len(fails)]):
                 fails.append((start + int(f_off), int(x), int(block[f_off, x])))
         if len(heights) >= 5 and len(monotone) >= 5:
             break
 
-    coords = table.coords
+    coords = _table(G).coords
 
     def pair(f: int, x: int) -> dict:
         return {"endomorphism": ring.decode(f).tolist(), "element": coords[x].tolist()}
@@ -682,7 +684,8 @@ def _run_rank_subadditivity(ctx: ClaimContext) -> Iterator[_Found]:
 
     Rank here is the number of cyclic summands of the image, read off the
     generator matrices (:func:`_image_ranks`); the sum's matrix is the
-    entrywise sum of the two.
+    entrywise sum of the two, so its index digits are the digitwise sums.
+    The pairs' sums take few distinct values, and each is ranked once.
     """
     G = ctx.group
     ring = ctx.ring()
@@ -693,7 +696,10 @@ def _run_rank_subadditivity(ctx: ClaimContext) -> Iterator[_Found]:
     # pairs in itertools.combinations order, which fixes the witness order
     i, j = np.triu_indices(len(sel), 1)
     ranks = _image_ranks(G, mats)
-    totals = _image_ranks(G, (mats[i] + mats[j]) % ring.moduli)
+    radix, strides = ring._endo_radix, ring._endo_strides
+    digits = sel[:, None] // strides % radix
+    sums, at = np.unique((digits[i] + digits[j]) % radix @ strides, return_inverse=True)
+    totals = _image_ranks(G, ring.decode(sums))[at]
     wit = [
         {
             "f": ring.endo_of_index(int(sel[i[k]])).to_json()["matrix"],
@@ -770,43 +776,61 @@ def _run_dagger_well_defined(ctx: ClaimContext) -> Iterator[_Found]:
     grid of its shifts, and its pushforward the span of its members' rows and
     fully invariant; each node's pullback the whole-ring filter of the
     endomorphisms whose rows lie in the node, closed under products with the
-    basis on both sides.  Only the row spans call :func:`_span`, one per
-    ideal."""
+    basis on both sides.  The rows of every endomorphism are decoded once.
+    Outside the census only the row spans call :func:`_span`, once per
+    distinct row set, and a pushforward shared by several ideals is tested
+    for full invariance once.  The nodes are checked together, in tables of
+    nodes by endomorphisms."""
     G = ctx.group
     ideals = ctx.ideals  # refuses a ring over max_ring or max_ideals first
     census = _ideal_census(G, max_ideals=ctx.max_ideals)
     nodes = enumerate_fi_subgroups(G).nodes
     ring = _cached_ring(G)
     moduli, strides = _packing(G)
+    rows = ring.decode(np.arange(ring.size)) @ strides  # [f, s]: row s of f, packed
     wit = []
     if list(ideals) != list(census):
         wit.append({"failure": "listing", "listed": len(ideals), "census": len(census)})
-    for I in census:
-        if not np.array_equal(ring.basis_grid(_digit_steps(G, I.shifts)), I.indices):
+    grids = _digit_steps(G, np.array([I.shifts for I in census]))
+    spans, invariant = {}, {}  # by row set, by pushforward
+    for I, steps in zip(census, grids):
+        if not np.array_equal(ring.basis_grid(steps), I.indices):
             wit.append({"ideal_size": I.size, "failure": "not a grid"})
         down = dagger_ideal(G, I)
-        rows = ring.decode(I.indices) @ strides
-        if not np.array_equal(_span(rows.reshape(-1), moduli, strides), down.indices):
+        seen = np.unique(rows[I.indices])
+        key = seen.tobytes()
+        if key not in spans:
+            spans[key] = _span(seen, moduli, strides)
+        if not np.array_equal(spans[key], down.indices):
             wit.append({"ideal_size": I.size, "failure": "pushforward"})
-        if not ring.is_fully_invariant(down):
+        if down not in invariant:
+            invariant[down] = ring.is_fully_invariant(down)
+        if not invariant[down]:
             wit.append({"ideal_size": I.size})
-    every_row = ring.decode(np.arange(ring.size)) @ strides
-    for H in nodes:
-        up = dagger_subgroup(G, H)
-        ideal_idx = up.indices
-        inside = np.flatnonzero(_members(every_row, H.indices).all(axis=1))
-        if not np.array_equal(ideal_idx, inside):
-            wit.append({"subgroup_order": H.order, "failure": "pullback"})
-        # the grid is spanned by the steps_k basis[k]; if their products with
-        # the basis on both sides lie in it, so do its products with every
-        # sum of basis matrices
-        basis = ring.basis
-        gens = _digit_steps(G, up.shifts)[:, None, None] * basis % ring.moduli
-        for side, A, B in (("right-mult", gens, basis), ("left-mult", basis, gens)):
-            prod = np.matmul(A[:, None], B) % ring.moduli
-            packed = np.unique(ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank)))
-            if not np.isin(packed, ideal_idx).all():
-                wit.append({"subgroup_order": H.order, "failure": side})
+    # [h, f]: every row of f lies in node h; f lies in h's pullback
+    ups = [dagger_subgroup(G, H) for H in nodes]
+    member = np.zeros((len(nodes), G.order), dtype=bool)
+    pulled = np.zeros((len(nodes), ring.size), dtype=bool)
+    for h, (H, up) in enumerate(zip(nodes, ups)):
+        member[h, H.indices] = True
+        pulled[h, up.indices] = True
+    inside = member[:, rows[:, 0]]
+    for s in range(1, G.rank):
+        inside &= member[:, rows[:, s]]
+    steps = _digit_steps(G, np.array([up.shifts for up in ups]))
+    # the grid is spanned by the steps_k basis[k]; if their products with
+    # the basis on both sides lie in it, so do its products with every
+    # sum of basis matrices
+    basis = ring.basis
+    gens = steps[:, :, None, None] * basis % moduli  # [h, k]: steps_k basis[k]
+    failed = [np.any(inside != pulled, axis=1)]
+    for prod in (np.matmul(gens[:, :, None], basis), np.matmul(basis[:, None], gens[:, None])):
+        packed = ring.pack_endos(prod.reshape(-1, ring.rank, ring.rank) % moduli)
+        closed = np.take_along_axis(pulled, packed.reshape(len(nodes), -1), axis=1)
+        failed.append(~closed.all(axis=1))
+    for H, bad in zip(nodes, np.transpose(failed)):
+        for failure in itertools.compress(("pullback", "right-mult", "left-mult"), bad):
+            wit.append({"subgroup_order": H.order, "failure": failure})
     yield wit[:5], f"{len(nodes)} subgroups, {len(ideals)} ideals"
 
 

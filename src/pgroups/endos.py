@@ -82,7 +82,8 @@ DEFAULT_MAX_IDEAL_RING_ORDER = 2**12
 #: ``endo-height-exponent`` and ``endo-indicator-monotone``.
 MAX_ACTION_ENTRIES = 2**26
 
-#: Bytes of the widest temporary in one block of :meth:`EndoRing.action_chunks`.
+#: Bytes of endos x elements x r int64 entries in one block of
+#: :meth:`EndoRing.action_chunks`.
 _CHUNK_BYTES = 2**24
 
 
@@ -326,9 +327,21 @@ class EndoRing:
     # -- the action ---------------------------------------------------------
 
     def _act_block(self, mats: np.ndarray) -> np.ndarray:
-        """Packed images of every element under each matrix in ``mats``."""
+        """Packed images of every element under each matrix in ``mats``, one
+        coordinate of the images at a time, in place in tables of matrices
+        by elements."""
         table = _table(self.group)
-        return np.matmul(table.coords, mats) % table.moduli @ table.strides
+        coords = table.coords
+        out = np.zeros((len(mats), len(coords)), dtype=np.int64)
+        image = np.empty_like(out)
+        for t in range(self.rank):
+            np.multiply(mats[:, 0, t, None], coords[:, 0], out=image)
+            for s in range(1, self.rank):
+                image += mats[:, s, t, None] * coords[:, s]
+            image %= table.moduli[t]
+            image *= table.strides[t]
+            out += image
+        return out
 
     @property
     def action(self) -> np.ndarray:
@@ -339,7 +352,9 @@ class EndoRing:
 
     def action_chunks(self):
         """Yield ``(start, packed_block)`` covering all endomorphisms, each
-        block's widest temporary (endos x elements x r) within ``_CHUNK_BYTES``."""
+        block sized so that endos x elements x r int64 entries fit in
+        ``_CHUNK_BYTES``; its tables, at most three of endos x elements, fit
+        too when r >= 3."""
         step = max(1, _CHUNK_BYTES // (8 * self.group.order * self.rank))
         for start in range(0, self.size, step):
             stop = min(start + step, self.size)
@@ -535,15 +550,16 @@ def _ideal(G: GroupSpec, shifts, generators: tuple[Endo, ...] = ()) -> Ideal:
     return Ideal.__new__(Ideal)._hold(G, shifts, generators)
 
 
-def _sandwich_products(ring: EndoRing, mat: np.ndarray) -> np.ndarray:
-    """Packed indices of ``A f B`` over the additive basis pairs ``(A, B)``.
+def _sandwich_products(ring: EndoRing, mats: np.ndarray) -> np.ndarray:
+    """Packed indices of ``A f B`` over the additive basis pairs ``(A, B)``,
+    one row of ``r^4`` per matrix ``f`` of ``mats`` (shape ``(n, r, r)``).
 
-    The two-sided ideal generated by ``f`` is the additive span of these
+    The two-sided ideal generated by ``f`` is the additive span of its row
     (bilinearity reduces arbitrary ``u f v`` to basis pairs).
     """
-    basis = ring.basis
-    prods = np.matmul(np.matmul(basis, mat)[:, None], basis) % ring.moduli
-    return np.unique(ring.pack_endos(prods.reshape(-1, ring.rank, ring.rank)))
+    basis, r = ring.basis, ring.rank
+    prods = np.matmul(np.matmul(basis, mats[:, None])[:, :, None], basis) % ring.moduli
+    return ring.pack_endos(prods.reshape(-1, r, r)).reshape(len(mats), -1)
 
 
 def ideal_generated(G: GroupSpec, gens) -> Ideal:
@@ -724,10 +740,14 @@ def _ideal_census(G: GroupSpec, max_ideals: int | None = None) -> list[Ideal]:
     (default cap 2**12)."""
     _check_ideal_budget(G, max_ideals)
     ring = _cached_ring(G)
-    mults = np.unique(ring.basis_multiples().reshape(-1, G.rank, G.rank), axis=0)
-    principal = (ring.endo_span(_sandwich_products(ring, f)) for f in mults)
+    mults = ring.basis_multiples().reshape(-1, G.rank, G.rank)
+    mults = mults[np.unique(ring.pack_endos(mults), return_index=True)[1]]
+    # multiples with the same products, say within one block, span one ideal
+    products = {np.unique(s).tobytes(): s for s in _sandwich_products(ring, mults)}
+    principal = map(ring.endo_span, products.values())
     ideals = [Ideal(G, S) for S in _sum_closure(ring, principal)]
-    ideals.sort(key=lambda I: (I.size, I.indices.tolist()))
+    # big-endian bytes of nonnegative indices compare as their lists do
+    ideals.sort(key=lambda I: (I.size, I.indices.astype(">i8").tobytes()))
     return ideals
 
 

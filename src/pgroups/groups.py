@@ -452,30 +452,29 @@ def _span(
     ``m`` the least ``k >= 1`` such that ``k.g`` lies in ``S``, the cosets
     ``S + k.g`` for ``k < m`` are disjoint and their union is the subgroup
     generated by ``S`` and ``g``.  So each round adds one independent
-    generator, and builds it digit by digit in arrays no larger than the new
-    ``S``.  Seeds of larger order go first, so a cyclic span takes one round.
+    generator.  ``S`` is held twice: sorted, for membership, and as a matrix
+    of digits in any order, so that the cosets are one broadcast of the
+    digits of ``k.g`` over it.  Seeds of larger order go first, so a cyclic
+    span takes one round.
     """
     span = np.zeros(1, dtype=np.int64) if span is None else span
-    pending = np.unique(np.asarray(seed, dtype=np.int64))
-    pending = pending[~_members(pending, span)]
+    pending = np.asarray(seed, dtype=np.int64).reshape(-1)
     digits = pending[:, None] // strides % radix
     orders = np.lcm.reduce(radix // np.gcd(digits, radix), axis=1)
     first = np.argsort(-orders, kind="stable")
-    pending, orders = pending[first], orders[first]
+    pending, digits, orders = pending[first], digits[first], orders[first]
+    held = span[:, None] // strides % radix
     while True:
-        keep = ~_members(pending, span)
-        pending, orders = pending[keep], orders[keep]
-        if pending.size == 0:
+        outside = np.flatnonzero(~_members(pending, span))
+        if not outside.size:
             return span
-        g = pending[0] // strides % radix
-        mults = np.arange(orders[0], dtype=np.int64)[:, None] * g % radix
+        g, order = digits[outside[0]], int(orders[outside[0]])
+        mults = np.arange(order, dtype=np.int64)[:, None] * g % radix
         hit = np.flatnonzero(_members(mults[1:] @ strides, span))
-        m = 1 + int(hit[0]) if hit.size else int(orders[0])
-        grown = np.zeros((span.size, m), dtype=np.int64)
-        for i in range(radix.size):
-            digit = span // strides[i] % radix[i]
-            grown += (digit[:, None] + mults[None, :m, i]) % radix[i] * strides[i]
-        span = np.sort(grown, axis=None)
+        m = 1 + int(hit[0]) if hit.size else order
+        held = (held[:, None] + mults[:m]).reshape(-1, radix.size)
+        held %= radix
+        span = np.sort(held @ strides)
 
 
 def _grid(steps, radix: np.ndarray, strides: np.ndarray) -> np.ndarray:
@@ -528,29 +527,38 @@ def _bits(indices: np.ndarray) -> int:
 
 
 def _join_closure(atoms: Iterable, join, mask) -> list:
-    """Every join of a nonempty set of ``atoms``, in order of discovery, each
-    once; ``mask(S)`` is the member bitmask of ``S`` (:func:`_bits`), which
-    decides equality and containment.
+    """Every sum of a nonempty set of the subgroups ``atoms``, in order of
+    discovery, each once; ``join(S, A)`` is the sum of two, and ``mask(S)``
+    the member bitmask of ``S`` (:func:`_bits`), which decides equality and
+    containment.
 
     Each set found is joined only with the atoms comparable to it in neither
-    direction.  That reaches every join: ``a_1 + ... + a_k`` is found from
+    direction.  That reaches every sum: ``a_1 + ... + a_k`` is found from
     ``T = a_1 + ... + a_(k-1)``, since ``T + a_k`` is ``T`` itself or
     ``a_k`` when the two are comparable, and is joined directly otherwise.
+    A join is made only when its sum is new: ``S + A`` has
+    ``|S| |A| / |S & A|`` members, so a set found of that size that holds
+    both is the sum.
     """
     found, masks, seen = [], [], set()
+    by_size: dict[int, list[int]] = {}
 
     def add(S, m: int) -> None:
         if m not in seen:
             seen.add(m)
             found.append(S)
             masks.append(m)
+            by_size.setdefault(m.bit_count(), []).append(m)
 
     for A in atoms:
         add(A, mask(A))
     singles = list(zip(found, masks))
     for S, s in zip(found, masks):  # runs on over the sets appended below
         for A, a in singles:
-            if a & s not in (a, s):
+            if a & s in (a, s):
+                continue
+            size = s.bit_count() * a.bit_count() // (s & a).bit_count()
+            if not any(t | s | a == t for t in by_size.get(size, ())):
                 total = join(S, A)
                 add(total, mask(total))
     return found

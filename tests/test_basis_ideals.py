@@ -18,6 +18,7 @@ loosened pullback or pushforward law and a census set off its grid.
 """
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def sweep_ideals(G):
     each member, then of the pairwise-sum fixpoint, sorted by size, then
     members."""
     ring = get_ring(G)
-    products = (endos._sandwich_products(ring, f) for f in members(ring))
+    products = (np.unique(endos._sandwich_products(ring, f[None])) for f in members(ring))
     seeds = {prods.tobytes(): prods for prods in products}
     spans = (ring.endo_span(s) for s in seeds.values())
     found = [S.tolist() for S in endos._sum_closure(ring, spans)]
@@ -80,9 +81,9 @@ def test_census_spans_one_ideal_per_basis_multiple(monkeypatch):
     G = make_group(2, [(2, 1), (4, 1)])  # |End| = 1024
     real, calls = endos._sandwich_products, []
 
-    def counting(ring, f):
-        calls.append(f)
-        return real(ring, f)
+    def counting(ring, mats):
+        calls.extend(mats)
+        return real(ring, mats)
 
     monkeypatch.setattr(endos, "_sandwich_products", counting)
     endos._ideal_census(G)
@@ -108,7 +109,7 @@ def test_galois_suite_spans_only_its_oracle_rows(monkeypatch):
     monkeypatch.setattr(claims, "_ideal_census", lambda G, max_ideals=None: census)
     (report,) = run_claims(G, ids=["dagger-well-defined"])
     assert report.status == "verified"
-    # one row span per ideal; the pair loops over packed sets made 1264
+    # at most one row span per ideal; the pair loops over packed sets made 1264
     assert len(calls) <= len(ideals) + len(nodes)
 
 
@@ -154,3 +155,48 @@ def test_dagger_well_defined_catches_a_census_set_off_its_grid(monkeypatch):
     monkeypatch.setattr(claims, "_ideal_census", lambda G, max_ideals=None: census)
     (report,) = run_claims(G, ids=["dagger-well-defined"])
     assert report.witnesses[0] == {"ideal_size": top.size, "failure": "not a grid"}
+
+
+def test_dagger_well_defined_names_each_nodes_failures_in_order(monkeypatch):
+    G = make_group(2, [(1, 1), (2, 1)])
+    nodes = enumerate_fi_subgroups(G).nodes
+    assert [H.order for H in nodes] == [1, 2, 4, 8]
+    # shift matrices that are no ideal's: the first fails the products on
+    # both sides, the second only those with the basis on the left
+    forged = {nodes[0]: [[0, 2], [1, 0]], nodes[3]: [[0, 1], [1, 2]]}
+    real = claims.dagger_subgroup
+
+    def forging(G, H):
+        return endos._ideal(G, forged[H]) if H in forged else real(G, H)
+
+    monkeypatch.setattr(claims, "dagger_subgroup", forging)
+    (report,) = run_claims(G, ids=["dagger-well-defined"])
+    assert report.status == "refuted"
+    assert report.witnesses == [
+        {"subgroup_order": 1, "failure": "pullback"},
+        {"subgroup_order": 1, "failure": "right-mult"},
+        {"subgroup_order": 1, "failure": "left-mult"},
+        {"subgroup_order": 8, "failure": "pullback"},
+        {"subgroup_order": 8, "failure": "left-mult"},
+    ]
+
+
+def test_dagger_well_defined_and_rank_bound_their_tables():
+    """With the ideal budget raised to a ring of 2**15 endomorphisms, the
+    node checks hold tables of nodes by endomorphisms, never of nodes by
+    endomorphisms by coordinates, and the census sorts its ideals without a
+    list of each one's members."""
+    G = make_group(2, [(1, 1), (2, 1), (4, 1)])
+    tracemalloc.start()
+    try:
+        reports = run_claims(
+            G, ids=["dagger-well-defined", "rank-subadditivity"], max_ideals=2**15
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2**20
+    assert [(r.status, r.checked) for r in reports] == [
+        ("verified", "12 subgroups, 115 ideals"),
+        ("verified", "stride-256 sample: 128 endomorphisms pairwise"),
+    ]

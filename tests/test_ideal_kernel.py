@@ -141,7 +141,7 @@ def spanned_ideal(G, gens):
     products of the generators span."""
     ring = _cached_ring(G)
     seeds = [np.zeros(1, dtype=np.int64)]
-    seeds += [_sandwich_products(ring, np.array(f.matrix)) for f in gens]
+    seeds += [_sandwich_products(ring, np.array([f.matrix])).reshape(-1) for f in gens]
     return Ideal(G, ring.endo_span(np.concatenate(seeds)))
 
 

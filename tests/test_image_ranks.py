@@ -63,6 +63,12 @@ def test_endo_rank_needs_no_group_table():
 
 def test_overstated_pair_is_a_witness_of_plain_ints(monkeypatch):
     G = make_group(2, [(1, 1), (2, 1)])
+    ring = get_ring(G)
+    pairs = list(itertools.combinations(range(ring.size), 2))
+    # the sum of pair 5, (0, 6), is the first pair sum equal to this matrix
+    target = ring.decode(pairs[5]).sum(axis=0) % ring.moduli
+    sums = [ring.decode([f, g]).sum(axis=0) % ring.moduli for f, g in pairs]
+    distinct = len({m.tobytes() for m in sums})
     real = claims_module._image_ranks
     calls = []
 
@@ -70,23 +76,26 @@ def test_overstated_pair_is_a_witness_of_plain_ints(monkeypatch):
         ranks = real(G, mats)
         calls.append(len(mats))
         if len(calls) == 2:  # the pair sums come after the sample
-            ranks[5] += 10
+            ranks[(np.asarray(mats) == target).all(axis=(1, 2))] += 10
         return ranks
 
     monkeypatch.setattr(claims_module, "_image_ranks", overstating)
     [report] = run_claims(G, ids=["rank-subadditivity"])
-    assert calls == [32, 32 * 31 // 2]
+    assert calls == [32, distinct]
     assert report.status == "refuted"
-    [w] = report.witnesses
-    ring = get_ring(G)
-    f, g = list(itertools.combinations(range(ring.size), 2))[5]
-    assert w["f"] == ring.endo_of_index(f).to_json()["matrix"]
-    assert w["g"] == ring.endo_of_index(g).to_json()["matrix"]
-    mats = ring.decode([f, g])
-    assert w["rank_sum"] == sum(real(G, mats).tolist())
-    assert w["rank_of_sum"] == real(G, mats.sum(axis=0)[None] % ring.moduli)[0] + 10
-    fields = [w["rank_sum"], w["rank_of_sum"], *itertools.chain(*w["f"], *w["g"])]
-    assert all(type(x) is int for x in fields)
+    # every pair with that sum, the first five in combinations order
+    hit = [k for k, m in enumerate(sums) if np.array_equal(m, target)]
+    assert hit[:5] == [5, 34, 62, 93, 225]
+    assert len(report.witnesses) == 5
+    for w, k in zip(report.witnesses, hit):
+        f, g = pairs[k]
+        assert w["f"] == ring.endo_of_index(f).to_json()["matrix"]
+        assert w["g"] == ring.endo_of_index(g).to_json()["matrix"]
+        mats = ring.decode([f, g])
+        assert w["rank_sum"] == sum(real(G, mats).tolist())
+        assert w["rank_of_sum"] == real(G, mats.sum(axis=0)[None] % ring.moduli)[0] + 10
+        fields = [w["rank_sum"], w["rank_of_sum"], *itertools.chain(*w["f"], *w["g"])]
+        assert all(type(x) is int for x in fields)
     json.dumps(report.to_json())
 
 

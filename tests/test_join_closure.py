@@ -52,7 +52,7 @@ def census_atoms(G):
         small, large = sorted((a, b), key=len)
         return _span(small, radix, strides, span=large)
 
-    return [ring.endo_span(_sandwich_products(ring, f)) for f in mults], join
+    return [ring.endo_span(seeds) for seeds in _sandwich_products(ring, mults)], join
 
 
 def orbit_atoms(G):
