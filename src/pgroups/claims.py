@@ -7,9 +7,11 @@ slices its own witness lists.  Only the registry turns those into reports.
 A runner checks several claims only where they share work beyond the
 context and the process caches (one scan, one array of pairs).  Runners
 share a :class:`ClaimContext` that lazily materializes the admissible
-indicators and their table cuts, the element classes and the ideal listing
-under the caller's budgets.  Only ``dagger-well-defined`` holds member sets
-of End(G), the oracles of the shift forms.  A budget overrun, or a ``_Skip``
+indicators and their table cuts (one ``[indicator, element]`` mask, and
+subgroups built off it only for the runners that read members), the orbit
+steps and element classes and the ideal listing under the caller's budgets.
+Only ``dagger-well-defined`` holds member sets of End(G), the oracles of the
+shift forms.  A budget overrun, or a ``_Skip``
 raised by a runner whose claims do not apply to the group, downgrades every
 claim of that runner to ``skipped`` rather than failing the whole run.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
 from typing import Callable, Iterator, Optional, Union
@@ -45,13 +47,14 @@ from .groups import (
     _block_order,
     _fundamental_shifts,
     _grid,
-    _join,
+    _grid_rows,
     _join_closure,
     _orbit_steps,
     _packing,
     _span,
     _subgroup,
     _table,
+    _valuations,
     _within,
     block_subgroup,
     subgroup_leq,
@@ -59,11 +62,12 @@ from .groups import (
 )
 from .indicators import (
     Indicator,
+    _admissible,
+    _cut_masks,
     _cut_order,
     _padded,
     _pair_bounds,
     _precedes_matrix,
-    _sorted_indicators,
     enumerate_admissible,
     ind_of,
     indicator_subgroup,
@@ -134,7 +138,11 @@ TRANSITIVITY_MAX_ORDER = 64
 @dataclass
 class ClaimContext:
     """Shared lazy state for one request under fixed budgets: each artifact is
-    built on first use and kept (the lattice and matrix have process caches)."""
+    built on first use and kept for the request only (the admissible
+    indicators, the lattice and the matrix have process caches of the
+    shape).  The table cuts are one mask, :attr:`cut_masks`, which
+    ``indicator-antitone`` and ``indicator-coverage`` read directly;
+    :attr:`cuts` builds their subgroups for the runners that need members."""
 
     group: GroupSpec
     max_ring: int = DEFAULT_MAX_RING_ORDER
@@ -143,29 +151,48 @@ class ClaimContext:
     @cached_property
     def admissible(self) -> list[Indicator]:
         """Admissible indicators in the fixed (length, entries) order."""
-        return _sorted_indicators(enumerate_admissible(self.group))
+        return list(_admissible(self.group))
 
     @cached_property
-    def cuts(self) -> dict:
-        """The table cut of each admissible indicator, scanned once.  The
-        bottom cut is G itself, so a group over the subgroup cap is refused
-        before any scan."""
+    def cut_masks(self) -> np.ndarray:
+        """``[i, x]``: element ``x`` lies in the table cut of
+        ``admissible[i]``, all cuts scanned off the heights at once
+        (:func:`pgroups.indicators._cut_masks`).  The bottom cut is G itself,
+        so a group over the subgroup cap is refused before any scan."""
         G, cap = self.group, DEFAULT_MAX_SUBGROUP_SIZE
         if G.order > cap:
             raise GroupTooLargeError(f"subgroup with {G.order} elements exceeds cap {cap}")
-        return {s: indicator_subgroup(G, s) for s in self.admissible}
+        return _cut_masks(_table(G).heights, G.exponent, self.admissible)
+
+    @cached_property
+    def cuts(self) -> dict:
+        """The table cut of each admissible indicator as a subgroup, read off
+        :attr:`cut_masks`, for the runners that read members or block shifts."""
+        G, masks = self.group, self.cut_masks
+        return {s: _subgroup(G, np.flatnonzero(row)) for s, row in zip(self.admissible, masks)}
+
+    @cached_property
+    def orbit_steps(self) -> np.ndarray:
+        """``[x, t]``: the step of coordinate ``t`` of the orbit of element
+        ``x`` of the table (:func:`pgroups.groups._orbit_steps`)."""
+        return _orbit_steps(self.group, _table(self.group).coords)
 
     @cached_property
     def element_classes(self) -> tuple:
         """Elements grouped by orbit steps and height-table column: ``keys``
-        (one row per class), ``kind[x]`` (x's class) and the class indicators."""
-        G = self.group
-        t = _table(G)
-        keys, kind = np.unique(
-            np.hstack((_orbit_steps(G, t.coords), t.heights.T)), axis=0, return_inverse=True
+        (one row per class), ``kind[x]`` (x's class) and the class indicators.
+        Each element has one packed key: its orbit steps less one in the
+        group's packing (each step divides its modulus), then the heights
+        below exp(G), its indicator, as the set bits of ``e`` more bits."""
+        G, e = self.group, self.group.exponent
+        t, steps = _table(G), self.orbit_steps
+        below = ((t.heights < e) << t.heights.astype(np.int64)).sum(axis=0)
+        _, first, kind = np.unique(
+            (steps - 1) @ t.strides << e | below, return_index=True, return_inverse=True
         )
-        inds = [Indicator(tuple(h[h < G.exponent].tolist())) for h in keys[:, G.rank :]]
-        return keys, kind.reshape(-1), inds
+        keys = np.hstack((steps[first], t.heights.T[first]))
+        inds = [Indicator(tuple(h for h in col if h < e)) for col in keys[:, G.rank :].tolist()]
+        return keys, kind, inds
 
     def ring(self):
         """The ring, refused over ``max_ring``: for work that walks End(G)."""
@@ -217,19 +244,26 @@ def _claim(*ids: str):
 def _run_indicator_antitone(ctx: ClaimContext) -> Iterator[_Found]:
     """Refinement of indicators reverses containment of the cut-out subgroups.
 
-    The order is one matrix (:func:`pgroups.indicators._precedes_matrix`);
-    containment is read off the member bitmasks of the table cuts.  Pairs are
-    read in row-major order, the order of ``itertools.permutations``: a cut
-    contains itself, so the diagonal gives no witness."""
+    The order is one matrix (:func:`pgroups.indicators._precedes_matrix`),
+    and so is containment: cut ``j`` escapes cut ``i`` when its mask row
+    (:attr:`ClaimContext.cut_masks`) has a member outside row ``i``'s, read
+    for all pairs at once, 64 elements at a time, off the rows packed into
+    words.  Pairs are read in row-major order, the order of
+    ``itertools.permutations``: a cut contains itself, so the diagonal gives
+    no witness."""
     adm = ctx.admissible
-    bits = [_bits(ctx.cuts[s].indices) for s in adm]
+    packed = np.packbits(ctx.cut_masks, axis=1)
+    words = np.zeros((len(adm), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    escapes = np.zeros((len(adm),) * 2, dtype=bool)  # [i, j]: cut j escapes cut i
+    for word in np.ascontiguousarray(words.view(np.uint64).T):
+        escapes |= (word & ~word[:, None]) != 0
     wit = [
         {"sigma": list(adm[i].entries), "tau": list(adm[j].entries)}
-        for i, j in np.argwhere(_precedes_matrix(adm)).tolist()
-        if bits[j] & ~bits[i]
+        for i, j in np.argwhere(_precedes_matrix(adm) & escapes)[:5].tolist()
     ]
     yield (
-        wit[:5],
+        wit,
         f"{len(adm) * (len(adm) - 1)} ordered admissible pairs",
         "one direction only; distinct indicators can cut out equal subgroups",
     )
@@ -366,8 +400,8 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> Iterator[_Found]:
     Elements fall into classes by their orbit steps and their column of the
     height table, as for ``fi-closure-indicator``.  ``precedes`` is one matrix
     over the classes (:func:`pgroups.indicators._precedes_matrix`) and each
-    class's orbit is tested against every element, so the ``|G|^2`` pairs
-    are one array, read in row-major order."""
+    class's orbit is a mask row over the elements (:func:`_grid_rows`), so
+    the ``|G|^2`` pairs are one array, read in row-major order."""
     G = ctx.group
     if G.order > TRANSITIVITY_MAX_ORDER:
         raise _Skip(f"|G| = {G.order} exceeds the quadratic-orbit bound {TRANSITIVITY_MAX_ORDER}")
@@ -375,7 +409,7 @@ def _run_indicator_transitivity(ctx: ClaimContext) -> Iterator[_Found]:
     keys, kind, inds = ctx.element_classes
     refines = _precedes_matrix(inds)
     # [class, element]: the element lies in the class's orbit
-    in_orbit = (t.coords[None] % keys[:, None, : G.rank] == 0).all(axis=2)
+    in_orbit = _grid_rows(G, _valuations(G, keys[:, : G.rank]))
     missed = refines[kind[:, None], kind[None, :]] & ~in_orbit[kind]
     wit = [
         {"from": t.coords[i].tolist(), "to": t.coords[j].tolist()}
@@ -396,15 +430,16 @@ def _run_fundamental_order_iff(ctx: ClaimContext) -> Iterator[_Found]:
     ``itertools.product``."""
     G = ctx.group
     e = G.exponent
-    cells = [(k, n) for k in range(e) for n in range(1, e + 1)]
-    kappa, n = np.array(cells).T
+    kappa, n = np.divmod(np.arange(e * e), e)
+    n += 1
+    cells = np.stack((kappa, n), axis=1).tolist()
     rule = (kappa[:, None] >= kappa[None]) & (n[:, None] <= n[None])
-    F = np.array([_fundamental_shifts(G, *c) for c in cells])
+    F = _fundamental_shifts(G, kappa[:, None], n[:, None])
     actual = _within(F, F)
     wit = [
         {
-            "left": list(cells[a]),
-            "right": list(cells[b]),
+            "left": cells[a],
+            "right": cells[b],
             "parameter_rule": bool(rule[a, b]),
             "containment": bool(actual[a, b]),
         }
@@ -834,6 +869,13 @@ def _run_dagger_well_defined(ctx: ClaimContext) -> Iterator[_Found]:
     yield wit[:5], f"{len(nodes)} subgroups, {len(ideals)} ideals"
 
 
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """The member bitmask (:func:`pgroups.groups._bits`) of each mask row,
+    read off the rows packed to bits."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _same(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A == B).all(axis=-1)
 
@@ -992,7 +1034,8 @@ def _run_galois_suite(ctx: ClaimContext) -> Iterator[_Found]:
     # fundamental subgroups are closed
     e = G.exponent
     cells = [(n, kappa) for n in range(1, e + 1) for kappa in range(e)]
-    F = np.array([_fundamental_shifts(G, kappa, n) for n, kappa in cells])
+    n, kappa = np.array(cells).T
+    F = _fundamental_shifts(G, kappa[:, None], n[:, None])
     back = _pushforward(_pullback(G, F))
     fund_wit = [{"cell": list(cells[i])} for i in np.flatnonzero(~_same(back, F))]
     yield fund_wit[:5], f"all {e * e} fundamental subgroups"
@@ -1091,29 +1134,56 @@ def _run_indicator_coverage(ctx: ClaimContext) -> Iterator[_Found]:
 
     The lattice is read off the shape, so its nodes are checked against
     independent oracles: every sum of single-element orbits, closed over the
-    orbits with member bitmasks, and the table cuts, each of which must be
-    the node its indicator labels."""
-    G, cuts = ctx.group, ctx.cuts
+    orbits (:func:`_join_closure`, each sum spanned by :func:`_span`), and
+    the table cuts (:attr:`ClaimContext.cut_masks`), each of which must be
+    the node its indicator labels.  The distinct orbits are found by packing
+    each element's orbit steps into one index; the orbits and the nodes are
+    mask rows over the table (:func:`_grid_rows`).  Every set is then its member bitmask, read
+    off its row packed to bits, so nodes, cuts and sums are compared as
+    integers.  The realizable indicators are read off the Ulm invariants: an
+    admissible indicator is realizable exactly when the Ulm invariant at its
+    last entry is nonzero."""
+    G, adm = ctx.group, ctx.admissible
+    cuts = _row_masks(ctx.cut_masks)  # refused over the subgroup cap before the table
     lattice = enumerate_fi_subgroups(G)
-    steps = np.unique(_orbit_steps(G, _table(G).coords), axis=0)
-    moduli, strides = _packing(G)
-    orbits = (_subgroup(G, _grid(s, moduli, strides)) for s in steps)
-    sums = set(_join_closure(orbits, _join, lambda H: _bits(H.indices)))
-    node_list = lattice.nodes
-    nodes = set(node_list)
-    wit = [{"missing_subgroup_order": n} for n in sorted(H.order for H in sums - nodes)]
-    wit += [{"extra_subgroup_order": n} for n in sorted(H.order for H in nodes - sums)]
-    node_of = {s: H for H, labels in zip(node_list, lattice.sigma_labels) for s in labels}
+    t = _table(G)
+    # every step divides its modulus, so step - 1 is a digit of the packing
+    # and each distinct row of steps one packed index
+    seen = np.zeros(G.order, dtype=bool)
+    seen[(ctx.orbit_steps - 1) @ t.strides] = True
+    steps = np.flatnonzero(seen)[:, None] // t.strides % t.moduli + 1
+    orbits = _grid_rows(G, _valuations(G, steps))
+    size = -(-G.order // 8)
+
+    def members(mask: int) -> np.ndarray:
+        packed = np.frombuffer(mask.to_bytes(size, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(packed, bitorder="little"))
+
+    def join(s: int, a: int) -> int:
+        """The sum of two subgroups, by member bitmasks: the smaller spanned
+        from the larger."""
+        if s.bit_count() < a.bit_count():
+            s, a = a, s
+        return _bits(_span(members(a), t.moduli, t.strides, span=members(s)))
+
+    sums = set(_join_closure(_row_masks(orbits), join, lambda mask: mask))
+    mults = [m for _, m in G.components]
+    nodes = _row_masks(_grid_rows(G, np.repeat(np.array(lattice.shifts), mults, axis=1)))
+    listed = set(nodes)
+    wit = [{"missing_subgroup_order": n} for n in sorted(m.bit_count() for m in sums - listed)]
+    wit += [{"extra_subgroup_order": n} for n in sorted(m.bit_count() for m in listed - sums)]
+    label_at = {s.entries: h for h, labels in enumerate(lattice.sigma_labels) for s in labels}
     wit += [
-        {"indicator": list(s.entries), "cut_order": cut.order}
-        for s, cut in cuts.items()
-        if node_of.get(s) != cut
+        {"indicator": list(s.entries), "cut_order": cut.bit_count()}
+        for s, cut in zip(adm, cuts)
+        if s.entries not in label_at or nodes[label_at[s.entries]] != cut
     ]
-    realizable = {s for s in cuts if is_realizable(G, s)}
-    distinct = len({cuts[s] for s in realizable})
+    u = ulm_invariants(G)
+    realizable = [cut for s, cut in zip(adm, cuts) if not s.entries or u[s.entries[-1]]]
+    distinct = len(set(realizable))
     if distinct != len(realizable):
         wit.append({"realizable": len(realizable), "distinct_subgroups": distinct})
-    yield wit[:5], f"{len(cuts)} admissible indicators vs {len(sums)} nodes"
+    yield wit[:5], f"{len(adm)} admissible indicators vs {len(sums)} nodes"
 
 
 @_claim("fundamental-containment")
@@ -1121,16 +1191,15 @@ def _run_fundamental_containment(ctx: ClaimContext) -> Iterator[_Found]:
     """Each table cut sits inside the fundamental subgroup named by its first
     entry and its length."""
     G = ctx.group
-    wit = []
-    count = 0
-    for sigma, cut in ctx.cuts.items():
-        if not sigma.entries:
-            continue
-        count += 1
-        outer = _fundamental_shifts(G, sigma.entries[0], sigma.length)
-        if not _block_leq(cut.block_shifts, outer):
-            wit.append({"indicator": str(sigma)})
-    yield wit, f"{count} nonempty admissible indicators"
+    named = [(sigma, cut) for sigma, cut in ctx.cuts.items() if sigma.entries]
+    first, length = np.array([(s.entries[0], s.length) for s, _ in named]).reshape(-1, 2).T
+    outer = _fundamental_shifts(G, first[:, None], length[:, None])
+    wit = [
+        {"indicator": str(sigma)}
+        for (sigma, cut), alpha in zip(named, outer)
+        if not _block_leq(cut.block_shifts, alpha)
+    ]
+    yield wit, f"{len(named)} nonempty admissible indicators"
 
 
 @_claim("path-subgroup-chain")
@@ -1217,7 +1286,8 @@ def _run_descriptor_rule(ctx: ClaimContext) -> Iterator[_Found]:
         for k in range(e)
         for n in range(1, e + 1)
     ]
-    shifts = np.array([_fundamental_shifts(G, d.kappa.r, d.n) for d in descs])
+    kappa, n = np.array([(d.kappa.r, d.n) for d in descs]).T
+    shifts = _fundamental_shifts(G, kappa[:, None], n[:, None])
     pulled = _pullback(G, shifts).reshape(len(descs), -1)
     ideal_order = _within(pulled, pulled).tolist()
     subgroup_order = _within(shifts, shifts).tolist()
@@ -1345,8 +1415,9 @@ def run_claims(
     group_cap = DEFAULT_MAX_GROUP_ORDER if max_group is None else max_group
     if G.order > group_cap:
         raise GroupTooLargeError(f"|G| = {G.order} exceeds cap {group_cap}")
-    wanted = set(all_claim_ids() if ids is None else ids)
-    unknown = wanted - set(all_claim_ids())
+    known = set(all_claim_ids())
+    wanted = known if ids is None else set(ids)
+    unknown = wanted - known
     if unknown:
         raise InvalidInputError(f"unknown claim ids: {sorted(unknown)}")
     ctx = ClaimContext(
@@ -1361,17 +1432,16 @@ def run_claims(
             continue
         start = perf_counter()
         try:
-            found = list(runner.fn(ctx))
+            found, skip = list(runner.fn(ctx)), None
         except (BudgetExceededError, _Skip) as exc:
-            reports = [
-                ClaimReport(claim_id=cid, status="skipped", group=name, checked=str(exc))
-                for cid in runner.ids
-            ]
-        else:
-            reports = [_verdict(cid, name, *f) for cid, f in zip(runner.ids, found, strict=True)]
+            found, skip = [None] * len(runner.ids), str(exc)
         elapsed = perf_counter() - start
-        for r in reports:
-            if r.claim_id in wanted:
-                out.append(replace(r, timing=elapsed))
+        for cid, f in zip(runner.ids, found, strict=True):
+            if cid in wanted:
+                out.append(
+                    ClaimReport(cid, "skipped", name, checked=skip, timing=elapsed)
+                    if f is None
+                    else _verdict(cid, name, *f, timing=elapsed)
+                )
     out.sort(key=lambda r: r.claim_id)
     return out

@@ -86,6 +86,9 @@ MAX_ACTION_ENTRIES = 2**26
 #: :meth:`EndoRing.action_chunks`.
 _CHUNK_BYTES = 2**24
 
+#: Members decoded at a time when ``Ideal(group, indices)`` reads its shifts.
+_DECODE_ROWS = 4096
+
 
 def ring_order(G: GroupSpec) -> int:
     """``p ** sum(min(e_s, e_t))`` over all coordinate pairs — no enumeration.
@@ -493,7 +496,12 @@ class Ideal:
             raise InvalidInputError(f"ideal members must be integers in [0, {ring.size})")
         held = held.astype(np.int64)
         held.setflags(write=False)
-        self._hold(group, _entry_shifts(group, ring.decode(held)))
+        # the gcd of each entry over the members, reduced block by block
+        gcd = np.zeros((group.rank, group.rank), dtype=np.int64)
+        for start in range(0, held.size, _DECODE_ROWS):
+            block = ring.decode(held[start : start + _DECODE_ROWS])
+            gcd = np.gcd(gcd, np.gcd.reduce(block, axis=0))
+        self._hold(group, _entry_shifts(group, gcd))
         self._indices = held
 
     def _hold(self, group: GroupSpec, shifts, generators=()) -> "Ideal":

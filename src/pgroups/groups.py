@@ -32,7 +32,8 @@ off them (:func:`_block_leq`, :func:`_within`).  :func:`_span` and
 :func:`_grid` build index sets in any digit radix:
 the ideal census in :mod:`pgroups.endos` spans and joins sets of End(G) indices
 with them, while the ideals themselves (:class:`pgroups.endos.Ideal`) are held
-by their block shift matrices.
+by their block shift matrices.  :func:`_grid_rows` reads many grids of G at
+once as mask rows over the table.
 """
 from __future__ import annotations
 
@@ -403,14 +404,14 @@ def _height_rows(G: GroupSpec, start: int, stop: int) -> tuple:
         )
     e = G.exponent
     moduli, strides = _packing(G)
-    exps = np.array(G.coordinate_exponents, dtype=np.int8)
     coords = np.arange(start, stop, dtype=np.int64)[:, None] // strides % moduli
     valuations = _valuations(G, coords).astype(np.int8)
-    heights = np.empty((e + 1, stop - start), dtype=np.int8)
-    for k in range(e + 1):
-        # p^k x has valuation v + k in a coordinate, or vanishes there
-        shifted = valuations + np.int8(k)
-        heights[k] = np.where(shifted < exps, shifted, np.int8(e)).min(axis=1)
+    ks = np.arange(e + 1, dtype=np.int8)[:, None]
+    heights = np.full((e + 1, stop - start), e, dtype=np.int8)
+    for v, n in zip(valuations.T, G.coordinate_exponents):
+        # [k, x]: p^k x has valuation v + k in this coordinate, or vanishes there
+        shifted = v + ks
+        np.minimum(heights, np.where(shifted < n, shifted, np.int8(e)), out=heights)
     return coords, valuations, heights
 
 
@@ -429,8 +430,9 @@ def _height_chunks(G: GroupSpec):
     elements, each block's temporaries within ``_SCAN_BYTES``, for scans that
     keep no table."""
     # per element: three int64 temporaries per coordinate (the coordinate, its
-    # gcd with the modulus, its valuation) and e + 1 int8 heights
-    step = max(1, _SCAN_BYTES // (24 * G.rank + G.exponent + 1))
+    # gcd with the modulus, its valuation), e + 1 int8 heights and, for one
+    # coordinate at a time, three temporaries of e + 1 bytes
+    step = max(1, _SCAN_BYTES // (24 * G.rank + 4 * (G.exponent + 1)))
     for start in range(0, G.order, step):
         yield _height_rows(G, start, min(start + step, G.order))[2]
 
@@ -485,6 +487,18 @@ def _grid(steps, radix: np.ndarray, strides: np.ndarray) -> np.ndarray:
     for q, stride, step in zip(radix, strides, steps):
         out = (out[:, None] + np.arange(0, q, step) * stride).reshape(-1)
     return out
+
+
+def _grid_rows(G: GroupSpec, lows) -> np.ndarray:
+    """``[i, x]``: element ``x`` lies in the grid (:func:`_grid`) with steps
+    ``p^lows[i]``, one valuation per coordinate: each coordinate of ``x``
+    has valuation at least ``lows[i, t]``, a zero coordinate counting as its
+    exponent.  Read off the table (:func:`_table`) one coordinate at a time."""
+    lows = np.asarray(lows)
+    inside = np.ones((len(lows), G.order), dtype=bool)
+    for v, low in zip(_table(G).valuations.T, lows.T):
+        inside &= v >= low[:, None]
+    return inside
 
 
 def _orbit_steps(G: GroupSpec, coords) -> np.ndarray:
@@ -723,9 +737,13 @@ def fundamental_subgroup(G: GroupSpec, kappa: int, n: int) -> Subgroup:
     return block_subgroup(G, _fundamental_shifts(G, kappa, n))
 
 
-def _fundamental_shifts(G: GroupSpec, kappa: int, n: int) -> tuple[int, ...]:
-    """The block shifts of ``p^kappa G[p^n]``."""
-    return tuple(min(max(kappa, e - n), e) for e, _ in G.components)
+def _fundamental_shifts(G: GroupSpec, kappa, n):
+    """The block shifts of ``p^kappa G[p^n]``, a tuple for int parameters.
+    Array parameters broadcast against the trailing block axis (give them one
+    trailing axis of length 1), so every cell of a grid is one call."""
+    exps = np.array([e for e, _ in G.components])
+    shifts = np.minimum(np.maximum(kappa, exps - n), exps)
+    return tuple(shifts.tolist()) if shifts.ndim == 1 else shifts
 
 
 def _block_order(G: GroupSpec, alpha: tuple[int, ...]) -> int:
@@ -742,8 +760,13 @@ def _block_leq(alpha, beta) -> bool:
 
 def _within(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``[i, j]``: the object with (flattened) shifts ``A[i]`` lies in the one
-    with ``B[j]`` (:func:`_block_leq`), for block sums and ideals alike."""
-    return (A[:, None] >= B[None]).all(axis=-1)
+    with ``B[j]`` (:func:`_block_leq`), for block sums and ideals alike; one
+    ``[i, j]`` comparison per shift, which numpy runs far faster than a
+    reduction over a short last axis."""
+    inside = np.ones((len(A), len(B)), dtype=bool)
+    for a, b in zip(np.transpose(A), np.transpose(B)):
+        inside &= a[:, None] >= b
+    return inside
 
 
 def block_subgroup(G: GroupSpec, alpha: tuple[int, ...]) -> Subgroup:
@@ -794,5 +817,9 @@ def ulm_invariant(G: GroupSpec, kappa: int) -> int:
 
 
 def ulm_invariants(G: GroupSpec) -> tuple[int, ...]:
-    """The tuple ``(u_0, ..., u_(e-1))`` up to the exponent of G."""
-    return tuple(ulm_invariant(G, k) for k in range(G.exponent))
+    """The tuple ``(u_0, ..., u_(e-1))`` up to the exponent of G: the same
+    differences of socle-slice dimensions as :func:`ulm_invariant`, with the
+    coordinate exponents read once."""
+    exps = G.coordinate_exponents
+    dims = [sum(1 for e in exps if e > kappa) for kappa in range(G.exponent + 1)]
+    return tuple(a - b for a, b in itertools.pairwise(dims))

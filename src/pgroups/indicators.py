@@ -11,25 +11,31 @@ higher; the empty indicator is the top.  Under this order the set of all
 bounded indicators is a lattice whose meet pads the shorter argument with
 infinity and whose join truncates to the shorter length.
 
-:func:`ind_of` computes one element's indicator.  The subgroup ``G(sigma)``
-cut out by an indicator is a block sum whose shifts :func:`cut_shifts` reads
-off the shape; :func:`indicator_subgroup`, the oracle, scans the packed height
-table instead, one vectorised comparison per entry of ``sigma``, and
-:func:`_cut_order` counts a cut over the heights block by block, keeping no
-table.  The pair bounds (:func:`_pair_bounds`) are read off one precedes
-matrix in blocks of pairs.  The module builds on :mod:`pgroups.groups` alone;
-the action of End(G) on indicators is checked in :mod:`pgroups.endos`.
+:func:`ind_of` computes one element's indicator.  The admissible indicators
+are generated once per group from the Ulm invariants (:func:`_admissible`,
+read by the lattice and the claims).  The subgroup ``G(sigma)`` cut out by an
+indicator is a block sum whose shifts :func:`cut_shifts` reads off the shape.
+The oracle scans the packed height table instead: :func:`_cut_masks` reads
+the cuts of many indicators as one ``[indicator, element]`` mask, one
+vectorised comparison per entry position up to the longest, and both
+:func:`indicator_subgroup` and :func:`_cut_order` (which counts a cut over the
+heights block by block, keeping no table) are that mask for one indicator.
+The pair bounds (:func:`_pair_bounds`) are read off one precedes matrix in
+blocks of pairs.  The module builds on :mod:`pgroups.groups` alone; the action
+of End(G) on indicators is checked in :mod:`pgroups.endos`.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from .errors import IndexOutOfRangeError, InvalidInputError, NotNormalizableError
-from .groups import Element, GroupSpec, INF, exponent, height, smul, ulm_invariant
+from .groups import Element, GroupSpec, INF, exponent, height, smul, ulm_invariant, ulm_invariants
 from .groups import _height_chunks, _is_int, _subgroup, _table
 
 #: Bytes of one ``[indicator, pair]`` mask in a block of :func:`_pair_bounds`.
@@ -132,17 +138,17 @@ def _padded(inds: list[Indicator]) -> tuple[np.ndarray, int]:
     (a pad in either row absorbs the max, which truncates it)."""
     width = max((s.length for s in inds), default=0)
     top = 1 + max((s.entries[-1] for s in inds if s.entries), default=0)
-    A = np.full((len(inds), width), top, dtype=np.min_scalar_type(top))
-    for i, s in enumerate(inds):
-        A[i, : s.length] = s.entries
-    return A, top
+    rows = [s.entries + (top,) * (width - s.length) for s in inds]
+    return np.array(rows, dtype=np.min_scalar_type(top)).reshape(len(inds), width), top
 
 
 def _precedes_matrix(inds: list[Indicator]) -> np.ndarray:
     """``[i, j]``: ``precedes(inds[i], inds[j])``, read off the padded rows
-    (:func:`_padded`) in one comparison."""
-    A = _padded(inds)[0]
-    return (A[:, None] <= A[None]).all(axis=-1)
+    (:func:`_padded`): one ``[i, j]`` comparison per entry position."""
+    below = np.ones((len(inds),) * 2, dtype=bool)
+    for column in np.transpose(_padded(inds)[0]):
+        below &= column[:, None] <= column
+    return below
 
 
 def ind_min(sigma: Indicator, tau: Indicator) -> Indicator:
@@ -241,17 +247,26 @@ def enumerate_admissible(G: GroupSpec) -> set[Indicator]:
     >>> len(enumerate_admissible(make_group(2, [(2, 1), (4, 1)])))
     13
     """
-    e = G.exponent
-    found: set[Indicator] = {TOP}
+    return set(_admissible(G))
+
+
+@lru_cache(maxsize=32)
+def _admissible(G: GroupSpec) -> tuple[Indicator, ...]:
+    """:func:`enumerate_admissible` in the fixed (length, entries) order
+    (:func:`_sorted_indicators`), kept per group: the lattice and every claim
+    that reads the indicators share one enumeration.  Each length is grown
+    from the sorted one before, each prefix by increasing entries, so the
+    indicators come out in that order."""
+    u = ulm_invariants(G)
+    e = len(u)
+    found = [TOP]
     grown = [(v,) for v in range(e)]
     while grown:
-        found.update(map(Indicator, grown))
+        found += map(Indicator, grown)
         grown = [
-            s + (w,)
-            for s in grown
-            for w in range(s[-1] + 1, e if ulm_invariant(G, s[-1]) else min(s[-1] + 2, e))
+            s + (w,) for s in grown for w in range(s[-1] + 1, e if u[s[-1]] else min(s[-1] + 2, e))
         ]
-    return found
+    return tuple(found)
 
 
 def min_admissible(G: GroupSpec) -> Indicator:
@@ -270,17 +285,26 @@ def indicator_subgroup(G: GroupSpec, sigma: Indicator):
     >>> indicator_subgroup(G, Indicator((1,))).order    # the socle
     4
     """
-    return _subgroup(G, np.flatnonzero(_cut_mask(_table(G).heights, G.exponent, sigma)))
+    (inside,) = _cut_masks(_table(G).heights, G.exponent, [sigma])
+    return _subgroup(G, np.flatnonzero(inside))
 
 
-def _cut_mask(heights: np.ndarray, e: int, sigma: Indicator) -> np.ndarray:
-    """``[x]``: element ``x`` lies in the cut ``G(sigma)``, read off
+def _cut_masks(heights: np.ndarray, e: int, sigmas: list[Indicator]) -> np.ndarray:
+    """``[i, x]``: element ``x`` lies in the cut ``G(sigmas[i])``, read off
     ``heights[k, x]``, the heights of its ``p^k`` multiples laid out as in the
-    group's table (``e = exp(G)`` standing for INF), without building the
-    subgroup."""
-    inside = heights[min(sigma.length, e)] == e
-    for k, s in enumerate(sigma.entries[:e]):
-        inside &= heights[k] >= min(s, e)
+    group's table (``e = exp(G)`` standing for INF), without building a
+    subgroup: ``heights[k, x] >= sigma_k`` for every entry, then
+    ``heights[len(sigma), x] == e``.  One pass per ``k`` up to the longest
+    ``sigma`` compares that row of heights with every indicator's bound at
+    ``k``: its entry, or INF past its end (redundant past the first)."""
+    width = min(max((s.length for s in sigmas), default=0) + 1, e)
+    bound = np.full((len(sigmas), width), e, dtype=heights.dtype)
+    for i, s in enumerate(sigmas):
+        entries = [min(v, e) for v in s.entries[:width]]
+        bound[i, : len(entries)] = entries
+    inside = heights[0] >= bound[:, :1]
+    for k in range(1, width):
+        inside &= heights[k] >= bound[:, k, None]
     return inside
 
 
@@ -288,26 +312,23 @@ def _cut_order(G: GroupSpec, sigma: Indicator) -> int:
     """The order of the cut ``G(sigma)``, counted over the heights block by
     block (:func:`pgroups.groups._height_chunks`): no table is kept."""
     e = G.exponent
-    return sum(int(np.count_nonzero(_cut_mask(h, e, sigma))) for h in _height_chunks(G))
+    return sum(int(np.count_nonzero(_cut_masks(h, e, [sigma]))) for h in _height_chunks(G))
 
 
 def cut_shifts(G: GroupSpec, sigma: Indicator) -> tuple[int, ...]:
     """The block shifts of the cut ``G(sigma)``: per block of exponent ``n``,
-    the least ``v >= n - len(sigma)`` with ``v + k >= sigma_k`` for every
-    ``k < n - v`` (the heights of the ``p^k`` multiples of ``p^v`` times a
-    generator).
+    ``n`` less the number of entries of ``sigma`` below ``n``.
+
+    That is the least ``v >= n - len(sigma)`` with ``v + k >= sigma_k`` for
+    every ``k < n - v`` (the heights of the ``p^k`` multiples of ``p^v``
+    times a generator): ``sigma_k - k`` never falls, so only the last ``k``
+    binds, and it holds exactly when ``sigma_(n - v - 1) < n``.
 
     >>> from .groups import make_group
     >>> cut_shifts(make_group(2, [(2, 1), (4, 1)]), Indicator((1, 3)))
     (1, 2)
     """
-    out = []
-    for n, _ in G.components:
-        v = max(0, n - sigma.length)
-        while any(v + k < s for k, s in enumerate(sigma.entries[: n - v])):
-            v += 1
-        out.append(v)
-    return tuple(out)
+    return tuple([n - bisect.bisect_left(sigma.entries, n) for n, _ in G.components])
 
 
 def admissible_glb(

@@ -37,7 +37,7 @@ from .errors import InvalidInputError, NotFullyInvariantError, UnknownFormatErro
 from .groups import Element, GroupSpec, Subgroup, _is_int, block_subgroup
 from .groups import _block_order, _fundamental_shifts, _grid, _orbit_steps, _packing
 from .groups import _subgroup, _within
-from .indicators import Indicator, _sorted_indicators, cut_shifts, enumerate_admissible
+from .indicators import Indicator, _admissible, cut_shifts
 
 
 def _fi_system(G: GroupSpec) -> tuple:
@@ -53,7 +53,12 @@ def _fi_system(G: GroupSpec) -> tuple:
 def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
     """Do these block shifts define a fully invariant subgroup, i.e. solve
     :func:`_fi_system`?"""
-    lo, hi, rows = _fi_system(G)
+    return _solves(_fi_system(G), alpha)
+
+
+def _solves(system: tuple, alpha: tuple[int, ...]) -> bool:
+    """Do the shifts ``alpha`` solve ``system`` (:func:`_fi_system`)?"""
+    lo, hi, rows = system
     return (
         len(alpha) == len(lo)
         and all(a <= x <= b for a, x, b in zip(lo, alpha, hi))
@@ -119,9 +124,10 @@ def _shift_names(G: GroupSpec) -> dict[tuple[int, ...], str]:
     names = {exps: "0", (0,) * len(exps): "G"}
     tried = [(kappa, e) for kappa in range(1, e + 1)] + [(0, n) for n in range(1, e + 1)]
     tried += itertools.product(range(1, e + 1), repeat=2)
-    for kappa, n in tried:
+    kappas, ns = np.array(tried).T
+    for (kappa, n), alpha in zip(tried, _fundamental_shifts(G, kappas[:, None], ns[:, None])):
         name = f"{_power(kappa)}G" + ("" if n == e else f"[{_power(n)}]")
-        names.setdefault(_fundamental_shifts(G, kappa, n), name)
+        names.setdefault(tuple(alpha.tolist()), name)
     return names
 
 
@@ -161,11 +167,10 @@ class FILattice:
 
     def __post_init__(self):
         k = len(self.group.components)
+        system = _fi_system(self.group)
         for i, alpha in enumerate(self.shifts):
             if not (
-                isinstance(alpha, tuple)
-                and all(map(_is_int, alpha))
-                and is_valid_fi_form(self.group, alpha)
+                isinstance(alpha, tuple) and all(map(_is_int, alpha)) and _solves(system, alpha)
             ):
                 raise InvalidInputError(
                     f"lattice node {i} is not the block shifts of a fully"
@@ -204,7 +209,7 @@ def enumerate_fi_subgroups(G: GroupSpec) -> FILattice:
     so the lattice is kept per group: its size follows the exponents, not
     |G|."""
     by_cut: dict[tuple[int, ...], list[Indicator]] = {}
-    for sigma in _sorted_indicators(enumerate_admissible(G)):
+    for sigma in _admissible(G):
         by_cut.setdefault(cut_shifts(G, sigma), []).append(sigma)
     shifts = sorted(by_cut, key=lambda a: (_block_order(G, a), a[::-1]))
     strict = _strictly_below(shifts).astype(np.int64)

@@ -86,10 +86,8 @@ def build_matrix(G: GroupSpec) -> FundMatrix:
     (0, 1)
     """
     e = G.exponent
-    shifts = np.array(
-        [[_fundamental_shifts(G, j, i) for j in range(e)] for i in range(1, e + 1)],
-        dtype=np.int64,
-    )
+    # [i - 1, j]: row i, column j
+    shifts = _fundamental_shifts(G, np.arange(e)[:, None], np.arange(1, e + 1)[:, None, None])
     shifts.setflags(write=False)
     display = tuple(range(len(G.components)))
     markers = tuple(n - 1 for n, _ in G.components)

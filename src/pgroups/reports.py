@@ -66,7 +66,13 @@ class ClaimReport:
 
 
 def _verdict(
-    claim_id: str, group: str, witnesses: list, checked: str, note: str = ""
+    claim_id: str,
+    group: str,
+    witnesses: list,
+    checked: str,
+    note: str = "",
+    *,
+    timing: float | None = None,
 ) -> ClaimReport:
     """The report of a check: refuted exactly when it found witnesses."""
     return ClaimReport(
@@ -76,6 +82,7 @@ def _verdict(
         witnesses=witnesses,
         checked=checked,
         note=note,
+        timing=timing,
     )
 
 

@@ -380,16 +380,16 @@ def check_ulm_criterion(seq: UlmSequence) -> ClaimReport:
     """
     witnesses = []
     checked = 0
-    totals = _suffix_sums([seq.block_total(k) for k in range(len(seq.blocks))])
+    # beyond[i]: the mass of the blocks after block i
+    beyond = _suffix_sums([seq.block_total(k) for k in range(1, len(seq.blocks))])
     for i in range(seq.length.q):
-        beyond = totals[i + 1]
         for j, window in enumerate(seq.blocks[i].suffix_sums()):
             checked += 1
-            if not beyond <= window:
+            if not beyond[i] <= window:
                 witnesses.append(
                     {
                         "kappa": Ordinal(i, j).to_json(),
-                        "mass_beyond_window": str(beyond),
+                        "mass_beyond_window": str(beyond[i]),
                         "window_sum": str(window),
                     }
                 )

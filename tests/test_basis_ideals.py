@@ -200,3 +200,24 @@ def test_dagger_well_defined_and_rank_bound_their_tables():
         ("verified", "12 subgroups, 115 ideals"),
         ("verified", "stride-256 sample: 128 endomorphisms pairwise"),
     ]
+
+
+def test_census_ideals_read_their_shifts_block_by_block():
+    """``Ideal(group, indices)`` reduces the gcd of its members' entries over
+    blocks of ``endos._DECODE_ROWS`` members, so the census of a ring of
+    2**15 endomorphisms never decodes the whole ring at once: measured 7.29 MB
+    peak, against 7.96 MB when every member was decoded in one array."""
+    G = make_group(2, [(1, 1), (2, 1), (4, 1)])
+    tracemalloc.start()
+    try:
+        (report,) = run_claims(G, ids=["dagger-well-defined"], max_ideals=2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.6 * 2**20
+    assert (report.status, report.checked) == ("verified", "12 subgroups, 115 ideals")
+    ring = get_ring(G)
+    members = np.arange(0, ring.size, 3)  # a member set over several blocks
+    assert members.size > endos._DECODE_ROWS
+    expected = endos._entry_shifts(G, ring.decode(members))
+    assert np.array_equal(endos.Ideal(G, members).shifts, expected)

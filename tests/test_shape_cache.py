@@ -30,6 +30,7 @@ import pgroups
 from pgroups.cli import main
 from pgroups.endos import Ideal, _ideal_images, _pushforward, ideal_shifts
 from pgroups.groups import Subgroup, make_group
+from pgroups.indicators import Indicator, _admissible, _sorted_indicators, enumerate_admissible
 from pgroups.lattice import FILattice, enumerate_fi_subgroups
 from pgroups.matrix import build_matrix
 
@@ -263,3 +264,18 @@ def test_every_keyed_cache_is_bounded():
     assert "ulm_invariant" not in maxsizes
     for cache in SHAPE_CACHES:
         assert cache.cache_info().maxsize == 32
+
+
+@pytest.mark.parametrize("pg", POOL, ids=_ids)
+def test_admissible_indicators_are_kept_once_in_their_order(pg):
+    """``indicators._admissible`` keeps one immutable tuple per group: the
+    admissible indicators in the fixed (length, entries) order, which the
+    lattice labels and ``verify`` reads."""
+    G = make_group(*pg)
+    kept = _admissible(G)
+    assert kept == _admissible.__wrapped__(G)
+    assert isinstance(kept, tuple) and all(isinstance(s, Indicator) for s in kept)
+    assert list(kept) == _sorted_indicators(enumerate_admissible(G))
+    labels = enumerate_fi_subgroups(G).sigma_labels
+    assert _sorted_indicators(s for node in labels for s in node) == list(kept)
+    assert _admissible.cache_info().maxsize == 32
