@@ -91,6 +91,7 @@ from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
     MAX_ACTION_ENTRIES,
+    _blocks,
     _cached_ring,
     _digit_steps,
     _ideal,
@@ -195,7 +196,8 @@ class ClaimContext:
         return keys, kind, inds
 
     def ring(self):
-        """The ring, refused over ``max_ring``: for work that walks End(G)."""
+        """The ring, refused over ``max_ring`` and from 2**63 (:func:`get_ring`):
+        for the runners that walk End(G) or list its ideals."""
         return get_ring(self.group, max_ring=self.max_ring)
 
     @cached_property
@@ -750,14 +752,18 @@ def _run_rank_subadditivity(ctx: ClaimContext) -> Iterator[_Found]:
 
 def _least_outside(G: GroupSpec, w, v) -> list | None:
     """The least member (as a matrix) of the ideal with shifts ``w`` outside
-    the one with ``v``, or None: ``w``'s step at the last (least significant)
-    digit where ``v``'s step does not divide it."""
-    steps = _digit_steps(G, w)
-    k = np.flatnonzero(steps % _digit_steps(G, v))
-    if not k.size:
+    the one with ``v``, or None: the single entry ``p^w_st`` at the last
+    (least significant) coordinate pair, row-major, whose block has
+    ``w_st < v_st``."""
+    _, mults, _ = _blocks(G)
+    w, v = (np.repeat(np.repeat(a, mults, axis=0), mults, axis=1) for a in (w, v))
+    below = np.argwhere(w < v)
+    if not len(below):
         return None
-    ring = _cached_ring(G)
-    return ring.decode(steps[k[-1]] * ring._endo_strides[k[-1]]).tolist()
+    i, j = below[-1].tolist()
+    least = [[0] * G.rank for _ in range(G.rank)]
+    least[i][j] = G.p ** int(w[i, j])
+    return least
 
 
 @_claim(
@@ -775,7 +781,6 @@ def _run_fun_identities(ctx: ClaimContext) -> Iterator[_Found]:
     * image of ``E[p^n]``     == ``G[p^n]``       (holds)
     * preimage of ``G[p^n]``  == ``E[p^n]``       (holds)
     """
-    ctx.ring()  # the README's --max-ring gate; the identities read no ring
     G = ctx.group
     e = G.exponent
     power_ideal, power_subgroup, socle_ideal, socle_subgroup = [], [], [], []
@@ -1052,7 +1057,6 @@ def _run_collision_recipe(ctx: ClaimContext) -> Iterator[_Found]:
             f"|End(G)| = {ring_order(G)} exceeds the ideal-enumeration cap"
             f" {ctx.max_ideals} needed to certify absence"
         )
-    ctx.ring()
     got = find_dagger_collision(G, ideals=ctx.ideals if homocyclic else None)
     wit = []
     if homocyclic:
@@ -1079,7 +1083,6 @@ def _run_named_collision_pair(ctx: ClaimContext) -> Iterator[_Found]:
     if G.components != ((2, 1), (4, 1)):
         raise _Skip("pair is bundled for the Z(p^2)+Z(p^4) shape only")
     f, g = reference_collision_generators(G)
-    ctx.ring()
     I = ideal_generated(G, [f])
     J = ideal_generated(G, [g])
     socle = _fundamental_shifts(G, 0, 1)
@@ -1278,7 +1281,6 @@ def _run_descriptor_rule(ctx: ClaimContext) -> Iterator[_Found]:
     at once (:func:`pgroups.groups._within`); the stated rule is evaluated
     pair by pair, in row-major order.
     """
-    ctx.ring()  # the README's --max-ring gate; the rule reads no ring
     G = ctx.group
     e = G.exponent
     descs = [

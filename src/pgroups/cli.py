@@ -232,12 +232,6 @@ def cmd_endo(args) -> int:
     G = _group_from_arg(args.group, args.max_group)
     size = ring_order(G)
     lines = [f"group: {G.describe()}", f"|End(G)| = {size}"]
-    if size > args.max_ring:
-        lines.append(
-            f"ring not materialized: |End(G)| exceeds --max-ring {args.max_ring}"
-        )
-        print("\n".join(lines))
-        return 0
     if size > args.max_ideals:
         lines.append(
             f"ideals not enumerated: |End(G)| exceeds --max-ideals {args.max_ideals}"

@@ -405,11 +405,14 @@ def _cached_ring(G: GroupSpec) -> EndoRing:
 
 def get_ring(G: GroupSpec, max_ring: int | None = None) -> EndoRing:
     """The shared ring of ``G``, for work that walks End(G): refused when
-    |End(G)| exceeds ``max_ring`` (default 2**20)."""
+    |End(G)| exceeds ``max_ring`` (default 2**20), and at any cap from 2**63
+    on, where its int64 indices end."""
     cap = DEFAULT_MAX_RING_ORDER if max_ring is None else max_ring
     size = ring_order(G)
     if size > cap:
         raise RingTooLargeError(f"|End(G)| = {size} exceeds cap {cap}")
+    if size >= 2**63:
+        raise RingTooLargeError(f"|End(G)| = {size} is not below 2**63, the int64 index limit")
     return _cached_ring(G)
 
 

@@ -5,9 +5,11 @@ The groups are those of the benchmark's ``verify`` set and stream pool
 (``perfbench/workloads.py``) whose ring has at most 2**12 members, so every
 claim runs, the census-backed ``dagger-well-defined`` included.  Each group
 runs twice, once with the default budgets and once with ``max_ring`` and
-``max_ideals`` both 16, which turns the ring-gated runners into their skip
-texts.  A refactor of the claim runners must leave every rendered report,
-witness lists and ``checked`` texts included, as it was.
+``max_ideals`` both 16, which turns the runners that build the ring or list
+ideals into their skip texts; the closed-form runners (the power/socle
+identities, the descriptor rule, the collisions) answer under both.  A
+refactor of the claim runners must leave every rendered report, witness lists
+and ``checked`` texts included, as it was.
 """
 from __future__ import annotations
 
@@ -20,9 +22,8 @@ from pgroups.endos import ring_order
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-#: SHA-256 of the 82 runs' rendered reports, recorded before the dagger
-#: suite was split from its census oracle.
-DIGEST = "947a1209ce3a18e92599a53b27a1092cb36d8939f56753d1d30aeb0ab5977151"
+#: SHA-256 of the 82 runs' rendered reports.
+DIGEST = "68c9822ad0126e8d93b48b87bf8932d8da9d11c74be2ca5005a1dd5d5a21efe1"
 
 
 def _workloads():

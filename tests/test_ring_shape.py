@@ -2,8 +2,10 @@
 the ring budget applies only to work that walks End(G)."""
 import importlib.util
 import itertools
+import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +26,20 @@ from pgroups import (
     scalar_endo,
     special_ideals,
 )
-from pgroups.endos import _CHUNK_BYTES, DEFAULT_MAX_IDEAL_RING_ORDER, _cached_ring, ring_order
-from pgroups.groups import _table
+from pgroups import claims, endos
+from pgroups.claims import _least_outside
+from pgroups.cli import main
+from pgroups.endos import (
+    _CHUNK_BYTES,
+    DEFAULT_MAX_IDEAL_RING_ORDER,
+    _cached_ring,
+    _pullback,
+    _pushforward,
+    ring_order,
+)
+from pgroups.groups import _fundamental_shifts, _table
 from pgroups.lattice import is_valid_fi_form
-from ring_family import DAGGER_SUITE
+from ring_family import DAGGER_SUITE, FAMILY
 
 #: Rings above the default 2**20 cap on small groups.
 BIG_RINGS = [
@@ -155,7 +167,7 @@ def _small_ring_groups():
     return [make_group(p, pairs) for p, pairs in module.SMALL_RING_GROUPS]
 
 
-#: The claims whose runners open the ring shape but read no element.
+#: The claims whose runners read no element; some open the ring shape.
 SHAPE_CLAIMS = [
     "power-ideal-dagger",
     "power-subgroup-dagger",
@@ -202,3 +214,90 @@ def test_ring_shape_reads_no_element(monkeypatch):
     _cached_ring.cache_clear()
     for G, answers in zip(groups, expected):
         assert _shape_answers(G) == answers, G.describe()
+
+
+def _index_space_least_outside(G, w, v):
+    """The witness as the ring's index space gave it: ``w``'s step at the last
+    digit where ``v``'s step does not divide it, decoded."""
+    steps = endos._digit_steps(G, w)
+    k = np.flatnonzero(steps % endos._digit_steps(G, v))
+    if not k.size:
+        return None
+    ring = _cached_ring(G)
+    return ring.decode(steps[k[-1]] * ring._endo_strides[k[-1]]).tolist()
+
+
+@pytest.mark.parametrize("G", FAMILY, ids=lambda G: G.describe())
+def test_least_outside_is_the_index_space_witness(G):
+    """Read off the shifts, ``_least_outside`` gives the decoded index of the
+    least member outside, both ways on every pair its callers build: the
+    pullback of p^n G against p^n E for n up to exp(G), and each listed
+    ideal against its double dagger."""
+    e = G.exponent
+    pairs = [
+        (_pullback(G, _fundamental_shifts(G, n, e)), special_ideals(G, n)[0].shifts)
+        for n in range(e + 1)
+    ]
+    pairs += [(I.shifts, _pullback(G, _pushforward(I.shifts))) for I in enumerate_ideals(G)]
+    for w, v in pairs:
+        for a, b in ((w, v), (v, w)):
+            assert _least_outside(G, a, b) == _index_space_least_outside(G, a, b)
+
+
+@pytest.mark.parametrize("cap", [str(2**81), str(10**30)])
+def test_ring_runners_skip_past_int64(capsys, cap):
+    """|End(Z(2)^9)| = 2^81: refused at any cap, as its indices overflow int64."""
+    Z2_9 = '{"p": 2, "components": [{"exponent": 1, "multiplicity": 9}]}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", Z2_9, "--max-ring", cap, "--claims", "rank-subadditivity"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == "skipped"
+    assert report["checked"] == (
+        "|End(G)| = 2417851639229258349412352 is not below 2**63, the int64 index limit"
+    )
+
+
+def test_power_witness_is_read_off_the_shifts_past_int64(capsys):
+    """|End(Z(2) + Z(4)^6)| = 2^85: the witness needs no index of it."""
+    G = '{"p": 2, "components": [{"exponent": 1, "multiplicity": 1}, {"exponent": 2, "multiplicity": 6}]}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", G, "--max-ring", str(2**100), "--claims", "power-subgroup-dagger"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    (wit,) = json.loads(out)["witnesses"]
+    expected = [[0] * 7 for _ in range(7)]
+    expected[0][6] = 2
+    assert wit["endo_outside_scaled_ring"] == expected
+
+
+def test_closed_form_claims_build_no_ring(monkeypatch, capsys):
+    """The power/socle identities, the descriptor rule, the collisions and
+    ``endo`` answer with the ring's constructors refusing, above the default
+    ``--max-ring`` too."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ring was built")
+
+    for module in (claims, endos):
+        monkeypatch.setattr(module, "get_ring", refuse)
+        monkeypatch.setattr(module, "_cached_ring", refuse)
+    ids = [
+        "collision-recipe",
+        "descriptor-rule-as-stated",
+        "descriptor-rule-empirical",
+        "power-ideal-dagger",
+        "power-subgroup-dagger",
+        "socle-ideal-dagger",
+        "socle-subgroup-dagger",
+    ]
+    reports = run_claims(make_group(2, [(1, 1), (19, 1)]), ids=ids)  # |End| = 2^22
+    assert [(r.claim_id, r.status != "skipped") for r in reports] == [(i, True) for i in ids]
+    (pair,) = run_claims(make_group(2, [(2, 1), (4, 1)]), ids=["named-collision-pair"])
+    assert pair.status != "skipped"
+    G24 = '{"p": 2, "components": [{"exponent": 1, "multiplicity": 1}, {"exponent": 2, "multiplicity": 1}]}'
+    assert main(["endo", G24]) == 0
+    assert "two-sided ideals: 8" in capsys.readouterr().out
