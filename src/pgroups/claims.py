@@ -1304,12 +1304,12 @@ def _run_descriptor_rule(ctx: ClaimContext) -> Iterator[_Found]:
                 continue
             count += 1
             truth = ideal_order[i][j]
-            if stated != truth:
+            if stated != truth and len(stated_wit) < 5:
                 stated_wit.append(
                     {"a": str(a), "b": str(b), "stated": stated, "actual": truth}
                 )
             preserving = subgroup_order[i][j]
-            if truth != preserving:
+            if truth != preserving and len(empirical_wit) < 5:
                 empirical_wit.append(
                     {
                         "a": str(a),
@@ -1319,8 +1319,8 @@ def _run_descriptor_rule(ctx: ClaimContext) -> Iterator[_Found]:
                     }
                 )
     checked = f"{count} comparable descriptor pairs"
-    yield stated_wit[:5], checked
-    yield empirical_wit[:5], checked
+    yield stated_wit, checked
+    yield empirical_wit, checked
 
 
 @_claim("ulm-position-indexing")

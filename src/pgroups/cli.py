@@ -11,7 +11,9 @@ and no table of the group's elements.  ``endo`` is served the same way, from
 the block shift matrices of the ideals (:func:`pgroups.endos.ideal_shifts`),
 counted once per group (:func:`pgroups.endos._ideal_images`).  The lattice,
 the matrix and that count are kept per process in bounded caches; the budget
-flags are checked on every request before any of them is read.
+flags are checked on every request before any of them is read.  A plain
+argv is read off the actions of the one cached parser (:func:`_read_argv`);
+anything else goes to argparse, which prints help and errors.
 
 Group and sequence inputs are JSON, given either as a file path or inline.
 Exit codes: 0 success, 1 refutation outside the shipped allowlist, 2 invalid
@@ -32,7 +34,8 @@ from .endos import (
     DEFAULT_MAX_IDEAL_RING_ORDER,
     DEFAULT_MAX_RING_ORDER,
     _ideal_images,
-    pullback_size,
+    _log_size,
+    _pullback,
     ring_order,
 )
 from .errors import BudgetExceededError, InvalidInputError, PGroupError
@@ -242,14 +245,15 @@ def cmd_endo(args) -> int:
     lines.append(f"two-sided ideals: {count}")
     L = enumerate_fi_subgroups(G)
     ideals_by_image = dict(images)
+    logs = _log_size(G, _pullback(G, L.shifts)).tolist()
     rows = [
         [
             _shift_name(G, alpha),
             str(order),
             str(ideals_by_image.get(alpha, 0)),
-            str(pullback_size(G, alpha)),
+            str(G.p ** log),
         ]
-        for alpha, order in zip(L.shifts, L.orders)
+        for alpha, order, log in zip(L.shifts, L.orders, logs)
     ]
     lines.append("")
     lines.extend(
@@ -371,8 +375,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read off the
+    cached parser's actions, for the plain form ``COMMAND POSITIONAL`` with
+    exact long options (``--name VALUE`` or a bare flag) in any order.
+
+    Any other argv gives ``None``: no or an unknown command, help, an
+    abbreviation, ``--x=y``, an unknown option, a missing value or one that
+    starts with ``-``, a type or choice error, or the wrong number of
+    positionals.  Argparse then parses it itself, so help, error text and
+    exit 2 stay its own."""
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = commands.choices.get(argv[0]) if argv else None
+    if sub is None or sub._mutually_exclusive_groups:
+        return None
+    positionals = (a for a in sub._actions if not a.option_strings)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = sub._option_string_actions.get(token)
+            if isinstance(action, argparse._StoreConstAction):
+                given[action] = action.const
+                continue
+            token = next(tokens, "-")
+        else:
+            action = next(positionals, None)
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        if token.startswith("-"):
+            return None
+        try:
+            given[action] = value = action.type(token) if action.type else token
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    values = {commands.dest: argv[0], **sub._defaults}
+    for action in sub._actions:
+        if action in given:
+            values[action.dest] = given[action]
+        elif action.required or action.type and isinstance(action.default, str):
+            return None  # missing, or a default argparse would convert
+        elif action.default is not argparse.SUPPRESS:
+            values[action.dest] = action.default
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()
