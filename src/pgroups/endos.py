@@ -31,10 +31,10 @@ these valuations:
 * generation closes entry valuations in closed form (:func:`ideal_generated`);
 * ``H`` is fully invariant iff its shifts are a normal form (Kaplansky).
 
-The ideals are listed from their closed shift system (:func:`ideal_shifts`):
-``λ_st <= w_st <= e_t``, ``w_ut - w_st <= λ_us`` and ``w_su - w_st <= λ_tu``,
-difference constraints closed once and listed without backtracking
-(:func:`_difference_solutions`).
+The ideals are listed from the fully invariant lattice (:func:`ideal_shifts`):
+row ``s`` of ``w`` is the block shifts of the fully invariant ``I G[p^e_s]``,
+and the ideals are the chains of lattice nodes ``H_1 <= ... <= H_k`` with
+``H_s <= G[p^e_s]`` and ``p^(e_s - e_(s-1)) H_s <= H_(s-1)``.
 
 The exhaustive census stays as an oracle (:func:`_ideal_census`: the spans
 of the principal ideals of the multiples ``p^v b``, closed under sums,
@@ -68,8 +68,8 @@ from .errors import (
 )
 from .groups import Element, GroupSpec, Subgroup, block_subgroup
 from .groups import _bits, _grid, _is_int, _join_closure, _members, _same_group, _span
-from .groups import _packing, _subgroup, _table, _valuations
-from .lattice import canonical_fi_form
+from .groups import _packing, _subgroup, _table, _valuations, _within
+from .lattice import canonical_fi_form, enumerate_fi_subgroups
 
 #: Largest endomorphism ring that will be enumerated.
 DEFAULT_MAX_RING_ORDER = 2**20
@@ -576,7 +576,8 @@ def _sandwich_products(ring: EndoRing, mats: np.ndarray) -> np.ndarray:
 def ideal_generated(G: GroupSpec, gens) -> Ideal:
     """Two-sided ideal generated by the given endomorphisms, with no ring: the
     least closure ``w_st = min(e_t, min_uv λ_su + ν_uv + λ_vt)`` of their entry
-    valuations ``ν`` (:func:`_entry_shifts`) under :func:`_ideal_system`."""
+    valuations ``ν`` (:func:`_entry_shifts`) under the products with the basis
+    on the left and on the right."""
     gens = tuple(gens)
     if any(f.group != G for f in gens):
         raise MismatchedParentError("generator endomorphism of a different group")
@@ -608,67 +609,17 @@ def ideal_leq(I: Ideal, J: Ideal) -> bool:
     return bool((I.shifts >= J.shifts).all())
 
 
-def _difference_solutions(lo, hi, rows) -> np.ndarray:
-    """Every integer vector ``x`` with ``lo <= x <= hi`` and ``x_b - x_a <= c``
-    for each row ``(a, b, c)``, one per row of the result, in lexicographic
-    order.
-
-    The system is closed once: ``D[a, b]`` becomes the tightest bound on
-    ``x_b - x_a`` that it implies (Floyd–Warshall, with node ``n`` the
-    constant 0, so the box bounds are the edges to and from it); a negative
-    cycle means there is no solution.  In a closed system every value between
-    a variable's bounds, read off the values already assigned, extends to a
-    solution.  So the listing extends every partial solution by one variable
-    at a time and never backtracks: its cost grows with the number of
-    solutions.
-    """
-    n = len(lo)
-    # longer than any path of finite edges; every pair of variables has such
-    # a path through node n, so no closed bound keeps this value
-    unbounded = 1 + sum(map(abs, itertools.chain(lo, hi, (c for _, _, c in rows))))
-    D = np.full((n + 1, n + 1), unbounded, dtype=np.int64)
-    np.fill_diagonal(D, 0)
-    D[n, :n], D[:n, n] = hi, np.negative(lo)
-    for a, b, c in rows:
-        D[a, b] = min(D[a, b], c)
-    for m in range(n + 1):
-        D = np.minimum(D, D[:, m, None] + D[None, m, :])
-    if (np.diag(D) < 0).any():
-        return np.empty((0, n), dtype=np.int64)
-    x = np.empty((1, 0), dtype=np.int64)
-    low, high = -D[None, :n, n], D[None, n, :n]
-    for i in range(n):
-        counts = high[:, i] - low[:, i] + 1
-        keep = np.repeat(np.arange(len(x)), counts)
-        firsts = np.repeat(np.cumsum(counts) - counts, counts)
-        v = low[keep, i] + np.arange(len(keep)) - firsts
-        x = np.hstack((x[keep], v[:, None]))
-        low = np.maximum(low[keep], v[:, None] - D[None, :n, i])
-        high = np.minimum(high[keep], v[:, None] + D[None, i, :n])
-    return x
-
-
-def _ideal_system(G: GroupSpec) -> tuple:
-    """``(lo, hi, rows)`` of the two-sided ideals' shift matrices, variable
-    ``s k + t`` being ``w_st``: ``λ_st <= w_st <= e_t``, and the products
-    with the basis on the left, ``w_ut - w_st <= λ_us``, and on the right,
-    ``w_su - w_st <= λ_tu``, stay in the ideal."""
-    exps, _, lam = (a.tolist() for a in _blocks(G))
-    k = len(exps)
-    pairs = list(itertools.product(range(k), repeat=2))
-    rows = [(s * k + t, u * k + t, lam[u][s]) for s, t in pairs for u in range(k)]
-    rows += [(s * k + t, s * k + u, lam[t][u]) for s, t in pairs for u in range(k)]
-    return [lam[s][t] for s, t in pairs], [exps[t] for _, t in pairs], rows
-
-
 def ideal_shifts(G: GroupSpec) -> np.ndarray:
     """The block shift matrices of the two-sided ideals of End(G), shape
     ``(ideals, k, k)``, in lexicographic order.
 
     ``w[s, t]`` is the least valuation of an entry from block ``s`` to block
     ``t`` over the ideal's members; the ideal is every endomorphism whose
-    entries have at least those valuations.  The matrices are the solutions of
-    :func:`_ideal_system`.  No ring is built: the cost follows the number of
+    entries have at least those valuations.  Row ``s`` is the block shifts of
+    the fully invariant subgroup ``H_s = I G[p^e_s]``, and the matrices are
+    the chains ``H_1 <= ... <= H_k`` of lattice nodes with ``H_s <= G[p^e_s]``
+    and ``p^(e_s - e_(s-1)) H_s <= H_(s-1)``, extended one block at a time
+    over the sorted nodes.  No ring is built: the cost follows the number of
     ideals, which ``|End(G)|`` does not bound, so callers keep their own
     budget.
 
@@ -676,8 +627,16 @@ def ideal_shifts(G: GroupSpec) -> np.ndarray:
     >>> ideal_shifts(make_group(2, [(1, 1), (2, 1)])).tolist()[:2]
     [[[0, 1], [0, 0]], [[0, 1], [0, 1]]]
     """
-    k = len(G.components)
-    return _difference_solutions(*_ideal_system(G)).reshape(-1, k, k)
+    nodes = np.array(sorted(enumerate_fi_subgroups(G).shifts), dtype=np.int64)
+    exps, _, lam = _blocks(G)
+    socle, inside = _within(nodes, lam), _within(nodes, nodes)
+    chains = np.flatnonzero(socle[:, 0])[:, None]
+    for s in range(1, len(exps)):
+        # [i, j]: node j may follow node i as H_s after H_(s-1)
+        step = inside & _within(nodes + (exps[s] - exps[s - 1]), nodes).T & socle[:, s]
+        prev, nxt = np.nonzero(step[chains[:, -1]])
+        chains = np.hstack((chains[prev], nxt[:, None]))
+    return nodes[chains]
 
 
 def _pullback(G: GroupSpec, alpha) -> np.ndarray:

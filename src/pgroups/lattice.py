@@ -40,29 +40,16 @@ from .groups import _subgroup, _within
 from .indicators import Indicator, _admissible, cut_shifts
 
 
-def _fi_system(G: GroupSpec) -> tuple:
-    """``(lo, hi, rows)`` of the fully invariant block shifts, row ``(a, b, c)``
-    being ``a_b - a_a <= c`` (:func:`pgroups.endos._difference_solutions`):
-    ``0 <= a_i <= n_i`` and ``a_i <= a_(i+1) <= a_i + n_(i+1) - n_i``."""
-    exps = [n for n, _ in G.components]
-    rows = [(i + 1, i, 0) for i in range(len(exps) - 1)]
-    rows += [(i, i + 1, m - n) for i, (n, m) in enumerate(zip(exps, exps[1:]))]
-    return [0] * len(exps), exps, rows
-
-
 def is_valid_fi_form(G: GroupSpec, alpha: tuple[int, ...]) -> bool:
-    """Do these block shifts define a fully invariant subgroup, i.e. solve
-    :func:`_fi_system`?"""
-    return _solves(_fi_system(G), alpha)
-
-
-def _solves(system: tuple, alpha: tuple[int, ...]) -> bool:
-    """Do the shifts ``alpha`` solve ``system`` (:func:`_fi_system`)?"""
-    lo, hi, rows = system
+    """Do these block shifts define a fully invariant subgroup:
+    ``0 <= a_i <= n_i`` and ``a_i <= a_(i+1) <= a_i + n_(i+1) - n_i``?"""
+    exps = [n for n, _ in G.components]
     return (
-        len(alpha) == len(lo)
-        and all(a <= x <= b for a, x, b in zip(lo, alpha, hi))
-        and all(alpha[b] - alpha[a] <= c for a, b, c in rows)
+        len(alpha) == len(exps)
+        and all(0 <= a <= n for a, n in zip(alpha, exps))
+        and all(
+            a <= b <= a + m - n for a, b, n, m in zip(alpha, alpha[1:], exps, exps[1:])
+        )
     )
 
 
@@ -167,10 +154,11 @@ class FILattice:
 
     def __post_init__(self):
         k = len(self.group.components)
-        system = _fi_system(self.group)
         for i, alpha in enumerate(self.shifts):
             if not (
-                isinstance(alpha, tuple) and all(map(_is_int, alpha)) and _solves(system, alpha)
+                isinstance(alpha, tuple)
+                and all(map(_is_int, alpha))
+                and is_valid_fi_form(self.group, alpha)
             ):
                 raise InvalidInputError(
                     f"lattice node {i} is not the block shifts of a fully"

@@ -1,16 +1,19 @@
-"""The ideals of End(G) listed from their closed shift system, against the
-census and brute force.
+"""The ideals of End(G) listed as chains of fully invariant lattice nodes,
+against the census, the closed shift system and brute force.
 
-``endos._difference_solutions`` closes a difference-constraint system once
-and lists its integer solutions.  Its clients and oracles here:
+``endos.ideal_shifts`` lists the ideals as chains ``H_1 <= ... <= H_k`` of
+nodes of ``enumerate_fi_subgroups``.  Its oracles here:
 
-* the ideal system (``endos._ideal_system``), whose listing
-  ``enumerate_ideals`` must equal the census ``endos._ideal_census`` shift
-  for shift, member for member and in order on every ring of
+* the census ``endos._ideal_census``: ``enumerate_ideals`` must equal it
+  shift for shift, member for member and in order on every ring of
   ``ring_family.FAMILY``;
-* the fully invariant system ``lattice._fi_system``, whose solutions must be
-  the nodes of ``enumerate_fi_subgroups`` on the family and the stream pool;
-* small random systems, against the filter of every point of their box.
+* the closed shift system of the ideals, ``λ_st <= w_st <= e_t``,
+  ``w_ut - w_st <= λ_us`` and ``w_su - w_st <= λ_tu``, written out here and
+  filtered over every tuple of fully invariant forms, in order, on groups far
+  above the census's budget;
+* the fully invariant forms (``lattice.is_valid_fi_form``), filtered from
+  the box of all shifts, must be the nodes of ``enumerate_fi_subgroups`` on
+  the family and the stream pool.
 
 ``ideal_generated`` closes its generators' least entry valuations in closed
 form; it must equal the member set that their sandwich products span, on the
@@ -60,13 +63,12 @@ from pgroups.cli import main
 from pgroups.endos import (
     Ideal,
     _cached_ring,
-    _difference_solutions,
     _ideal_census,
     _sandwich_products,
     ideal_shifts,
     pullback_size,
 )
-from pgroups.lattice import FILattice, _fi_system, _shift_name
+from pgroups.lattice import FILattice, _shift_name, is_valid_fi_form
 from ring_family import FAMILY
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -96,29 +98,48 @@ def test_listing_is_the_census(G):
     assert [I.indices.tolist() for I in listed] == [I.indices.tolist() for I in census]
 
 
+def fi_forms(G):
+    """The box of all block shifts ``0 <= a_i <= n_i``, filtered by the fully
+    invariant form, in lexicographic order."""
+    box = itertools.product(*(range(n + 1) for n, _ in G.components))
+    return [alpha for alpha in box if is_valid_fi_form(G, alpha)]
+
+
 @pytest.mark.parametrize("G", list(dict.fromkeys(FAMILY + POOL)), ids=_ids)
 def test_fi_system_lists_the_lattice_nodes(G):
-    solutions = {tuple(x) for x in _difference_solutions(*_fi_system(G)).tolist()}
-    assert solutions == set(enumerate_fi_subgroups(G).shifts)
+    assert set(fi_forms(G)) == set(enumerate_fi_subgroups(G).shifts)
 
 
-def test_solutions_are_the_filtered_box():
-    rng = random.Random(20231103)
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        lo = [rng.randint(-2, 2) for _ in range(n)]
-        hi = [a + rng.randint(-1, 3) for a in lo]
-        rows = [
-            (rng.randrange(n), rng.randrange(n), rng.randint(-2, 2))
-            for _ in range(rng.randint(0, 5))
-        ]
-        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        expected = [
-            list(x) for x in box if all(x[b] - x[a] <= c for a, b, c in rows)
-        ]
-        got = _difference_solutions(lo, hi, rows)
-        assert got.shape == (len(expected), n)
-        assert got.tolist() == expected, (lo, hi, rows)
+def system_solutions(G):
+    """Every ``k``-tuple of fully invariant forms, as a ``k x k`` matrix ``w``
+    in lexicographic order, that solves the closed shift system of the
+    two-sided ideals: the box, and the products with the basis on the left and
+    on the right staying in the ideal."""
+    exps = [n for n, _ in G.components]
+    k = len(exps)
+    lam = [[max(0, et - es) for et in exps] for es in exps]
+    forms = np.array(fi_forms(G))
+    w = forms[np.array(list(itertools.product(range(len(forms)), repeat=k)))]
+    ok = np.ones(len(w), dtype=bool)
+    for s, t in itertools.product(range(k), repeat=2):
+        ok &= (lam[s][t] <= w[:, s, t]) & (w[:, s, t] <= exps[t])
+    for s, t, u in itertools.product(range(k), repeat=3):
+        ok &= w[:, u, t] - w[:, s, t] <= lam[u][s]
+        ok &= w[:, s, u] - w[:, s, t] <= lam[t][u]
+    return w[ok].tolist()
+
+
+SYSTEM_GROUPS = [
+    make_group(2, [(e, m) for e in exps])
+    for m in (1, 2)
+    for r in (1, 2, 3)
+    for exps in itertools.combinations(range(1, 7), r)
+]
+
+
+@pytest.mark.parametrize("G", SYSTEM_GROUPS, ids=_ids)
+def test_listing_is_the_closed_shift_system(G):
+    assert ideal_shifts(G).tolist() == system_solutions(G)
 
 
 def test_the_listing_needs_no_ring_and_grows_with_the_ideals():
@@ -127,6 +148,9 @@ def test_the_listing_needs_no_ring_and_grows_with_the_ideals():
     assert len(ideal_shifts(make_group(2, [(1, 1), (19, 1)]))) == 93
     assert len(ideal_shifts(make_group(2, [(1, 1), (2, 1), (3, 1), (4, 1)]))) == 924
     assert len(ideal_shifts(make_group(3, [(1, 3), (2, 3), (3, 3)]))) == 62
+    assert len(ideal_shifts(make_group(2, [(1, 1), (2, 1), (4, 1), (7, 1)]))) == 8538
+    big = make_group(2, [(1, 2), (3, 1), (6, 2), (10, 1)])
+    assert len(ideal_shifts(big)) == 109835
 
 
 @pytest.mark.parametrize("G", FAMILY, ids=_ids)
@@ -209,28 +233,19 @@ def test_the_normal_form_decides_full_invariance(p, pairs):
     assert verdicts == {True, False}
 
 
-def test_dagger_well_defined_catches_a_wrong_kernel_row(monkeypatch):
+def test_dagger_well_defined_catches_a_forged_chain(monkeypatch):
     G = make_group(2, [(2, 1), (4, 1)])
-    real = endos._ideal_system
-    lo, hi, rows = real(G)
-    k = len(G.components)
-    # w_11 <= w_01 + λ_10: loosened by one, it admits sets that are no ideal
-    at = rows.index((0 * k + 1, 1 * k + 1, 0))
-
-    def loosened(group):
-        lo, hi, rows = real(group)
-        a, b, c = rows[at]
-        return lo, hi, rows[:at] + [(a, b, c + 1)] + rows[at + 1 :]
-
-    monkeypatch.setattr(endos, "_ideal_system", loosened)
-    assert len(ideal_shifts(G)) > len(_ideal_census(G)) == 32
+    real = ideal_shifts(G)
+    # H_1 = 0 and H_2 = G are lattice nodes, and H_1 <= H_2 <= G[p^4], but
+    # p^2 G does not lie in H_1: the chain is no ideal
+    forged = np.array([[2, 4], [0, 0]])
+    assert set(map(tuple, forged.tolist())) <= set(enumerate_fi_subgroups(G).shifts)
+    assert forged.tolist() not in real.tolist()
+    listing = np.concatenate((real, forged[None]))
+    monkeypatch.setattr(endos, "ideal_shifts", lambda group: listing)
     (report,) = run_claims(G, ids=["dagger-well-defined"])
     assert report.status == "refuted"
-    assert report.witnesses[0] == {
-        "failure": "listing",
-        "listed": len(ideal_shifts(G)),
-        "census": 32,
-    }
+    assert report.witnesses[0] == {"failure": "listing", "listed": 33, "census": 32}
 
 
 def census_endo_table(G):
